@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import GroupedDataset
 from .diffusion import Schedule
-from .scoring import ElboConfig, as_denoiser, elbo_estimate
+from .scoring import ElboConfig, check_input_dims, elbo_estimate
 from .seeding import derive_seed
 
 Query = tuple[np.ndarray, "np.ndarray | None"]
@@ -106,13 +106,7 @@ def attribution_matrix(
     models produce exactly zero columns.
     """
     n = len(counterfactuals)
-    dims = set()
-    for m in [model_full, *counterfactuals]:
-        dim = getattr(m, "input_dim", None) or getattr(getattr(m, "arch", None), "input_dim", None)
-        if dim is not None:
-            dims.add(dim)
-    if len(dims) > 1:
-        raise ValueError(f"models disagree on input dim: {sorted(dims)}")
+    check_input_dims([model_full, *counterfactuals])
 
     scores = np.zeros((len(queries), n))
     for q, (x0, cond) in enumerate(queries):

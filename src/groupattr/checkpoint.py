@@ -68,7 +68,8 @@ def load_checkpoint(path: str | Path) -> DenoiserParams:
 def roundtrip_via_f32(params: DenoiserParams) -> DenoiserParams:
     """Parameters as they would read back from a checkpoint.
 
-    The pipeline always scores models through this projection so that
-    fresh runs and checkpoint-cached runs produce identical numbers.
+    A reference for the float32 projection that ``load_checkpoint``
+    applies; the pipeline itself always scores models loaded from
+    checkpoint files, so fresh and cache-resumed runs agree.
     """
     return params.with_weights(params.weights.astype("<f4").astype(np.float64))

@@ -86,6 +86,20 @@ class GroupedDataset:
             return None
         return self.cond_vectors[k]
 
+    def dropout_conditions(self, labels: np.ndarray, conditional: bool, p_drop: float,
+                           seed: int, *path: int | str) -> list:
+        """Per-item condition vectors for a batch with condition dropout.
+
+        Each item gets its group's condition, or the null condition with
+        probability ``p_drop`` under the stream (seed, "dropout", *path);
+        every item gets ``None`` for an unconditional model.
+        """
+        if not conditional:
+            return [None] * len(labels)
+        drop = rng_for(seed, "dropout", *path).random(len(labels)) < p_drop
+        null = self.null_condition()
+        return [null if drop[i] else self.cond_vectors[lab] for i, lab in enumerate(labels)]
+
     def all_samples(self, exclude: int | None = None) -> np.ndarray:
         kept = [g for i, g in enumerate(self.groups) if i != exclude]
         return np.concatenate(kept, axis=0)

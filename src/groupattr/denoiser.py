@@ -314,9 +314,37 @@ def draw_noising(
     t_hi: int,
 ) -> tuple[int, np.ndarray]:
     """Per-item (t, eps) draw keyed by item content; see content_rng."""
-    rng = content_rng(rng_seed, x0, cond)
-    t = int(rng.integers(t_lo, t_hi + 1))
-    return t, rng.standard_normal(x0.shape[0])
+    return _draw(content_rng(rng_seed, x0, cond), x0.shape[0], t_lo, t_hi)
+
+
+def _draw(rng: np.random.Generator, dim: int, t_lo: int, t_hi: int) -> tuple[int, np.ndarray]:
+    return int(rng.integers(t_lo, t_hi + 1)), rng.standard_normal(dim)
+
+
+def noise_batch(
+    batch: Sequence[tuple[np.ndarray, np.ndarray | None]],
+    s: Schedule,
+    rng_seed: int,
+    t_lo: int,
+    t_hi: int,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[np.random.Generator]]:
+    """Noise every item of a batch through the forward marginal.
+
+    Each item draws t uniform in [t_lo, t_hi], then eps, from its own
+    ``content_rng(rng_seed, x0, cond)`` stream (see ``draw_noising``).
+    Returns t and x_t stacked over the batch, plus each item's eps and
+    its generator positioned after those two draws.
+    """
+    ts, epss, xts, rngs = [], [], [], []
+    for x0, cond in batch:
+        x0 = np.asarray(x0, dtype=np.float64)
+        rng = content_rng(rng_seed, x0, cond)
+        t, eps = _draw(rng, x0.shape[0], t_lo, t_hi)
+        ts.append(t)
+        epss.append(eps)
+        xts.append(forward_marginal(s, x0, t, eps))
+        rngs.append(rng)
+    return np.array(ts), np.stack(xts), epss, rngs
 
 
 def loss_and_grad(
@@ -334,19 +362,10 @@ def loss_and_grad(
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    xts, ts, epss, conds = [], [], [], []
-    for x0, cond in batch:
-        x0 = np.asarray(x0, dtype=np.float64)
-        t, eps = draw_noising(rng_seed, x0, cond, 1, s.num_steps)
-        xts.append(forward_marginal(s, x0, t, eps))
-        ts.append(t)
-        epss.append(eps)
-        conds.append(cond)
-    xt = np.stack(xts)
-    eps = np.stack(epss)
-    cond_mat = _stack_conds(p.arch, conds)
-    out, cache = forward_batch(p, xt, np.array(ts), s.num_steps, cond_mat, want_cache=True)
-    resid = out - eps
+    ts, xt, epss, _ = noise_batch(batch, s, rng_seed, 1, s.num_steps)
+    cond_mat = _stack_conds(p.arch, [cond for _, cond in batch])
+    out, cache = forward_batch(p, xt, ts, s.num_steps, cond_mat, want_cache=True)
+    resid = out - np.stack(epss)
     loss = float(np.mean(np.sum(resid**2, axis=1)))
     grad = backward_batch(p, cache, 2.0 * resid / len(batch))
     return loss, grad

@@ -134,6 +134,41 @@ def forward_marginal(s: Schedule, x0: np.ndarray, t: int, eps: np.ndarray) -> np
     return math.sqrt(s.alpha_bar(t)) * x0 + s.sigma(t) * eps
 
 
+def kernel_logits(
+    points: np.ndarray, xt: np.ndarray, t: int, s: Schedule, K: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-kernel log-weights of a point set given x_t, and the residuals.
+
+    Returns (-|xt - sqrt(abar_t) x_i|^2 / (2 sigma_t^2), xt - sqrt(abar_t) x_i)
+    over the points x_i.  With ``K`` only the K nearest points are kept,
+    ties breaking toward the lower index.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    n = points.shape[0]
+    if n == 0:
+        raise ValueError("point set must be non-empty")
+    if K is not None and not 1 <= K <= n:
+        raise ValueError(f"K must be in [1, {n}], got {K}")
+    xt = np.asarray(xt, dtype=np.float64)
+    diffs = xt[None, :] - math.sqrt(s.alpha_bar(t)) * points
+    dist2 = np.sum(diffs**2, axis=1)
+    if K is not None:
+        keep = np.argsort(dist2, kind="stable")[:K]
+        diffs, dist2 = diffs[keep], dist2[keep]
+    return -dist2 / (2.0 * s.sigma(t) ** 2), diffs
+
+
+def kernel_softmax(
+    points: np.ndarray, xt: np.ndarray, t: int, s: Schedule, K: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``kernel_logits`` normalized to posterior weights by a stable softmax."""
+    logits, diffs = kernel_logits(points, xt, t, s, K)
+    logits -= logits.max()
+    w = np.exp(logits)
+    w /= w.sum()
+    return w, diffs
+
+
 def true_posterior(s: Schedule, x0: np.ndarray, xt: np.ndarray, t: int) -> GaussianLaw:
     """q(x_{t-1} | x_t, x_0) for t >= 2.
 

@@ -1,11 +1,20 @@
 """Experiment orchestration: data, training, unlearning, scoring, reports.
 
-A run directory is populated phase by phase; every phase writes its
-artifact plus a key record (hash of the phase-relevant configuration
-chain, the master seed, wall-clock seconds, and optimizer step counts).
-Re-running with an identical configuration reuses any artifact whose
-key matches, so deleting only the query-phase outputs re-scores against
-cached counterfactual checkpoints without retraining.
+A run directory is populated phase by phase.  Every ``Pipeline.ensure_*``
+phase runs through ``Pipeline._phase``: it serves the phase's artifact
+when the phase's key record vouches for it, and otherwise builds the
+artifact (plus a JSON sidecar for checkpoints) and writes a new key
+record: the hash of the phase-relevant configuration chain, the
+provenance, wall-clock seconds and optimizer step counts.
+
+The key rule: a key record is deleted before its phase builds and is
+written only once every artifact of the phase is complete, so a key never
+vouches for a missing or torn artifact; an interrupted build is redone.
+
+Phases build their dependencies on demand, so a matrix trains or unlearns
+exactly the models it scores and the outputs do not depend on the order
+phases are requested in.  Deleting only the query-phase outputs
+re-scores against cached counterfactual checkpoints without retraining.
 
 All model scoring goes through checkpoint files (float32), so fresh and
 cache-resumed runs produce byte-identical numeric outputs.
@@ -19,8 +28,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -56,6 +65,17 @@ class PhaseError(RuntimeError):
     def __init__(self, phase: str, message: str):
         super().__init__(f"[{phase}] {message}")
         self.phase = phase
+
+
+@contextmanager
+def _tagged(phase: str):
+    """Re-raise any untagged failure as a ``PhaseError`` of ``phase``."""
+    try:
+        yield
+    except PhaseError:
+        raise
+    except Exception as e:
+        raise PhaseError(phase, str(e)) from e
 
 
 @dataclass(frozen=True)
@@ -103,22 +123,8 @@ class UnlearnSpec:
 
     def resolve(self, num_steps: int, seed: int) -> UnlearnConfig:
         rng_range = self.timestep_range or default_timestep_range(num_steps)
-        return UnlearnConfig(
-            method=self.method,
-            lr=self.lr,
-            steps_or_epochs=self.steps_or_epochs,
-            seed=seed,
-            lambda_forget=self.lambda_forget,
-            lambda_pres=self.lambda_pres,
-            K=self.K,
-            kl_cap=self.kl_cap,
-            guidance_weight=self.guidance_weight,
-            tau=self.tau,
-            eta_mix=self.eta_mix,
-            timestep_range=tuple(rng_range),
-            batch_size=self.batch_size,
-            cond_dropout=self.cond_dropout,
-        )
+        return UnlearnConfig(**{**dataclasses.asdict(self), "seed": seed,
+                                "timestep_range": tuple(rng_range)})
 
 
 @dataclass(frozen=True)
@@ -257,15 +263,10 @@ class Pipeline:
     def _key_path(self, name: str) -> Path:
         return self.out / "keys" / f"{name}.json"
 
-    def _load_key(self, name: str) -> dict | None:
-        path = self._key_path(name)
-        if not path.exists():
-            return None
-        return json.loads(path.read_text())
-
     def _fresh(self, name: str, phase_key: str, artifact: Path) -> bool:
-        rec = self._load_key(name)
-        return rec is not None and rec.get("phase_key") == phase_key and artifact.exists()
+        path = self._key_path(name)
+        return (path.exists() and json.loads(path.read_text()).get("phase_key") == phase_key
+                and artifact.exists())
 
     def _write_key(self, name: str, phase_key: str, **extra) -> None:
         rec = {"phase_key": phase_key, **self.provenance(), **extra}
@@ -335,139 +336,132 @@ class Pipeline:
                 return spec
         raise PhaseError("unlearn", f"method {method!r} not configured")
 
-    def method_names(self) -> list[str]:
-        return ["logoa", *[u.method for u in self.cfg.unlearn_methods], "prototype", "oracle"]
+    def method_names(self, gold: str = "logoa") -> list[str]:
+        """Attribution methods of a study scored against ``gold``.
+
+        LOGO retraining is listed only when it is the gold, so a study
+        with another gold never trains a leave-one-group-out model.
+        """
+        logo = ["logoa"] if gold == "logoa" else []
+        return [*logo, *[u.method for u in self.cfg.unlearn_methods], "prototype", "oracle"]
 
     # -- phases -----------------------------------------------------------
 
+    def _phase(self, name: str, key: str, artifact: Path, tag: str, build, load):
+        """Load ``artifact``, building it first unless key record ``name`` vouches for it.
+
+        ``build`` writes every artifact of the phase and returns the extra
+        fields of its key record.  The old record is deleted before the
+        build starts and the new one is written only after it returns, so
+        an interrupted build leaves no key behind a torn artifact.  Any
+        failure is re-raised as ``PhaseError(tag)``.
+        """
+        with _tagged(tag):
+            if not self._fresh(name, key, artifact):
+                self._key_path(name).unlink(missing_ok=True)
+                record = build()
+                self._write_key(name, key, **record)
+            return load(artifact)
+
+    def _save_run(self, path: Path, run, **sidecar) -> dict:
+        """Checkpoint a training or unlearning run with its JSON sidecar;
+        returns the run's key record fields."""
+        save_checkpoint(path, run.params)
+        record = {"wall_seconds": run.wall_seconds, "steps": run.steps}
+        doc = {"provenance": self.provenance(), **record, **sidecar}
+        path.with_suffix(".json").write_text(json.dumps(doc, sort_keys=True, indent=1))
+        return record
+
     def ensure_dataset(self) -> GroupedDataset:
-        if self._dataset is not None:
-            return self._dataset
-        path = self.out / "dataset.npz"
-        key = self._k_dataset()
-        try:
-            if not self._fresh("dataset", key, path):
+        if self._dataset is None:
+            path = self.out / "dataset.npz"
+
+            def build():
                 tic = time.perf_counter()
                 d = generate_grouped_dataset(
                     self.cfg.dataset, derive_seed(self.cfg.master_seed, "dataset")
                 )
                 d.save(path, provenance=self.provenance())
-                self._write_key("dataset", key, wall_seconds=time.perf_counter() - tic)
-            self._dataset = GroupedDataset.load(path)
-        except PhaseError:
-            raise
-        except Exception as e:
-            raise PhaseError("dataset", str(e)) from e
+                return {"wall_seconds": time.perf_counter() - tic}
+
+            self._dataset = self._phase("dataset", self._k_dataset(), path, "dataset", build,
+                                        GroupedDataset.load)
         return self._dataset
 
     def ensure_train_full(self):
         d = self.ensure_dataset()
         path = self.out / "checkpoints" / "full.ckpt"
-        key = self._k_full()
-        try:
-            if not self._fresh("train_full", key, path):
-                run = train_full(
-                    d, self.architecture(d), self._train_config("train_full"),
-                    self.schedule(), log_path=self.out / "logs" / "train_full.csv",
-                )
-                save_checkpoint(path, run.params)
-                _sidecar(path, self.provenance(), steps=run.steps,
-                         wall_seconds=run.wall_seconds,
-                         final_loss=run.epoch_losses[-1] if run.epoch_losses else None)
-                self._write_key("train_full", key, wall_seconds=run.wall_seconds, steps=run.steps)
-            return load_checkpoint(path)
-        except PhaseError:
-            raise
-        except Exception as e:
-            raise PhaseError("train_full", str(e)) from e
+
+        def build():
+            run = train_full(
+                d, self.architecture(d), self._train_config("train_full"),
+                self.schedule(), log_path=self.out / "logs" / "train_full.csv",
+            )
+            return self._save_run(
+                path, run, final_loss=run.epoch_losses[-1] if run.epoch_losses else None)
+
+        return self._phase("train_full", self._k_full(), path, "train_full", build,
+                           load_checkpoint)
 
     def ensure_train_logo(self, k: int):
         d = self.ensure_dataset()
         path = self.out / "checkpoints" / f"logo_{k}.ckpt"
-        key = self._k_logo(k)
-        try:
-            if not self._fresh(f"train_logo_{k}", key, path):
-                init = self.ensure_train_full() if self.cfg.train.logo_from_checkpoint else None
-                cfg = self._train_config("train_logo")
-                run = train_logo(
-                    d, k, self.architecture(d), cfg, self.schedule(), init_params=init,
-                    log_path=self.out / "logs" / f"train_logo_{k}.csv",
-                )
-                save_checkpoint(path, run.params)
-                _sidecar(path, self.provenance(), steps=run.steps,
-                         wall_seconds=run.wall_seconds, group=k)
-                self._write_key(f"train_logo_{k}", key,
-                                wall_seconds=run.wall_seconds, steps=run.steps)
-            return load_checkpoint(path)
-        except PhaseError:
-            raise
-        except Exception as e:
-            raise PhaseError("train_logo", str(e)) from e
+
+        def build():
+            init = self.ensure_train_full() if self.cfg.train.logo_from_checkpoint else None
+            run = train_logo(
+                d, k, self.architecture(d), self._train_config("train_logo"), self.schedule(),
+                init_params=init, log_path=self.out / "logs" / f"train_logo_{k}.csv",
+            )
+            return self._save_run(path, run, group=k)
+
+        return self._phase(f"train_logo_{k}", self._k_logo(k), path, "train_logo", build,
+                           load_checkpoint)
 
     def ensure_unlearn(self, method: str, k: int):
         d = self.ensure_dataset()
         spec = self._unlearn_spec(method)
         path = self.out / "checkpoints" / f"unlearn_{method}_{k}.ckpt"
-        key = self._k_unlearn(method, k)
-        try:
-            if not self._fresh(f"unlearn_{method}_{k}", key, path):
-                full = self.ensure_train_full()
-                ucfg = spec.resolve(
-                    self.schedule().num_steps,
-                    derive_seed(self.cfg.master_seed, "unlearn", method, k),
-                )
-                run = unlearn(full, d, k, ucfg, self.schedule())
-                save_checkpoint(path, run.params)
-                _sidecar(path, self.provenance(), steps=run.steps,
-                         wall_seconds=run.wall_seconds, group=k,
-                         unlearn_config=dataclasses.asdict(ucfg))
-                self._write_key(f"unlearn_{method}_{k}", key,
-                                wall_seconds=run.wall_seconds, steps=run.steps)
-            return load_checkpoint(path)
-        except PhaseError:
-            raise
-        except Exception as e:
-            raise PhaseError("unlearn", str(e)) from e
+
+        def build():
+            full = self.ensure_train_full()
+            ucfg = spec.resolve(
+                self.schedule().num_steps,
+                derive_seed(self.cfg.master_seed, "unlearn", method, k),
+            )
+            run = unlearn(full, d, k, ucfg, self.schedule())
+            return self._save_run(path, run, group=k, unlearn_config=dataclasses.asdict(ucfg))
+
+        return self._phase(f"unlearn_{method}_{k}", self._k_unlearn(method, k), path,
+                           "unlearn", build, load_checkpoint)
 
     def ensure_queries(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
         """Generated query samples, their conditions, diagnostic labels."""
         d = self.ensure_dataset()
         path = self.out / "queries.npz"
-        key = self._k_queries()
-        try:
-            if not self._fresh("queries", key, path):
-                full = self.ensure_train_full()
-                tic = time.perf_counter()
-                qs = self.cfg.queries
-                s = self.schedule()
-                handle = NetworkDenoiser(full, s.num_steps)
-                steps = qs.steps or s.num_steps
-                xs, conds = [], []
-                for q in range(qs.count):
-                    cond = self._query_condition(d, q)
-                    x = sample(s, handle, cond=cond, steps=steps,
-                               seed=derive_seed(self.cfg.master_seed, "query", q),
-                               method=qs.method, clip_x0=qs.clip_x0)
-                    xs.append(x)
-                    conds.append(cond)
-                x_arr = np.stack(xs) if xs else np.zeros((0, d.dim))
-                labels = _nearest_group(x_arr, d)
-                arrays = {"x0": x_arr, "labels": labels,
-                          "provenance": np.array(json.dumps(self.provenance(), sort_keys=True))}
-                if d.cond_dim > 0:
-                    arrays["conds"] = (np.stack(conds) if conds
-                                       else np.zeros((0, d.cond_dim)))
-                np.savez(path, **arrays)
-                self._write_key("queries", key, wall_seconds=time.perf_counter() - tic)
-            with np.load(path, allow_pickle=False) as z:
-                x0 = z["x0"]
-                labels = z["labels"]
-                conds = z["conds"] if "conds" in z else None
-            return x0, conds, labels
-        except PhaseError:
-            raise
-        except Exception as e:
-            raise PhaseError("queries", str(e)) from e
+
+        def build():
+            s = self.schedule()
+            handle = NetworkDenoiser(self.ensure_train_full(), s.num_steps)
+            tic = time.perf_counter()
+            qs = self.cfg.queries
+            steps = qs.steps or s.num_steps
+            xs, conds = [], []
+            for q in range(qs.count):
+                cond = self._query_condition(d, q)
+                xs.append(sample(s, handle, cond=cond, steps=steps,
+                                 seed=derive_seed(self.cfg.master_seed, "query", q),
+                                 method=qs.method, clip_x0=qs.clip_x0))
+                conds.append(cond)
+            x_arr = np.stack(xs) if xs else np.zeros((0, d.dim))
+            arrays = {"x0": x_arr, "labels": _nearest_group(x_arr, d),
+                      "provenance": np.array(json.dumps(self.provenance(), sort_keys=True))}
+            if d.cond_dim > 0:
+                arrays["conds"] = np.stack(conds) if conds else np.zeros((0, d.cond_dim))
+            np.savez(path, **arrays)
+            return {"wall_seconds": time.perf_counter() - tic}
+
+        return self._phase("queries", self._k_queries(), path, "queries", build, _load_queries)
 
     def _query_condition(self, d: GroupedDataset, q: int) -> np.ndarray | None:
         if d.cond_dim == 0:
@@ -478,41 +472,37 @@ class Pipeline:
 
     def _query_tuples(self) -> list:
         x0, conds, _ = self.ensure_queries()
-        if conds is None:
-            return [(x0[q], None) for q in range(len(x0))]
-        return [(x0[q], conds[q]) for q in range(len(x0))]
+        return list(zip(x0, [None] * len(x0) if conds is None else conds))
 
     def ensure_matrix(self, method: str) -> AttributionMatrix:
         d = self.ensure_dataset()
         csv_path = self.out / "matrices" / f"{method}.csv"
         json_path = self.out / "matrices" / f"{method}.json"
-        key = self._k_matrix(method)
-        try:
-            if not self._fresh(f"matrix_{method}", key, json_path):
-                queries = self._query_tuples()
+
+        def build():
+            queries = self._query_tuples()
+            # Models are built (or loaded) before the clock starts: the
+            # recorded time is the query cost alone.
+            models = None if method == "prototype" else self._models_for(method, d)
+            tic = time.perf_counter()
+            if models is None:
+                mat = prototype_baseline(queries, d)
+            else:
                 s = self.schedule()
-                tic = time.perf_counter()
-                if method == "prototype":
-                    mat = prototype_baseline(queries, d)
-                else:
-                    full, cfs = self._models_for(method, d)
-                    ecfg = ElboConfig(
-                        stride=self.cfg.elbo.stride, t_min=2, t_max=s.num_steps,
-                        noise_seed=derive_seed(self.cfg.master_seed, "elbo"),
-                        samples_per_t=self.cfg.elbo.samples_per_t,
-                    )
-                    mat = attribution_matrix(queries, full, cfs, ecfg, s, method=method,
-                                             group_names=d.group_names)
-                wall = time.perf_counter() - tic
-                mat.to_csv(csv_path, provenance=self.provenance())
-                mat.to_json(json_path, provenance=self.provenance())
-                self._write_key(f"matrix_{method}", key, wall_seconds=wall,
-                                queries=len(queries))
-            return AttributionMatrix.from_json(json_path)
-        except PhaseError:
-            raise
-        except Exception as e:
-            raise PhaseError("attribute", str(e)) from e
+                ecfg = ElboConfig(
+                    stride=self.cfg.elbo.stride, t_min=2, t_max=s.num_steps,
+                    noise_seed=derive_seed(self.cfg.master_seed, "elbo"),
+                    samples_per_t=self.cfg.elbo.samples_per_t,
+                )
+                mat = attribution_matrix(queries, *models, ecfg, s, method=method,
+                                         group_names=d.group_names)
+            wall = time.perf_counter() - tic
+            mat.to_csv(csv_path, provenance=self.provenance())
+            mat.to_json(json_path, provenance=self.provenance())
+            return {"wall_seconds": wall, "queries": len(queries)}
+
+        return self._phase(f"matrix_{method}", self._k_matrix(method), json_path, "attribute",
+                           build, AttributionMatrix.from_json)
 
     def _models_for(self, method: str, d: GroupedDataset):
         s = self.schedule()
@@ -529,12 +519,12 @@ class Pipeline:
         return full, cfs
 
     def ensure_reports(self, gold: str = "logoa") -> dict[str, RankReport]:
-        try:
+        with _tagged("evaluate"):
             if self.cfg.queries.count == 0:
                 raise ValueError("no queries configured; nothing to evaluate")
             gold_mat = self.ensure_matrix(gold)
             reports = {}
-            for method in self.method_names():
+            for method in self.method_names(gold):
                 mat = self.ensure_matrix(method)
                 rep = rank_report(mat, gold_mat)
                 path = self.out / "reports" / f"rank_{method}_vs_{gold}.json"
@@ -543,34 +533,24 @@ class Pipeline:
                 path.write_text(json.dumps(doc, sort_keys=True, indent=1))
                 reports[method] = rep
             return reports
-        except PhaseError:
-            raise
-        except Exception as e:
-            raise PhaseError("evaluate", str(e)) from e
 
     def ensure_timing(self) -> "TimingReport":
-        try:
+        with _tagged("report"):
             rep = timing_report(self.out)
             (self.out / "reports" / "timing.json").write_text(
                 json.dumps({**rep.to_dict(), "provenance": self.provenance()},
                            sort_keys=True, indent=1)
             )
             return rep
-        except PhaseError:
-            raise
-        except Exception as e:
-            raise PhaseError("report", str(e)) from e
 
     def run_all(self, gold: str = "logoa") -> dict:
-        self.ensure_dataset()
-        self.ensure_train_full()
-        for k in range(self.cfg.dataset.n_groups):
-            self.ensure_train_logo(k)
-        for spec in self.cfg.unlearn_methods:
-            for k in range(self.cfg.dataset.n_groups):
-                self.ensure_unlearn(spec.method, k)
-        self.ensure_queries()
-        for method in self.method_names():
+        """Every matrix of ``method_names(gold)``, its reports and the timing.
+
+        Each matrix builds the models it scores, so no model is trained
+        that no listed method needs.
+        """
+        methods = self.method_names(gold)
+        for method in methods:
             self.ensure_matrix(method)
         reports = {}
         if self.cfg.queries.count > 0:
@@ -578,7 +558,7 @@ class Pipeline:
         timing = self.ensure_timing()
         summary = {
             "provenance": self.provenance(),
-            "methods": self.method_names(),
+            "methods": methods,
             "reports": {m: {k: v for k, v in r.items() if k != "per_query"}
                         for m, r in reports.items()},
             "timing": timing.to_dict(),
@@ -587,9 +567,9 @@ class Pipeline:
         return summary
 
 
-def _sidecar(ckpt_path: Path, provenance: dict, **extra) -> None:
-    doc = {"provenance": provenance, **extra}
-    ckpt_path.with_suffix(".json").write_text(json.dumps(doc, sort_keys=True, indent=1))
+def _load_queries(path: Path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    with np.load(path, allow_pickle=False) as z:
+        return z["x0"], z["conds"] if "conds" in z else None, z["labels"]
 
 
 def _nearest_group(xs: np.ndarray, d: GroupedDataset) -> np.ndarray:
@@ -615,12 +595,7 @@ class TimingReport:
     queries: int
 
     def to_dict(self) -> dict:
-        return {
-            "phase_seconds": self.phase_seconds,
-            "phase_steps": self.phase_steps,
-            "methods": self.methods,
-            "queries": self.queries,
-        }
+        return dataclasses.asdict(self)
 
 
 def timing_report(run_dir: str | Path) -> TimingReport:

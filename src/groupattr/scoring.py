@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Sequence
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class ElboConfig:
         return range(self.t_min, self.t_max + 1, self.stride)
 
 
-def default_elbo_config(num_steps: int, noise_seed: int, stride: int = 10) -> ElboConfig:
-    return ElboConfig(stride=stride, t_min=2, t_max=num_steps, noise_seed=noise_seed)
-
-
 def gaussian_kl_isotropic(mu_q: np.ndarray, mu_p: np.ndarray, variance: float) -> float:
     """KL between isotropic Gaussians sharing one scalar variance.
 
@@ -60,6 +56,20 @@ def gaussian_kl_isotropic(mu_q: np.ndarray, mu_p: np.ndarray, variance: float) -
     mu_q = np.asarray(mu_q, dtype=np.float64)
     mu_p = np.asarray(mu_p, dtype=np.float64)
     return float(np.sum((mu_q - mu_p) ** 2) / (2.0 * variance))
+
+
+def check_input_dims(models: Sequence) -> None:
+    """Reject models that report different input dimensions.
+
+    A model reports ``input_dim`` itself (denoiser handles) or through
+    its ``arch`` (DenoiserParams); a bare callable reports nothing.
+    """
+    dims = {
+        getattr(m, "input_dim", None) or getattr(getattr(m, "arch", None), "input_dim", None)
+        for m in models
+    } - {None}
+    if len(dims) > 1:
+        raise ValueError(f"models disagree on input dim: {sorted(dims)}")
 
 
 def as_denoiser(model, s: Schedule):
@@ -116,14 +126,7 @@ def paired_score_difference(
     the counterfactual.  Identical models give exactly 0 and swapping
     the arguments flips the sign exactly.
     """
-    dim_a = getattr(model_full, "input_dim", None) or getattr(
-        getattr(model_full, "arch", None), "input_dim", None
-    )
-    dim_b = getattr(model_cf, "input_dim", None) or getattr(
-        getattr(model_cf, "arch", None), "input_dim", None
-    )
-    if dim_a is not None and dim_b is not None and dim_a != dim_b:
-        raise ValueError(f"model input dims differ: {dim_a} vs {dim_b}")
+    check_input_dims([model_full, model_cf])
     return elbo_estimate(model_full, x0, cond, cfg, s) - elbo_estimate(
         model_cf, x0, cond, cfg, s
     )

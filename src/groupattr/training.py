@@ -6,8 +6,8 @@ Two training entry points share one loop:
   excludes one uniformly random group per epoch so the expected number
   of optimizer steps matches a leave-one-group-out run.
 - ``train_logo`` excludes a fixed group throughout, optionally warm
-  starting from a checkpoint to realize a fine-tuning variant of the
-  leave-one-group-out counterfactual.
+  starting from given parameters to realize a fine-tuning variant of
+  the leave-one-group-out counterfactual.
 
 ``empirical_denoiser`` is the closed-form optimal eps-predictor for an
 empirical data distribution; it serves as an exact oracle both for
@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
 from .data import GroupedDataset
 from .denoiser import (
     Architecture,
@@ -35,7 +34,7 @@ from .denoiser import (
     loss_and_grad,
     optimizer_step,
 )
-from .diffusion import Schedule
+from .diffusion import Schedule, kernel_softmax
 from .seeding import derive_seed, rng_for
 
 
@@ -46,7 +45,6 @@ class TrainConfig:
     lr: float
     seed: int
     exposure_matched: bool = False
-    init_checkpoint: str | None = None
     weight_decay: float = 1e-4
     cond_dropout: float = 0.1
 
@@ -80,15 +78,6 @@ class TrainRun:
 BatchHook = Callable[[int, np.ndarray, list], None]
 
 
-def _initial_params(d: GroupedDataset, arch: Architecture, cfg: TrainConfig,
-                    init_params: DenoiserParams | None) -> DenoiserParams:
-    if init_params is not None:
-        return init_params
-    if cfg.init_checkpoint is not None:
-        return load_checkpoint(cfg.init_checkpoint)
-    return init_network(arch, derive_seed(cfg.seed, "init"))
-
-
 def _train(
     d: GroupedDataset,
     arch: Architecture,
@@ -100,7 +89,8 @@ def _train(
     batch_hook: BatchHook | None = None,
     log_path: str | Path | None = None,
 ) -> TrainRun:
-    params = _initial_params(d, arch, cfg, init_params)
+    params = init_params if init_params is not None else init_network(
+        arch, derive_seed(cfg.seed, "init"))
     if arch.cond_dim not in (0, d.cond_dim):
         raise ValueError(f"architecture cond_dim {arch.cond_dim} != dataset {d.cond_dim}")
     conditional = arch.cond_dim > 0
@@ -126,7 +116,8 @@ def _train(
         for b in range(n_batches):
             rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
             bx, blab = xs[rows], labels[rows]
-            conds = _batch_conditions(d, blab, conditional, cfg, epoch, b)
+            conds = d.dropout_conditions(blab, conditional, cfg.cond_dropout,
+                                         cfg.seed, epoch, b)
             if batch_hook is not None:
                 batch_hook(epoch, bx, conds)
             batch = list(zip(bx, conds))
@@ -141,14 +132,6 @@ def _train(
     if log_path is not None:
         run.write_log(log_path, epoch_ms)
     return run
-
-
-def _batch_conditions(d, labels, conditional, cfg, epoch, b) -> list:
-    if not conditional:
-        return [None] * len(labels)
-    drop = rng_for(cfg.seed, "dropout", epoch, b).random(len(labels)) < cfg.cond_dropout
-    null = d.null_condition()
-    return [null if drop[i] else d.cond_vectors[lab] for i, lab in enumerate(labels)]
 
 
 def train_full(
@@ -193,18 +176,8 @@ def empirical_denoiser(subset: np.ndarray, xt: np.ndarray, t: int, s: Schedule) 
     log-sum-exp.  This is the minimizer of the eps-prediction loss when
     the data distribution is the empirical measure on ``subset``.
     """
-    subset = np.atleast_2d(np.asarray(subset, dtype=np.float64))
-    if subset.shape[0] == 0:
-        raise ValueError("subset must be non-empty")
-    xt = np.asarray(xt, dtype=np.float64)
-    root = math.sqrt(s.alpha_bar(t))
-    sigma = s.sigma(t)
-    diffs = xt[None, :] - root * subset
-    logits = -np.sum(diffs**2, axis=1) / (2.0 * sigma**2)
-    logits -= logits.max()
-    w = np.exp(logits)
-    w /= w.sum()
-    return (w @ diffs) / sigma
+    w, diffs = kernel_softmax(subset, xt, t, s)
+    return (w @ diffs) / s.sigma(t)
 
 
 class KernelDenoiser:

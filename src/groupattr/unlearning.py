@@ -33,12 +33,12 @@ from .data import GroupedDataset
 from .denoiser import (
     DenoiserParams,
     backward_batch,
-    content_rng,
     forward_batch,
     init_optimizer,
+    noise_batch,
     optimizer_step,
 )
-from .diffusion import Schedule, forward_marginal
+from .diffusion import Schedule, kernel_logits, kernel_softmax
 from .seeding import derive_seed, rng_for
 
 UNLEARN_METHODS = ("retrack", "esd", "cond_anchor")
@@ -94,31 +94,15 @@ def importance_weights(retain: np.ndarray, xt: np.ndarray, t: int, s: Schedule) 
     Normalized to sum to one via log-sum-exp; a uniform prior over the
     retain set is implicit.
     """
-    retain = np.atleast_2d(np.asarray(retain, dtype=np.float64))
-    if retain.shape[0] == 0:
-        raise ValueError("retain set must be non-empty")
-    xt = np.asarray(xt, dtype=np.float64)
-    root = math.sqrt(s.alpha_bar(t))
-    sigma = s.sigma(t)
-    logits = -np.sum((xt[None, :] - root * retain) ** 2, axis=1) / (2.0 * sigma**2)
-    logits -= logits.max()
-    w = np.exp(logits)
-    return w / w.sum()
+    return kernel_softmax(retain, xt, t, s)[0]
 
 
 def retain_mixture_logpdf(points: np.ndarray, xt: np.ndarray, t: int, s: Schedule) -> float:
     """log of the timestep-t marginal mixture (1/n) sum_i q_t(xt | x_i)."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    xt = np.asarray(xt, dtype=np.float64)
-    root = math.sqrt(s.alpha_bar(t))
-    var = s.sigma(t) ** 2
-    d = xt.shape[0]
-    logs = (
-        -np.sum((xt[None, :] - root * points) ** 2, axis=1) / (2.0 * var)
-        - 0.5 * d * math.log(2.0 * math.pi * var)
-    )
+    logits, diffs = kernel_logits(points, xt, t, s)
+    logs = logits - 0.5 * diffs.shape[1] * math.log(2.0 * math.pi * s.sigma(t) ** 2)
     m = logs.max()
-    return float(m + math.log(np.exp(logs - m).sum()) - math.log(points.shape[0]))
+    return float(m + math.log(np.exp(logs - m).sum()) - math.log(len(logs)))
 
 
 def retrack_target(retain: np.ndarray, xt: np.ndarray, t: int, K: int, s: Schedule) -> np.ndarray:
@@ -128,24 +112,11 @@ def retrack_target(retain: np.ndarray, xt: np.ndarray, t: int, K: int, s: Schedu
     largest weight); ties break toward the lower sample index.  Weights
     are renormalized over the kept subset.
     """
-    retain = np.atleast_2d(np.asarray(retain, dtype=np.float64))
-    n = retain.shape[0]
-    if not 1 <= K <= n:
-        raise ValueError(f"K must be in [1, {n}], got {K}")
-    xt = np.asarray(xt, dtype=np.float64)
-    root = math.sqrt(s.alpha_bar(t))
-    sigma = s.sigma(t)
-    diffs = xt[None, :] - root * retain
-    dist2 = np.sum(diffs**2, axis=1)
-    keep = np.argsort(dist2, kind="stable")[:K]
-    logits = -dist2[keep] / (2.0 * sigma**2)
-    logits -= logits.max()
-    w = np.exp(logits)
-    w /= w.sum()
-    return (w @ diffs[keep]) / sigma
+    w, diffs = kernel_softmax(retain, xt, t, s, K)
+    return (w @ diffs) / s.sigma(t)
 
 
-def _uncond_for(p: DenoiserParams, dim_hint: int | None = None) -> np.ndarray | None:
+def _uncond_for(p: DenoiserParams) -> np.ndarray | None:
     # Null condition realizing the unconditional branch of a conditional net.
     if p.arch.cond_dim == 0:
         return None
@@ -153,20 +124,11 @@ def _uncond_for(p: DenoiserParams, dim_hint: int | None = None) -> np.ndarray | 
 
 
 def _noise_batch(batch, cfg: UnlearnConfig, s: Schedule, rng_seed: int):
-    """Per-item (t, eps, xt) draws over the configured timestep range."""
+    """``noise_batch`` over the configured timestep range."""
     lo, hi = cfg.timestep_range
     if hi > s.num_steps:
         raise ValueError(f"timestep range {cfg.timestep_range} exceeds T={s.num_steps}")
-    ts, xts, items = [], [], []
-    for x0, cond in batch:
-        x0 = np.asarray(x0, dtype=np.float64)
-        rng = content_rng(rng_seed, x0, cond)
-        t = int(rng.integers(lo, hi + 1))
-        eps = rng.standard_normal(x0.shape[0])
-        ts.append(t)
-        xts.append(forward_marginal(s, x0, t, eps))
-        items.append((x0, cond, rng))
-    return np.array(ts), np.stack(xts), items
+    return noise_batch(batch, s, rng_seed, lo, hi)
 
 
 def retrack_forget_loss(
@@ -189,7 +151,7 @@ def retrack_forget_loss(
     if retain.shape[0] == 0:
         raise ValueError("retain set must be non-empty")
     seed = cfg.seed if rng_seed is None else rng_seed
-    ts, xts, _ = _noise_batch(forget_batch, cfg, s, seed)
+    ts, xts, _, _ = _noise_batch(forget_batch, cfg, s, seed)
     targets = np.stack(
         [retrack_target(retain, xts[i], int(ts[i]), cfg.K, s) for i in range(len(ts))]
     )
@@ -225,7 +187,7 @@ def esd_forget_loss(
     if len(forget_batch) == 0:
         raise ValueError("forget batch must be non-empty")
     seed = cfg.seed if rng_seed is None else rng_seed
-    ts, xts, _ = _noise_batch(forget_batch, cfg, s, seed)
+    ts, xts, _, _ = _noise_batch(forget_batch, cfg, s, seed)
     conds = np.stack([np.asarray(c, dtype=np.float64) for _, c in forget_batch])
     null = np.zeros((len(ts), p.arch.cond_dim))
     eps_c = forward_batch(p_full_frozen, xts, ts, s.num_steps, conds)
@@ -252,20 +214,10 @@ def preservation_loss(
     """
     if len(retain_batch) == 0:
         raise ValueError("retain batch must be non-empty")
-    ts, xts, conds = [], [], []
-    for x0, cond in retain_batch:
-        x0 = np.asarray(x0, dtype=np.float64)
-        rng = content_rng(seed, x0, cond)
-        t = int(rng.integers(1, s.num_steps + 1))
-        eps = rng.standard_normal(x0.shape[0])
-        ts.append(t)
-        xts.append(forward_marginal(s, x0, t, eps))
-        conds.append(cond)
-    ts = np.array(ts)
-    xts = np.stack(xts)
+    ts, xts, _, _ = noise_batch(retain_batch, s, seed, 1, s.num_steps)
     cond_mat = None
     if p.arch.cond_dim > 0:
-        cond_mat = np.stack([np.asarray(c, dtype=np.float64) for c in conds])
+        cond_mat = np.stack([np.asarray(c, dtype=np.float64) for _, c in retain_batch])
     ref = forward_batch(p_full_frozen, xts, ts, s.num_steps, cond_mat)
     out, cache = forward_batch(p, xts, ts, s.num_steps, cond_mat, want_cache=True)
     resid = out - ref
@@ -351,10 +303,10 @@ def conditional_forget_loss(
     if len(forget_batch) == 0:
         raise ValueError("forget batch must be non-empty")
     seed = cfg.seed if rng_seed is None else rng_seed
-    ts, xts, items = _noise_batch(forget_batch, cfg, s, seed)
+    ts, xts, _, rngs = _noise_batch(forget_batch, cfg, s, seed)
     conds_f = np.stack([np.asarray(c, dtype=np.float64) for _, c in forget_batch])
     anchors = []
-    for _, _, rng in items:
+    for rng in rngs:
         anchor_seed = int(rng.integers(1 << 62))
         _, c_a = anchor_select(sel, forget_group, anchor_seed)
         anchors.append(c_a)
@@ -413,7 +365,8 @@ def unlearn(
         fb = rng_for(cfg.seed, "forget", step).choice(
             len(forget_x), size=min(cfg.batch_size, len(forget_x)), replace=False
         )
-        retain_batch = _conditioned(d, retain_x[rb], retain_lab[rb], conditional, cfg, step)
+        retain_batch = list(zip(retain_x[rb], d.dropout_conditions(
+            retain_lab[rb], conditional, cfg.cond_dropout, cfg.seed, step)))
         forget_batch = [
             (forget_x[i], d.cond_of(k) if conditional else None) for i in fb
         ]
@@ -437,14 +390,3 @@ def unlearn(
 
     return UnlearnRun(params, cfg.steps_or_epochs, forget_losses, preserve_losses,
                       time.perf_counter() - start)
-
-
-def _conditioned(d, xs, labels, conditional, cfg, step) -> list:
-    if not conditional:
-        return [(x, None) for x in xs]
-    drop = rng_for(cfg.seed, "dropout", step).random(len(xs)) < cfg.cond_dropout
-    null = d.null_condition()
-    return [
-        (x, null if drop[i] else d.cond_vectors[lab])
-        for i, (x, lab) in enumerate(zip(xs, labels))
-    ]

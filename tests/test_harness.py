@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from groupattr import AttributionMatrix
+from groupattr import harness
 from groupattr.harness import (
     ExperimentConfig,
     PhaseError,
@@ -138,6 +139,59 @@ class TestDeterminismAndCaching:
         run_experiment(bumped, out)
         assert (out / "checkpoints" / "full.ckpt").stat().st_mtime_ns == full_stamp
         assert (out / "checkpoints" / "unlearn_retrack_0.ckpt").stat().st_mtime_ns != ul_stamp
+
+    def test_result_independent_of_phase_order(self, tiny_run, tmp_path):
+        """Phases build what they need on demand, so driving them in another
+        order (unlearning first, matrices in reverse) gives the same bytes."""
+        cfg, out, _ = tiny_run
+        other = tmp_path / "reordered"
+        p = Pipeline(cfg, other)
+        for spec in reversed(cfg.unlearn_methods):
+            for k in reversed(range(cfg.dataset.n_groups)):
+                p.ensure_unlearn(spec.method, k)
+        p.ensure_train_full()
+        for method in reversed(p.method_names()):
+            p.ensure_matrix(method)
+        for pattern in ("matrices/*", "checkpoints/*.ckpt"):
+            names = sorted(f.name for f in out.glob(pattern))
+            assert names == sorted(f.name for f in other.glob(pattern))
+            for name in names:
+                sub = pattern.split("/")[0]
+                assert (out / sub / name).read_bytes() == (other / sub / name).read_bytes(), name
+
+    def test_interrupted_checkpoint_write_is_rebuilt(self, tmp_path, monkeypatch):
+        """A torn checkpoint left by an interrupted rebuild is never served:
+        the key record is dropped before the build starts."""
+        cfg = tiny_experiment_config()
+        out = tmp_path / "torn"
+        Pipeline(cfg, out).ensure_train_full()
+        ckpt = out / "checkpoints" / "full.ckpt"
+        original = ckpt.read_bytes()
+        ckpt.unlink()
+        assert (out / "keys" / "train_full.json").exists()
+
+        def torn_save(path, params):
+            path.write_bytes(original[: len(original) // 2])
+            raise OSError("interrupted mid-write")
+
+        monkeypatch.setattr(harness, "save_checkpoint", torn_save)
+        with pytest.raises(PhaseError, match="interrupted"):
+            Pipeline(cfg, out).ensure_train_full()
+        monkeypatch.undo()
+        Pipeline(cfg, out).ensure_train_full()
+        assert ckpt.read_bytes() == original
+
+
+class TestGoldWithoutLogo:
+    def test_oracle_gold_trains_no_logo(self, tmp_path):
+        out = tmp_path / "oracle_gold"
+        summary = run_experiment(tiny_experiment_config(), out, gold="oracle")
+        assert not list((out / "checkpoints").glob("logo_*"))
+        assert not list((out / "keys").glob("train_logo_*"))
+        methods = ["retrack", "esd", "prototype", "oracle"]
+        assert summary["methods"] == methods
+        for m in methods:
+            assert (out / "reports" / f"rank_{m}_vs_oracle.json").exists()
 
 
 class TestZeroStepUnlearn:

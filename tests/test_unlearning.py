@@ -319,13 +319,30 @@ class TestPreservationLoss:
         num = numeric_grad(f, p.weights.copy())
         assert max_rel_error(grad, num) <= 1e-3
 
-    def test_duplication_invariance(self, cond_dataset):
-        frozen = init_network(COND_ARCH, seed=6)
-        p = init_network(COND_ARCH, seed=7)
-        item = (cond_dataset.groups[0][0], cond_dataset.cond_vectors[0])
-        single, _ = preservation_loss(p, frozen, [item], S, seed=9)
-        doubled, _ = preservation_loss(p, frozen, [item, item], S, seed=9)
-        assert doubled == pytest.approx(single, rel=1e-12)
+
+# Batch-mean losses over items from group 0, each with its per-item
+# noising keyed by (seed 9, item content).
+BATCH_LOSSES = {
+    "preservation": lambda p, frozen, batch, d: preservation_loss(p, frozen, batch, S, seed=9),
+    "retrack": lambda p, frozen, batch, d: retrack_forget_loss(
+        p, batch, d.all_samples(exclude=0), make_cfg(), S, rng_seed=9),
+    "esd": lambda p, frozen, batch, d: esd_forget_loss(
+        p, frozen, batch, make_cfg("esd"), S, rng_seed=9),
+    "cond_anchor": lambda p, frozen, batch, d: conditional_forget_loss(
+        p, frozen, batch, 0, AnchorSelector.from_dataset(d), make_cfg("cond_anchor"), S,
+        rng_seed=9),
+}
+
+
+@pytest.mark.parametrize("loss", sorted(BATCH_LOSSES))
+def test_duplication_invariance(loss, cond_dataset):
+    """Duplicating an item reuses its draws, so the batch mean is unchanged."""
+    frozen = init_network(COND_ARCH, seed=6)
+    p = init_network(COND_ARCH, seed=7)
+    item = (cond_dataset.groups[0][0], cond_dataset.cond_vectors[0])
+    single, _ = BATCH_LOSSES[loss](p, frozen, [item], cond_dataset)
+    doubled, _ = BATCH_LOSSES[loss](p, frozen, [item, item], cond_dataset)
+    assert doubled == pytest.approx(single, rel=1e-12)
 
 
 def make_selector(prototypes, tau=2.0, eta_mix=0.1, content_dim=2, cond_vectors=None):
