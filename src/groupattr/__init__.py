@@ -15,7 +15,6 @@ from .data import DatasetSpec, GroupedDataset, generate_grouped_dataset
 from .denoiser import (
     Architecture,
     DenoiserParams,
-    NetworkDenoiser,
     OptimizerState,
     init_network,
     init_optimizer,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import GroupedDataset
 from .diffusion import Schedule
-from .scoring import ElboConfig, check_input_dims, elbo_estimate
+from .scoring import ElboConfig, check_input_dims, elbo_block
 from .seeding import derive_seed
 
 Query = tuple[np.ndarray, "np.ndarray | None"]
@@ -103,20 +103,21 @@ def attribution_matrix(
 
     Every query gets its own noise stream derived from (cfg.noise_seed,
     q); within a query all models share that stream, so identical
-    models produce exactly zero columns.
+    models produce exactly zero columns.  All queries and models are
+    scored in one ``elbo_block`` call.
     """
     n = len(counterfactuals)
     check_input_dims([model_full, *counterfactuals])
 
-    scores = np.zeros((len(queries), n))
-    for q, (x0, cond) in enumerate(queries):
-        qcfg = replace(cfg, noise_seed=derive_seed(cfg.noise_seed, "query", q))
-        e_full = elbo_estimate(model_full, x0, cond, qcfg, s)
-        for k, cf in enumerate(counterfactuals):
-            scores[q, k] = e_full - elbo_estimate(cf, x0, cond, qcfg, s)
+    x0 = np.array([x for x, _ in queries], dtype=np.float64)
+    conds = [c for _, c in queries]
+    cond = None if all(c is None for c in conds) else np.stack(conds)
+    seeds = [derive_seed(cfg.noise_seed, "query", q) for q in range(len(queries))]
+    elbos = elbo_block([model_full, *counterfactuals], x0, cond, seeds, cfg, s)
+    scores = elbos[0] - elbos[1:]
     qids = list(query_ids) if query_ids is not None else [f"q{q}" for q in range(len(queries))]
     names = list(group_names) if group_names is not None else [f"group{k}" for k in range(n)]
-    return AttributionMatrix(method, scores, qids, names)
+    return AttributionMatrix(method, scores.T, qids, names)
 
 
 def prototype_baseline(

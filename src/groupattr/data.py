@@ -126,7 +126,8 @@ class GroupedDataset:
             import json
 
             arrays["provenance"] = np.array(json.dumps(provenance, sort_keys=True))
-        np.savez(path, **arrays)
+        with open(path, "wb") as f:  # a file object keeps np.savez from renaming the path
+            np.savez(f, **arrays)
 
     @classmethod
     def load(cls, path: str | Path) -> "GroupedDataset":

@@ -291,21 +291,6 @@ def predict_eps(
     return forward_batch(p, xt[None, :], int(t), num_steps, cond)[0]
 
 
-class NetworkDenoiser:
-    """Adapter giving DenoiserParams the (xt, t, cond) -> eps call shape."""
-
-    def __init__(self, params: DenoiserParams, num_steps: int):
-        self.params = params
-        self.num_steps = num_steps
-
-    @property
-    def input_dim(self) -> int:
-        return self.params.arch.input_dim
-
-    def __call__(self, xt: np.ndarray, t: int, cond: np.ndarray | None = None) -> np.ndarray:
-        return predict_eps(self.params, xt, t, self.num_steps, cond)
-
-
 def draw_noising(
     rng_seed: int,
     x0: np.ndarray,

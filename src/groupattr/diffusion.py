@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ SCHEDULE_KINDS = ("linear", "squared_cosine")
 _COSINE_OFFSET = 0.008
 _BETA_MAX = 0.999
 
+# (x_t block (B, dim), t, condition block (B, cond_dim) or None) -> eps block (B, dim)
 DenoiserFn = Callable[[np.ndarray, int, Optional[np.ndarray]], np.ndarray]
 
 
@@ -137,36 +138,46 @@ def forward_marginal(s: Schedule, x0: np.ndarray, t: int, eps: np.ndarray) -> np
 def kernel_logits(
     points: np.ndarray, xt: np.ndarray, t: int, s: Schedule, K: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-kernel log-weights of a point set given x_t, and the residuals.
+    """Forward-kernel log-weights of a point set given x_t, and the kernel centres.
 
-    Returns (-|xt - sqrt(abar_t) x_i|^2 / (2 sigma_t^2), xt - sqrt(abar_t) x_i)
-    over the points x_i.  With ``K`` only the K nearest points are kept,
-    ties breaking toward the lower index.
+    Returns (-|xt - sqrt(abar_t) x_i|^2 / (2 sigma_t^2), sqrt(abar_t) x_i)
+    over the points x_i.  ``xt`` is one row (dim,), giving logits of
+    shape (n,), or a block (B, dim), giving (B, n).  The squared distance
+    is summed coordinate by coordinate, so a block needs no (B, n, dim)
+    temporary.  With ``K`` (one row only) only the K nearest points are
+    kept, ties breaking toward the lower index.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
     if n == 0:
         raise ValueError("point set must be non-empty")
+    xt = np.asarray(xt, dtype=np.float64)
     if K is not None and not 1 <= K <= n:
         raise ValueError(f"K must be in [1, {n}], got {K}")
-    xt = np.asarray(xt, dtype=np.float64)
-    diffs = xt[None, :] - math.sqrt(s.alpha_bar(t)) * points
-    dist2 = np.sum(diffs**2, axis=1)
+    if K is not None and xt.ndim != 1:
+        raise ValueError("K-nearest truncation takes one x_t row")
+    centers = math.sqrt(s.alpha_bar(t)) * points
+    dist2 = np.zeros(xt.shape[:-1] + (n,))
+    for i in range(points.shape[1]):
+        diff = xt[..., i, None] - centers[:, i]
+        diff *= diff
+        dist2 += diff
     if K is not None:
         keep = np.argsort(dist2, kind="stable")[:K]
-        diffs, dist2 = diffs[keep], dist2[keep]
-    return -dist2 / (2.0 * s.sigma(t) ** 2), diffs
+        centers, dist2 = centers[keep], dist2[keep]
+    dist2 /= -2.0 * s.sigma(t) ** 2
+    return dist2, centers
 
 
 def kernel_softmax(
     points: np.ndarray, xt: np.ndarray, t: int, s: Schedule, K: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``kernel_logits`` normalized to posterior weights by a stable softmax."""
-    logits, diffs = kernel_logits(points, xt, t, s, K)
-    logits -= logits.max()
-    w = np.exp(logits)
-    w /= w.sum()
-    return w, diffs
+    """``kernel_logits`` normalized to posterior weights (per row) by a stable softmax."""
+    w, centers = kernel_logits(points, xt, t, s, K)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w, centers
 
 
 def true_posterior(s: Schedule, x0: np.ndarray, xt: np.ndarray, t: int) -> GaussianLaw:
@@ -213,24 +224,28 @@ def _respaced_timesteps(num_steps: int, steps: int) -> np.ndarray:
 def sample(
     s: Schedule,
     denoiser: DenoiserFn,
+    seeds: Sequence[int],
     cond: np.ndarray | None = None,
     steps: int | None = None,
-    seed: int = 0,
     method: str = "ddpm",
     dim: int | None = None,
     clip_x0: float | None = None,
 ) -> np.ndarray:
-    """Draw one sample by running the reverse process.
+    """Draw one sample per seed by running the reverse process on one block.
 
-    ``denoiser`` maps (x_t, t, cond) to predicted noise; objects with an
-    ``input_dim`` attribute (network or kernel denoisers) do not need an
-    explicit ``dim``.  ``ddpm`` is ancestral sampling with the fixed
-    posterior variance; ``ddim`` is the deterministic update.  Both
-    support running on a subgrid of ``steps`` <= T timesteps, in which
-    case the posterior coefficients are formed from the abar values of
-    consecutive grid points.  ``clip_x0`` clamps the predicted clean
-    sample to a coordinate box (the usual clip-denoised stabilization;
-    off by default).  Output is deterministic given the seed.
+    Row q of the returned (len(seeds), dim) block is the sample of
+    ``seeds[q]``; ``cond`` is None or one condition row per seed.
+    ``denoiser`` maps an (x_t block, t, cond) to predicted noise and is
+    called once per step; objects with an ``input_dim`` attribute (kernel
+    denoisers) do not need an explicit ``dim``.  ``ddpm`` is ancestral
+    sampling with the fixed posterior variance; ``ddim`` is the
+    deterministic update.  Both support running on a subgrid of
+    ``steps`` <= T timesteps, in which case the posterior coefficients
+    are formed from the abar values of consecutive grid points.
+    ``clip_x0`` clamps the predicted clean sample to a coordinate box
+    (the usual clip-denoised stabilization; off by default).  Each row
+    draws x_T and then its step noise from its own ``rng_for(seed,
+    "sample")`` stream, so a row depends only on its seed and condition.
     """
     steps = s.num_steps if steps is None else int(steps)
     if not 1 <= steps <= s.num_steps:
@@ -241,9 +256,15 @@ def sample(
         dim = getattr(denoiser, "input_dim", None)
         if dim is None:
             raise ValueError("dim is required for a bare callable denoiser")
+    if len(seeds) == 0:
+        return np.zeros((0, dim))
 
-    rng = rng_for(seed, "sample")
-    x = rng.standard_normal(dim)
+    rngs = [rng_for(seed, "sample") for seed in seeds]
+
+    def normals() -> np.ndarray:
+        return np.stack([rng.standard_normal(dim) for rng in rngs])
+
+    x = normals()
     taus = _respaced_timesteps(s.num_steps, steps)
     for i in range(len(taus) - 1, -1, -1):
         t_cur = int(taus[i])
@@ -266,5 +287,5 @@ def sample(
             var = (1.0 - abar_prev) / (1.0 - abar_cur) * beta_eff
             x = mean
             if var > 0.0:
-                x = x + math.sqrt(var) * rng.standard_normal(dim)
+                x = x + math.sqrt(var) * normals()
     return x

@@ -11,9 +11,16 @@ The key rule: a key record is deleted before its phase builds and is
 written only once every artifact of the phase is complete, so a key never
 vouches for a missing or torn artifact; an interrupted build is redone.
 
+Every artifact is written to a temp file beside it and swapped in with
+``os.replace``, so an interrupted write leaves the previous artifact
+whole.  A ``Pipeline`` keeps each artifact it loaded and serves it again
+while the key record still vouches for it, so a checkpoint is read once.
+
 Phases build their dependencies on demand, so a matrix trains or unlearns
 exactly the models it scores and the outputs do not depend on the order
-phases are requested in.  Deleting only the query-phase outputs
+phases are requested in.  The query phase samples every query as one
+block, and a matrix scores every query under every model in one block
+(``attribution_matrix``).  Deleting only the query-phase outputs
 re-scores against cached counterfactual checkpoints without retraining.
 
 All model scoring goes through checkpoint files (float32), so fresh and
@@ -28,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -39,7 +47,7 @@ from . import __version__ as _pkg_version
 from .attribution import AttributionMatrix, attribution_matrix, prototype_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetSpec, GroupedDataset, generate_grouped_dataset
-from .denoiser import Architecture, NetworkDenoiser
+from .denoiser import Architecture, forward_batch
 from .diffusion import Schedule, build_schedule, sample
 from .metrics import RankReport, rank_report
 from .scoring import ElboConfig
@@ -76,6 +84,26 @@ def _tagged(phase: str):
         raise
     except Exception as e:
         raise PhaseError(phase, str(e)) from e
+
+
+@contextmanager
+def _replacing(path: Path):
+    """Yield a temp path beside ``path`` that replaces ``path`` once the block completes.
+
+    The temp file is written in full before ``os.replace`` swaps it in,
+    so an interrupted write leaves the previous ``path`` as it was.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    with _replacing(path) as tmp:
+        tmp.write_text(json.dumps(doc, sort_keys=True, indent=1))
 
 
 @dataclass(frozen=True)
@@ -169,7 +197,7 @@ class ExperimentConfig:
         return _plain(dataclasses.asdict(self))
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1))
+        _write_json(Path(path), self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -248,7 +276,8 @@ class Pipeline:
             (self.out / sub).mkdir(exist_ok=True)
         cfg.to_json(self.out / "config.json")
         self._schedule: Schedule | None = None
-        self._dataset: GroupedDataset | None = None
+        # phase name -> (phase key, loaded artifact), valid while the key record matches
+        self._loaded: dict[str, tuple[str, object]] = {}
 
     # -- provenance ---------------------------------------------------
 
@@ -269,8 +298,7 @@ class Pipeline:
                 and artifact.exists())
 
     def _write_key(self, name: str, phase_key: str, **extra) -> None:
-        rec = {"phase_key": phase_key, **self.provenance(), **extra}
-        self._key_path(name).write_text(json.dumps(rec, sort_keys=True, indent=1))
+        _write_json(self._key_path(name), {"phase_key": phase_key, **self.provenance(), **extra})
 
     # -- phase keys -----------------------------------------------------
 
@@ -350,53 +378,60 @@ class Pipeline:
     def _phase(self, name: str, key: str, artifact: Path, tag: str, build, load):
         """Load ``artifact``, building it first unless key record ``name`` vouches for it.
 
-        ``build`` writes every artifact of the phase and returns the extra
-        fields of its key record.  The old record is deleted before the
-        build starts and the new one is written only after it returns, so
-        an interrupted build leaves no key behind a torn artifact.  Any
-        failure is re-raised as ``PhaseError(tag)``.
+        ``build`` writes every artifact of the phase (each through a temp
+        file and ``os.replace``) and returns the extra fields of its key
+        record.  The old record is deleted before the build starts and the
+        new one is written only after it returns, so an interrupted build
+        leaves no key behind, and the previous artifact intact.  A loaded
+        artifact is kept and served again while the key record still
+        vouches for it; a rebuild replaces it.  Any failure is re-raised
+        as ``PhaseError(tag)``.
         """
         with _tagged(tag):
-            if not self._fresh(name, key, artifact):
+            if self._fresh(name, key, artifact):
+                loaded_key, value = self._loaded.get(name, (None, None))
+                if loaded_key == key:
+                    return value
+            else:
                 self._key_path(name).unlink(missing_ok=True)
                 record = build()
                 self._write_key(name, key, **record)
-            return load(artifact)
+            value = load(artifact)
+            self._loaded[name] = (key, value)
+            return value
 
     def _save_run(self, path: Path, run, **sidecar) -> dict:
         """Checkpoint a training or unlearning run with its JSON sidecar;
         returns the run's key record fields."""
-        save_checkpoint(path, run.params)
+        with _replacing(path) as tmp:
+            save_checkpoint(tmp, run.params)
         record = {"wall_seconds": run.wall_seconds, "steps": run.steps}
-        doc = {"provenance": self.provenance(), **record, **sidecar}
-        path.with_suffix(".json").write_text(json.dumps(doc, sort_keys=True, indent=1))
+        _write_json(path.with_suffix(".json"), {"provenance": self.provenance(), **record, **sidecar})
         return record
 
     def ensure_dataset(self) -> GroupedDataset:
-        if self._dataset is None:
-            path = self.out / "dataset.npz"
+        path = self.out / "dataset.npz"
 
-            def build():
-                tic = time.perf_counter()
-                d = generate_grouped_dataset(
-                    self.cfg.dataset, derive_seed(self.cfg.master_seed, "dataset")
-                )
-                d.save(path, provenance=self.provenance())
-                return {"wall_seconds": time.perf_counter() - tic}
+        def build():
+            tic = time.perf_counter()
+            d = generate_grouped_dataset(
+                self.cfg.dataset, derive_seed(self.cfg.master_seed, "dataset")
+            )
+            with _replacing(path) as tmp:
+                d.save(tmp, provenance=self.provenance())
+            return {"wall_seconds": time.perf_counter() - tic}
 
-            self._dataset = self._phase("dataset", self._k_dataset(), path, "dataset", build,
-                                        GroupedDataset.load)
-        return self._dataset
+        return self._phase("dataset", self._k_dataset(), path, "dataset", build,
+                           GroupedDataset.load)
 
     def ensure_train_full(self):
         d = self.ensure_dataset()
         path = self.out / "checkpoints" / "full.ckpt"
 
         def build():
-            run = train_full(
-                d, self.architecture(d), self._train_config("train_full"),
-                self.schedule(), log_path=self.out / "logs" / "train_full.csv",
-            )
+            with _replacing(self.out / "logs" / "train_full.csv") as log:
+                run = train_full(d, self.architecture(d), self._train_config("train_full"),
+                                 self.schedule(), log_path=log)
             return self._save_run(
                 path, run, final_loss=run.epoch_losses[-1] if run.epoch_losses else None)
 
@@ -409,10 +444,9 @@ class Pipeline:
 
         def build():
             init = self.ensure_train_full() if self.cfg.train.logo_from_checkpoint else None
-            run = train_logo(
-                d, k, self.architecture(d), self._train_config("train_logo"), self.schedule(),
-                init_params=init, log_path=self.out / "logs" / f"train_logo_{k}.csv",
-            )
+            with _replacing(self.out / "logs" / f"train_logo_{k}.csv") as log:
+                run = train_logo(d, k, self.architecture(d), self._train_config("train_logo"),
+                                 self.schedule(), init_params=init, log_path=log)
             return self._save_run(path, run, group=k)
 
         return self._phase(f"train_logo_{k}", self._k_logo(k), path, "train_logo", build,
@@ -442,33 +476,34 @@ class Pipeline:
 
         def build():
             s = self.schedule()
-            handle = NetworkDenoiser(self.ensure_train_full(), s.num_steps)
+            full = self.ensure_train_full()
             tic = time.perf_counter()
             qs = self.cfg.queries
-            steps = qs.steps or s.num_steps
-            xs, conds = [], []
-            for q in range(qs.count):
-                cond = self._query_condition(d, q)
-                xs.append(sample(s, handle, cond=cond, steps=steps,
-                                 seed=derive_seed(self.cfg.master_seed, "query", q),
-                                 method=qs.method, clip_x0=qs.clip_x0))
-                conds.append(cond)
-            x_arr = np.stack(xs) if xs else np.zeros((0, d.dim))
+            conds = self._query_conditions(d, qs.count)
+            x_arr = sample(
+                s, lambda xt, t, cond: forward_batch(full, xt, t, s.num_steps, cond),
+                seeds=[derive_seed(self.cfg.master_seed, "query", q) for q in range(qs.count)],
+                cond=conds, steps=qs.steps or s.num_steps, method=qs.method, dim=d.dim,
+                clip_x0=qs.clip_x0,
+            )
             arrays = {"x0": x_arr, "labels": _nearest_group(x_arr, d),
                       "provenance": np.array(json.dumps(self.provenance(), sort_keys=True))}
-            if d.cond_dim > 0:
-                arrays["conds"] = np.stack(conds) if conds else np.zeros((0, d.cond_dim))
-            np.savez(path, **arrays)
+            if conds is not None:
+                arrays["conds"] = conds
+            with _replacing(path) as tmp, open(tmp, "wb") as f:
+                np.savez(f, **arrays)  # a file object keeps np.savez from renaming the path
             return {"wall_seconds": time.perf_counter() - tic}
 
         return self._phase("queries", self._k_queries(), path, "queries", build, _load_queries)
 
-    def _query_condition(self, d: GroupedDataset, q: int) -> np.ndarray | None:
+    def _query_conditions(self, d: GroupedDataset, count: int) -> np.ndarray | None:
         if d.cond_dim == 0:
             return None
         if self.cfg.queries.cond_mode == "group":
-            return d.cond_vectors[q % d.n_groups]
-        return d.null_condition()
+            rows = [d.cond_vectors[q % d.n_groups] for q in range(count)]
+        else:
+            rows = [d.null_condition()] * count
+        return np.array(rows, dtype=np.float64).reshape(count, d.cond_dim)
 
     def _query_tuples(self) -> list:
         x0, conds, _ = self.ensure_queries()
@@ -497,8 +532,10 @@ class Pipeline:
                 mat = attribution_matrix(queries, *models, ecfg, s, method=method,
                                          group_names=d.group_names)
             wall = time.perf_counter() - tic
-            mat.to_csv(csv_path, provenance=self.provenance())
-            mat.to_json(json_path, provenance=self.provenance())
+            with _replacing(csv_path) as tmp:
+                mat.to_csv(tmp, provenance=self.provenance())
+            with _replacing(json_path) as tmp:
+                mat.to_json(tmp, provenance=self.provenance())
             return {"wall_seconds": wall, "queries": len(queries)}
 
         return self._phase(f"matrix_{method}", self._k_matrix(method), json_path, "attribute",
@@ -511,11 +548,11 @@ class Pipeline:
             full = KernelDenoiser(d.all_samples(), s)
             cfs = [KernelDenoiser(d.all_samples(exclude=k), s) for k in range(n)]
             return full, cfs
-        full = NetworkDenoiser(self.ensure_train_full(), s.num_steps)
+        full = self.ensure_train_full()
         if method == "logoa":
-            cfs = [NetworkDenoiser(self.ensure_train_logo(k), s.num_steps) for k in range(n)]
+            cfs = [self.ensure_train_logo(k) for k in range(n)]
         else:
-            cfs = [NetworkDenoiser(self.ensure_unlearn(method, k), s.num_steps) for k in range(n)]
+            cfs = [self.ensure_unlearn(method, k) for k in range(n)]
         return full, cfs
 
     def ensure_reports(self, gold: str = "logoa") -> dict[str, RankReport]:
@@ -528,19 +565,16 @@ class Pipeline:
                 mat = self.ensure_matrix(method)
                 rep = rank_report(mat, gold_mat)
                 path = self.out / "reports" / f"rank_{method}_vs_{gold}.json"
-                doc = {"method": method, "gold": gold, **rep.to_dict(),
-                       "provenance": self.provenance()}
-                path.write_text(json.dumps(doc, sort_keys=True, indent=1))
+                _write_json(path, {"method": method, "gold": gold, **rep.to_dict(),
+                                   "provenance": self.provenance()})
                 reports[method] = rep
             return reports
 
     def ensure_timing(self) -> "TimingReport":
         with _tagged("report"):
             rep = timing_report(self.out)
-            (self.out / "reports" / "timing.json").write_text(
-                json.dumps({**rep.to_dict(), "provenance": self.provenance()},
-                           sort_keys=True, indent=1)
-            )
+            _write_json(self.out / "reports" / "timing.json",
+                        {**rep.to_dict(), "provenance": self.provenance()})
             return rep
 
     def run_all(self, gold: str = "logoa") -> dict:
@@ -563,7 +597,7 @@ class Pipeline:
                         for m, r in reports.items()},
             "timing": timing.to_dict(),
         }
-        (self.out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
+        _write_json(self.out / "summary.json", summary)
         return summary
 
 

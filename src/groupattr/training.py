@@ -173,15 +173,16 @@ def empirical_denoiser(subset: np.ndarray, xt: np.ndarray, t: int, s: Schedule) 
 
     Returns sum_i softmax_i(-|xt - sqrt(abar_t) x_i|^2 / (2 sigma_t^2))
     * (xt - sqrt(abar_t) x_i) / sigma_t, evaluated with a stable
-    log-sum-exp.  This is the minimizer of the eps-prediction loss when
-    the data distribution is the empirical measure on ``subset``.
+    log-sum-exp, for one x_t row (dim,) or a block (B, dim).  This is
+    the minimizer of the eps-prediction loss when the data distribution
+    is the empirical measure on ``subset``.
     """
-    w, diffs = kernel_softmax(subset, xt, t, s)
-    return (w @ diffs) / s.sigma(t)
+    w, centers = kernel_softmax(subset, xt, t, s)
+    return (xt - w @ centers) / s.sigma(t)
 
 
 class KernelDenoiser:
-    """Denoiser handle wrapping ``empirical_denoiser`` over a fixed set.
+    """Block denoiser running ``empirical_denoiser`` over a fixed point set.
 
     Ignores the condition argument; the empirical predictor is defined
     on the raw sample space.

@@ -99,8 +99,8 @@ def importance_weights(retain: np.ndarray, xt: np.ndarray, t: int, s: Schedule) 
 
 def retain_mixture_logpdf(points: np.ndarray, xt: np.ndarray, t: int, s: Schedule) -> float:
     """log of the timestep-t marginal mixture (1/n) sum_i q_t(xt | x_i)."""
-    logits, diffs = kernel_logits(points, xt, t, s)
-    logs = logits - 0.5 * diffs.shape[1] * math.log(2.0 * math.pi * s.sigma(t) ** 2)
+    logits, centers = kernel_logits(points, xt, t, s)
+    logs = logits - 0.5 * centers.shape[1] * math.log(2.0 * math.pi * s.sigma(t) ** 2)
     m = logs.max()
     return float(m + math.log(np.exp(logs - m).sum()) - math.log(len(logs)))
 
@@ -112,8 +112,8 @@ def retrack_target(retain: np.ndarray, xt: np.ndarray, t: int, K: int, s: Schedu
     largest weight); ties break toward the lower sample index.  Weights
     are renormalized over the kept subset.
     """
-    w, diffs = kernel_softmax(retain, xt, t, s, K)
-    return (w @ diffs) / s.sigma(t)
+    w, centers = kernel_softmax(retain, xt, t, s, K)
+    return (w @ (xt - centers)) / s.sigma(t)
 
 
 def _uncond_for(p: DenoiserParams) -> np.ndarray | None:

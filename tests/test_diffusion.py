@@ -212,36 +212,35 @@ class TestSample:
 
     def test_deterministic_given_seed(self):
         den = KernelDenoiser(np.array([[1.0, 2.0]]), self.s)
-        a = sample(self.s, den, steps=60, seed=5)
-        b = sample(self.s, den, steps=60, seed=5)
+        a = sample(self.s, den, [5], steps=60)
+        b = sample(self.s, den, [5], steps=60)
         np.testing.assert_array_equal(a, b)
 
     def test_single_point_attractor(self):
         """Exact denoiser of a 1-point dataset pulls samples onto it."""
         x_star = np.array([1.0, -2.0])
         den = KernelDenoiser(x_star[None, :], self.s)
-        for seed in range(4):
-            out = sample(self.s, den, steps=60, seed=seed)
+        for out in sample(self.s, den, range(4), steps=60):
             assert np.linalg.norm(out - x_star) < 0.1
 
     def test_identical_denoisers_identical_samples(self):
         pts = np.random.default_rng(3).normal(size=(6, 2))
-        a = sample(self.s, KernelDenoiser(pts, self.s), steps=60, seed=11)
-        b = sample(self.s, KernelDenoiser(pts.copy(), self.s), steps=60, seed=11)
+        a = sample(self.s, KernelDenoiser(pts, self.s), [11], steps=60)
+        b = sample(self.s, KernelDenoiser(pts.copy(), self.s), [11], steps=60)
         np.testing.assert_array_equal(a, b)
 
     def test_ddim_deterministic_and_distinct_seeds(self):
         den = KernelDenoiser(np.array([[0.0, 0.0], [3.0, 3.0]]), self.s)
-        a = sample(self.s, den, steps=30, seed=1, method="ddim")
-        b = sample(self.s, den, steps=30, seed=1, method="ddim")
+        a = sample(self.s, den, [1], steps=30, method="ddim")
+        b = sample(self.s, den, [1], steps=30, method="ddim")
         np.testing.assert_array_equal(a, b)
         # The exact 2-point denoiser collapses every run onto a data
         # point; different seeds must reach both attractors.
-        outs = {tuple(np.round(sample(self.s, den, steps=30, seed=sd, method="ddim"), 6))
-                for sd in range(6)}
+        outs = {tuple(np.round(row, 6))
+                for row in sample(self.s, den, range(6), steps=30, method="ddim")}
         assert len(outs) == 2
 
     def test_too_many_steps_rejected(self):
         den = KernelDenoiser(np.zeros((1, 2)), self.s)
         with pytest.raises(ValueError):
-            sample(self.s, den, steps=61, seed=0)
+            sample(self.s, den, [0], steps=61)

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +181,59 @@ class TestDeterminismAndCaching:
         monkeypatch.undo()
         Pipeline(cfg, out).ensure_train_full()
         assert ckpt.read_bytes() == original
+
+
+    def test_each_checkpoint_loaded_once(self, tmp_path, monkeypatch):
+        """A loaded checkpoint is served again while its key record vouches
+        for it, so a run reads each checkpoint it scores exactly once."""
+        loaded = []
+        real_load = harness.load_checkpoint
+
+        def counting_load(path):
+            loaded.append(path.name)
+            return real_load(path)
+
+        monkeypatch.setattr(harness, "load_checkpoint", counting_load)
+        out = tmp_path / "memo"
+        run_experiment(tiny_experiment_config(), out)
+        assert sorted(loaded) == sorted(p.name for p in (out / "checkpoints").glob("*.ckpt"))
+
+    @pytest.mark.parametrize("case", ["checkpoint", "queries", "matrix"])
+    def test_failed_rebuild_keeps_previous_artifact(self, tmp_path, monkeypatch, case):
+        """Artifacts are written to a temp file and swapped in with
+        os.replace: a write that fails part-way leaves the previous artifact
+        byte-for-byte, no temp file, and no key record."""
+        cfg = tiny_experiment_config()
+        out = tmp_path / "atomic"
+        Pipeline(cfg, out).ensure_matrix("prototype")
+        changed, artifact, key, target, run = {
+            "checkpoint": (replace(cfg, train=replace(cfg.train, epochs=cfg.train.epochs + 1)),
+                           "checkpoints/full.ckpt", "train_full", (harness, "save_checkpoint"),
+                           Pipeline.ensure_train_full),
+            "queries": (replace(cfg, queries=replace(cfg.queries, count=cfg.queries.count + 1)),
+                        "queries.npz", "queries", (harness.np, "savez"),
+                        Pipeline.ensure_queries),
+            "matrix": (replace(cfg, elbo=replace(cfg.elbo, stride=cfg.elbo.stride + 1)),
+                       "matrices/prototype.json", "matrix_prototype",
+                       (AttributionMatrix, "to_json"),
+                       lambda p: p.ensure_matrix("prototype")),
+        }[case]
+        before = (out / artifact).read_bytes()
+
+        def torn_write(*args, **kwargs):
+            dest = next(a for a in args if isinstance(a, Path) or hasattr(a, "write"))
+            if hasattr(dest, "write"):
+                dest.write(b"torn")
+            else:
+                dest.write_bytes(b"torn")
+            raise OSError("disk full mid-write")
+
+        monkeypatch.setattr(*target, torn_write)
+        with pytest.raises(PhaseError, match="disk full"):
+            run(Pipeline(changed, out))
+        assert (out / artifact).read_bytes() == before
+        assert not (out / "keys" / f"{key}.json").exists()
+        assert not list(out.rglob("*.tmp"))
 
 
 class TestGoldWithoutLogo:

@@ -74,7 +74,7 @@ class TestElboConfig:
 
 
 class ExactNoiseDenoiser:
-    """Cheating denoiser that replays the elbo noise stream."""
+    """Cheating block denoiser that replays the elbo noise stream on every row."""
 
     input_dim = 2
 
@@ -84,7 +84,7 @@ class ExactNoiseDenoiser:
     def __call__(self, xt, t, cond=None):
         from groupattr.seeding import rng_for
 
-        return rng_for(self.cfg.noise_seed, t, 0).standard_normal(2)
+        return np.stack([rng_for(self.cfg.noise_seed, t, 0).standard_normal(2) for _ in xt])
 
 
 class TestElboEstimate:
