@@ -65,7 +65,6 @@ from .unlearning import (
     anchor_select,
     conditional_forget_loss,
     esd_forget_loss,
-    importance_weights,
     preservation_loss,
     retain_mixture_logpdf,
     retrack_forget_loss,

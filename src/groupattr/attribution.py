@@ -1,8 +1,9 @@
 """Attribution matrices: per-query, per-group counterfactual influence scores.
 
-``attribution_matrix`` scores each query against every counterfactual
-model by the paired ELBO difference; ``prototype_baseline`` scores by
-cosine similarity to per-group mean embeddings.  Matrices serialize to
+``attribution_matrix`` scores a query block, x0 (Q, dim) and cond
+(Q, cond_dim) or None, against every counterfactual model by the paired
+ELBO difference; ``prototype_baseline`` scores the rows of x0 by cosine
+similarity to per-group mean embeddings.  Matrices serialize to
 CSV (one row per query) and JSON (with method metadata).
 """
 
@@ -21,9 +22,6 @@ from .data import GroupedDataset
 from .diffusion import Schedule
 from .scoring import ElboConfig, check_input_dims, elbo_block
 from .seeding import derive_seed
-
-Query = tuple[np.ndarray, "np.ndarray | None"]
-
 
 @dataclass(frozen=True)
 class AttributionMatrix:
@@ -90,7 +88,8 @@ class AttributionMatrix:
 
 
 def attribution_matrix(
-    queries: Sequence[Query],
+    x0: np.ndarray,
+    cond: np.ndarray | None,
     model_full,
     counterfactuals: Sequence,
     cfg: ElboConfig,
@@ -99,36 +98,36 @@ def attribution_matrix(
     group_names: Sequence[str] | None = None,
     query_ids: Sequence[str] | None = None,
 ) -> AttributionMatrix:
-    """scores[q][k] = ELBO(full) - ELBO(counterfactual k) for query q.
+    """scores[q][k] = ELBO(full) - ELBO(counterfactual k) for query row q.
 
-    Every query gets its own noise stream derived from (cfg.noise_seed,
-    q); within a query all models share that stream, so identical
-    models produce exactly zero columns.  All queries and models are
-    scored in one ``elbo_block`` call.
+    ``x0`` is the (Q, dim) query block and ``cond`` its (Q, cond_dim)
+    condition block or None.  Every query gets its own noise stream
+    derived from (cfg.noise_seed, q); within a query all models share
+    that stream, so identical models produce exactly zero columns.  All
+    queries and models are scored in one ``elbo_block`` call.
     """
     n = len(counterfactuals)
     check_input_dims([model_full, *counterfactuals])
 
-    x0 = np.array([x for x, _ in queries], dtype=np.float64)
-    conds = [c for _, c in queries]
-    cond = None if all(c is None for c in conds) else np.stack(conds)
-    seeds = [derive_seed(cfg.noise_seed, "query", q) for q in range(len(queries))]
+    x0 = np.asarray(x0, dtype=np.float64)
+    seeds = [derive_seed(cfg.noise_seed, "query", q) for q in range(len(x0))]
     elbos = elbo_block([model_full, *counterfactuals], x0, cond, seeds, cfg, s)
     scores = elbos[0] - elbos[1:]
-    qids = list(query_ids) if query_ids is not None else [f"q{q}" for q in range(len(queries))]
+    qids = list(query_ids) if query_ids is not None else [f"q{q}" for q in range(len(x0))]
     names = list(group_names) if group_names is not None else [f"group{k}" for k in range(n)]
     return AttributionMatrix(method, scores.T, qids, names)
 
 
 def prototype_baseline(
-    queries: Sequence[Query],
+    x0: np.ndarray,
     d: GroupedDataset,
     embed: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> AttributionMatrix:
-    """Cosine similarity between embedded queries and group prototypes.
+    """Cosine similarity between embedded query rows and group prototypes.
 
-    The prototype of a group is the mean of its embedded samples; the
-    default embedding is the identity on sample space.
+    ``x0`` is the (Q, dim) query block.  The prototype of a group is the
+    mean of its embedded samples; the default embedding is the identity
+    on sample space.
     """
     if embed is None:
         embed = lambda x: np.asarray(x, dtype=np.float64)
@@ -139,12 +138,12 @@ def prototype_baseline(
     if np.any(proto_norms == 0.0):
         raise FloatingPointError("zero-norm group prototype embedding")
 
-    scores = np.zeros((len(queries), d.n_groups))
-    for q, (x0, _) in enumerate(queries):
-        e = embed(x0)
+    scores = np.zeros((len(x0), d.n_groups))
+    for q, x in enumerate(x0):
+        e = embed(x)
         norm = np.linalg.norm(e)
         if norm == 0.0:
             raise FloatingPointError(f"zero-norm embedding for query {q}")
         scores[q] = prototypes @ e / (proto_norms * norm)
-    qids = [f"q{q}" for q in range(len(queries))]
+    qids = [f"q{q}" for q in range(len(x0))]
     return AttributionMatrix("prototype", scores, qids, list(d.group_names))

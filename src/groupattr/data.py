@@ -87,18 +87,19 @@ class GroupedDataset:
         return self.cond_vectors[k]
 
     def dropout_conditions(self, labels: np.ndarray, conditional: bool, p_drop: float,
-                           seed: int, *path: int | str) -> list:
-        """Per-item condition vectors for a batch with condition dropout.
+                           seed: int, *path: int | str) -> np.ndarray | None:
+        """The (B, cond_dim) condition block of a batch, with condition dropout.
 
-        Each item gets its group's condition, or the null condition with
-        probability ``p_drop`` under the stream (seed, "dropout", *path);
-        every item gets ``None`` for an unconditional model.
+        Row i is its group's condition, or the null condition (zeros)
+        with probability ``p_drop`` under the stream (seed, "dropout",
+        *path); an unconditional model gets ``None``.
         """
         if not conditional:
-            return [None] * len(labels)
+            return None
         drop = rng_for(seed, "dropout", *path).random(len(labels)) < p_drop
-        null = self.null_condition()
-        return [null if drop[i] else self.cond_vectors[lab] for i, lab in enumerate(labels)]
+        conds = np.stack(self.cond_vectors)[labels]
+        conds[drop] = 0.0
+        return conds
 
     def all_samples(self, exclude: int | None = None) -> np.ndarray:
         kept = [g for i, g in enumerate(self.groups) if i != exclude]

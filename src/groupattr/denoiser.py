@@ -6,13 +6,16 @@ flat float64 vector so that training, unlearning, checkpointing and
 finite-difference checks all share one representation.  Forward and
 backward passes are written directly in numpy; reverse-mode gradients
 are exact up to floating point.
+
+A batch is one (x0, cond) block, (B, dim) and (B, cond_dim) or None;
+every training and unlearning objective noises it with ``noise_batch``
+and ends in ``regress``, the shared forward, residual and backward step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -291,79 +294,79 @@ def predict_eps(
     return forward_batch(p, xt[None, :], int(t), num_steps, cond)[0]
 
 
-def draw_noising(
-    rng_seed: int,
+def noise_batch(
     x0: np.ndarray,
     cond: np.ndarray | None,
-    t_lo: int,
-    t_hi: int,
-) -> tuple[int, np.ndarray]:
-    """Per-item (t, eps) draw keyed by item content; see content_rng."""
-    return _draw(content_rng(rng_seed, x0, cond), x0.shape[0], t_lo, t_hi)
-
-
-def _draw(rng: np.random.Generator, dim: int, t_lo: int, t_hi: int) -> tuple[int, np.ndarray]:
-    return int(rng.integers(t_lo, t_hi + 1)), rng.standard_normal(dim)
-
-
-def noise_batch(
-    batch: Sequence[tuple[np.ndarray, np.ndarray | None]],
     s: Schedule,
     rng_seed: int,
     t_lo: int,
     t_hi: int,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[np.random.Generator]]:
-    """Noise every item of a batch through the forward marginal.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.random.Generator]]:
+    """Noise every row of an (x0, cond) block through the forward marginal.
 
-    Each item draws t uniform in [t_lo, t_hi], then eps, from its own
-    ``content_rng(rng_seed, x0, cond)`` stream (see ``draw_noising``).
-    Returns t and x_t stacked over the batch, plus each item's eps and
-    its generator positioned after those two draws.
+    ``x0`` is (B, dim) and ``cond`` is (B, cond_dim) or None.  Row i
+    draws t uniform in [t_lo, t_hi], then eps, from its own
+    ``content_rng(rng_seed, x0[i], cond[i])`` stream, so its draws depend
+    only on (rng_seed, row content).  Returns t (B,), x_t (B, dim) and
+    eps (B, dim), plus each row's generator positioned after its draws.
     """
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.ndim != 2 or len(x0) == 0:
+        raise ValueError("batch must be a non-empty (B, dim) block")
     ts, epss, xts, rngs = [], [], [], []
-    for x0, cond in batch:
-        x0 = np.asarray(x0, dtype=np.float64)
-        rng = content_rng(rng_seed, x0, cond)
-        t, eps = _draw(rng, x0.shape[0], t_lo, t_hi)
+    for row, c in zip(x0, [None] * len(x0) if cond is None else cond):
+        rng = content_rng(rng_seed, row, c)
+        t = int(rng.integers(t_lo, t_hi + 1))
+        eps = rng.standard_normal(row.shape[0])
         ts.append(t)
         epss.append(eps)
-        xts.append(forward_marginal(s, x0, t, eps))
+        xts.append(forward_marginal(s, row, t, eps))
         rngs.append(rng)
-    return np.array(ts), np.stack(xts), epss, rngs
+    return np.array(ts), np.stack(xts), np.stack(epss), rngs
+
+
+def regress(
+    p: DenoiserParams,
+    xt: np.ndarray,
+    ts: np.ndarray,
+    num_steps: int,
+    cond: np.ndarray | None,
+    target: np.ndarray,
+    cap: float | None = None,
+) -> tuple[float, np.ndarray]:
+    """Batch mean of |eps_p(xt, t, cond) - target|^2 over rows, with gradient.
+
+    With ``cap`` each row's squared residual norm is clipped at ``cap``
+    (trust-region clipping): a clipped row contributes the cap value and
+    no gradient.
+    """
+    out, cache = forward_batch(p, xt, ts, num_steps, cond, want_cache=True)
+    resid = out - target
+    raw = np.sum(resid**2, axis=1)
+    if cap is not None:
+        resid = resid * (raw < cap)[:, None]
+        raw = np.minimum(raw, cap)
+    loss = float(np.mean(raw))
+    grad = backward_batch(p, cache, 2.0 * resid / len(xt))
+    return loss, grad
 
 
 def loss_and_grad(
     p: DenoiserParams,
-    batch: Sequence[tuple[np.ndarray, np.ndarray | None]],
+    x0: np.ndarray,
+    cond: np.ndarray | None,
     s: Schedule,
     rng_seed: int,
 ) -> tuple[float, np.ndarray]:
-    """Mean squared eps-prediction error over a batch, with gradient.
+    """Mean squared eps-prediction error over an (x0, cond) block, with gradient.
 
-    Each item draws a uniform timestep and a Gaussian noise vector
-    deterministically from (rng_seed, item content), the item is noised
-    through the forward marginal, and the loss is the batch mean of the
-    squared prediction residual norm.
+    Each row draws a uniform timestep and a Gaussian noise vector
+    deterministically from (rng_seed, row content), is noised through
+    the forward marginal, and the loss is the batch mean of the squared
+    prediction residual norm.
     """
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
-    ts, xt, epss, _ = noise_batch(batch, s, rng_seed, 1, s.num_steps)
-    cond_mat = _stack_conds(p.arch, [cond for _, cond in batch])
-    out, cache = forward_batch(p, xt, ts, s.num_steps, cond_mat, want_cache=True)
-    resid = out - np.stack(epss)
-    loss = float(np.mean(np.sum(resid**2, axis=1)))
-    grad = backward_batch(p, cache, 2.0 * resid / len(batch))
-    return loss, grad
-
-
-def _stack_conds(arch: Architecture, conds: list) -> np.ndarray | None:
-    if arch.cond_dim == 0:
-        if any(c is not None for c in conds):
-            raise ValueError("unconditional network, but conditions were given")
-        return None
-    if any(c is None for c in conds):
-        raise ValueError("conditional network requires a condition per item")
-    return np.stack([np.asarray(c, dtype=np.float64) for c in conds])
+    ts, xt, eps, _ = noise_batch(x0, cond, s, rng_seed, 1, s.num_steps)
+    return regress(p, xt, ts, s.num_steps, cond, eps)
 
 
 def clip_gradient(grad: np.ndarray, max_norm: float = GRAD_CLIP_NORM) -> np.ndarray:

@@ -505,23 +505,19 @@ class Pipeline:
             rows = [d.null_condition()] * count
         return np.array(rows, dtype=np.float64).reshape(count, d.cond_dim)
 
-    def _query_tuples(self) -> list:
-        x0, conds, _ = self.ensure_queries()
-        return list(zip(x0, [None] * len(x0) if conds is None else conds))
-
     def ensure_matrix(self, method: str) -> AttributionMatrix:
         d = self.ensure_dataset()
         csv_path = self.out / "matrices" / f"{method}.csv"
         json_path = self.out / "matrices" / f"{method}.json"
 
         def build():
-            queries = self._query_tuples()
+            x0, cond, _ = self.ensure_queries()
             # Models are built (or loaded) before the clock starts: the
             # recorded time is the query cost alone.
             models = None if method == "prototype" else self._models_for(method, d)
             tic = time.perf_counter()
             if models is None:
-                mat = prototype_baseline(queries, d)
+                mat = prototype_baseline(x0, d)
             else:
                 s = self.schedule()
                 ecfg = ElboConfig(
@@ -529,14 +525,14 @@ class Pipeline:
                     noise_seed=derive_seed(self.cfg.master_seed, "elbo"),
                     samples_per_t=self.cfg.elbo.samples_per_t,
                 )
-                mat = attribution_matrix(queries, *models, ecfg, s, method=method,
+                mat = attribution_matrix(x0, cond, *models, ecfg, s, method=method,
                                          group_names=d.group_names)
             wall = time.perf_counter() - tic
             with _replacing(csv_path) as tmp:
                 mat.to_csv(tmp, provenance=self.provenance())
             with _replacing(json_path) as tmp:
                 mat.to_json(tmp, provenance=self.provenance())
-            return {"wall_seconds": wall, "queries": len(queries)}
+            return {"wall_seconds": wall, "queries": len(x0)}
 
         return self._phase(f"matrix_{method}", self._k_matrix(method), json_path, "attribute",
                            build, AttributionMatrix.from_json)
@@ -638,7 +634,9 @@ def timing_report(run_dir: str | Path) -> TimingReport:
     Each attribution method's preprocessing covers full-model training
     plus its per-group counterfactual construction; query time is the
     recorded matrix-computation time.  Speedups and the step-count
-    ratio are reported relative to the leave-one-group-out branch.
+    ratio are reported relative to the leave-one-group-out branch.  Only
+    the methods the run's ``config.json`` configures are reported, so
+    matrix records an earlier config left in the directory are ignored.
     """
     run_dir = Path(run_dir)
     keys_dir = run_dir / "keys"
@@ -672,11 +670,12 @@ def timing_report(run_dir: str | Path) -> TimingReport:
     logo_names = [f"train_logo_{k}" for k in range(n) if f"train_logo_{k}" in records]
     logo_steps_total = sum(steps(nm) for nm in logo_names)
 
+    configured = {"logoa", "prototype", "oracle", *(u.method for u in cfg.unlearn_methods)}
     methods: dict[str, dict] = {}
     for name in records:
-        if not name.startswith("matrix_"):
-            continue
         method = name[len("matrix_"):]
+        if not name.startswith("matrix_") or method not in configured:
+            continue
         query_seconds = seconds(name)
         if method == "logoa":
             preproc = full_train + sum(seconds(nm) for nm in logo_names)

@@ -75,7 +75,7 @@ class TrainRun:
                 f.write(f"{i},{loss!r},{ms!r}\n")
 
 
-BatchHook = Callable[[int, np.ndarray, list], None]
+BatchHook = Callable[[int, np.ndarray, np.ndarray | None], None]
 
 
 def _train(
@@ -120,8 +120,8 @@ def _train(
                                          cfg.seed, epoch, b)
             if batch_hook is not None:
                 batch_hook(epoch, bx, conds)
-            batch = list(zip(bx, conds))
-            loss, grad = loss_and_grad(params, batch, s, derive_seed(cfg.seed, "loss", epoch, b))
+            loss, grad = loss_and_grad(params, bx, conds, s,
+                                       derive_seed(cfg.seed, "loss", epoch, b))
             params, opt = optimizer_step(params, opt, grad)
             steps += 1
             losses.append(loss)

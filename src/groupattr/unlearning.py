@@ -18,6 +18,9 @@ Three forget objectives share a common preservation term:
 Loss weighting follows two conventions, selected by method:
 ``lambda_forget * L_forget + L_preserve`` for retrack/esd and
 ``L_forget + lambda_pres * L_preserve`` for cond_anchor.
+
+Every objective takes its batch as one (x0, cond) block (see
+``denoiser``) and ends in the shared regression step ``regress``.
 """
 
 from __future__ import annotations
@@ -25,18 +28,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .data import GroupedDataset
 from .denoiser import (
     DenoiserParams,
-    backward_batch,
     forward_batch,
     init_optimizer,
     noise_batch,
     optimizer_step,
+    regress,
 )
 from .diffusion import Schedule, kernel_logits, kernel_softmax
 from .seeding import derive_seed, rng_for
@@ -88,15 +90,6 @@ def default_timestep_range(num_steps: int) -> tuple[int, int]:
     return (max(1, num_steps // 2), max(1, round(0.975 * num_steps)))
 
 
-def importance_weights(retain: np.ndarray, xt: np.ndarray, t: int, s: Schedule) -> np.ndarray:
-    """Posterior weights w_i ~ exp(-|xt - sqrt(abar_t) x_i|^2 / (2 sigma_t^2)).
-
-    Normalized to sum to one via log-sum-exp; a uniform prior over the
-    retain set is implicit.
-    """
-    return kernel_softmax(retain, xt, t, s)[0]
-
-
 def retain_mixture_logpdf(points: np.ndarray, xt: np.ndarray, t: int, s: Schedule) -> float:
     """log of the timestep-t marginal mixture (1/n) sum_i q_t(xt | x_i)."""
     logits, centers = kernel_logits(points, xt, t, s)
@@ -116,65 +109,47 @@ def retrack_target(retain: np.ndarray, xt: np.ndarray, t: int, K: int, s: Schedu
     return (w @ (xt - centers)) / s.sigma(t)
 
 
-def _uncond_for(p: DenoiserParams) -> np.ndarray | None:
-    # Null condition realizing the unconditional branch of a conditional net.
-    if p.arch.cond_dim == 0:
-        return None
-    return np.zeros(p.arch.cond_dim)
-
-
-def _noise_batch(batch, cfg: UnlearnConfig, s: Schedule, rng_seed: int):
+def _noise_batch(x0, cond, cfg: UnlearnConfig, s: Schedule, rng_seed: int):
     """``noise_batch`` over the configured timestep range."""
     lo, hi = cfg.timestep_range
     if hi > s.num_steps:
         raise ValueError(f"timestep range {cfg.timestep_range} exceeds T={s.num_steps}")
-    return noise_batch(batch, s, rng_seed, lo, hi)
+    return noise_batch(x0, cond, s, rng_seed, lo, hi)
 
 
 def retrack_forget_loss(
     p: DenoiserParams,
-    forget_batch: Sequence[tuple[np.ndarray, np.ndarray | None]],
+    x0: np.ndarray,
+    cond: np.ndarray | None,
     retain: np.ndarray,
     cfg: UnlearnConfig,
     s: Schedule,
-    rng_seed: int | None = None,
+    rng_seed: int,
 ) -> tuple[float, np.ndarray]:
     """Redirection loss toward truncated importance-weighted targets.
 
-    Per-sample squared deviations are capped at ``kl_cap`` (trust-region
-    clipping): a sample whose raw loss exceeds the cap contributes the
-    cap value and no gradient.
+    ``cond`` keys the forget rows' draws only: the trained model is
+    evaluated under the null condition.  Per-row squared deviations are
+    capped at ``kl_cap`` (trust-region clipping): a row whose raw loss
+    exceeds the cap contributes the cap value and no gradient.
     """
-    if len(forget_batch) == 0:
-        raise ValueError("forget batch must be non-empty")
     retain = np.atleast_2d(np.asarray(retain, dtype=np.float64))
     if retain.shape[0] == 0:
         raise ValueError("retain set must be non-empty")
-    seed = cfg.seed if rng_seed is None else rng_seed
-    ts, xts, _, _ = _noise_batch(forget_batch, cfg, s, seed)
-    targets = np.stack(
-        [retrack_target(retain, xts[i], int(ts[i]), cfg.K, s) for i in range(len(ts))]
-    )
-    cond = _uncond_for(p)
-    cond_mat = None if cond is None else np.broadcast_to(cond, (len(ts), p.arch.cond_dim))
-    out, cache = forward_batch(p, xts, ts, s.num_steps, cond_mat, want_cache=True)
-    resid = out - targets
-    raw = np.sum(resid**2, axis=1)
-    capped = np.minimum(raw, cfg.kl_cap)
-    loss = float(np.mean(capped))
-    # Zero gradient where the cap is active.
-    mask = (raw < cfg.kl_cap).astype(np.float64)[:, None]
-    grad = backward_batch(p, cache, 2.0 * resid * mask / len(ts))
-    return loss, grad
+    ts, xts, _, _ = _noise_batch(x0, cond, cfg, s, rng_seed)
+    targets = np.stack([retrack_target(retain, xt, int(t), cfg.K, s) for xt, t in zip(xts, ts)])
+    null = np.zeros((len(ts), p.arch.cond_dim)) if p.arch.cond_dim > 0 else None
+    return regress(p, xts, ts, s.num_steps, null, targets, cap=cfg.kl_cap)
 
 
 def esd_forget_loss(
     p: DenoiserParams,
     p_full_frozen: DenoiserParams,
-    forget_batch: Sequence[tuple[np.ndarray, np.ndarray | None]],
+    x0: np.ndarray,
+    cond: np.ndarray,
     cfg: UnlearnConfig,
     s: Schedule,
-    rng_seed: int | None = None,
+    rng_seed: int,
 ) -> tuple[float, np.ndarray]:
     """Negative-guidance loss toward eps_u - w (eps_c - eps_u).
 
@@ -184,46 +159,30 @@ def esd_forget_loss(
     """
     if p.arch.cond_dim == 0 or p_full_frozen.arch.cond_dim == 0:
         raise ValueError("esd requires conditional models (cond_dim > 0)")
-    if len(forget_batch) == 0:
-        raise ValueError("forget batch must be non-empty")
-    seed = cfg.seed if rng_seed is None else rng_seed
-    ts, xts, _, _ = _noise_batch(forget_batch, cfg, s, seed)
-    conds = np.stack([np.asarray(c, dtype=np.float64) for _, c in forget_batch])
+    ts, xts, _, _ = _noise_batch(x0, cond, cfg, s, rng_seed)
     null = np.zeros((len(ts), p.arch.cond_dim))
-    eps_c = forward_batch(p_full_frozen, xts, ts, s.num_steps, conds)
+    eps_c = forward_batch(p_full_frozen, xts, ts, s.num_steps, cond)
     eps_u = forward_batch(p_full_frozen, xts, ts, s.num_steps, null)
     target = eps_u - cfg.guidance_weight * (eps_c - eps_u)
-    out, cache = forward_batch(p, xts, ts, s.num_steps, conds, want_cache=True)
-    resid = out - target
-    loss = float(np.mean(np.sum(resid**2, axis=1)))
-    grad = backward_batch(p, cache, 2.0 * resid / len(ts))
-    return loss, grad
+    return regress(p, xts, ts, s.num_steps, cond, target)
 
 
 def preservation_loss(
     p: DenoiserParams,
     p_full_frozen: DenoiserParams,
-    retain_batch: Sequence[tuple[np.ndarray, np.ndarray | None]],
+    x0: np.ndarray,
+    cond: np.ndarray | None,
     s: Schedule,
     seed: int,
 ) -> tuple[float, np.ndarray]:
     """Score-matching distillation toward the frozen full model.
 
     Shared (t, eps) draws over the full timestep range; the loss is the
-    batch mean of |eps_p - eps_full|^2 on retain samples.
+    batch mean of |eps_p - eps_full|^2 on a block of retain rows.
     """
-    if len(retain_batch) == 0:
-        raise ValueError("retain batch must be non-empty")
-    ts, xts, _, _ = noise_batch(retain_batch, s, seed, 1, s.num_steps)
-    cond_mat = None
-    if p.arch.cond_dim > 0:
-        cond_mat = np.stack([np.asarray(c, dtype=np.float64) for _, c in retain_batch])
-    ref = forward_batch(p_full_frozen, xts, ts, s.num_steps, cond_mat)
-    out, cache = forward_batch(p, xts, ts, s.num_steps, cond_mat, want_cache=True)
-    resid = out - ref
-    loss = float(np.mean(np.sum(resid**2, axis=1)))
-    grad = backward_batch(p, cache, 2.0 * resid / len(ts))
-    return loss, grad
+    ts, xts, _, _ = noise_batch(x0, cond, s, seed, 1, s.num_steps)
+    ref = forward_batch(p_full_frozen, xts, ts, s.num_steps, cond)
+    return regress(p, xts, ts, s.num_steps, cond, ref)
 
 
 @dataclass(frozen=True)
@@ -285,38 +244,27 @@ def anchor_select(sel: AnchorSelector, forget_group: int, seed: int) -> tuple[in
 def conditional_forget_loss(
     p: DenoiserParams,
     p_full_frozen: DenoiserParams,
-    forget_batch: Sequence[tuple[np.ndarray, np.ndarray | None]],
+    x0: np.ndarray,
+    cond: np.ndarray,
     forget_group: int,
     sel: AnchorSelector,
     cfg: UnlearnConfig,
     s: Schedule,
-    rng_seed: int | None = None,
+    rng_seed: int,
 ) -> tuple[float, np.ndarray]:
     """Anchor-redirection loss |eps_p(xt, t, c_f) - eps_full(xt, t, c_a)|^2.
 
     The anchor latent equals the forget latent; only the conditioning
-    signal changes, with c_a drawn per item from the weighted style
+    signal changes, with c_a drawn per row from the weighted style
     selection distribution.
     """
     if p.arch.cond_dim == 0:
         raise ValueError("cond_anchor requires a conditional model")
-    if len(forget_batch) == 0:
-        raise ValueError("forget batch must be non-empty")
-    seed = cfg.seed if rng_seed is None else rng_seed
-    ts, xts, _, rngs = _noise_batch(forget_batch, cfg, s, seed)
-    conds_f = np.stack([np.asarray(c, dtype=np.float64) for _, c in forget_batch])
-    anchors = []
-    for rng in rngs:
-        anchor_seed = int(rng.integers(1 << 62))
-        _, c_a = anchor_select(sel, forget_group, anchor_seed)
-        anchors.append(c_a)
-    anchors = np.stack(anchors)
+    ts, xts, _, rngs = _noise_batch(x0, cond, cfg, s, rng_seed)
+    anchors = np.stack([anchor_select(sel, forget_group, int(rng.integers(1 << 62)))[1]
+                        for rng in rngs])
     ref = forward_batch(p_full_frozen, xts, ts, s.num_steps, anchors)
-    out, cache = forward_batch(p, xts, ts, s.num_steps, conds_f, want_cache=True)
-    resid = out - ref
-    loss = float(np.mean(np.sum(resid**2, axis=1)))
-    grad = backward_batch(p, cache, 2.0 * resid / len(ts))
-    return loss, grad
+    return regress(p, xts, ts, s.num_steps, cond, ref)
 
 
 @dataclass
@@ -365,20 +313,21 @@ def unlearn(
         fb = rng_for(cfg.seed, "forget", step).choice(
             len(forget_x), size=min(cfg.batch_size, len(forget_x)), replace=False
         )
-        retain_batch = list(zip(retain_x[rb], d.dropout_conditions(
-            retain_lab[rb], conditional, cfg.cond_dropout, cfg.seed, step)))
-        forget_batch = [
-            (forget_x[i], d.cond_of(k) if conditional else None) for i in fb
-        ]
+        retain_cond = d.dropout_conditions(
+            retain_lab[rb], conditional, cfg.cond_dropout, cfg.seed, step)
+        forget_cond = np.tile(d.cond_of(k), (len(fb), 1)) if conditional else None
 
         fseed = derive_seed(cfg.seed, "floss", step)
         if cfg.method == "retrack":
-            lf, gf = retrack_forget_loss(params, forget_batch, retain_x, cfg, s, fseed)
+            lf, gf = retrack_forget_loss(params, forget_x[fb], forget_cond, retain_x, cfg, s,
+                                         fseed)
         elif cfg.method == "esd":
-            lf, gf = esd_forget_loss(params, p_full, forget_batch, cfg, s, fseed)
+            lf, gf = esd_forget_loss(params, p_full, forget_x[fb], forget_cond, cfg, s, fseed)
         else:
-            lf, gf = conditional_forget_loss(params, p_full, forget_batch, k, sel, cfg, s, fseed)
-        lp, gp = preservation_loss(params, p_full, retain_batch, s, derive_seed(cfg.seed, "ploss", step))
+            lf, gf = conditional_forget_loss(params, p_full, forget_x[fb], forget_cond, k, sel,
+                                             cfg, s, fseed)
+        lp, gp = preservation_loss(params, p_full, retain_x[rb], retain_cond, s,
+                                   derive_seed(cfg.seed, "ploss", step))
 
         if cfg.method == "cond_anchor":
             grad = gf + cfg.lambda_pres * gp

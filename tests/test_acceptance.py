@@ -99,10 +99,10 @@ def test_criterion_2_exact_nonparametric_attribution():
     queries, labels = [], []
     for q in range(256):
         g = q % 5
-        queries.append((d.groups[g][(q * 7) % 200], None))
+        queries.append(d.groups[g][(q * 7) % 200])
         labels.append(g)
     cfg = ElboConfig(stride=10, t_min=2, t_max=100, noise_seed=321)
-    mat = attribution_matrix(queries, full, cfs, cfg, s)
+    mat = attribution_matrix(np.stack(queries), None, full, cfs, cfg, s)
     top = np.array([rank(mat.scores[q])[0] for q in range(256)])
     agreement = float(np.mean(top == np.array(labels)))
     elapsed = time.perf_counter() - tic
@@ -252,33 +252,33 @@ def test_criterion_7_gradient_checks():
     errors = {}
 
     p = init_network(uncond, seed=1)
-    batch_u = [(x, None) for x in d.groups[0][:3]]
-    _, g = loss_and_grad(p, batch_u, s, rng_seed=7)
+    batch_u = (d.groups[0][:3], None)
+    _, g = loss_and_grad(p, *batch_u, s, rng_seed=7)
     errors["training_mse"] = max_rel_error(
-        g, numeric_grad(lambda w: loss_and_grad(p.with_weights(w), batch_u, s, 7)[0],
+        g, numeric_grad(lambda w: loss_and_grad(p.with_weights(w), *batch_u, s, 7)[0],
                         p.weights.copy()))
 
-    _, g = retrack_forget_loss(p, batch_u, retain, ucfg, s, rng_seed=8)
+    _, g = retrack_forget_loss(p, *batch_u, retain, ucfg, s, rng_seed=8)
     errors["retrack_forget"] = max_rel_error(
         g, numeric_grad(lambda w: retrack_forget_loss(
-            p.with_weights(w), batch_u, retain, ucfg, s, 8)[0], p.weights.copy()))
+            p.with_weights(w), *batch_u, retain, ucfg, s, 8)[0], p.weights.copy()))
 
     pc = init_network(cond, seed=2)
-    batch_c = [(x, d.cond_vectors[0]) for x in d.groups[0][:3]]
-    _, g = esd_forget_loss(pc, frozen_c, batch_c, ucfg, s, rng_seed=9)
+    batch_c = (d.groups[0][:3], np.tile(d.cond_vectors[0], (3, 1)))
+    _, g = esd_forget_loss(pc, frozen_c, *batch_c, ucfg, s, rng_seed=9)
     errors["esd_forget"] = max_rel_error(
         g, numeric_grad(lambda w: esd_forget_loss(
-            pc.with_weights(w), frozen_c, batch_c, ucfg, s, 9)[0], pc.weights.copy()))
+            pc.with_weights(w), frozen_c, *batch_c, ucfg, s, 9)[0], pc.weights.copy()))
 
-    _, g = preservation_loss(pc, frozen_c, batch_c, s, seed=10)
+    _, g = preservation_loss(pc, frozen_c, *batch_c, s, seed=10)
     errors["preservation"] = max_rel_error(
         g, numeric_grad(lambda w: preservation_loss(
-            pc.with_weights(w), frozen_c, batch_c, s, 10)[0], pc.weights.copy()))
+            pc.with_weights(w), frozen_c, *batch_c, s, 10)[0], pc.weights.copy()))
 
-    _, g = conditional_forget_loss(pc, frozen_c, batch_c, 0, sel, ucfg, s, rng_seed=11)
+    _, g = conditional_forget_loss(pc, frozen_c, *batch_c, 0, sel, ucfg, s, rng_seed=11)
     errors["conditional_forget"] = max_rel_error(
         g, numeric_grad(lambda w: conditional_forget_loss(
-            pc.with_weights(w), frozen_c, batch_c, 0, sel, ucfg, s, 11)[0],
+            pc.with_weights(w), frozen_c, *batch_c, 0, sel, ucfg, s, 11)[0],
             pc.weights.copy()))
 
     elapsed = time.perf_counter() - tic

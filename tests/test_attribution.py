@@ -62,8 +62,8 @@ class TestAttributionMatrix:
 class TestAttributionMatrixOp:
     def test_identical_counterfactuals_zero_matrix(self):
         p = init_network(Architecture(2, (8,), 4), seed=1)
-        queries = [(np.array([0.1, 0.2]), None), (np.array([-0.5, 0.3]), None)]
-        mat = attribution_matrix(queries, p, [p, p, p], CFG, S)
+        x0 = np.array([[0.1, 0.2], [-0.5, 0.3]])
+        mat = attribution_matrix(x0, None, p, [p, p, p], CFG, S)
         np.testing.assert_array_equal(mat.scores, 0.0)
 
     def test_separated_groups_oracle(self):
@@ -72,23 +72,23 @@ class TestAttributionMatrixOp:
         d = generate_grouped_dataset(spec, seed=17)
         full = KernelDenoiser(d.all_samples(), S)
         cfs = [KernelDenoiser(d.all_samples(exclude=k), S) for k in range(2)]
-        queries = [(d.groups[0][5], None)]
-        mat = attribution_matrix(queries, full, cfs, CFG, S, group_names=d.group_names)
+        mat = attribution_matrix(d.groups[0][5:6], None, full, cfs, CFG, S,
+                                 group_names=d.group_names)
         assert mat.scores[0, 0] > 0.0
         assert mat.scores[0, 0] > 10 * abs(mat.scores[0, 1])
 
     def test_column_permutation(self):
         models = [init_network(Architecture(2, (8,), 4), seed=s) for s in range(4)]
-        queries = [(np.array([0.4, -0.1]), None)]
-        a = attribution_matrix(queries, models[0], models[1:], CFG, S)
-        b = attribution_matrix(queries, models[0], models[1:][::-1], CFG, S)
+        x0 = np.array([[0.4, -0.1]])
+        a = attribution_matrix(x0, None, models[0], models[1:], CFG, S)
+        b = attribution_matrix(x0, None, models[0], models[1:][::-1], CFG, S)
         np.testing.assert_array_equal(b.scores[:, ::-1], a.scores)
 
     def test_arch_mismatch_rejected(self):
         a = init_network(Architecture(2, (8,), 4), seed=0)
         b = init_network(Architecture(3, (8,), 4), seed=0)
         with pytest.raises(ValueError):
-            attribution_matrix([(np.zeros(2), None)], a, [b], CFG, S)
+            attribution_matrix(np.zeros((1, 2)), None, a, [b], CFG, S)
 
 
 class TestPrototypeBaseline:
@@ -99,30 +99,30 @@ class TestPrototypeBaseline:
 
     def test_self_prototype_scores_one(self):
         d = self.make_dataset([[[1.0, 0.0]], [[0.0, 1.0]]])
-        mat = prototype_baseline([(np.array([1.0, 0.0]), None)], d)
+        mat = prototype_baseline(np.array([[1.0, 0.0]]), d)
         assert mat.scores[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_orthogonal_query_scores_zero(self):
         d = self.make_dataset([[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]])
-        mat = prototype_baseline([(np.array([0.0, 0.0, 2.0]), None)], d)
+        mat = prototype_baseline(np.array([[0.0, 0.0, 2.0]]), d)
         np.testing.assert_allclose(mat.scores, 0.0, atol=1e-12)
 
     def test_worked_angles(self):
         """Prototypes at 0 and 90 degrees, query at 30 degrees."""
         d = self.make_dataset([[[1.0, 0.0]], [[0.0, 1.0]]])
         query = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
-        mat = prototype_baseline([(query, None)], d)
+        mat = prototype_baseline(query[None], d)
         assert mat.scores[0, 0] == pytest.approx(math.cos(math.pi / 6), rel=1e-12)
         assert mat.scores[0, 1] == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_norm_embedding_rejected(self):
         d = self.make_dataset([[[1.0, 0.0]], [[0.0, 1.0]]])
         with pytest.raises(FloatingPointError):
-            prototype_baseline([(np.zeros(2), None)], d)
+            prototype_baseline(np.zeros((1, 2)), d)
 
     def test_custom_embedding(self):
         d = self.make_dataset([[[2.0, 0.0]], [[0.0, 3.0]]])
         mat = prototype_baseline(
-            [(np.array([5.0, 0.0]), None)], d, embed=lambda x: x / np.linalg.norm(x)
+            np.array([[5.0, 0.0]]), d, embed=lambda x: x / np.linalg.norm(x)
         )
         assert mat.scores[0, 0] == pytest.approx(1.0, rel=1e-12)

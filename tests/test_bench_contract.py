@@ -3,11 +3,13 @@
 ``perfbench/tracer.py`` replaces functions and ``Pipeline`` methods by
 name when ``--trace 1`` installs it, so a rename in the package breaks
 traced runs.  The tracer module imports only the standard library and
-is loaded here by path, read-only.
+is loaded here by path, read-only.  Some wrappers also read an
+argument by position, so those positions are checked by signature.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,26 @@ def test_harness_phases_are_pipeline_methods(tracer):
 def test_workload_entry_points_exist():
     for name in ("method_names", "provenance"):
         assert callable(getattr(Pipeline, name, None)), f"Pipeline.{name}"
+
+
+# Arguments the tracer's ``_EXTRAS`` read by position: (traced name, index, parameter).
+EXTRA_ARGS = [
+    ("denoiser.forward_batch", 1, "xt"),
+    ("unlearning.unlearn", 3, "cfg"),
+    ("checkpoint.load_checkpoint", 0, "path"),
+    ("checkpoint.save_checkpoint", 0, "path"),
+]
+
+
+def test_every_extra_is_checked(tracer):
+    assert set(tracer._EXTRAS) == {traced for traced, _, _ in EXTRA_ARGS}
+
+
+@pytest.mark.parametrize("traced, index, name", EXTRA_ARGS)
+def test_extras_read_the_named_positional_argument(tracer, traced, index, name):
+    module, fn = traced.split(".")
+    params = list(inspect.signature(
+        getattr(importlib.import_module(f"groupattr.{module}"), fn)).parameters.values())
+    assert params[index].name == name
+    assert params[index].kind in (inspect.Parameter.POSITIONAL_ONLY,
+                                  inspect.Parameter.POSITIONAL_OR_KEYWORD)

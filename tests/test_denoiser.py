@@ -144,11 +144,11 @@ class TestLossAndGrad:
     def test_gradient_matches_finite_differences(self):
         p = init_network(SMALL, seed=12)
         rng = np.random.default_rng(0)
-        batch = [(rng.normal(size=2), None) for _ in range(3)]
-        loss, grad = loss_and_grad(p, batch, self.s, rng_seed=77)
+        x0 = rng.normal(size=(3, 2))
+        loss, grad = loss_and_grad(p, x0, None, self.s, rng_seed=77)
 
         def f(w):
-            return loss_and_grad(p.with_weights(w), batch, self.s, rng_seed=77)[0]
+            return loss_and_grad(p.with_weights(w), x0, None, self.s, rng_seed=77)[0]
 
         num = numeric_grad(f, p.weights.copy())
         assert max_rel_error(grad, num) <= 1e-3
@@ -156,44 +156,45 @@ class TestLossAndGrad:
     def test_duplicated_items_leave_loss_unchanged(self):
         p = init_network(SMALL, seed=4)
         x = np.array([0.5, -0.2])
-        single, _ = loss_and_grad(p, [(x, None)], self.s, rng_seed=5)
-        doubled, _ = loss_and_grad(p, [(x, None), (x, None)], self.s, rng_seed=5)
+        single, _ = loss_and_grad(p, x[None], None, self.s, rng_seed=5)
+        doubled, _ = loss_and_grad(p, np.stack([x, x]), None, self.s, rng_seed=5)
         assert doubled == pytest.approx(single, rel=1e-12)
 
     def test_perfect_denoiser_zero_loss(self):
         """A network that outputs the drawn noise exactly has loss 0."""
-        from groupattr.denoiser import draw_noising
+        from groupattr.denoiser import noise_batch
 
         x0 = np.array([0.7, -0.4])
-        t, eps = draw_noising(99, x0, None, 1, self.s.num_steps)
+        eps = noise_batch(x0[None], None, self.s, 99, 1, self.s.num_steps)[2][0]
         # All weights zero except the output bias, which is set to the
         # exact noise draw for this (rng_seed, item) pair.
         w = np.zeros(SMALL.param_count)
         w[72:74] = eps
         p = DenoiserParams(SMALL, w)
-        loss, grad = loss_and_grad(p, [(x0, None)], self.s, rng_seed=99)
+        loss, grad = loss_and_grad(p, x0[None], None, self.s, rng_seed=99)
         assert loss == pytest.approx(0.0, abs=1e-30)
         # The zero network's loss equals the noise norm for the same draw.
         zero, _ = loss_and_grad(
             DenoiserParams(SMALL, np.zeros(SMALL.param_count)),
-            [(x0, None)], self.s, rng_seed=99,
+            x0[None], None, self.s, rng_seed=99,
         )
         assert zero == pytest.approx(float(np.sum(eps**2)), rel=1e-12)
 
     def test_empty_batch_rejected(self):
         p = init_network(SMALL, seed=0)
         with pytest.raises(ValueError):
-            loss_and_grad(p, [], self.s, rng_seed=0)
+            loss_and_grad(p, np.zeros((0, 2)), None, self.s, rng_seed=0)
 
     def test_conditional_gradient_matches_finite_differences(self):
         arch = Architecture(input_dim=2, hidden_dims=(6,), time_embed_dim=4, cond_dim=2)
         p = init_network(arch, seed=8)
         rng = np.random.default_rng(1)
-        batch = [(rng.normal(size=2), rng.normal(size=2)) for _ in range(2)]
-        loss, grad = loss_and_grad(p, batch, self.s, rng_seed=13)
+        pairs = rng.normal(size=(2, 2, 2))  # row i: (x0_i, cond_i)
+        x0, cond = pairs[:, 0], pairs[:, 1]
+        loss, grad = loss_and_grad(p, x0, cond, self.s, rng_seed=13)
 
         def f(w):
-            return loss_and_grad(p.with_weights(w), batch, self.s, rng_seed=13)[0]
+            return loss_and_grad(p.with_weights(w), x0, cond, self.s, rng_seed=13)[0]
 
         num = numeric_grad(f, p.weights.copy())
         assert max_rel_error(grad, num) <= 1e-3

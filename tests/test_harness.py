@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -300,6 +301,16 @@ class TestTiming:
     def test_missing_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             timing_report(tmp_path / "nothing")
+
+    def test_rerun_with_fewer_methods_drops_stale_ones(self, tiny_run, tmp_path):
+        """A rerun without esd reports the methods of its own config only."""
+        cfg, out, _ = tiny_run
+        rerun = tmp_path / "rerun"
+        shutil.copytree(out, rerun)
+        summary = run_experiment(replace(cfg, unlearn_methods=cfg.unlearn_methods[:1]), rerun)
+        assert "esd" not in summary["methods"]
+        timing = json.loads((rerun / "reports" / "timing.json").read_text())
+        assert sorted(timing["methods"]) == sorted(summary["methods"])
 
 
 class TestErrors:

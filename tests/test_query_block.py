@@ -64,9 +64,9 @@ def reference_elbo(model, x0, cond, seed, cfg):
     return -math.fsum(terms)
 
 
-def reference_matrix(queries, full, cfs, cfg):
+def reference_matrix(x0s, conds, full, cfs, cfg):
     rows = []
-    for q, (x0, cond) in enumerate(queries):
+    for q, (x0, cond) in enumerate(zip(x0s, [None] * len(x0s) if conds is None else conds)):
         seed = derive_seed(cfg.noise_seed, "query", q)
         e_full = reference_elbo(full, x0, cond, seed, cfg)
         rows.append([e_full - reference_elbo(cf, x0, cond, seed, cfg) for cf in cfs])
@@ -126,12 +126,10 @@ def query_block(n, cond_mode):
     d = dataset()
     x0 = np.random.default_rng(3).normal(size=(n, 2)) * 3.0
     if cond_mode == "null":
-        conds = [d.null_condition() for _ in range(n)]
-    elif cond_mode == "group":
-        conds = [d.cond_vectors[q % N_GROUPS] for q in range(n)]
-    else:
-        conds = [None] * n
-    return list(zip(x0, conds))
+        return x0, np.array([d.null_condition() for _ in range(n)])
+    if cond_mode == "group":
+        return x0, np.array([d.cond_vectors[q % N_GROUPS] for q in range(n)])
+    return x0, None
 
 
 class TestBlockScoring:
@@ -144,11 +142,11 @@ class TestBlockScoring:
     ])
     def test_matches_per_query_reference(self, models, cond_mode, samples_per_t):
         full, cfs = networks() if models == "network" else kernels()
-        queries = query_block(12, cond_mode)
+        x0, cond = query_block(12, cond_mode)
         cfg = ElboConfig(stride=6, t_min=2, t_max=50, noise_seed=77,
                          samples_per_t=samples_per_t)
-        got = attribution_matrix(queries, full, cfs, cfg, S).scores
-        want = reference_matrix(queries, full, cfs, cfg)
+        got = attribution_matrix(x0, cond, full, cfs, cfg, S).scores
+        want = reference_matrix(x0, cond, full, cfs, cfg)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
 
@@ -156,7 +154,7 @@ class TestBlockScoring:
         from groupattr import elbo_estimate
 
         full, _ = networks()
-        (x0, cond), = query_block(1, "group")
+        (x0,), (cond,) = query_block(1, "group")
         cfg = ElboConfig(stride=6, t_min=2, t_max=50, noise_seed=91)
         block = elbo_block([full], x0[None, :], cond[None, :], [cfg.noise_seed], cfg, S)
         assert block.shape == (1, 1)
@@ -178,7 +176,7 @@ class TestBlockScoring:
         monkeypatch.setattr(scoring, "rng_for", counting_rng_for)
         full, cfs = kernels()
         cfg = ElboConfig(stride=10, t_min=2, t_max=50, noise_seed=4, samples_per_t=2)
-        attribution_matrix(query_block(5, "none"), full, cfs, cfg, S)
+        attribution_matrix(*query_block(5, "none"), full, cfs, cfg, S)
         assert len(calls) == len(set(calls)) == 5 * len(cfg.grid()) * 2
 
 
@@ -265,7 +263,6 @@ def test_matrix_prefix_keeps_rows(n):
     """The first n queries of a matrix score as they do in the whole matrix."""
     full, cfs = networks()
     x0, conds, _, _, _ = full_block()
-    queries = list(zip(x0, conds))
-    whole = attribution_matrix(queries, full, cfs, PROP_CFG, S).scores
-    prefix = attribution_matrix(queries[:n], full, cfs, PROP_CFG, S).scores
+    whole = attribution_matrix(x0, conds, full, cfs, PROP_CFG, S).scores
+    prefix = attribution_matrix(x0[:n], conds[:n], full, cfs, PROP_CFG, S).scores
     assert np.max(np.abs(prefix - whole[:n])) <= 1e-12

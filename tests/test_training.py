@@ -17,8 +17,7 @@ from groupattr import (
     init_network,
     loss_and_grad,
 )
-from groupattr.denoiser import draw_noising
-from groupattr.diffusion import forward_marginal
+from groupattr.denoiser import noise_batch
 from groupattr.seeding import derive_seed
 from groupattr.training import KernelDenoiser, train_full, train_logo
 
@@ -90,9 +89,8 @@ class TestTrainFull:
         run = train_full(d, arch, cfg, schedule)
 
         all_x = d.all_samples()
-        eval_batch = [(x, None) for x in all_x]
-        net_loss, _ = loss_and_grad(run.params, eval_batch, schedule, rng_seed=123)
-        floor = _kernel_loss(all_x, eval_batch, schedule, rng_seed=123)
+        net_loss, _ = loss_and_grad(run.params, all_x, None, schedule, rng_seed=123)
+        floor = _kernel_loss(all_x, all_x, None, schedule, rng_seed=123)
         assert net_loss <= 1.10 * floor
 
 
@@ -103,16 +101,15 @@ def _owner(d, row):
     raise AssertionError("sample not found in any group")
 
 
-def _kernel_loss(points, batch, s, rng_seed):
+def _kernel_loss(points, x0, cond, s, rng_seed):
     """Mean squared eps error of the exact kernel denoiser, using the
-    identical per-item draws as loss_and_grad."""
+    identical per-row draws as loss_and_grad."""
+    ts, xts, epss, _ = noise_batch(x0, cond, s, rng_seed, 1, s.num_steps)
     total = 0.0
-    for x0, cond in batch:
-        t, eps = draw_noising(rng_seed, x0, cond, 1, s.num_steps)
-        xt = forward_marginal(s, x0, t, eps)
-        pred = empirical_denoiser(points, xt, t, s)
+    for xt, t, eps in zip(xts, ts, epss):
+        pred = empirical_denoiser(points, xt, int(t), s)
         total += float(np.sum((pred - eps) ** 2))
-    return total / len(batch)
+    return total / len(x0)
 
 
 class TestTrainLogo:
@@ -216,9 +213,9 @@ class TestEmpiricalDenoiser:
         run = train_full(two_groups, ARCH, cfg, schedule)
         all_x = two_groups.all_samples()
         for seed in (11, 22, 33):
-            batch = [(x, None) for x in all_x[::3]]
-            net_loss, _ = loss_and_grad(run.params, batch, schedule, rng_seed=seed)
-            kernel = _kernel_loss(all_x, batch, schedule, rng_seed=seed)
+            x0 = all_x[::3]
+            net_loss, _ = loss_and_grad(run.params, x0, None, schedule, rng_seed=seed)
+            kernel = _kernel_loss(all_x, x0, None, schedule, rng_seed=seed)
             assert kernel <= net_loss
 
     def test_kernel_denoiser_handle(self):

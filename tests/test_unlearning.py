@@ -16,7 +16,6 @@ from groupattr import (
     conditional_forget_loss,
     esd_forget_loss,
     generate_grouped_dataset,
-    importance_weights,
     init_network,
     loss_and_grad,
     preservation_loss,
@@ -27,7 +26,7 @@ from groupattr import (
 )
 from groupattr.data import GroupedDataset
 from groupattr.denoiser import content_rng, forward_batch
-from groupattr.diffusion import forward_marginal
+from groupattr.diffusion import forward_marginal, kernel_softmax
 from groupattr.training import empirical_denoiser, train_full
 from groupattr.unlearning import AnchorSelector, default_timestep_range
 
@@ -46,6 +45,11 @@ def make_cfg(method="retrack", **kw):
     return UnlearnConfig(**base)
 
 
+def block(d, k, n):
+    """The first n rows of group k with the group's condition on every row."""
+    return d.groups[k][:n], np.tile(d.cond_vectors[k], (n, 1))
+
+
 @pytest.fixture(scope="module")
 def cond_dataset():
     spec = DatasetSpec(n_groups=3, samples_per_group=12, radius=3.0, noise_std=0.3,
@@ -55,12 +59,12 @@ def cond_dataset():
 
 class TestImportanceWeights:
     def test_single_point(self):
-        w = importance_weights(np.array([[0.3, 0.4]]), np.array([1.0, 1.0]), 5, S)
+        w = kernel_softmax(np.array([[0.3, 0.4]]), np.array([1.0, 1.0]), 5, S)[0]
         np.testing.assert_array_equal(w, [1.0])
 
     def test_two_equidistant(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        w = importance_weights(pts, np.array([0.0, 0.5]), 7, S)
+        w = kernel_softmax(pts, np.array([0.0, 0.5]), 7, S)[0]
         np.testing.assert_allclose(w, [0.5, 0.5], rtol=1e-12)
 
     def test_direct_substitution(self):
@@ -71,7 +75,7 @@ class TestImportanceWeights:
         xt = np.array([0.0, 0.0])
         # First point exactly at xt / root; second offset by sigma*sqrt(2)/root.
         pts = np.array([[0.0, 0.0], [sigma * math.sqrt(2.0) / root, 0.0]])
-        w = importance_weights(pts, xt, t, S)
+        w = kernel_softmax(pts, xt, t, S)[0]
         expected = np.array([1.0, math.exp(-1.0)])
         expected /= expected.sum()
         np.testing.assert_allclose(w, expected, atol=1e-4)
@@ -84,15 +88,15 @@ class TestImportanceWeights:
             pts = rng.normal(size=(13, 2)) * 2.0
             xt = rng.normal(size=2)
             t = int(rng.integers(2, 41))
-            w = importance_weights(pts, xt, t, S)
+            w = kernel_softmax(pts, xt, t, S)[0]
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
             perm = rng.permutation(13)
-            w_perm = importance_weights(pts[perm], xt, t, S)
+            w_perm = kernel_softmax(pts[perm], xt, t, S)[0]
             np.testing.assert_allclose(w_perm, w[perm], rtol=1e-10)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            importance_weights(np.zeros((0, 2)), np.zeros(2), 3, S)
+            kernel_softmax(np.zeros((0, 2)), np.zeros(2), 3, S)[0]
 
 
 class TestRetainMixtureLogpdf:
@@ -207,38 +211,38 @@ class TestRetrackForgetLoss:
         w = np.zeros(UNCOND_ARCH.param_count)
         w[-2:] = target
         p = DenoiserParams(UNCOND_ARCH, w)
-        loss, grad = retrack_forget_loss(p, [(x0, None)], retain, cfg, S, rng_seed=777)
+        loss, grad = retrack_forget_loss(p, x0[None], None, retain, cfg, S, rng_seed=777)
         assert loss == pytest.approx(0.0, abs=1e-28)
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_gradient_matches_finite_differences(self, cond_dataset):
         retain = cond_dataset.all_samples(exclude=1)
-        batch = [(x, None) for x in cond_dataset.groups[1][:3]]
+        x0 = cond_dataset.groups[1][:3]
         p = init_network(UNCOND_ARCH, seed=5)
         cfg = make_cfg()
-        loss, grad = retrack_forget_loss(p, batch, retain, cfg, S, rng_seed=11)
+        loss, grad = retrack_forget_loss(p, x0, None, retain, cfg, S, rng_seed=11)
 
         def f(w):
-            return retrack_forget_loss(p.with_weights(w), batch, retain, cfg, S, rng_seed=11)[0]
+            return retrack_forget_loss(p.with_weights(w), x0, None, retain, cfg, S, rng_seed=11)[0]
 
         num = numeric_grad(f, p.weights.copy())
         assert max_rel_error(grad, num) <= 1e-3
 
     def test_zero_cap_zeroes_loss_and_grad(self, cond_dataset):
         retain = cond_dataset.all_samples(exclude=0)
-        batch = [(x, None) for x in cond_dataset.groups[0][:4]]
+        x0 = cond_dataset.groups[0][:4]
         p = init_network(UNCOND_ARCH, seed=2)
         cfg = make_cfg(kl_cap=0.0)
-        loss, grad = retrack_forget_loss(p, batch, retain, cfg, S, rng_seed=4)
+        loss, grad = retrack_forget_loss(p, x0, None, retain, cfg, S, rng_seed=4)
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_cap_bounds_per_sample_contribution(self, cond_dataset):
         retain = cond_dataset.all_samples(exclude=0)
-        batch = [(x, None) for x in cond_dataset.groups[0][:4]]
+        x0 = cond_dataset.groups[0][:4]
         p = init_network(UNCOND_ARCH, seed=2)
-        capped, _ = retrack_forget_loss(p, batch, retain, make_cfg(kl_cap=0.5), S, rng_seed=4)
-        raw, _ = retrack_forget_loss(p, batch, retain, make_cfg(kl_cap=1e9), S, rng_seed=4)
+        capped, _ = retrack_forget_loss(p, x0, None, retain, make_cfg(kl_cap=0.5), S, rng_seed=4)
+        raw, _ = retrack_forget_loss(p, x0, None, retain, make_cfg(kl_cap=1e9), S, rng_seed=4)
         assert capped <= 0.5 + 1e-12
         assert capped <= raw
 
@@ -256,9 +260,9 @@ class TestEsdForgetLoss:
         """Frozen net outputs its condition: eps_c=1, eps_u=0, w=5 -> -5."""
         frozen = self._linear_cond_net()
         trainee = self._linear_cond_net(out_gain=0.0, bias=0.0)  # outputs 0
-        batch = [(np.array([0.3]), np.array([1.0]))]
+        x0, cond = np.array([[0.3]]), np.array([[1.0]])
         cfg = make_cfg("esd", guidance_weight=5.0)
-        loss, _ = esd_forget_loss(trainee, frozen, batch, cfg, S, rng_seed=9)
+        loss, _ = esd_forget_loss(trainee, frozen, x0, cond, cfg, S, rng_seed=9)
         # Trainee outputs 0 against target -5: squared error 25.
         assert loss == pytest.approx(25.0, rel=1e-12)
 
@@ -266,29 +270,29 @@ class TestEsdForgetLoss:
         frozen = self._linear_cond_net()
         # Constant output -5 matches the guided target exactly.
         trainee = self._linear_cond_net(out_gain=0.0, bias=-5.0)
-        batch = [(np.array([0.3]), np.array([1.0]))]
+        x0, cond = np.array([[0.3]]), np.array([[1.0]])
         cfg = make_cfg("esd", guidance_weight=5.0)
-        loss, grad = esd_forget_loss(trainee, frozen, batch, cfg, S, rng_seed=9)
+        loss, grad = esd_forget_loss(trainee, frozen, x0, cond, cfg, S, rng_seed=9)
         assert loss == pytest.approx(0.0, abs=1e-24)
 
     def test_zero_guidance_targets_unconditional(self):
         frozen = self._linear_cond_net()
         # eps_u = 0, so a zero-output trainee has zero loss at w=0.
         trainee = self._linear_cond_net(out_gain=0.0, bias=0.0)
-        batch = [(np.array([0.3]), np.array([1.0]))]
+        x0, cond = np.array([[0.3]]), np.array([[1.0]])
         cfg = make_cfg("esd", guidance_weight=0.0)
-        loss, _ = esd_forget_loss(trainee, frozen, batch, cfg, S, rng_seed=9)
+        loss, _ = esd_forget_loss(trainee, frozen, x0, cond, cfg, S, rng_seed=9)
         assert loss == pytest.approx(0.0, abs=1e-24)
 
     def test_gradient_matches_finite_differences(self, cond_dataset):
         frozen = init_network(COND_ARCH, seed=1)
         p = init_network(COND_ARCH, seed=2)
-        batch = [(x, cond_dataset.cond_vectors[0]) for x in cond_dataset.groups[0][:3]]
+        x0, cond = block(cond_dataset, 0, 3)
         cfg = make_cfg("esd")
-        loss, grad = esd_forget_loss(p, frozen, batch, cfg, S, rng_seed=3)
+        loss, grad = esd_forget_loss(p, frozen, x0, cond, cfg, S, rng_seed=3)
 
         def f(w):
-            return esd_forget_loss(p.with_weights(w), frozen, batch, cfg, S, rng_seed=3)[0]
+            return esd_forget_loss(p.with_weights(w), frozen, x0, cond, cfg, S, rng_seed=3)[0]
 
         num = numeric_grad(f, p.weights.copy())
         assert max_rel_error(grad, num) <= 1e-3
@@ -296,40 +300,41 @@ class TestEsdForgetLoss:
     def test_unconditional_model_rejected(self):
         p = init_network(UNCOND_ARCH, seed=0)
         with pytest.raises(ValueError):
-            esd_forget_loss(p, p, [(np.zeros(2), None)], make_cfg("esd"), S)
+            esd_forget_loss(p, p, np.zeros((1, 2)), None, make_cfg("esd"), S, 0)
 
 
 class TestPreservationLoss:
     def test_self_distillation_fixed_point(self, cond_dataset):
         p = init_network(COND_ARCH, seed=4)
-        batch = [(x, cond_dataset.cond_vectors[1]) for x in cond_dataset.groups[1][:4]]
-        loss, grad = preservation_loss(p, p, batch, S, seed=5)
+        x0, cond = block(cond_dataset, 1, 4)
+        loss, grad = preservation_loss(p, p, x0, cond, S, seed=5)
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_gradient_matches_finite_differences(self, cond_dataset):
         frozen = init_network(COND_ARCH, seed=6)
         p = init_network(COND_ARCH, seed=7)
-        batch = [(x, cond_dataset.cond_vectors[2]) for x in cond_dataset.groups[2][:3]]
-        loss, grad = preservation_loss(p, frozen, batch, S, seed=8)
+        x0, cond = block(cond_dataset, 2, 3)
+        loss, grad = preservation_loss(p, frozen, x0, cond, S, seed=8)
 
         def f(w):
-            return preservation_loss(p.with_weights(w), frozen, batch, S, seed=8)[0]
+            return preservation_loss(p.with_weights(w), frozen, x0, cond, S, seed=8)[0]
 
         num = numeric_grad(f, p.weights.copy())
         assert max_rel_error(grad, num) <= 1e-3
 
 
-# Batch-mean losses over items from group 0, each with its per-item
-# noising keyed by (seed 9, item content).
+# Batch-mean losses over (x0, cond) blocks of group-0 rows, each row with
+# its noising keyed by (seed 9, row content).
 BATCH_LOSSES = {
-    "preservation": lambda p, frozen, batch, d: preservation_loss(p, frozen, batch, S, seed=9),
-    "retrack": lambda p, frozen, batch, d: retrack_forget_loss(
-        p, batch, d.all_samples(exclude=0), make_cfg(), S, rng_seed=9),
-    "esd": lambda p, frozen, batch, d: esd_forget_loss(
-        p, frozen, batch, make_cfg("esd"), S, rng_seed=9),
-    "cond_anchor": lambda p, frozen, batch, d: conditional_forget_loss(
-        p, frozen, batch, 0, AnchorSelector.from_dataset(d), make_cfg("cond_anchor"), S,
+    "preservation": lambda p, frozen, x0, cond, d: preservation_loss(
+        p, frozen, x0, cond, S, seed=9),
+    "retrack": lambda p, frozen, x0, cond, d: retrack_forget_loss(
+        p, x0, cond, d.all_samples(exclude=0), make_cfg(), S, rng_seed=9),
+    "esd": lambda p, frozen, x0, cond, d: esd_forget_loss(
+        p, frozen, x0, cond, make_cfg("esd"), S, rng_seed=9),
+    "cond_anchor": lambda p, frozen, x0, cond, d: conditional_forget_loss(
+        p, frozen, x0, cond, 0, AnchorSelector.from_dataset(d), make_cfg("cond_anchor"), S,
         rng_seed=9),
 }
 
@@ -339,9 +344,10 @@ def test_duplication_invariance(loss, cond_dataset):
     """Duplicating an item reuses its draws, so the batch mean is unchanged."""
     frozen = init_network(COND_ARCH, seed=6)
     p = init_network(COND_ARCH, seed=7)
-    item = (cond_dataset.groups[0][0], cond_dataset.cond_vectors[0])
-    single, _ = BATCH_LOSSES[loss](p, frozen, [item], cond_dataset)
-    doubled, _ = BATCH_LOSSES[loss](p, frozen, [item, item], cond_dataset)
+    x0, cond = block(cond_dataset, 0, 1)
+    single, _ = BATCH_LOSSES[loss](p, frozen, x0, cond, cond_dataset)
+    doubled, _ = BATCH_LOSSES[loss](p, frozen, np.repeat(x0, 2, axis=0),
+                                    np.repeat(cond, 2, axis=0), cond_dataset)
     assert doubled == pytest.approx(single, rel=1e-12)
 
 
@@ -412,9 +418,9 @@ class TestConditionalForgetLoss:
         d = shared_descriptor_dataset()
         sel = AnchorSelector.from_dataset(d)
         p = init_network(COND_ARCH, seed=1)
-        batch = [(x, d.cond_vectors[0]) for x in d.groups[0][:4]]
+        x0, cond = block(d, 0, 4)
         cfg = make_cfg("cond_anchor")
-        loss, grad = conditional_forget_loss(p, p, batch, 0, sel, cfg, S, rng_seed=2)
+        loss, grad = conditional_forget_loss(p, p, x0, cond, 0, sel, cfg, S, rng_seed=2)
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -422,13 +428,13 @@ class TestConditionalForgetLoss:
         sel = AnchorSelector.from_dataset(cond_dataset)
         frozen = init_network(COND_ARCH, seed=3)
         p = init_network(COND_ARCH, seed=4)
-        batch = [(x, cond_dataset.cond_vectors[1]) for x in cond_dataset.groups[1][:3]]
+        x0, cond = block(cond_dataset, 1, 3)
         cfg = make_cfg("cond_anchor")
-        loss, grad = conditional_forget_loss(p, frozen, batch, 1, sel, cfg, S, rng_seed=5)
+        loss, grad = conditional_forget_loss(p, frozen, x0, cond, 1, sel, cfg, S, rng_seed=5)
 
         def f(w):
             return conditional_forget_loss(
-                p.with_weights(w), frozen, batch, 1, sel, cfg, S, rng_seed=5
+                p.with_weights(w), frozen, x0, cond, 1, sel, cfg, S, rng_seed=5
             )[0]
 
         num = numeric_grad(f, p.weights.copy())
@@ -439,13 +445,13 @@ class TestConditionalForgetLoss:
         not move when the trainee parameters move."""
         sel = AnchorSelector.from_dataset(cond_dataset)
         frozen = init_network(COND_ARCH, seed=6)
-        batch = [(x, cond_dataset.cond_vectors[0]) for x in cond_dataset.groups[0][:3]]
+        x0s, conds = block(cond_dataset, 0, 3)
         cfg = make_cfg("cond_anchor")
 
         def manual_loss(p):
             # Recompute draws and anchors exactly as the loss does.
             total = 0.0
-            for x0, cond in batch:
+            for x0, cond in zip(x0s, conds):
                 rng = content_rng(7, x0, cond)
                 t = int(rng.integers(cfg.timestep_range[0], cfg.timestep_range[1] + 1))
                 eps = rng.standard_normal(2)
@@ -455,11 +461,11 @@ class TestConditionalForgetLoss:
                 ref = forward_batch(frozen, xt[None], t, S.num_steps, c_a[None])[0]
                 out = forward_batch(p, xt[None], t, S.num_steps, np.asarray(cond)[None])[0]
                 total += float(np.sum((out - ref) ** 2))
-            return total / len(batch)
+            return total / len(x0s)
 
         for seed in (8, 9):
             p = init_network(COND_ARCH, seed=seed)
-            loss, _ = conditional_forget_loss(p, frozen, batch, 0, sel, cfg, S, rng_seed=7)
+            loss, _ = conditional_forget_loss(p, frozen, x0s, conds, 0, sel, cfg, S, rng_seed=7)
             assert loss == pytest.approx(manual_loss(p), rel=1e-12)
 
     def test_unconditional_model_rejected(self):
@@ -467,7 +473,8 @@ class TestConditionalForgetLoss:
         sel = AnchorSelector.from_dataset(d)
         p = init_network(UNCOND_ARCH, seed=0)
         with pytest.raises(ValueError):
-            conditional_forget_loss(p, p, [(np.zeros(2), None)], 0, sel, make_cfg("cond_anchor"), S)
+            conditional_forget_loss(p, p, np.zeros((1, 2)), None, 0, sel, make_cfg("cond_anchor"),
+                                    S, 0)
 
 
 @pytest.fixture(scope="module")
@@ -512,12 +519,12 @@ class TestUnlearn:
         rng = np.random.default_rng(500)
         null = d.null_condition()
         idx = rng.integers(0, len(d.groups[0]), size=512)
-        batch = [(d.groups[0][i], null) for i in idx]
+        x0, cond = d.groups[0][idx], np.tile(null, (len(idx), 1))
         seeds = rng.integers(0, 1 << 31, size=8)
         full_losses, ul_losses = [], []
         for sd in seeds:
-            full_losses.append(loss_and_grad(p_full, batch, S, rng_seed=int(sd))[0])
-            ul_losses.append(loss_and_grad(run.params, batch, S, rng_seed=int(sd))[0])
+            full_losses.append(loss_and_grad(p_full, x0, cond, S, rng_seed=int(sd))[0])
+            ul_losses.append(loss_and_grad(run.params, x0, cond, S, rng_seed=int(sd))[0])
         assert np.mean(ul_losses) > np.mean(full_losses)
 
     def test_method_validation(self, trained_two_groups):
