@@ -14,13 +14,14 @@ and ends in ``regress``, the shared forward, residual and backward step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diffusion import Schedule, forward_marginal
-from .seeding import content_rng
+from .seeding import block_rngs, content_rng  # noqa: F401  (content_rng: one row's stream)
 
 ACTIVATIONS = ("silu", "relu")
 
@@ -142,11 +143,17 @@ def time_features(t, num_steps: int, embed_dim: int) -> np.ndarray:
     Accepts a scalar timestep or a vector of per-row timesteps; returns
     shape (embed_dim,) or (len(t), embed_dim) respectively.
     """
-    half = embed_dim // 2
-    freqs = np.geomspace(1.0, max(num_steps / 2.0, 1.0), half)
+    freqs = _frequencies(num_steps, embed_dim)
     t_arr = np.asarray(t, dtype=np.float64)
     angles = 2.0 * math.pi * np.multiply.outer(t_arr, freqs) / num_steps
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def _frequencies(num_steps: int, embed_dim: int) -> np.ndarray:
+    freqs = np.geomspace(1.0, max(num_steps / 2.0, 1.0), embed_dim // 2)
+    freqs.setflags(write=False)
+    return freqs
 
 
 def _unpack(arch: Architecture, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -301,28 +308,33 @@ def noise_batch(
     rng_seed: int,
     t_lo: int,
     t_hi: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.random.Generator]]:
+    *,
+    anchor_seeds: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Noise every row of an (x0, cond) block through the forward marginal.
 
     ``x0`` is (B, dim) and ``cond`` is (B, cond_dim) or None.  Row i
     draws t uniform in [t_lo, t_hi], then eps, from its own
     ``content_rng(rng_seed, x0[i], cond[i])`` stream, so its draws depend
-    only on (rng_seed, row content).  Returns t (B,), x_t (B, dim) and
-    eps (B, dim), plus each row's generator positioned after its draws.
+    only on (rng_seed, row content).  The rows' streams are seeded as one
+    block by ``block_rngs`` and are bit for bit those of ``content_rng``;
+    x_t is formed for the whole block by one ``forward_marginal`` call.
+    Returns t (B,), x_t (B, dim) and eps (B, dim), plus, with
+    ``anchor_seeds``, each row's next draw ``integers(1 << 62)`` from its
+    stream (B,) (else None).
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 2 or len(x0) == 0:
         raise ValueError("batch must be a non-empty (B, dim) block")
-    ts, epss, xts, rngs = [], [], [], []
-    for row, c in zip(x0, [None] * len(x0) if cond is None else cond):
-        rng = content_rng(rng_seed, row, c)
-        t = int(rng.integers(t_lo, t_hi + 1))
-        eps = rng.standard_normal(row.shape[0])
-        ts.append(t)
-        epss.append(eps)
-        xts.append(forward_marginal(s, row, t, eps))
-        rngs.append(rng)
-    return np.array(ts), np.stack(xts), np.stack(epss), rngs
+    ts = np.empty(len(x0), dtype=np.int64)
+    eps = np.empty_like(x0)
+    seeds = np.empty(len(x0), dtype=np.int64) if anchor_seeds else None
+    for i, rng in enumerate(block_rngs(rng_seed, x0, cond)):
+        ts[i] = rng.integers(t_lo, t_hi + 1)
+        eps[i] = rng.standard_normal(x0.shape[1])
+        if anchor_seeds:
+            seeds[i] = rng.integers(1 << 62)
+    return ts, forward_marginal(s, x0, ts, eps), eps, seeds
 
 
 def regress(

@@ -54,6 +54,17 @@ class Schedule:
             raise ValueError(f"timestep {t} outside [{lo}, {self.num_steps}]")
         return t
 
+    def _index(self, t) -> np.ndarray:
+        """0-based coefficient index of a timestep or a vector of timesteps."""
+        t = np.asarray(t)
+        if t.ndim == 0:
+            return np.asarray(self._check_t(t) - 1)
+        if t.ndim != 1 or not np.issubdtype(t.dtype, np.integer):
+            raise ValueError("timesteps must be one integer or a vector of integers")
+        if len(t) and not (t.min() >= 1 and t.max() <= self.num_steps):
+            raise ValueError(f"timesteps outside [1, {self.num_steps}]")
+        return t - 1
+
     def beta(self, t: int) -> float:
         return float(self.betas[self._check_t(t) - 1])
 
@@ -125,27 +136,39 @@ def build_schedule(
     return Schedule(num_steps, betas, alpha_bars, sigmas, kind)
 
 
-def forward_marginal(s: Schedule, x0: np.ndarray, t: int, eps: np.ndarray) -> np.ndarray:
-    """x_t = sqrt(abar_t) x_0 + sigma_t eps."""
+def forward_marginal(s: Schedule, x0: np.ndarray, t, eps: np.ndarray) -> np.ndarray:
+    """x_t = sqrt(abar_t) x_0 + sigma_t eps.
+
+    ``t`` is one timestep, or a (B,) vector of per-row timesteps for a
+    (B, dim) block; each row gets the arithmetic of a one-row call.
+    """
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise ValueError(f"x0 shape {x0.shape} != eps shape {eps.shape}")
-    t = s._check_t(t)
-    return math.sqrt(s.alpha_bar(t)) * x0 + s.sigma(t) * eps
+    idx = s._index(t)
+    if idx.ndim:
+        if x0.ndim != 2 or len(idx) != len(x0):
+            raise ValueError(f"{len(idx)} timesteps for a block of shape {x0.shape}")
+        idx = idx[:, None]
+    return np.sqrt(s.alpha_bars[idx]) * x0 + s.sigmas[idx] * eps
 
 
 def kernel_logits(
-    points: np.ndarray, xt: np.ndarray, t: int, s: Schedule, K: int | None = None
+    points: np.ndarray, xt: np.ndarray, t, s: Schedule, K: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward-kernel log-weights of a point set given x_t, and the kernel centres.
 
     Returns (-|xt - sqrt(abar_t) x_i|^2 / (2 sigma_t^2), sqrt(abar_t) x_i)
     over the points x_i.  ``xt`` is one row (dim,), giving logits of
-    shape (n,), or a block (B, dim), giving (B, n).  The squared distance
-    is summed coordinate by coordinate, so a block needs no (B, n, dim)
-    temporary.  With ``K`` (one row only) only the K nearest points are
-    kept, ties breaking toward the lower index.
+    shape (n,) and centres (n, dim), or a block (B, dim), giving (B, n)
+    logits.  ``t`` is one timestep, or for a block a (B,) vector of
+    per-row timesteps, whose centres are (B, n, dim).  The squared
+    distance is summed coordinate by coordinate, so a block needs no
+    (B, n, dim) temporary.  With ``K`` only the K nearest points of each
+    row are kept, ordered by (distance, index): ties break toward the
+    lower index, as a stable sort would.  Every row gets the arithmetic
+    of a one-row call.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
@@ -154,23 +177,47 @@ def kernel_logits(
     xt = np.asarray(xt, dtype=np.float64)
     if K is not None and not 1 <= K <= n:
         raise ValueError(f"K must be in [1, {n}], got {K}")
-    if K is not None and xt.ndim != 1:
-        raise ValueError("K-nearest truncation takes one x_t row")
-    centers = math.sqrt(s.alpha_bar(t)) * points
+    idx = s._index(t)
+    if idx.ndim:
+        if xt.ndim != 2 or len(idx) != len(xt):
+            raise ValueError(f"{len(idx)} timesteps for an x_t block of shape {xt.shape}")
+        scale = np.sqrt(s.alpha_bars[idx])[:, None]
+        denom = np.array([-2.0 * s.sigma(i + 1) ** 2 for i in idx.tolist()])[:, None]
+    else:
+        scale = math.sqrt(s.alpha_bar(t))
+        denom = -2.0 * s.sigma(t) ** 2
     dist2 = np.zeros(xt.shape[:-1] + (n,))
     for i in range(points.shape[1]):
-        diff = xt[..., i, None] - centers[:, i]
+        diff = xt[..., i, None] - scale * points[:, i]
         diff *= diff
         dist2 += diff
-    if K is not None:
-        keep = np.argsort(dist2, kind="stable")[:K]
-        centers, dist2 = centers[keep], dist2[keep]
-    dist2 /= -2.0 * s.sigma(t) ** 2
+    if K is None:
+        keep = slice(None)
+    else:
+        keep = _nearest(np.atleast_2d(dist2), K).reshape(dist2.shape[:-1] + (K,))
+        dist2 = np.take_along_axis(dist2, keep, axis=-1)
+    if idx.ndim:
+        centers = points[keep] * scale[..., None]
+    else:
+        centers = scale * points[keep]
+    dist2 /= denom
     return dist2, centers
 
 
+def _nearest(dist2: np.ndarray, K: int) -> np.ndarray:
+    """Per row of (B, n) distances, the indices of the K smallest, ordered by
+    (distance, index); the same as ``np.argsort(row, kind="stable")[:K]``."""
+    kth = np.partition(dist2, K - 1, axis=1)[:, K - 1 : K]
+    closer = dist2 < kth
+    ties = dist2 == kth
+    room = K - closer.sum(axis=1, keepdims=True)
+    keep = np.nonzero(closer | (ties & (np.cumsum(ties, axis=1) <= room)))[1].reshape(-1, K)
+    order = np.argsort(np.take_along_axis(dist2, keep, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(keep, order, axis=1)
+
+
 def kernel_softmax(
-    points: np.ndarray, xt: np.ndarray, t: int, s: Schedule, K: int | None = None
+    points: np.ndarray, xt: np.ndarray, t, s: Schedule, K: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``kernel_logits`` normalized to posterior weights (per row) by a stable softmax."""
     w, centers = kernel_logits(points, xt, t, s, K)

@@ -464,6 +464,8 @@ class Pipeline:
                 derive_seed(self.cfg.master_seed, "unlearn", method, k),
             )
             run = unlearn(full, d, k, ucfg, self.schedule())
+            with _replacing(self.out / "logs" / f"unlearn_{method}_{k}.csv") as log:
+                run.write_log(log)
             return self._save_run(path, run, group=k, unlearn_config=dataclasses.asdict(ucfg))
 
         return self._phase(f"unlearn_{method}_{k}", self._k_unlearn(method, k), path,

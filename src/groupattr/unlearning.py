@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .denoiser import (
     regress,
 )
 from .diffusion import Schedule, kernel_logits, kernel_softmax
-from .seeding import derive_seed, rng_for
+from .seeding import block_rngs, derive_seed, rng_for
 
 UNLEARN_METHODS = ("retrack", "esd", "cond_anchor")
 
@@ -98,23 +99,29 @@ def retain_mixture_logpdf(points: np.ndarray, xt: np.ndarray, t: int, s: Schedul
     return float(m + math.log(np.exp(logs - m).sum()) - math.log(len(logs)))
 
 
-def retrack_target(retain: np.ndarray, xt: np.ndarray, t: int, K: int, s: Schedule) -> np.ndarray:
+def retrack_target(retain: np.ndarray, xt: np.ndarray, t, K: int, s: Schedule) -> np.ndarray:
     """Importance-weighted eps target truncated to the K nearest retain points.
 
     Nearest is measured by |xt - sqrt(abar_t) x_i| (equivalently by
     largest weight); ties break toward the lower sample index.  Weights
-    are renormalized over the kept subset.
+    are renormalized over the kept subset.  ``xt`` is one row (dim,) with
+    one timestep, or a (B, dim) block with a (B,) vector of timesteps;
+    a block's row i is bit for bit the one-row target of (xt[i], t[i]).
     """
     w, centers = kernel_softmax(retain, xt, t, s, K)
-    return (w @ (xt - centers)) / s.sigma(t)
+    if np.ndim(t) == 0:
+        return (w @ (xt - centers)) / s.sigma(t)
+    sigmas = s.sigmas[np.asarray(t) - 1]
+    return np.stack([wi @ (x - c) / sig for wi, x, c, sig in zip(w, xt, centers, sigmas)])
 
 
-def _noise_batch(x0, cond, cfg: UnlearnConfig, s: Schedule, rng_seed: int):
+def _noise_batch(x0, cond, cfg: UnlearnConfig, s: Schedule, rng_seed: int, *,
+                 anchor_seeds: bool = False):
     """``noise_batch`` over the configured timestep range."""
     lo, hi = cfg.timestep_range
     if hi > s.num_steps:
         raise ValueError(f"timestep range {cfg.timestep_range} exceeds T={s.num_steps}")
-    return noise_batch(x0, cond, s, rng_seed, lo, hi)
+    return noise_batch(x0, cond, s, rng_seed, lo, hi, anchor_seeds=anchor_seeds)
 
 
 def retrack_forget_loss(
@@ -137,7 +144,7 @@ def retrack_forget_loss(
     if retain.shape[0] == 0:
         raise ValueError("retain set must be non-empty")
     ts, xts, _, _ = _noise_batch(x0, cond, cfg, s, rng_seed)
-    targets = np.stack([retrack_target(retain, xt, int(t), cfg.K, s) for xt, t in zip(xts, ts)])
+    targets = retrack_target(retain, xts, ts, cfg.K, s)
     null = np.zeros((len(ts), p.arch.cond_dim)) if p.arch.cond_dim > 0 else None
     return regress(p, xts, ts, s.num_steps, null, targets, cap=cfg.kl_cap)
 
@@ -227,17 +234,27 @@ class AnchorSelector:
         probs = (1.0 - self.eta_mix) * soft + self.eta_mix / len(retain_idx)
         return retain_idx, probs
 
-    def anchor_condition(self, forget_group: int, style_group: int) -> np.ndarray:
+    def anchor_condition(self, forget_group: int, style_group) -> np.ndarray:
+        """Anchor for one style group (cond_dim,) or a vector of them (B, cond_dim)."""
         anchor = self.cond_vectors[style_group].copy()
-        anchor[: self.content_dim] = self.cond_vectors[forget_group][: self.content_dim]
+        anchor[..., : self.content_dim] = self.cond_vectors[forget_group][: self.content_dim]
         return anchor
 
 
-def anchor_select(sel: AnchorSelector, forget_group: int, seed: int) -> tuple[int, np.ndarray]:
-    """Sample a retain style and synthesize the anchor condition."""
+def anchor_select(sel: AnchorSelector, forget_group: int, seed) -> tuple:
+    """Sample a retain style and synthesize the anchor condition.
+
+    ``seed`` is one seed, giving (style, anchor (cond_dim,)), or a (B,)
+    vector of seeds, giving (styles (B,), anchors (B, cond_dim)).  Each
+    seed's style is one ``choice`` from its ``rng_for(seed, "anchor")``
+    stream; a vector's streams are seeded as one block by ``block_rngs``.
+    """
+    one = np.ndim(seed) == 0
     retain_idx, probs = sel.selection_probs(forget_group)
-    rng = rng_for(seed, "anchor")
-    chosen = int(retain_idx[rng.choice(len(retain_idx), p=probs)])
+    rngs = [rng_for(seed, "anchor")] if one else block_rngs(seed, "anchor")
+    chosen = retain_idx[[rng.choice(len(retain_idx), p=probs) for rng in rngs]]
+    if one:
+        chosen = int(chosen[0])
     return chosen, sel.anchor_condition(forget_group, chosen)
 
 
@@ -260,9 +277,8 @@ def conditional_forget_loss(
     """
     if p.arch.cond_dim == 0:
         raise ValueError("cond_anchor requires a conditional model")
-    ts, xts, _, rngs = _noise_batch(x0, cond, cfg, s, rng_seed)
-    anchors = np.stack([anchor_select(sel, forget_group, int(rng.integers(1 << 62)))[1]
-                        for rng in rngs])
+    ts, xts, _, seeds = _noise_batch(x0, cond, cfg, s, rng_seed, anchor_seeds=True)
+    _, anchors = anchor_select(sel, forget_group, seeds)
     ref = forward_batch(p_full_frozen, xts, ts, s.num_steps, anchors)
     return regress(p, xts, ts, s.num_steps, cond, ref)
 
@@ -274,6 +290,12 @@ class UnlearnRun:
     forget_losses: list[float]
     preserve_losses: list[float]
     wall_seconds: float
+
+    def write_log(self, path: str | Path) -> None:
+        with open(path, "w") as f:
+            f.write("step,forget_loss,preserve_loss\n")
+            for i, (lf, lp) in enumerate(zip(self.forget_losses, self.preserve_losses)):
+                f.write(f"{i},{lf!r},{lp!r}\n")
 
 
 def unlearn(

@@ -111,6 +111,7 @@ def test_criterion_2_exact_nonparametric_attribution():
     report(2, f"exact nonparametric top-1 agreement {agreement:.3f} >= 0.95 ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_3_scaled_benchmark_agreement(tmp_path):
     """Trained-network benchmark: retrack vs gold and vs esd, 3 seeds."""
     tic = time.perf_counter()

@@ -73,6 +73,27 @@ class TestArtifacts:
         assert doc["steps"] == 10
         assert "config_hash" in doc["provenance"]
 
+    def test_unlearn_loss_curves_logged(self, tiny_run):
+        from groupattr import GroupedDataset, build_schedule, load_checkpoint
+        from groupattr.unlearning import UnlearnConfig, unlearn
+
+        cfg, out, _ = tiny_run
+        d = GroupedDataset.load(out / "dataset.npz")
+        full = load_checkpoint(out / "checkpoints" / "full.ckpt")
+        s = build_schedule(cfg.schedule.num_steps, cfg.schedule.kind)
+        for m in ("retrack", "esd"):
+            doc = json.loads((out / "checkpoints" / f"unlearn_{m}_1.json").read_text())
+            ucfg = UnlearnConfig(**{**doc["unlearn_config"],
+                                    "timestep_range": tuple(doc["unlearn_config"]["timestep_range"])})
+            run = unlearn(full, d, 1, ucfg, s)
+            lines = (out / "logs" / f"unlearn_{m}_1.csv").read_text().splitlines()
+            assert lines[0] == "step,forget_loss,preserve_loss"
+            rows = [line.split(",") for line in lines[1:]]
+            assert len(rows) == doc["steps"] == run.steps
+            assert [int(r[0]) for r in rows] == list(range(run.steps))
+            assert [float(r[1]) for r in rows] == run.forget_losses
+            assert [float(r[2]) for r in rows] == run.preserve_losses
+
     def test_provenance_embedded_in_csv(self, tiny_run):
         cfg, out, _ = tiny_run
         first = (out / "matrices" / "logoa.csv").read_text().splitlines()[0]
