@@ -40,17 +40,7 @@ from .harness import (
     sweep,
     timing_report,
 )
-from .metrics import (
-    RankReport,
-    mrr,
-    ndcg_at_3,
-    rank,
-    rank_report,
-    rbo,
-    spearman,
-    top1_agreement,
-    top3_overlap,
-)
+from .metrics import RankReport, rank, rank_report
 from .scoring import ElboConfig, elbo_estimate, gaussian_kl_isotropic, paired_score_difference
 from .training import (
     KernelDenoiser,

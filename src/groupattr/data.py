@@ -67,10 +67,6 @@ class GroupedDataset:
         return len(self.groups)
 
     @property
-    def total_samples(self) -> int:
-        return sum(len(g) for g in self.groups)
-
-    @property
     def cond_dim(self) -> int:
         if self.cond_vectors is None:
             return 0

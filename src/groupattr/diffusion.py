@@ -68,9 +68,6 @@ class Schedule:
     def beta(self, t: int) -> float:
         return float(self.betas[self._check_t(t) - 1])
 
-    def alpha(self, t: int) -> float:
-        return 1.0 - self.beta(t)
-
     def alpha_bar(self, t: int) -> float:
         """abar_t, with the abar_0 = 1 convention."""
         t = int(t)

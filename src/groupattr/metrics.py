@@ -6,6 +6,10 @@ metrics emphasize the head of the ranking (Top-1, MRR, NDCG@3, Top-3
 overlap, rank-biased overlap) plus Spearman correlation as an
 equal-weight full-ranking measure.
 
+Every metric is computed for all queries at once, as one value per row
+of a (Q, N) pred/gold pair, and a report's aggregate of a metric is the
+mean of that column.
+
 NDCG@3 uses rank-based relevance rel_i = N - gold_rank(i) + 1 with gain
 (2^rel - 1) and log2(r + 1) discount.  RBO uses the truncated form
 (1 - p) * sum_{d=1..N} p^(d-1) * |A_d n B_d| / d with no extrapolation,
@@ -15,7 +19,7 @@ whose self-agreement maximum is 1 - p^N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
@@ -23,118 +27,59 @@ from scipy.stats import rankdata
 from .attribution import AttributionMatrix
 
 DEFAULT_RBO_P = 0.9
+_METRICS = ("top1", "mrr", "ndcg3", "top3", "rbo", "spearman")
 
 
 def rank(scores: np.ndarray) -> np.ndarray:
-    """Indices sorted by descending score; ties keep the lower index first."""
+    """Indices sorted by descending score along the last axis; ties keep the
+    lower index first."""
     scores = np.asarray(scores, dtype=np.float64)
     if np.any(np.isnan(scores)):
         raise FloatingPointError("scores contain NaN")
-    return np.argsort(-scores, kind="stable")
+    return np.argsort(-scores, axis=-1, kind="stable")
 
 
-def _check_pair(pred: AttributionMatrix, gold: AttributionMatrix) -> None:
-    if pred.scores.shape != gold.scores.shape:
-        raise ValueError(
-            f"shape mismatch: {pred.scores.shape} vs {gold.scores.shape}"
-        )
+def _metric_columns(pred: np.ndarray, gold: np.ndarray, p: float) -> dict[str, np.ndarray]:
+    """The six metrics for every row of a (Q, N) pred/gold pair, as (Q,) arrays."""
+    if pred.shape != gold.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {gold.shape}")
+    q, n = pred.shape
+    qi = np.arange(q)
+    rows = qi[:, None]
+    pred_order, gold_order = rank(pred), rank(gold)
+    # 1-based rank of each group index, scattered from the orderings.
+    pred_pos = np.empty((q, n), dtype=np.int64)
+    gold_pos = np.empty((q, n), dtype=np.int64)
+    pred_pos[rows, pred_order] = np.arange(1, n + 1)
+    gold_pos[rows, gold_order] = np.arange(1, n + 1)
 
+    rel = n - gold_pos + 1
+    dcg = idcg = 0.0
+    for r in range(min(3, n)):
+        dcg += (2.0 ** rel[qi, pred_order[:, r]] - 1.0) / math.log2(r + 2)
+        idcg += (2.0 ** rel[qi, gold_order[:, r]] - 1.0) / math.log2(r + 2)
 
-def _positions(order: np.ndarray) -> np.ndarray:
-    """1-based rank of each group index under the given ordering."""
-    pos = np.empty(len(order), dtype=np.int64)
-    pos[order] = np.arange(1, len(order) + 1)
-    return pos
-
-
-def top1_single(pred_scores, gold_scores) -> float:
-    return float(rank(pred_scores)[0] == rank(gold_scores)[0])
-
-
-def mrr_single(pred_scores, gold_scores) -> float:
-    gold_top = rank(gold_scores)[0]
-    return 1.0 / float(_positions(rank(pred_scores))[gold_top])
-
-
-def ndcg3_single(pred_scores, gold_scores) -> float:
-    pred_order = rank(pred_scores)
-    gold_order = rank(gold_scores)
-    n = len(pred_order)
-    rel = n - _positions(gold_order) + 1
-    depth = min(3, n)
-    dcg = sum(
-        (2.0 ** rel[pred_order[r]] - 1.0) / math.log2(r + 2) for r in range(depth)
-    )
-    idcg = sum(
-        (2.0 ** rel[gold_order[r]] - 1.0) / math.log2(r + 2) for r in range(depth)
-    )
-    return dcg / idcg
-
-
-def top3_single(pred_scores, gold_scores) -> float:
-    a = set(rank(pred_scores)[:3].tolist())
-    b = set(rank(gold_scores)[:3].tolist())
-    return len(a & b) / 3.0
-
-
-def rbo_single(pred_scores, gold_scores, p: float = DEFAULT_RBO_P) -> float:
-    pred_order = rank(pred_scores)
-    gold_order = rank(gold_scores)
-    n = len(pred_order)
-    total = 0.0
-    seen_a: set[int] = set()
-    seen_b: set[int] = set()
-    overlap = 0
+    # A group is in both top-d sets exactly when its later position is <= d.
+    later = np.maximum(pred_pos, gold_pos)
+    total = np.zeros(q)
     for d in range(1, n + 1):
-        a, b = int(pred_order[d - 1]), int(gold_order[d - 1])
-        if a == b:
-            overlap += 1
-        else:
-            overlap += (a in seen_b) + (b in seen_a)
-        seen_a.add(a)
-        seen_b.add(b)
-        total += p ** (d - 1) * overlap / d
-    return (1.0 - p) * total
+        total += p ** (d - 1) * np.count_nonzero(later <= d, axis=1) / d
 
+    rp, rg = rankdata(pred, axis=1), rankdata(gold, axis=1)
+    sp, sg = rp.std(axis=1), rg.std(axis=1)
+    cov = np.mean((rp - rp.mean(axis=1, keepdims=True))
+                  * (rg - rg.mean(axis=1, keepdims=True)), axis=1)
+    constant = (sp == 0.0) | (sg == 0.0)
+    spearman = np.divide(cov, sp * sg, out=np.zeros(q), where=~constant)
 
-def spearman_single(pred_scores, gold_scores) -> float:
-    """Pearson correlation of tie-averaged ranks; 0 for constant input."""
-    rp = rankdata(np.asarray(pred_scores, dtype=np.float64))
-    rg = rankdata(np.asarray(gold_scores, dtype=np.float64))
-    sp, sg = rp.std(), rg.std()
-    if sp == 0.0 or sg == 0.0:
-        return 0.0
-    return float(np.mean((rp - rp.mean()) * (rg - rg.mean())) / (sp * sg))
-
-
-def _matrix_mean(single, pred: AttributionMatrix, gold: AttributionMatrix, *args) -> float:
-    _check_pair(pred, gold)
-    vals = [single(pred.scores[q], gold.scores[q], *args) for q in range(pred.scores.shape[0])]
-    return float(np.mean(vals))
-
-
-def top1_agreement(pred: AttributionMatrix, gold: AttributionMatrix) -> float:
-    return _matrix_mean(top1_single, pred, gold)
-
-
-def mrr(pred: AttributionMatrix, gold: AttributionMatrix) -> float:
-    return _matrix_mean(mrr_single, pred, gold)
-
-
-def ndcg_at_3(pred: AttributionMatrix, gold: AttributionMatrix) -> float:
-    return _matrix_mean(ndcg3_single, pred, gold)
-
-
-def top3_overlap(pred: AttributionMatrix, gold: AttributionMatrix) -> float:
-    return _matrix_mean(top3_single, pred, gold)
-
-
-def rbo(pred: AttributionMatrix, gold: AttributionMatrix, p: float = DEFAULT_RBO_P) -> float:
-    return _matrix_mean(rbo_single, pred, gold, p)
-
-
-def spearman(pred: AttributionMatrix, gold: AttributionMatrix) -> float:
-    return _matrix_mean(spearman_single, pred, gold)
+    return {
+        "top1": (pred_order[:, 0] == gold_order[:, 0]).astype(np.float64),
+        "mrr": 1.0 / pred_pos[qi, gold_order[:, 0]],
+        "ndcg3": dcg / idcg,
+        "top3": np.count_nonzero(gold_pos[rows, pred_order[:, :3]] <= 3, axis=1) / 3.0,
+        "rbo": (1.0 - p) * total,
+        "spearman": spearman,
+    }
 
 
 @dataclass
@@ -150,22 +95,11 @@ class RankReport:
     per_query: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "top1": self.top1,
-            "mrr": self.mrr,
-            "ndcg3": self.ndcg3,
-            "top3": self.top3,
-            "rbo": self.rbo,
-            "spearman": self.spearman,
-            "per_query": self.per_query,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RankReport":
-        return cls(
-            top1=d["top1"], mrr=d["mrr"], ndcg3=d["ndcg3"], top3=d["top3"],
-            rbo=d["rbo"], spearman=d["spearman"], per_query=list(d.get("per_query", [])),
-        )
+        return cls(**{key: d[key] for key in _METRICS}, per_query=list(d.get("per_query", [])))
 
 
 def rank_report(
@@ -173,23 +107,9 @@ def rank_report(
     gold: AttributionMatrix,
     rbo_p: float = DEFAULT_RBO_P,
 ) -> RankReport:
-    _check_pair(pred, gold)
-    per_query = []
-    for q in range(pred.scores.shape[0]):
-        ps, gs = pred.scores[q], gold.scores[q]
-        per_query.append(
-            {
-                "query_id": pred.query_ids[q],
-                "top1": top1_single(ps, gs),
-                "mrr": mrr_single(ps, gs),
-                "ndcg3": ndcg3_single(ps, gs),
-                "top3": top3_single(ps, gs),
-                "rbo": rbo_single(ps, gs, rbo_p),
-                "spearman": spearman_single(ps, gs),
-            }
-        )
-    agg = {
-        key: float(np.mean([row[key] for row in per_query]))
-        for key in ("top1", "mrr", "ndcg3", "top3", "rbo", "spearman")
-    }
-    return RankReport(per_query=per_query, **agg)
+    cols = _metric_columns(pred.scores, gold.scores, rbo_p)
+    per_query = [
+        {"query_id": qid, **{key: float(cols[key][i]) for key in _METRICS}}
+        for i, qid in enumerate(pred.query_ids)
+    ]
+    return RankReport(per_query=per_query, **{key: float(np.mean(cols[key])) for key in _METRICS})

@@ -102,11 +102,11 @@ def retain_mixture_logpdf(points: np.ndarray, xt: np.ndarray, t: int, s: Schedul
 def retrack_target(retain: np.ndarray, xt: np.ndarray, t, K: int, s: Schedule) -> np.ndarray:
     """Importance-weighted eps target truncated to the K nearest retain points.
 
-    Nearest is measured by |xt - sqrt(abar_t) x_i| (equivalently by
-    largest weight); ties break toward the lower sample index.  Weights
-    are renormalized over the kept subset.  ``xt`` is one row (dim,) with
-    one timestep, or a (B, dim) block with a (B,) vector of timesteps;
-    a block's row i is bit for bit the one-row target of (xt[i], t[i]).
+    Nearest is measured by |xt - sqrt(abar_t) x_i|; ties break toward the
+    lower sample index.  Weights are renormalized over the kept subset.
+    ``xt`` is one row (dim,) with one timestep, or a (B, dim) block with a
+    (B,) vector of timesteps; a block's row i is bit for bit the one-row
+    target of (xt[i], t[i]).
     """
     w, centers = kernel_softmax(retain, xt, t, s, K)
     if np.ndim(t) == 0:

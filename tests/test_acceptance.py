@@ -29,14 +29,6 @@ from groupattr import (
 from groupattr.denoiser import DenoiserParams
 from groupattr.diffusion import forward_marginal
 from groupattr.harness import default_experiment_config, run_experiment, timing_report
-from groupattr.metrics import (
-    mrr_single,
-    ndcg3_single,
-    rbo_single,
-    spearman_single,
-    top1_single,
-    top3_single,
-)
 from groupattr.training import empirical_denoiser
 from groupattr.unlearning import (
     AnchorSelector,
@@ -57,6 +49,7 @@ from test_metrics import (
     ref_spearman,
     ref_top1,
     ref_top3,
+    report as metric_report,
 )
 from test_scoring import kl_by_quadrature
 
@@ -192,27 +185,28 @@ def test_criterion_5_metric_suite_exactness():
     tic = time.perf_counter()
     rng = np.random.default_rng(99)
     checks = [
-        (top1_single, ref_top1), (mrr_single, ref_mrr), (ndcg3_single, ref_ndcg3),
-        (top3_single, ref_top3),
-        (lambda p, g: rbo_single(p, g, 0.9), lambda p, g: ref_rbo(p, g, 0.9)),
-        (spearman_single, ref_spearman),
+        ("top1", ref_top1), ("mrr", ref_mrr), ("ndcg3", ref_ndcg3),
+        ("top3", ref_top3),
+        ("rbo", lambda p, g: ref_rbo(p, g, 0.9)),
+        ("spearman", ref_spearman),
     ]
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 9))
         ps, gs = rng.normal(size=n), rng.normal(size=n)
-        for impl, ref in checks:
-            worst = max(worst, abs(impl(ps, gs) - ref(ps, gs)))
+        rep = metric_report(ps, gs, 0.9)
+        for name, ref in checks:
+            worst = max(worst, abs(getattr(rep, name) - ref(ps, gs)))
     assert worst <= 1e-9
 
     gold3 = np.array([3.0, 2.0, 1.0])
     pred3 = np.array([2.0, 3.0, 1.0])
-    assert ndcg3_single(pred3, gold3) == pytest.approx(0.8428, abs=1e-3)
+    assert metric_report(pred3, gold3).ndcg3 == pytest.approx(0.8428, abs=1e-3)
     ident10 = np.arange(10, 0, -1, dtype=float)
-    assert rbo_single(ident10, ident10, 0.9) == pytest.approx(0.6513, abs=1e-4)
-    assert rbo_single(ident10, ident10, 0.9) == pytest.approx(1 - 0.9**10, abs=1e-9)
+    assert metric_report(ident10, ident10, 0.9).rbo == pytest.approx(0.6513, abs=1e-4)
+    assert metric_report(ident10, ident10, 0.9).rbo == pytest.approx(1 - 0.9**10, abs=1e-9)
     ident2 = np.array([2.0, 1.0])
-    assert rbo_single(ident2, ident2, 0.9) == pytest.approx(0.19, abs=1e-12)
+    assert metric_report(ident2, ident2, 0.9).rbo == pytest.approx(0.19, abs=1e-12)
     elapsed = time.perf_counter() - tic
     assert elapsed < 10.0
     report(5, f"metric suite max deviation {worst:.1e} <= 1e-9, worked values exact ({elapsed:.1f}s)")

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from groupattr.harness import Pipeline
+from groupattr.metrics import rank_report
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -69,3 +70,12 @@ def test_extras_read_the_named_positional_argument(tracer, traced, index, name):
     assert params[index].name == name
     assert params[index].kind in (inspect.Parameter.POSITIONAL_ONLY,
                                   inspect.Parameter.POSITIONAL_OR_KEYWORD)
+
+
+def test_rank_reports_pass_pred_and_gold_by_position():
+    """``workloads.write_rank_reports`` calls ``metrics.rank_report(pred, gold)``."""
+    params = list(inspect.signature(rank_report).parameters.values())[:2]
+    assert [p.name for p in params] == ["pred", "gold"]
+    for p in params:
+        assert p.kind in (inspect.Parameter.POSITIONAL_ONLY,
+                          inspect.Parameter.POSITIONAL_OR_KEYWORD)

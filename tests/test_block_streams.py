@@ -7,8 +7,10 @@ bit for bit, what the one-row definitions give: ``content_rng`` and
 ``rng_for`` for the streams, a one-row call for the arithmetic.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -136,15 +138,35 @@ def test_retrack_target_block_matches_rows(case):
         assert block[i].tobytes() == retrack_target(retain, xt[i], int(ts[i]), K, S).tobytes()
 
 
+def squared_distances(retain, x, t):
+    """|x - sqrt(abar_t) x_i|^2 summed coordinate by coordinate, as
+    ``kernel_logits`` sums it: after the division by -2 sigma^2, points one
+    ulp apart in distance can share a logit."""
+    scale = math.sqrt(S.alpha_bar(t))
+    dist2 = np.zeros(len(retain))
+    for j in range(retain.shape[1]):
+        diff = x[j] - scale * retain[:, j]
+        dist2 += diff * diff
+    return dist2
+
+
+# Points 4 and 11 are at one exact distance from centre 10, but point 11's
+# float64 distance is one ulp smaller while their logits are equal.
+TIE_RETAIN = np.array([[-2.0, -2.0], [2.0, -2.0], [-2.0, 2.0], [2.0, 2.0], [0.5, -1.5],
+                       [0.0, -2.0], [-2.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 1.5],
+                       [-1.0, 0.5], [1.5, 0.5]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=retrack_cases())
+@example(case=(TIE_RETAIN, np.sqrt(S.alpha_bars[4]) * TIE_RETAIN[10:11], np.array([5]), 12))
 def test_truncation_is_the_stable_argsort_prefix(case):
     """The K kept points are the first K of a stable sort by distance."""
     retain, xt, ts, K = case
     block_logits, block_centers = kernel_logits(retain, xt, ts, S, K)
     for i in range(len(xt)):
         logits, centers = kernel_logits(retain, xt[i], int(ts[i]), S)
-        keep = np.argsort(-logits, kind="stable")[:K]
+        keep = np.argsort(squared_distances(retain, xt[i], int(ts[i])), kind="stable")[:K]
         row_logits, row_centers = kernel_logits(retain, xt[i], int(ts[i]), S, K)
         for got_logits, got_centers in ((row_logits, row_centers),
                                         (block_logits[i], block_centers[i])):

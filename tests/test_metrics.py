@@ -4,26 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from groupattr import (
-    AttributionMatrix,
-    mrr,
-    ndcg_at_3,
-    rank,
-    rank_report,
-    rbo,
-    spearman,
-    top1_agreement,
-    top3_overlap,
-)
-from groupattr.metrics import (
-    mrr_single,
-    ndcg3_single,
-    rbo_single,
-    spearman_single,
-    top1_single,
-    top3_single,
-)
+from groupattr import AttributionMatrix, rank, rank_report
+
+FIELDS = ("top1", "mrr", "ndcg3", "top3", "rbo", "spearman")
 
 # ---------------------------------------------------------------------
 # Naive references, written independently of the library implementations
@@ -107,6 +94,11 @@ def matrix(scores, method="m"):
     return AttributionMatrix(method, scores, qids, names)
 
 
+def report(ps, gs, p=0.9):
+    """Rank report of a pred/gold pair; a 1-D pair is one query row."""
+    return rank_report(matrix(np.atleast_2d(ps)), matrix(np.atleast_2d(gs)), p)
+
+
 class TestRank:
     def test_basic_order(self):
         np.testing.assert_array_equal(rank(np.array([0.1, 0.9, 0.5])), [1, 2, 0])
@@ -128,7 +120,7 @@ class TestWorkedExamples:
         # N=3, gold order (A,B,C), pred (B,A,C).
         gold = np.array([[3.0, 2.0, 1.0]])
         pred = np.array([[2.0, 3.0, 1.0]])
-        val = ndcg_at_3(matrix(pred), matrix(gold))
+        val = report(pred, gold).ndcg3
         assert val == pytest.approx(0.8428, abs=1e-3)
         dcg = 3 + 7 / math.log2(3) + 0.5
         idcg = 7 + 3 / math.log2(3) + 0.5
@@ -136,54 +128,54 @@ class TestWorkedExamples:
 
     def test_rbo_identical_n10(self):
         scores = np.arange(10, 0, -1, dtype=float)[None, :]
-        val = rbo(matrix(scores), matrix(scores), p=0.9)
+        val = report(scores, scores, p=0.9).rbo
         assert val == pytest.approx(1 - 0.9**10, abs=1e-6)
         assert val == pytest.approx(0.6513, abs=1e-4)
 
     def test_rbo_identical_n2(self):
         scores = np.array([[2.0, 1.0]])
-        assert rbo(matrix(scores), matrix(scores), p=0.9) == pytest.approx(0.19, abs=1e-12)
+        assert report(scores, scores, p=0.9).rbo == pytest.approx(0.19, abs=1e-12)
 
     def test_rbo_disjoint_until_last_depth(self):
         # Reversed rankings of N=2 share nothing at depth 1.
         pred = np.array([[2.0, 1.0]])
         gold = np.array([[1.0, 2.0]])
-        assert rbo(matrix(pred), matrix(gold), p=0.9) == pytest.approx(0.1 * 0.9, rel=1e-12)
+        assert report(pred, gold, p=0.9).rbo == pytest.approx(0.1 * 0.9, rel=1e-12)
 
     def test_mrr_reciprocal_positions(self):
         gold = np.array([[4.0, 3.0, 2.0, 1.0]])
         pred_rank2 = np.array([[3.0, 4.0, 2.0, 1.0]])
         pred_rank4 = np.array([[0.5, 2.0, 3.0, 1.0]])
-        assert mrr(matrix(gold), matrix(gold)) == 1.0
-        assert mrr(matrix(pred_rank2), matrix(gold)) == 0.5
-        assert mrr(matrix(pred_rank4), matrix(gold)) == 0.25
+        assert report(gold, gold).mrr == 1.0
+        assert report(pred_rank2, gold).mrr == 0.5
+        assert report(pred_rank4, gold).mrr == 0.25
 
     def test_top1_basics(self):
         gold = np.array([[1.0, 0.0], [1.0, 0.0]])
         pred = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert top1_agreement(matrix(gold), matrix(gold)) == 1.0
-        assert top1_agreement(matrix(pred), matrix(gold)) == 0.5
+        assert report(gold, gold).top1 == 1.0
+        assert report(pred, gold).top1 == 0.5
         reversed_ = np.array([[0.0, 1.0], [0.0, 1.0]])
-        assert top1_agreement(matrix(reversed_), matrix(gold)) == 0.0
+        assert report(reversed_, gold).top1 == 0.0
 
     def test_top3_cases(self):
         gold = np.arange(6, 0, -1, dtype=float)[None, :]
         same_set = np.array([[5.0, 6.0, 4.0, 1.0, 2.0, 3.0]])
-        assert top3_overlap(matrix(same_set), matrix(gold)) == 1.0
+        assert report(same_set, gold).top3 == 1.0
         disjoint = np.array([[1.0, 2.0, 3.0, 6.0, 5.0, 4.0]])
-        assert top3_overlap(matrix(disjoint), matrix(gold)) == 0.0
+        assert report(disjoint, gold).top3 == 0.0
         one_shared = np.array([[6.0, 1.0, 2.0, 3.0, 4.0, 5.0]])
-        assert top3_overlap(matrix(one_shared), matrix(gold)) == pytest.approx(1 / 3)
+        assert report(one_shared, gold).top3 == pytest.approx(1 / 3)
 
     def test_spearman_extremes(self):
         a = np.array([[0.1, 0.4, 0.2, 0.9]])
-        assert spearman(matrix(a), matrix(a)) == pytest.approx(1.0)
-        assert spearman(matrix(-a), matrix(a)) == pytest.approx(-1.0)
+        assert report(a, a).spearman == pytest.approx(1.0)
+        assert report(-a, a).spearman == pytest.approx(-1.0)
 
     def test_spearman_constant_input_is_zero(self):
         const = np.zeros((1, 4))
         var = np.array([[0.1, 0.2, 0.3, 0.4]])
-        assert spearman(matrix(const), matrix(var)) == 0.0
+        assert report(const, var).spearman == 0.0
 
 
 class TestBruteForceEquivalence:
@@ -193,12 +185,13 @@ class TestBruteForceEquivalence:
             n = int(rng.integers(2, 9))
             ps = rng.normal(size=n)
             gs = rng.normal(size=n)
-            assert top1_single(ps, gs) == ref_top1(ps, gs)
-            assert mrr_single(ps, gs) == pytest.approx(ref_mrr(ps, gs), abs=1e-12)
-            assert ndcg3_single(ps, gs) == pytest.approx(ref_ndcg3(ps, gs), abs=1e-9)
-            assert top3_single(ps, gs) == pytest.approx(ref_top3(ps, gs), abs=1e-12)
-            assert rbo_single(ps, gs, 0.9) == pytest.approx(ref_rbo(ps, gs, 0.9), abs=1e-9)
-            assert spearman_single(ps, gs) == pytest.approx(ref_spearman(ps, gs), abs=1e-9)
+            rep = report(ps, gs, 0.9)
+            assert rep.top1 == ref_top1(ps, gs)
+            assert rep.mrr == pytest.approx(ref_mrr(ps, gs), abs=1e-12)
+            assert rep.ndcg3 == pytest.approx(ref_ndcg3(ps, gs), abs=1e-9)
+            assert rep.top3 == pytest.approx(ref_top3(ps, gs), abs=1e-12)
+            assert rep.rbo == pytest.approx(ref_rbo(ps, gs, 0.9), abs=1e-9)
+            assert rep.spearman == pytest.approx(ref_spearman(ps, gs), abs=1e-9)
 
     def test_with_ties(self):
         rng = np.random.default_rng(7)
@@ -206,12 +199,13 @@ class TestBruteForceEquivalence:
             n = int(rng.integers(2, 9))
             ps = rng.integers(0, 3, size=n).astype(float)
             gs = rng.integers(0, 3, size=n).astype(float)
-            assert top1_single(ps, gs) == ref_top1(ps, gs)
-            assert mrr_single(ps, gs) == pytest.approx(ref_mrr(ps, gs), abs=1e-12)
-            assert ndcg3_single(ps, gs) == pytest.approx(ref_ndcg3(ps, gs), abs=1e-9)
-            assert top3_single(ps, gs) == pytest.approx(ref_top3(ps, gs), abs=1e-12)
-            assert rbo_single(ps, gs, 0.9) == pytest.approx(ref_rbo(ps, gs, 0.9), abs=1e-9)
-            assert spearman_single(ps, gs) == pytest.approx(ref_spearman(ps, gs), abs=1e-9)
+            rep = report(ps, gs, 0.9)
+            assert rep.top1 == ref_top1(ps, gs)
+            assert rep.mrr == pytest.approx(ref_mrr(ps, gs), abs=1e-12)
+            assert rep.ndcg3 == pytest.approx(ref_ndcg3(ps, gs), abs=1e-9)
+            assert rep.top3 == pytest.approx(ref_top3(ps, gs), abs=1e-12)
+            assert rep.rbo == pytest.approx(ref_rbo(ps, gs, 0.9), abs=1e-9)
+            assert rep.spearman == pytest.approx(ref_spearman(ps, gs), abs=1e-9)
 
 
 class TestInvariances:
@@ -220,21 +214,22 @@ class TestInvariances:
         scores = rng.normal(size=(20, 6))
         gold = rng.normal(size=(20, 6))
         transformed = np.exp(2.0 * scores) + 1.0
-        for metric in (top1_agreement, mrr, ndcg_at_3, top3_overlap, rbo, spearman):
-            assert metric(matrix(scores), matrix(gold)) == pytest.approx(
-                metric(matrix(transformed), matrix(gold)), abs=1e-12
+        for name in FIELDS:
+            assert getattr(report(scores, gold), name) == pytest.approx(
+                getattr(report(transformed, gold), name), abs=1e-12
             )
 
     def test_self_agreement_maxima(self):
         rng = np.random.default_rng(6)
         scores = rng.normal(size=(10, 7))
         m = matrix(scores)
-        assert top1_agreement(m, m) == 1.0
-        assert mrr(m, m) == 1.0
-        assert ndcg_at_3(m, m) == pytest.approx(1.0, rel=1e-12)
-        assert top3_overlap(m, m) == 1.0
-        assert rbo(m, m) == pytest.approx(1 - 0.9**7, rel=1e-12)
-        assert spearman(m, m) == pytest.approx(1.0, rel=1e-12)
+        rep = rank_report(m, m)
+        assert rep.top1 == 1.0
+        assert rep.mrr == 1.0
+        assert rep.ndcg3 == pytest.approx(1.0, rel=1e-12)
+        assert rep.top3 == 1.0
+        assert rep.rbo == pytest.approx(1 - 0.9**7, rel=1e-12)
+        assert rep.spearman == pytest.approx(1.0, rel=1e-12)
 
     def test_report_ranges_on_random_inputs(self):
         rng = np.random.default_rng(8)
@@ -249,7 +244,7 @@ class TestInvariances:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            top1_agreement(matrix(np.zeros((2, 3))), matrix(np.zeros((2, 4))))
+            rank_report(matrix(np.zeros((2, 3))), matrix(np.zeros((2, 4))))
 
 
 class TestRankReport:
@@ -261,3 +256,39 @@ class TestRankReport:
         back = RankReport.from_dict(rep.to_dict())
         assert back.top1 == rep.top1
         assert back.per_query == rep.per_query
+
+
+@st.composite
+def report_pairs(draw):
+    """(Q, N) pred/gold pairs with N from 2 (below NDCG's and Top-3's depth of
+    3) to 12, integer ties, constant rows, an RBO p in (0, 1), and a
+    permutation of the query rows."""
+    q = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 12))
+    cells = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e6, 1e6))
+    pair = []
+    for _ in range(2):
+        scores = draw(arrays(np.float64, (q, n), elements=cells))
+        for i in draw(st.lists(st.integers(0, q - 1), max_size=q)):
+            scores[i] = scores[i, 0]
+        pair.append(scores)
+    p = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return pair[0], pair[1], p, draw(st.permutations(range(q)))
+
+
+class TestBlockAgainstRows:
+    @settings(max_examples=150, deadline=None)
+    @given(case=report_pairs())
+    def test_block_report_matches_one_row_reports(self, case):
+        pred, gold, p, perm = case
+        block = rank_report(matrix(pred), matrix(gold), p)
+        for i, entry in enumerate(block.per_query):
+            row = rank_report(matrix(pred[i : i + 1]), matrix(gold[i : i + 1]), p)
+            assert entry == {**row.per_query[0], "query_id": f"q{i}"}
+        for name in FIELDS:
+            assert getattr(block, name) == float(np.mean([e[name] for e in block.per_query]))
+        qids = [f"q{i}" for i in perm]
+        names = [f"group{j}" for j in range(pred.shape[1])]
+        permuted = rank_report(AttributionMatrix("m", pred[perm], qids, names),
+                               AttributionMatrix("m", gold[perm], qids, names), p)
+        assert permuted.per_query == [block.per_query[i] for i in perm]
