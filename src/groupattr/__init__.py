@@ -44,14 +44,14 @@ from .metrics import RankReport, rank, rank_report
 from .scoring import ElboConfig, elbo_estimate, gaussian_kl_isotropic, paired_score_difference
 from .training import (
     KernelDenoiser,
-    TrainConfig,
+    TrainSpec,
     empirical_denoiser,
     train_full,
     train_logo,
 )
 from .unlearning import (
     AnchorSelector,
-    UnlearnConfig,
+    UnlearnSpec,
     anchor_select,
     conditional_forget_loss,
     esd_forget_loss,

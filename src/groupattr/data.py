@@ -21,6 +21,9 @@ import numpy as np
 
 from .seeding import rng_for
 
+# Probability that a training or retain row is given the null condition.
+COND_DROPOUT = 0.1
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -82,17 +85,19 @@ class GroupedDataset:
             return None
         return self.cond_vectors[k]
 
-    def dropout_conditions(self, labels: np.ndarray, conditional: bool, p_drop: float,
+    def dropout_conditions(self, labels: np.ndarray, conditional: bool,
                            seed: int, *path: int | str) -> np.ndarray | None:
         """The (B, cond_dim) condition block of a batch, with condition dropout.
 
         Row i is its group's condition, or the null condition (zeros)
-        with probability ``p_drop`` under the stream (seed, "dropout",
-        *path); an unconditional model gets ``None``.
+        with probability ``COND_DROPOUT`` under the stream (seed,
+        "dropout", *path); an unconditional model gets ``None``.  Training
+        and unlearning both drop conditions this way, which trains the
+        null-condition branch that esd and unconditional queries use.
         """
         if not conditional:
             return None
-        drop = rng_for(seed, "dropout", *path).random(len(labels)) < p_drop
+        drop = rng_for(seed, "dropout", *path).random(len(labels)) < COND_DROPOUT
         conds = np.stack(self.cond_vectors)[labels]
         conds[drop] = 0.0
         return conds

@@ -179,7 +179,7 @@ def kernel_logits(
         if xt.ndim != 2 or len(idx) != len(xt):
             raise ValueError(f"{len(idx)} timesteps for an x_t block of shape {xt.shape}")
         scale = np.sqrt(s.alpha_bars[idx])[:, None]
-        denom = np.array([-2.0 * s.sigma(i + 1) ** 2 for i in idx.tolist()])[:, None]
+        denom = (-2.0 * s.sigmas[idx] ** 2)[:, None]
     else:
         scale = math.sqrt(s.alpha_bar(t))
         denom = -2.0 * s.sigma(t) ** 2

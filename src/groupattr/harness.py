@@ -32,6 +32,7 @@ Randomness derives from the master seed through labeled streams
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -52,8 +53,8 @@ from .diffusion import Schedule, build_schedule, sample
 from .metrics import RankReport, rank_report
 from .scoring import ElboConfig
 from .seeding import derive_seed
-from .training import KernelDenoiser, TrainConfig, train_full, train_logo
-from .unlearning import UnlearnConfig, default_timestep_range, unlearn
+from .training import KernelDenoiser, TrainSpec, train_full, train_logo
+from .unlearning import UnlearnSpec, unlearn
 
 ARTIFACT_VERSION = 1
 
@@ -123,39 +124,6 @@ class ArchSpec:
 
 
 @dataclass(frozen=True)
-class TrainSpec:
-    epochs: int = 200
-    batch_size: int = 128
-    lr: float = 1e-3
-    exposure_matched: bool = True
-    weight_decay: float = 1e-4
-    cond_dropout: float = 0.1
-    logo_from_checkpoint: bool = False
-
-
-@dataclass(frozen=True)
-class UnlearnSpec:
-    method: str
-    steps_or_epochs: int
-    lr: float
-    lambda_forget: float = 0.03
-    lambda_pres: float = 2.0
-    K: int = 10
-    kl_cap: float = 1.0
-    guidance_weight: float = 5.0
-    tau: float = 2.0
-    eta_mix: float = 0.1
-    timestep_range: tuple[int, int] | None = None
-    batch_size: int = 64
-    cond_dropout: float = 0.1
-
-    def resolve(self, num_steps: int, seed: int) -> UnlearnConfig:
-        rng_range = self.timestep_range or default_timestep_range(num_steps)
-        return UnlearnConfig(**{**dataclasses.asdict(self), "seed": seed,
-                                "timestep_range": tuple(rng_range)})
-
-
-@dataclass(frozen=True)
 class QuerySpec:
     count: int = 256
     method: str = "ddpm"
@@ -204,14 +172,9 @@ class ExperimentConfig:
         return cls(
             dataset=DatasetSpec(**d["dataset"]),
             schedule=ScheduleSpec(**d["schedule"]),
-            arch=ArchSpec(hidden_dims=tuple(d["arch"]["hidden_dims"]),
-                          time_embed_dim=d["arch"]["time_embed_dim"],
-                          activation=d["arch"]["activation"]),
+            arch=ArchSpec(**d["arch"]),
             train=TrainSpec(**d["train"]),
-            unlearn_methods=tuple(
-                UnlearnSpec(**{**u, "timestep_range": tuple(u["timestep_range"]) if u.get("timestep_range") else None})
-                for u in d["unlearn_methods"]
-            ),
+            unlearn_methods=tuple(UnlearnSpec(**u) for u in d["unlearn_methods"]),
             queries=QuerySpec(**d["queries"]),
             elbo=ElboSpec(**d["elbo"]),
             master_seed=int(d["master_seed"]),
@@ -312,8 +275,7 @@ class Pipeline:
                           dataclasses.asdict(self.cfg.train)])
 
     def _k_logo(self, k: int) -> str:
-        return _hash_obj(["train_logo", k, self._k_full(),
-                          self.cfg.train.logo_from_checkpoint])
+        return _hash_obj(["train_logo", k, self._k_full()])
 
     def _k_unlearn(self, method: str, k: int) -> str:
         spec = self._unlearn_spec(method)
@@ -347,15 +309,6 @@ class Pipeline:
             time_embed_dim=a.time_embed_dim,
             cond_dim=d.cond_dim,
             activation=a.activation,
-        )
-
-    def _train_config(self, seed_label: str) -> TrainConfig:
-        t = self.cfg.train
-        return TrainConfig(
-            epochs=t.epochs, batch_size=t.batch_size, lr=t.lr,
-            seed=derive_seed(self.cfg.master_seed, seed_label),
-            exposure_matched=t.exposure_matched,
-            weight_decay=t.weight_decay, cond_dropout=t.cond_dropout,
         )
 
     def _unlearn_spec(self, method: str) -> UnlearnSpec:
@@ -430,8 +383,8 @@ class Pipeline:
 
         def build():
             with _replacing(self.out / "logs" / "train_full.csv") as log:
-                run = train_full(d, self.architecture(d), self._train_config("train_full"),
-                                 self.schedule(), log_path=log)
+                run = train_full(d, self.architecture(d), self.cfg.train, self.schedule(),
+                                 derive_seed(self.cfg.master_seed, "train_full"), log_path=log)
             return self._save_run(
                 path, run, final_loss=run.epoch_losses[-1] if run.epoch_losses else None)
 
@@ -443,10 +396,9 @@ class Pipeline:
         path = self.out / "checkpoints" / f"logo_{k}.ckpt"
 
         def build():
-            init = self.ensure_train_full() if self.cfg.train.logo_from_checkpoint else None
             with _replacing(self.out / "logs" / f"train_logo_{k}.csv") as log:
-                run = train_logo(d, k, self.architecture(d), self._train_config("train_logo"),
-                                 self.schedule(), init_params=init, log_path=log)
+                run = train_logo(d, k, self.architecture(d), self.cfg.train, self.schedule(),
+                                 derive_seed(self.cfg.master_seed, "train_logo"), log_path=log)
             return self._save_run(path, run, group=k)
 
         return self._phase(f"train_logo_{k}", self._k_logo(k), path, "train_logo", build,
@@ -459,14 +411,12 @@ class Pipeline:
 
         def build():
             full = self.ensure_train_full()
-            ucfg = spec.resolve(
-                self.schedule().num_steps,
-                derive_seed(self.cfg.master_seed, "unlearn", method, k),
-            )
-            run = unlearn(full, d, k, ucfg, self.schedule())
+            seed = derive_seed(self.cfg.master_seed, "unlearn", method, k)
+            run = unlearn(full, d, k, spec, self.schedule(), seed)
             with _replacing(self.out / "logs" / f"unlearn_{method}_{k}.csv") as log:
                 run.write_log(log)
-            return self._save_run(path, run, group=k, unlearn_config=dataclasses.asdict(ucfg))
+            return self._save_run(path, run, group=k, seed=seed,
+                                  unlearn_config=dataclasses.asdict(spec))
 
         return self._phase(f"unlearn_{method}_{k}", self._k_unlearn(method, k), path,
                            "unlearn", build, load_checkpoint)
@@ -744,13 +694,8 @@ def sweep(
                 row[f"{method}.{metric}"] = metric_value
         rows.append(row)
 
-    table_path = out_dir / f"sweep_{axis}.csv"
-    if rows:
-        import csv as _csv
-
-        cols = list(rows[0].keys())
-        with open(table_path, "w", newline="") as f:
-            writer = _csv.DictWriter(f, fieldnames=cols)
-            writer.writeheader()
-            writer.writerows(rows)
+    with _replacing(out_dir / f"sweep_{axis}.csv") as tmp, open(tmp, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
     return rows

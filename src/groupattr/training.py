@@ -5,9 +5,9 @@ Two training entry points share one loop:
 - ``train_full`` trains on all groups.  With exposure matching it
   excludes one uniformly random group per epoch so the expected number
   of optimizer steps matches a leave-one-group-out run.
-- ``train_logo`` excludes a fixed group throughout, optionally warm
-  starting from given parameters to realize a fine-tuning variant of
-  the leave-one-group-out counterfactual.
+- ``train_logo`` excludes a fixed group throughout.
+
+Both take one ``TrainSpec`` and the run's seed as an argument.
 
 ``empirical_denoiser`` is the closed-form optimal eps-predictor for an
 empirical data distribution; it serves as an exact oracle both for
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -39,14 +39,12 @@ from .seeding import derive_seed, rng_for
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int
-    batch_size: int
-    lr: float
-    seed: int
-    exposure_matched: bool = False
+class TrainSpec:
+    epochs: int = 200
+    batch_size: int = 128
+    lr: float = 1e-3
+    exposure_matched: bool = True
     weight_decay: float = 1e-4
-    cond_dropout: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -55,8 +53,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.lr > 0.0:
             raise ValueError("lr must be positive")
-        if not 0.0 <= self.cond_dropout <= 1.0:
-            raise ValueError("cond_dropout must be in [0, 1]")
 
 
 @dataclass
@@ -81,22 +77,21 @@ BatchHook = Callable[[int, np.ndarray, np.ndarray | None], None]
 def _train(
     d: GroupedDataset,
     arch: Architecture,
-    cfg: TrainConfig,
+    cfg: TrainSpec,
     s: Schedule,
+    seed: int,
     fixed_exclude: int | None,
     exposure: bool,
-    init_params: DenoiserParams | None = None,
     batch_hook: BatchHook | None = None,
     log_path: str | Path | None = None,
 ) -> TrainRun:
-    params = init_params if init_params is not None else init_network(
-        arch, derive_seed(cfg.seed, "init"))
+    params = init_network(arch, derive_seed(seed, "init"))
     if arch.cond_dim not in (0, d.cond_dim):
         raise ValueError(f"architecture cond_dim {arch.cond_dim} != dataset {d.cond_dim}")
     conditional = arch.cond_dim > 0
 
     opt = init_optimizer(params, cfg.lr, cfg.weight_decay)
-    exposure_rng = rng_for(cfg.seed, "exposure")
+    exposure_rng = rng_for(seed, "exposure")
     steps = 0
     epoch_losses: list[float] = []
     epoch_ms: list[float] = []
@@ -108,7 +103,7 @@ def _train(
         else:
             exclude = fixed_exclude
         xs, labels = d.labeled_samples(exclude=exclude)
-        perm = rng_for(cfg.seed, "shuffle", epoch).permutation(len(xs))
+        perm = rng_for(seed, "shuffle", epoch).permutation(len(xs))
         xs, labels = xs[perm], labels[perm]
 
         losses = []
@@ -116,12 +111,11 @@ def _train(
         for b in range(n_batches):
             rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
             bx, blab = xs[rows], labels[rows]
-            conds = d.dropout_conditions(blab, conditional, cfg.cond_dropout,
-                                         cfg.seed, epoch, b)
+            conds = d.dropout_conditions(blab, conditional, seed, epoch, b)
             if batch_hook is not None:
                 batch_hook(epoch, bx, conds)
             loss, grad = loss_and_grad(params, bx, conds, s,
-                                       derive_seed(cfg.seed, "loss", epoch, b))
+                                       derive_seed(seed, "loss", epoch, b))
             params, opt = optimizer_step(params, opt, grad)
             steps += 1
             losses.append(loss)
@@ -137,8 +131,9 @@ def _train(
 def train_full(
     d: GroupedDataset,
     arch: Architecture,
-    cfg: TrainConfig,
+    cfg: TrainSpec,
     s: Schedule,
+    seed: int,
     batch_hook: BatchHook | None = None,
     log_path: str | Path | None = None,
 ) -> TrainRun:
@@ -146,7 +141,7 @@ def train_full(
     exposure matching is on)."""
     if cfg.exposure_matched and d.n_groups < 2:
         raise ValueError("exposure matching needs at least 2 groups")
-    return _train(d, arch, cfg, s, fixed_exclude=None, exposure=cfg.exposure_matched,
+    return _train(d, arch, cfg, s, seed, fixed_exclude=None, exposure=cfg.exposure_matched,
                   batch_hook=batch_hook, log_path=log_path)
 
 
@@ -154,9 +149,9 @@ def train_logo(
     d: GroupedDataset,
     k: int,
     arch: Architecture,
-    cfg: TrainConfig,
+    cfg: TrainSpec,
     s: Schedule,
-    init_params: DenoiserParams | None = None,
+    seed: int,
     batch_hook: BatchHook | None = None,
     log_path: str | Path | None = None,
 ) -> TrainRun:
@@ -164,8 +159,8 @@ def train_logo(
     ``train_full`` under equal group sizes."""
     if not 0 <= k < d.n_groups:
         raise ValueError(f"group index {k} outside [0, {d.n_groups})")
-    return _train(d, arch, cfg, s, fixed_exclude=k, exposure=False,
-                  init_params=init_params, batch_hook=batch_hook, log_path=log_path)
+    return _train(d, arch, cfg, s, seed, fixed_exclude=k, exposure=False,
+                  batch_hook=batch_hook, log_path=log_path)
 
 
 def empirical_denoiser(subset: np.ndarray, xt: np.ndarray, t: int, s: Schedule) -> np.ndarray:

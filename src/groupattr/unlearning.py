@@ -48,11 +48,16 @@ UNLEARN_METHODS = ("retrack", "esd", "cond_anchor")
 
 
 @dataclass(frozen=True)
-class UnlearnConfig:
+class UnlearnSpec:
+    """One unlearning method's settings.
+
+    ``timestep_range`` bounds the forget objective's timesteps; ``None``
+    means ``default_timestep_range`` of the schedule the method runs on.
+    """
+
     method: str
-    lr: float
     steps_or_epochs: int
-    seed: int
+    lr: float
     lambda_forget: float = 0.03
     lambda_pres: float = 2.0
     K: int = 10
@@ -60,9 +65,8 @@ class UnlearnConfig:
     guidance_weight: float = 5.0
     tau: float = 2.0
     eta_mix: float = 0.1
-    timestep_range: tuple[int, int] = (1, 1)
-    batch_size: int = 32
-    cond_dropout: float = 0.1
+    timestep_range: tuple[int, int] | None = None
+    batch_size: int = 64
 
     def __post_init__(self):
         if self.method not in UNLEARN_METHODS:
@@ -81,9 +85,11 @@ class UnlearnConfig:
             raise ValueError("eta_mix must be in [0, 1]")
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        lo, hi = self.timestep_range
-        if not 1 <= lo <= hi:
-            raise ValueError(f"invalid timestep range {self.timestep_range}")
+        if self.timestep_range is not None:
+            lo, hi = self.timestep_range
+            object.__setattr__(self, "timestep_range", (lo, hi))
+            if not 1 <= lo <= hi:
+                raise ValueError(f"invalid timestep range {self.timestep_range}")
 
 
 def default_timestep_range(num_steps: int) -> tuple[int, int]:
@@ -115,12 +121,12 @@ def retrack_target(retain: np.ndarray, xt: np.ndarray, t, K: int, s: Schedule) -
     return np.stack([wi @ (x - c) / sig for wi, x, c, sig in zip(w, xt, centers, sigmas)])
 
 
-def _noise_batch(x0, cond, cfg: UnlearnConfig, s: Schedule, rng_seed: int, *,
+def _noise_batch(x0, cond, cfg: UnlearnSpec, s: Schedule, rng_seed: int, *,
                  anchor_seeds: bool = False):
-    """``noise_batch`` over the configured timestep range."""
-    lo, hi = cfg.timestep_range
+    """``noise_batch`` over the configured timestep range (the default if unset)."""
+    lo, hi = cfg.timestep_range or default_timestep_range(s.num_steps)
     if hi > s.num_steps:
-        raise ValueError(f"timestep range {cfg.timestep_range} exceeds T={s.num_steps}")
+        raise ValueError(f"timestep range {(lo, hi)} exceeds T={s.num_steps}")
     return noise_batch(x0, cond, s, rng_seed, lo, hi, anchor_seeds=anchor_seeds)
 
 
@@ -129,7 +135,7 @@ def retrack_forget_loss(
     x0: np.ndarray,
     cond: np.ndarray | None,
     retain: np.ndarray,
-    cfg: UnlearnConfig,
+    cfg: UnlearnSpec,
     s: Schedule,
     rng_seed: int,
 ) -> tuple[float, np.ndarray]:
@@ -154,7 +160,7 @@ def esd_forget_loss(
     p_full_frozen: DenoiserParams,
     x0: np.ndarray,
     cond: np.ndarray,
-    cfg: UnlearnConfig,
+    cfg: UnlearnSpec,
     s: Schedule,
     rng_seed: int,
 ) -> tuple[float, np.ndarray]:
@@ -265,7 +271,7 @@ def conditional_forget_loss(
     cond: np.ndarray,
     forget_group: int,
     sel: AnchorSelector,
-    cfg: UnlearnConfig,
+    cfg: UnlearnSpec,
     s: Schedule,
     rng_seed: int,
 ) -> tuple[float, np.ndarray]:
@@ -302,14 +308,15 @@ def unlearn(
     p_full: DenoiserParams,
     d: GroupedDataset,
     k: int,
-    cfg: UnlearnConfig,
+    cfg: UnlearnSpec,
     s: Schedule,
+    seed: int,
 ) -> UnlearnRun:
     """Fine-tune from the full model to remove group k's influence.
 
-    Each optimizer step draws one retain batch and one forget batch.
-    The composite gradient follows the per-method weighting convention;
-    the optimizer is AdamW without weight decay.
+    Each optimizer step draws one retain batch and one forget batch from
+    streams of ``seed``.  The composite gradient follows the per-method
+    weighting convention; the optimizer is AdamW without weight decay.
     """
     if not 0 <= k < d.n_groups:
         raise ValueError(f"group index {k} outside [0, {d.n_groups})")
@@ -329,17 +336,16 @@ def unlearn(
     opt = init_optimizer(params, cfg.lr, weight_decay=0.0)
     forget_losses, preserve_losses = [], []
     for step in range(cfg.steps_or_epochs):
-        rb = rng_for(cfg.seed, "retain", step).choice(
+        rb = rng_for(seed, "retain", step).choice(
             len(retain_x), size=min(cfg.batch_size, len(retain_x)), replace=False
         )
-        fb = rng_for(cfg.seed, "forget", step).choice(
+        fb = rng_for(seed, "forget", step).choice(
             len(forget_x), size=min(cfg.batch_size, len(forget_x)), replace=False
         )
-        retain_cond = d.dropout_conditions(
-            retain_lab[rb], conditional, cfg.cond_dropout, cfg.seed, step)
+        retain_cond = d.dropout_conditions(retain_lab[rb], conditional, seed, step)
         forget_cond = np.tile(d.cond_of(k), (len(fb), 1)) if conditional else None
 
-        fseed = derive_seed(cfg.seed, "floss", step)
+        fseed = derive_seed(seed, "floss", step)
         if cfg.method == "retrack":
             lf, gf = retrack_forget_loss(params, forget_x[fb], forget_cond, retain_x, cfg, s,
                                          fseed)
@@ -349,7 +355,7 @@ def unlearn(
             lf, gf = conditional_forget_loss(params, p_full, forget_x[fb], forget_cond, k, sel,
                                              cfg, s, fseed)
         lp, gp = preservation_loss(params, p_full, retain_x[rb], retain_cond, s,
-                                   derive_seed(cfg.seed, "ploss", step))
+                                   derive_seed(seed, "ploss", step))
 
         if cfg.method == "cond_anchor":
             grad = gf + cfg.lambda_pres * gp

@@ -15,7 +15,6 @@ from groupattr import (
     DatasetSpec,
     ElboConfig,
     KernelDenoiser,
-    TrainConfig,
     attribution_matrix,
     build_schedule,
     elbo_estimate,
@@ -32,7 +31,7 @@ from groupattr.harness import default_experiment_config, run_experiment, timing_
 from groupattr.training import empirical_denoiser
 from groupattr.unlearning import (
     AnchorSelector,
-    UnlearnConfig,
+    UnlearnSpec,
     conditional_forget_loss,
     esd_forget_loss,
     preservation_loss,
@@ -238,8 +237,8 @@ def test_criterion_7_gradient_checks():
     uncond = Architecture(input_dim=2, hidden_dims=(8,), time_embed_dim=4, cond_dim=0)
     cond = Architecture(input_dim=2, hidden_dims=(6,), time_embed_dim=4,
                         cond_dim=d.cond_dim)
-    ucfg = UnlearnConfig(method="retrack", lr=1e-3, steps_or_epochs=1, seed=0,
-                         timestep_range=(2, 28), K=5, kl_cap=1e9, batch_size=4)
+    ucfg = UnlearnSpec(method="retrack", lr=1e-3, steps_or_epochs=1,
+                       timestep_range=(2, 28), K=5, kl_cap=1e9, batch_size=4)
     retain = d.all_samples(exclude=0)
     frozen_c = init_network(cond, seed=100)
     sel = AnchorSelector.from_dataset(d)

@@ -7,6 +7,7 @@ is loaded here by path, read-only.  Some wrappers also read an
 argument by position, so those positions are checked by signature.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -79,3 +80,29 @@ def test_rank_reports_pass_pred_and_gold_by_position():
     for p in params:
         assert p.kind in (inspect.Parameter.POSITIONAL_ONLY,
                           inspect.Parameter.POSITIONAL_OR_KEYWORD)
+
+
+# Configuration names ``perfbench`` reaches through ``groupattr.harness``, and
+# the keyword fields it passes to each.
+BENCH_CONFIG_FIELDS = {
+    "ScheduleSpec": (),
+    "ArchSpec": (),
+    "QuerySpec": (),
+    "ElboSpec": (),
+    "TrainSpec": ("epochs", "batch_size", "lr"),
+    "UnlearnSpec": ("method", "steps_or_epochs", "lr", "lambda_forget", "lambda_pres",
+                    "kl_cap", "timestep_range", "batch_size"),
+}
+
+
+@pytest.mark.parametrize("name, keywords", sorted(BENCH_CONFIG_FIELDS.items()))
+def test_bench_config_names_and_fields(name, keywords):
+    harness = importlib.import_module("groupattr.harness")
+    spec = getattr(harness, name, None)
+    assert dataclasses.is_dataclass(spec), f"groupattr.harness.{name}"
+    assert set(keywords) <= {f.name for f in dataclasses.fields(spec)}
+
+
+def test_bench_default_config_entry_point():
+    harness = importlib.import_module("groupattr.harness")
+    assert callable(getattr(harness, "default_experiment_config", None))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from groupattr.cli import main
+from groupattr.harness import ExperimentConfig
 
 from conftest import tiny_experiment_config
 
@@ -71,6 +72,17 @@ class TestSubcommands:
         assert reports["logoa"]["top1"] == 1.0
 
 
+def _edited_config(tmp_path, section, key, value):
+    """The tiny config's JSON with ``key`` of ``section`` (its first
+    unlearning method for ``unlearn_methods``) set to ``value``."""
+    doc = tiny_experiment_config().to_dict()
+    part = doc[section][0] if section == "unlearn_methods" else doc[section]
+    part[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestFailures:
     def test_unconfigured_attribute_method_fails_with_phase_tag(
         self, config_path, tmp_path, capsys
@@ -93,6 +105,28 @@ class TestFailures:
                    "--out", str(tmp_path / "empty")])
         assert rc == 1
         assert "[report]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("unlearn_methods", "method", "bogus"),
+        ("train", "epochs", -1),
+    ])
+    def test_bad_config_fails_before_any_phase(self, tmp_path, capsys, section, key, value):
+        cfg_path = _edited_config(tmp_path, section, key, value)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("[")
+        assert not (out / "dataset.npz").exists()
+        assert not list(out.glob("checkpoints/*.ckpt"))
+
+    @pytest.mark.parametrize("section, key", [
+        ("train", "cond_dropout"),
+        ("unlearn_methods", "cond_dropout"),
+        ("train", "logo_from_checkpoint"),
+    ])
+    def test_removed_config_keys_are_refused(self, tmp_path, section, key):
+        cfg_path = _edited_config(tmp_path, section, key, 0.1 if key == "cond_dropout" else False)
+        with pytest.raises(TypeError, match=key):
+            ExperimentConfig.from_json(cfg_path)
 
     def test_sweep_requires_known_axis(self, config_path, tmp_path):
         with pytest.raises(SystemExit):

@@ -75,7 +75,7 @@ class TestArtifacts:
 
     def test_unlearn_loss_curves_logged(self, tiny_run):
         from groupattr import GroupedDataset, build_schedule, load_checkpoint
-        from groupattr.unlearning import UnlearnConfig, unlearn
+        from groupattr.unlearning import UnlearnSpec, unlearn
 
         cfg, out, _ = tiny_run
         d = GroupedDataset.load(out / "dataset.npz")
@@ -83,9 +83,7 @@ class TestArtifacts:
         s = build_schedule(cfg.schedule.num_steps, cfg.schedule.kind)
         for m in ("retrack", "esd"):
             doc = json.loads((out / "checkpoints" / f"unlearn_{m}_1.json").read_text())
-            ucfg = UnlearnConfig(**{**doc["unlearn_config"],
-                                    "timestep_range": tuple(doc["unlearn_config"]["timestep_range"])})
-            run = unlearn(full, d, 1, ucfg, s)
+            run = unlearn(full, d, 1, UnlearnSpec(**doc["unlearn_config"]), s, doc["seed"])
             lines = (out / "logs" / f"unlearn_{m}_1.csv").read_text().splitlines()
             assert lines[0] == "step,forget_loss,preserve_loss"
             rows = [line.split(",") for line in lines[1:]]

@@ -9,7 +9,7 @@ from groupattr import (
     Architecture,
     DatasetSpec,
     ElboConfig,
-    TrainConfig,
+    TrainSpec,
     build_schedule,
     elbo_estimate,
     gaussian_kl_isotropic,
@@ -138,7 +138,8 @@ class TestElboEstimate:
         spec = DatasetSpec(n_groups=2, samples_per_group=40, radius=3.0, noise_std=0.4)
         d = generate_grouped_dataset(spec, seed=2)
         arch = Architecture(2, (16, 16), 8)
-        run = train_full(d, arch, TrainConfig(epochs=60, batch_size=32, lr=1e-3, seed=3), S)
+        run = train_full(d, arch, TrainSpec(epochs=60, batch_size=32, lr=1e-3,
+                                            exposure_matched=False), S, 3)
         x0 = d.groups[0][0]
         cfg = ElboConfig(stride=10, t_min=2, t_max=60, noise_seed=17)
         medians = []

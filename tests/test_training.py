@@ -9,7 +9,7 @@ from groupattr import (
     Architecture,
     DatasetSpec,
     ElboConfig,
-    TrainConfig,
+    TrainSpec,
     build_schedule,
     elbo_estimate,
     empirical_denoiser,
@@ -37,8 +37,8 @@ def two_groups():
 
 class TestTrainFull:
     def test_zero_epochs_returns_init(self, two_groups, schedule):
-        cfg = TrainConfig(epochs=0, batch_size=16, lr=1e-3, seed=3)
-        run = train_full(two_groups, ARCH, cfg, schedule)
+        cfg = TrainSpec(epochs=0, batch_size=16, lr=1e-3, exposure_matched=False)
+        run = train_full(two_groups, ARCH, cfg, schedule, 3)
         init = init_network(ARCH, derive_seed(3, "init"))
         np.testing.assert_array_equal(run.params.weights, init.weights)
         assert run.steps == 0
@@ -56,22 +56,22 @@ class TestTrainFull:
                 g = _owner(d, row)
                 excluded.setdefault(epoch, set()).add(g)
 
-        cfg = TrainConfig(epochs=12, batch_size=8, lr=1e-3, seed=9, exposure_matched=True)
-        train_full(d, ARCH, cfg, schedule, batch_hook=hook)
+        cfg = TrainSpec(epochs=12, batch_size=8, lr=1e-3, exposure_matched=True)
+        train_full(d, ARCH, cfg, schedule, 9, batch_hook=hook)
         assert all(count == 24 for count in seen_per_epoch.values())
         missing = [tuple(sorted({0, 1, 2, 3} - groups)) for groups in excluded.values()]
         assert all(len(m) == 1 for m in missing)
         assert len(set(missing)) > 1  # the excluded group is not constant
 
     def test_determinism(self, two_groups, schedule):
-        cfg = TrainConfig(epochs=2, batch_size=16, lr=1e-3, seed=8)
-        a = train_full(two_groups, ARCH, cfg, schedule)
-        b = train_full(two_groups, ARCH, cfg, schedule)
+        cfg = TrainSpec(epochs=2, batch_size=16, lr=1e-3, exposure_matched=False)
+        a = train_full(two_groups, ARCH, cfg, schedule, 8)
+        b = train_full(two_groups, ARCH, cfg, schedule, 8)
         np.testing.assert_array_equal(a.params.weights, b.params.weights)
 
     def test_training_log_written(self, two_groups, schedule, tmp_path):
-        cfg = TrainConfig(epochs=3, batch_size=32, lr=1e-3, seed=1)
-        train_full(two_groups, ARCH, cfg, schedule, log_path=tmp_path / "log.csv")
+        cfg = TrainSpec(epochs=3, batch_size=32, lr=1e-3, exposure_matched=False)
+        train_full(two_groups, ARCH, cfg, schedule, 1, log_path=tmp_path / "log.csv")
         lines = (tmp_path / "log.csv").read_text().splitlines()
         assert lines[0] == "epoch,loss,wall_ms"
         assert len(lines) == 4
@@ -84,9 +84,9 @@ class TestTrainFull:
         d = generate_grouped_dataset(spec, seed=5)
         arch = Architecture(input_dim=2, hidden_dims=(64, 64),
                             time_embed_dim=16, cond_dim=0)
-        cfg = TrainConfig(epochs=200, batch_size=32, lr=1e-3, seed=2,
-                          exposure_matched=False, weight_decay=0.0)
-        run = train_full(d, arch, cfg, schedule)
+        cfg = TrainSpec(epochs=200, batch_size=32, lr=1e-3, exposure_matched=False,
+                        weight_decay=0.0)
+        run = train_full(d, arch, cfg, schedule, 2)
 
         all_x = d.all_samples()
         net_loss, _ = loss_and_grad(run.params, all_x, None, schedule, rng_seed=123)
@@ -122,28 +122,22 @@ class TestTrainLogo:
             for row in xs:
                 assert not np.any(np.all(forget == row, axis=1))
 
-        cfg = TrainConfig(epochs=4, batch_size=4, lr=1e-3, seed=6)
-        train_logo(d, 1, ARCH, cfg, schedule, batch_hook=hook)
-
-    def test_zero_epochs_from_checkpoint(self, two_groups, schedule):
-        base = init_network(ARCH, seed=77)
-        cfg = TrainConfig(epochs=0, batch_size=8, lr=1e-3, seed=0)
-        run = train_logo(two_groups, 0, ARCH, cfg, schedule, init_params=base)
-        np.testing.assert_array_equal(run.params.weights, base.weights)
+        cfg = TrainSpec(epochs=4, batch_size=4, lr=1e-3, exposure_matched=False)
+        train_logo(d, 1, ARCH, cfg, schedule, 6, batch_hook=hook)
 
     def test_invalid_group_rejected(self, two_groups, schedule):
-        cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0)
+        cfg = TrainSpec(epochs=1, batch_size=8, lr=1e-3, exposure_matched=False)
         with pytest.raises(ValueError):
-            train_logo(two_groups, 5, ARCH, cfg, schedule)
+            train_logo(two_groups, 5, ARCH, cfg, schedule, 0)
 
     def test_step_budget_parity(self, schedule):
         """Equal-size groups: full (exposure-matched) and leave-one-out
         runs take identical optimizer step counts."""
         spec = DatasetSpec(n_groups=4, samples_per_group=10)
         d = generate_grouped_dataset(spec, seed=3)
-        cfg = TrainConfig(epochs=5, batch_size=8, lr=1e-3, seed=4, exposure_matched=True)
-        full = train_full(d, ARCH, cfg, schedule)
-        logo = train_logo(d, 2, ARCH, cfg, schedule)
+        cfg = TrainSpec(epochs=5, batch_size=8, lr=1e-3, exposure_matched=True)
+        full = train_full(d, ARCH, cfg, schedule, 4)
+        logo = train_logo(d, 2, ARCH, cfg, schedule, 4)
         assert full.steps == logo.steps > 0
 
     def test_left_out_group_scores_worse(self, schedule):
@@ -151,10 +145,9 @@ class TestTrainLogo:
         leave-that-group-out model than under the full model."""
         spec = DatasetSpec(n_groups=2, samples_per_group=80, radius=4.0, noise_std=0.3)
         d = generate_grouped_dataset(spec, seed=9)
-        cfg = TrainConfig(epochs=120, batch_size=32, lr=1e-3, seed=10,
-                          exposure_matched=True)
-        full = train_full(d, ARCH, cfg, schedule)
-        logo = train_logo(d, 0, ARCH, cfg, schedule)
+        cfg = TrainSpec(epochs=120, batch_size=32, lr=1e-3, exposure_matched=True)
+        full = train_full(d, ARCH, cfg, schedule, 10)
+        logo = train_logo(d, 0, ARCH, cfg, schedule, 10)
         proto = d.groups[0].mean(axis=0)
         ecfg = ElboConfig(stride=5, t_min=2, t_max=50, noise_seed=777)
         e_full = elbo_estimate(full.params, proto, None, ecfg, schedule)
@@ -209,8 +202,8 @@ class TestEmpiricalDenoiser:
     def test_optimality_against_trained_network(self, two_groups, schedule):
         """The kernel denoiser is the exact minimizer; its loss lower
         bounds any network's on identical batches."""
-        cfg = TrainConfig(epochs=30, batch_size=32, lr=1e-3, seed=1)
-        run = train_full(two_groups, ARCH, cfg, schedule)
+        cfg = TrainSpec(epochs=30, batch_size=32, lr=1e-3, exposure_matched=False)
+        run = train_full(two_groups, ARCH, cfg, schedule, 1)
         all_x = two_groups.all_samples()
         for seed in (11, 22, 33):
             x0 = all_x[::3]

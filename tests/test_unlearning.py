@@ -9,8 +9,8 @@ from groupattr import (
     Architecture,
     DatasetSpec,
     DenoiserParams,
-    TrainConfig,
-    UnlearnConfig,
+    TrainSpec,
+    UnlearnSpec,
     anchor_select,
     build_schedule,
     conditional_forget_loss,
@@ -39,10 +39,10 @@ UNCOND_ARCH = Architecture(input_dim=2, hidden_dims=(6,), time_embed_dim=4, cond
 
 
 def make_cfg(method="retrack", **kw):
-    base = dict(method=method, lr=1e-3, steps_or_epochs=5, seed=3,
+    base = dict(method=method, lr=1e-3, steps_or_epochs=5,
                 timestep_range=(2, 35), K=4, kl_cap=1e9, batch_size=4)
     base.update(kw)
-    return UnlearnConfig(**base)
+    return UnlearnSpec(**base)
 
 
 def block(d, k, n):
@@ -484,9 +484,8 @@ def trained_two_groups():
     d = generate_grouped_dataset(spec, seed=21)
     arch = Architecture(input_dim=2, hidden_dims=(32, 32), time_embed_dim=8,
                         cond_dim=d.cond_dim)
-    cfg = TrainConfig(epochs=100, batch_size=32, lr=1e-3, seed=22,
-                      exposure_matched=True)
-    run = train_full(d, arch, cfg, S)
+    cfg = TrainSpec(epochs=100, batch_size=32, lr=1e-3, exposure_matched=True)
+    run = train_full(d, arch, cfg, S, 22)
     return d, run.params
 
 
@@ -494,7 +493,7 @@ class TestUnlearn:
     def test_zero_steps_returns_full(self, trained_two_groups):
         d, p_full = trained_two_groups
         cfg = make_cfg(steps_or_epochs=0)
-        run = unlearn(p_full, d, 0, cfg, S)
+        run = unlearn(p_full, d, 0, cfg, S, 3)
         np.testing.assert_array_equal(run.params.weights, p_full.weights)
         assert run.steps == 0
 
@@ -503,7 +502,7 @@ class TestUnlearn:
         vanishes at the full model; preservation loss cannot rise."""
         d, p_full = trained_two_groups
         cfg = make_cfg(lambda_forget=0.0, steps_or_epochs=10)
-        run = unlearn(p_full, d, 0, cfg, S)
+        run = unlearn(p_full, d, 0, cfg, S, 3)
         assert run.preserve_losses[-1] <= run.preserve_losses[0] + 1e-12
         np.testing.assert_allclose(run.params.weights, p_full.weights, atol=1e-12)
 
@@ -514,7 +513,7 @@ class TestUnlearn:
         cfg = make_cfg(steps_or_epochs=150, lr=1e-4, lambda_forget=0.05,
                        K=10, kl_cap=1e9, batch_size=32,
                        timestep_range=default_timestep_range(S.num_steps))
-        run = unlearn(p_full, d, 0, cfg, S)
+        run = unlearn(p_full, d, 0, cfg, S, 3)
 
         rng = np.random.default_rng(500)
         null = d.null_condition()
@@ -527,23 +526,32 @@ class TestUnlearn:
             ul_losses.append(loss_and_grad(run.params, x0, cond, S, rng_seed=int(sd))[0])
         assert np.mean(ul_losses) > np.mean(full_losses)
 
+    def test_unset_timestep_range_is_the_default(self, trained_two_groups):
+        """``timestep_range=None`` runs exactly the schedule's default range."""
+        d, p_full = trained_two_groups
+        unset = unlearn(p_full, d, 0, make_cfg(timestep_range=None), S, 3)
+        given = unlearn(p_full, d, 0, make_cfg(timestep_range=default_timestep_range(S.num_steps)),
+                        S, 3)
+        assert unset.params.weights.tobytes() == given.params.weights.tobytes()
+        assert unset.forget_losses == given.forget_losses
+
     def test_method_validation(self, trained_two_groups):
         d, p_full = trained_two_groups
         with pytest.raises(ValueError):
             make_cfg(method="nonsense")
         with pytest.raises(ValueError):
-            unlearn(p_full, d, 5, make_cfg(), S)
+            unlearn(p_full, d, 5, make_cfg(), S, 3)
 
     def test_esd_requires_conditional(self):
         spec = DatasetSpec(n_groups=2, samples_per_group=8)
         d = generate_grouped_dataset(spec, seed=1)
         p = init_network(UNCOND_ARCH, seed=1)
         with pytest.raises(ValueError):
-            unlearn(p, d, 0, make_cfg("esd", steps_or_epochs=1), S)
+            unlearn(p, d, 0, make_cfg("esd", steps_or_epochs=1), S, 3)
 
     def test_determinism(self, trained_two_groups):
         d, p_full = trained_two_groups
         cfg = make_cfg(steps_or_epochs=3)
-        a = unlearn(p_full, d, 1, cfg, S)
-        b = unlearn(p_full, d, 1, cfg, S)
+        a = unlearn(p_full, d, 1, cfg, S, 3)
+        b = unlearn(p_full, d, 1, cfg, S, 3)
         np.testing.assert_array_equal(a.params.weights, b.params.weights)
