@@ -161,11 +161,11 @@ def kernel_logits(
     shape (n,) and centres (n, dim), or a block (B, dim), giving (B, n)
     logits.  ``t`` is one timestep, or for a block a (B,) vector of
     per-row timesteps, whose centres are (B, n, dim).  The squared
-    distance is summed coordinate by coordinate, so a block needs no
-    (B, n, dim) temporary.  With ``K`` only the K nearest points of each
-    row are kept, ordered by (distance, index): ties break toward the
-    lower index, as a stable sort would.  Every row gets the arithmetic
-    of a one-row call.
+    distance is summed coordinate by coordinate into two (B, n) buffers,
+    so a block needs no (B, n, dim) temporary.  With ``K`` only the K
+    nearest points of each row are kept (see ``_nearest``), ordered by
+    (distance, index): ties break toward the lower index, as a stable
+    sort would.  Every row gets the arithmetic of a one-row call.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
@@ -183,11 +183,16 @@ def kernel_logits(
     else:
         scale = math.sqrt(s.alpha_bar(t))
         denom = -2.0 * s.sigma(t) ** 2
-    dist2 = np.zeros(xt.shape[:-1] + (n,))
+    # Squares are never -0.0, so starting from the first square instead of
+    # from zeros leaves every sum unchanged.
+    dist2 = np.empty(xt.shape[:-1] + (n,))
+    diff = np.empty_like(dist2)
     for i in range(points.shape[1]):
-        diff = xt[..., i, None] - scale * points[:, i]
-        diff *= diff
-        dist2 += diff
+        out = diff if i else dist2
+        np.subtract(xt[..., i, None], scale * points[:, i], out=out)
+        np.multiply(out, out, out=out)
+        if i:
+            dist2 += diff
     if K is None:
         keep = slice(None)
     else:
@@ -203,12 +208,18 @@ def kernel_logits(
 
 def _nearest(dist2: np.ndarray, K: int) -> np.ndarray:
     """Per row of (B, n) distances, the indices of the K smallest, ordered by
-    (distance, index); the same as ``np.argsort(row, kind="stable")[:K]``."""
+    (distance, index); the same as ``np.argsort(row, kind="stable")[:K]``.
+
+    A row keeps every point within its K-th smallest distance.  Only rows
+    with more than K such points (exact ties at the K-th distance) fall
+    back to the stable argsort prefix.
+    """
     kth = np.partition(dist2, K - 1, axis=1)[:, K - 1 : K]
-    closer = dist2 < kth
-    ties = dist2 == kth
-    room = K - closer.sum(axis=1, keepdims=True)
-    keep = np.nonzero(closer | (ties & (np.cumsum(ties, axis=1) <= room)))[1].reshape(-1, K)
+    within = dist2 <= kth
+    tied = within.sum(axis=1) > K
+    keep = np.empty((len(dist2), K), dtype=np.intp)
+    keep[~tied] = (np.flatnonzero(within[~tied]) % dist2.shape[1]).reshape(-1, K)
+    keep[tied] = np.argsort(dist2[tied], axis=1, kind="stable")[:, :K]
     order = np.argsort(np.take_along_axis(dist2, keep, axis=1), axis=1, kind="stable")
     return np.take_along_axis(keep, order, axis=1)
 

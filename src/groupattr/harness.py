@@ -160,6 +160,10 @@ class ExperimentConfig:
         names = [u.method for u in self.unlearn_methods]
         if len(set(names)) != len(names):
             raise ValueError("duplicate unlearning method in config")
+        T = self.schedule.num_steps
+        for u in self.unlearn_methods:
+            if u.timestep_range is not None and u.timestep_range[1] > T:
+                raise ValueError(f"{u.method}: timestep range {u.timestep_range} exceeds T={T}")
 
     def to_dict(self) -> dict:
         return _plain(dataclasses.asdict(self))

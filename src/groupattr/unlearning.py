@@ -110,15 +110,17 @@ def retrack_target(retain: np.ndarray, xt: np.ndarray, t, K: int, s: Schedule) -
 
     Nearest is measured by |xt - sqrt(abar_t) x_i|; ties break toward the
     lower sample index.  Weights are renormalized over the kept subset.
-    ``xt`` is one row (dim,) with one timestep, or a (B, dim) block with a
-    (B,) vector of timesteps; a block's row i is bit for bit the one-row
-    target of (xt[i], t[i]).
+    The target is ``w @ (xt - centers) / sigma_t``.  ``xt`` is one row
+    (dim,) with one timestep, or a (B, dim) block with a (B,) vector of
+    timesteps, contracted as one stacked ``matmul`` of (1, K) by (K, dim)
+    per row; a block's row i is bit for bit the one-row target of
+    (xt[i], t[i]).
     """
     w, centers = kernel_softmax(retain, xt, t, s, K)
     if np.ndim(t) == 0:
         return (w @ (xt - centers)) / s.sigma(t)
     sigmas = s.sigmas[np.asarray(t) - 1]
-    return np.stack([wi @ (x - c) / sig for wi, x, c, sig in zip(w, xt, centers, sigmas)])
+    return np.matmul(w[:, None, :], xt[:, None, :] - centers)[:, 0] / sigmas[:, None]
 
 
 def _noise_batch(x0, cond, cfg: UnlearnSpec, s: Schedule, rng_seed: int, *,
@@ -252,15 +254,20 @@ def anchor_select(sel: AnchorSelector, forget_group: int, seed) -> tuple:
 
     ``seed`` is one seed, giving (style, anchor (cond_dim,)), or a (B,)
     vector of seeds, giving (styles (B,), anchors (B, cond_dim)).  Each
-    seed's style is one ``choice`` from its ``rng_for(seed, "anchor")``
-    stream; a vector's streams are seeded as one block by ``block_rngs``.
+    seed's style is one ``choice(p=probs)`` from its ``rng_for(seed,
+    "anchor")`` stream.  A vector's streams are seeded as one block by
+    ``block_rngs``, and its choices are drawn as ``choice`` draws them:
+    one ``random()`` per row, placed by one ``searchsorted`` on the
+    normalized cumulative probabilities.
     """
-    one = np.ndim(seed) == 0
     retain_idx, probs = sel.selection_probs(forget_group)
-    rngs = [rng_for(seed, "anchor")] if one else block_rngs(seed, "anchor")
-    chosen = retain_idx[[rng.choice(len(retain_idx), p=probs) for rng in rngs]]
-    if one:
-        chosen = int(chosen[0])
+    if np.ndim(seed) == 0:
+        chosen = int(retain_idx[rng_for(seed, "anchor").choice(len(retain_idx), p=probs)])
+    else:
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        u = np.array([rng.random() for rng in block_rngs(seed, "anchor")])
+        chosen = retain_idx[cdf.searchsorted(u, side="right")]
     return chosen, sel.anchor_condition(forget_group, chosen)
 
 

@@ -4,12 +4,16 @@
 ``noise_batch``, ``forward_marginal``, ``retrack_target`` and
 ``anchor_select`` work on whole blocks.  Each must give, row for row and
 bit for bit, what the one-row definitions give: ``content_rng`` and
-``rng_for`` for the streams, a one-row call for the arithmetic.
+``rng_for`` for the streams, a one-row call for the arithmetic.  The
+retrack target and the anchor draws are also checked against references
+written here: the stable-argsort prefix with a softmax, and
+``Generator.choice``.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -129,15 +133,6 @@ def retrack_cases(draw):
     return retain, xt, ts, K
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=retrack_cases())
-def test_retrack_target_block_matches_rows(case):
-    retain, xt, ts, K = case
-    block = retrack_target(retain, xt, ts, K, S)
-    for i in range(len(xt)):
-        assert block[i].tobytes() == retrack_target(retain, xt[i], int(ts[i]), K, S).tobytes()
-
-
 def squared_distances(retain, x, t):
     """|x - sqrt(abar_t) x_i|^2 summed coordinate by coordinate, as
     ``kernel_logits`` sums it: after the division by -2 sigma^2, points one
@@ -148,6 +143,39 @@ def squared_distances(retain, x, t):
         diff = x[j] - scale * retain[:, j]
         dist2 += diff * diff
     return dist2
+
+
+def reference_target(retain, x, t, K):
+    """The retrack target of one row, written out: the first K points of a
+    stable sort by distance, a softmax of their logits, ``w @ (x - c) / sigma_t``."""
+    dist2 = squared_distances(retain, x, t)
+    keep = np.argsort(dist2, kind="stable")[:K]
+    logits = dist2[keep] / (-2.0 * S.sigma(t) ** 2)
+    w = np.exp(logits - logits.max())
+    w /= w.sum()
+    centers = math.sqrt(S.alpha_bar(t)) * retain[keep]
+    return w @ (x - centers) / S.sigma(t)
+
+
+# Rows 0 and 2 keep point 6 and then have four points at their K-th (K = 2)
+# distance, rows 1 and 3 have no ties, and row 4 keeps two tied points with
+# no point left over.
+UNIT = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [2.0, 0.0], [3.0, 0.5],
+                 [0.0, -0.25]])
+PARTIAL_TIES = (UNIT, np.array([[0.0, 0.0], [9.0, 0.3], [0.0, 0.0], [-7.0, 2.1], [0.4, 0.4]]),
+                np.array([5, 5, 30, 12, 5]), 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=retrack_cases())
+@example(case=PARTIAL_TIES)
+def test_retrack_target_block_matches_rows(case):
+    retain, xt, ts, K = case
+    block = retrack_target(retain, xt, ts, K, S)
+    for i in range(len(xt)):
+        row = retrack_target(retain, xt[i], int(ts[i]), K, S)
+        assert block[i].tobytes() == row.tobytes()
+        assert row.tobytes() == reference_target(retain, xt[i], int(ts[i]), K).tobytes()
 
 
 # Points 4 and 11 are at one exact distance from centre 10, but point 11's
@@ -194,3 +222,19 @@ def test_anchor_select_block_matches_one_seed_calls():
         style, anchor = anchor_select(sel, 1, int(seed))
         assert styles[i] == style
         assert anchors[i].tobytes() == anchor.tobytes()
+
+
+@pytest.mark.parametrize("tau, eta_mix", [(2.0, 0.1), (0.5, 0.0), (5.0, 1.0)])
+def test_anchor_draws_are_generator_choice(tau, eta_mix):
+    """Every seed's style is ``Generator.choice(p=probs)`` on its anchor stream."""
+    spec = DatasetSpec(n_groups=4, samples_per_group=5, conditional=True, descriptor_dim=4)
+    sel = AnchorSelector.from_dataset(generate_grouped_dataset(spec, seed=3), tau, eta_mix)
+    rng = np.random.default_rng(11)
+    seeds = np.concatenate([rng.integers(0, 2**32, 500), rng.integers(2**32, 2**62, 500)])
+    for k in range(4):
+        idx, probs = sel.selection_probs(k)
+        ref = idx[[rng_for(int(seed), "anchor").choice(len(idx), p=probs) for seed in seeds]]
+        styles, anchors = anchor_select(sel, k, seeds)
+        assert styles.tolist() == ref.tolist()
+        assert anchors.tobytes() == sel.anchor_condition(k, ref).tobytes()
+        assert [anchor_select(sel, k, int(seed))[0] for seed in seeds[::50]] == ref[::50].tolist()

@@ -109,6 +109,7 @@ class TestFailures:
     @pytest.mark.parametrize("section, key, value", [
         ("unlearn_methods", "method", "bogus"),
         ("train", "epochs", -1),
+        ("unlearn_methods", "timestep_range", [1, 500]),
     ])
     def test_bad_config_fails_before_any_phase(self, tmp_path, capsys, section, key, value):
         cfg_path = _edited_config(tmp_path, section, key, value)
@@ -117,6 +118,12 @@ class TestFailures:
         assert capsys.readouterr().err.startswith("[")
         assert not (out / "dataset.npz").exists()
         assert not list(out.glob("checkpoints/*.ckpt"))
+
+    def test_timestep_range_past_T_is_refused_at_load(self, tmp_path):
+        # The tiny config has T = 40.
+        cfg_path = _edited_config(tmp_path, "unlearn_methods", "timestep_range", [1, 500])
+        with pytest.raises(ValueError, match=r"retrack: timestep range \(1, 500\) exceeds T=40"):
+            ExperimentConfig.from_json(cfg_path)
 
     @pytest.mark.parametrize("section, key", [
         ("train", "cond_dropout"),
