@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -65,23 +65,11 @@ class Architecture:
         return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
 
     def to_dict(self) -> dict:
-        return {
-            "activation": self.activation,
-            "cond_dim": self.cond_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "input_dim": self.input_dim,
-            "time_embed_dim": self.time_embed_dim,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Architecture":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            hidden_dims=tuple(d["hidden_dims"]),
-            time_embed_dim=int(d["time_embed_dim"]),
-            cond_dim=int(d["cond_dim"]),
-            activation=str(d["activation"]),
-        )
+        return cls(**d)
 
 
 @dataclass(frozen=True)

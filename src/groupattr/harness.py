@@ -2,14 +2,16 @@
 
 A run directory is populated phase by phase.  Every ``Pipeline.ensure_*``
 phase runs through ``Pipeline._phase``: it serves the phase's artifact
-when the phase's key record vouches for it, and otherwise builds the
-artifact (plus a JSON sidecar for checkpoints) and writes a new key
-record: the hash of the phase-relevant configuration chain, the
-provenance, wall-clock seconds and optimizer step counts.
+when the phase's key record vouches for it, and otherwise builds every
+file of the phase (a checkpoint also gets a JSON sidecar and a run log,
+which the harness writes for training and unlearning alike) and writes
+a new key record: the hash of the phase-relevant configuration chain,
+the provenance, wall-clock seconds and optimizer step counts.
 
-The key rule: a key record is deleted before its phase builds and is
-written only once every artifact of the phase is complete, so a key never
-vouches for a missing or torn artifact; an interrupted build is redone.
+The key rule: a key record is deleted before its phase builds, written
+only once every file of the phase is complete, and vouches only while
+every one of those files exists, so a key never vouches for a missing
+or torn artifact; an interrupted build is redone.
 
 Every artifact is written to a temp file beside it and swapped in with
 ``os.replace``, so an interrupted write leaves the previous artifact
@@ -107,6 +109,15 @@ def _write_json(path: Path, doc: dict) -> None:
         tmp.write_text(json.dumps(doc, sort_keys=True, indent=1))
 
 
+def _write_log(path: Path, header: str, *columns) -> None:
+    """Write a run log: ``header``, then one row per step of the row index
+    and the ``repr`` of each column's value."""
+    with _replacing(path) as tmp, open(tmp, "w") as f:
+        f.write(header + "\n")
+        for i, row in enumerate(zip(*columns)):
+            f.write(",".join(map(repr, (i, *row))) + "\n")
+
+
 @dataclass(frozen=True)
 class ScheduleSpec:
     num_steps: int = 100
@@ -166,7 +177,7 @@ class ExperimentConfig:
                 raise ValueError(f"{u.method}: timestep range {u.timestep_range} exceeds T={T}")
 
     def to_dict(self) -> dict:
-        return _plain(dataclasses.asdict(self))
+        return dataclasses.asdict(self)
 
     def to_json(self, path: str | Path) -> None:
         _write_json(Path(path), self.to_dict())
@@ -192,16 +203,8 @@ class ExperimentConfig:
         return _hash_obj(self.to_dict())
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
 def _hash_obj(obj) -> str:
-    blob = json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -259,10 +262,10 @@ class Pipeline:
     def _key_path(self, name: str) -> Path:
         return self.out / "keys" / f"{name}.json"
 
-    def _fresh(self, name: str, phase_key: str, artifact: Path) -> bool:
+    def _fresh(self, name: str, phase_key: str, files: tuple[Path, ...]) -> bool:
         path = self._key_path(name)
         return (path.exists() and json.loads(path.read_text()).get("phase_key") == phase_key
-                and artifact.exists())
+                and all(f.exists() for f in files))
 
     def _write_key(self, name: str, phase_key: str, **extra) -> None:
         _write_json(self._key_path(name), {"phase_key": phase_key, **self.provenance(), **extra})
@@ -332,20 +335,20 @@ class Pipeline:
 
     # -- phases -----------------------------------------------------------
 
-    def _phase(self, name: str, key: str, artifact: Path, tag: str, build, load):
-        """Load ``artifact``, building it first unless key record ``name`` vouches for it.
+    def _phase(self, name: str, key: str, files: tuple[Path, ...], tag: str, build, load):
+        """Load ``files[0]``, building first unless key record ``name`` vouches for it.
 
-        ``build`` writes every artifact of the phase (each through a temp
-        file and ``os.replace``) and returns the extra fields of its key
-        record.  The old record is deleted before the build starts and the
-        new one is written only after it returns, so an interrupted build
-        leaves no key behind, and the previous artifact intact.  A loaded
-        artifact is kept and served again while the key record still
-        vouches for it; a rebuild replaces it.  Any failure is re-raised
-        as ``PhaseError(tag)``.
+        ``files`` are every file the phase writes; the record vouches only
+        while all exist.  ``build`` writes them (each through a temp file
+        and ``os.replace``) and returns the extra fields of its key record.
+        The old record is deleted before the build starts and the new one
+        is written only after it returns, so an interrupted build leaves no
+        key behind, and the previous artifact intact.  A loaded artifact is
+        kept and served again while the key record still vouches for it; a
+        rebuild replaces it.  Any failure is re-raised as ``PhaseError(tag)``.
         """
         with _tagged(tag):
-            if self._fresh(name, key, artifact):
+            if self._fresh(name, key, files):
                 loaded_key, value = self._loaded.get(name, (None, None))
                 if loaded_key == key:
                     return value
@@ -353,17 +356,24 @@ class Pipeline:
                 self._key_path(name).unlink(missing_ok=True)
                 record = build()
                 self._write_key(name, key, **record)
-            value = load(artifact)
+            value = load(files[0])
             self._loaded[name] = (key, value)
             return value
 
-    def _save_run(self, path: Path, run, **sidecar) -> dict:
-        """Checkpoint a training or unlearning run with its JSON sidecar;
-        returns the run's key record fields."""
+    def _run_files(self, name: str, ckpt: str) -> tuple[Path, Path, Path]:
+        """The checkpoint, JSON sidecar and log of a training or unlearning phase."""
+        path = self.out / "checkpoints" / f"{ckpt}.ckpt"
+        return path, path.with_suffix(".json"), self.out / "logs" / f"{name}.csv"
+
+    def _save_run(self, files: tuple[Path, Path, Path], run, log: tuple, **sidecar) -> dict:
+        """Write a training or unlearning run's log (``log`` is its header and
+        columns), checkpoint and JSON sidecar; returns its key record fields."""
+        path, sidecar_path, log_path = files
+        _write_log(log_path, *log)
         with _replacing(path) as tmp:
             save_checkpoint(tmp, run.params)
         record = {"wall_seconds": run.wall_seconds, "steps": run.steps}
-        _write_json(path.with_suffix(".json"), {"provenance": self.provenance(), **record, **sidecar})
+        _write_json(sidecar_path, {"provenance": self.provenance(), **record, **sidecar})
         return record
 
     def ensure_dataset(self) -> GroupedDataset:
@@ -378,51 +388,49 @@ class Pipeline:
                 d.save(tmp, provenance=self.provenance())
             return {"wall_seconds": time.perf_counter() - tic}
 
-        return self._phase("dataset", self._k_dataset(), path, "dataset", build,
+        return self._phase("dataset", self._k_dataset(), (path,), "dataset", build,
                            GroupedDataset.load)
 
     def ensure_train_full(self):
         d = self.ensure_dataset()
-        path = self.out / "checkpoints" / "full.ckpt"
+        files = self._run_files("train_full", "full")
 
         def build():
-            with _replacing(self.out / "logs" / "train_full.csv") as log:
-                run = train_full(d, self.architecture(d), self.cfg.train, self.schedule(),
-                                 derive_seed(self.cfg.master_seed, "train_full"), log_path=log)
-            return self._save_run(
-                path, run, final_loss=run.epoch_losses[-1] if run.epoch_losses else None)
+            run = train_full(d, self.architecture(d), self.cfg.train, self.schedule(),
+                             derive_seed(self.cfg.master_seed, "train_full"))
+            log = ("epoch,loss,wall_ms", run.epoch_losses, run.epoch_ms)
+            return self._save_run(files, run, log, final_loss=(run.epoch_losses or [None])[-1])
 
-        return self._phase("train_full", self._k_full(), path, "train_full", build,
+        return self._phase("train_full", self._k_full(), files, "train_full", build,
                            load_checkpoint)
 
     def ensure_train_logo(self, k: int):
         d = self.ensure_dataset()
-        path = self.out / "checkpoints" / f"logo_{k}.ckpt"
+        files = self._run_files(f"train_logo_{k}", f"logo_{k}")
 
         def build():
-            with _replacing(self.out / "logs" / f"train_logo_{k}.csv") as log:
-                run = train_logo(d, k, self.architecture(d), self.cfg.train, self.schedule(),
-                                 derive_seed(self.cfg.master_seed, "train_logo"), log_path=log)
-            return self._save_run(path, run, group=k)
+            run = train_logo(d, k, self.architecture(d), self.cfg.train, self.schedule(),
+                             derive_seed(self.cfg.master_seed, "train_logo"))
+            log = ("epoch,loss,wall_ms", run.epoch_losses, run.epoch_ms)
+            return self._save_run(files, run, log, group=k)
 
-        return self._phase(f"train_logo_{k}", self._k_logo(k), path, "train_logo", build,
+        return self._phase(f"train_logo_{k}", self._k_logo(k), files, "train_logo", build,
                            load_checkpoint)
 
     def ensure_unlearn(self, method: str, k: int):
         d = self.ensure_dataset()
         spec = self._unlearn_spec(method)
-        path = self.out / "checkpoints" / f"unlearn_{method}_{k}.ckpt"
+        files = self._run_files(f"unlearn_{method}_{k}", f"unlearn_{method}_{k}")
 
         def build():
             full = self.ensure_train_full()
             seed = derive_seed(self.cfg.master_seed, "unlearn", method, k)
             run = unlearn(full, d, k, spec, self.schedule(), seed)
-            with _replacing(self.out / "logs" / f"unlearn_{method}_{k}.csv") as log:
-                run.write_log(log)
-            return self._save_run(path, run, group=k, seed=seed,
+            log = ("step,forget_loss,preserve_loss", run.forget_losses, run.preserve_losses)
+            return self._save_run(files, run, log, group=k, seed=seed,
                                   unlearn_config=dataclasses.asdict(spec))
 
-        return self._phase(f"unlearn_{method}_{k}", self._k_unlearn(method, k), path,
+        return self._phase(f"unlearn_{method}_{k}", self._k_unlearn(method, k), files,
                            "unlearn", build, load_checkpoint)
 
     def ensure_queries(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
@@ -450,7 +458,8 @@ class Pipeline:
                 np.savez(f, **arrays)  # a file object keeps np.savez from renaming the path
             return {"wall_seconds": time.perf_counter() - tic}
 
-        return self._phase("queries", self._k_queries(), path, "queries", build, _load_queries)
+        return self._phase("queries", self._k_queries(), (path,), "queries", build,
+                           _load_queries)
 
     def _query_conditions(self, d: GroupedDataset, count: int) -> np.ndarray | None:
         if d.cond_dim == 0:
@@ -490,8 +499,8 @@ class Pipeline:
                 mat.to_json(tmp, provenance=self.provenance())
             return {"wall_seconds": wall, "queries": len(x0)}
 
-        return self._phase(f"matrix_{method}", self._k_matrix(method), json_path, "attribute",
-                           build, AttributionMatrix.from_json)
+        return self._phase(f"matrix_{method}", self._k_matrix(method), (json_path, csv_path),
+                           "attribute", build, AttributionMatrix.from_json)
 
     def _models_for(self, method: str, d: GroupedDataset):
         s = self.schedule()
@@ -585,84 +594,59 @@ class TimingReport:
 
 
 def timing_report(run_dir: str | Path) -> TimingReport:
-    """Reconstruct cost accounting from recorded phase key files.
+    """Cost accounting from the key records of a run directory, each method
+    from the records of its own phases.
 
-    Each attribution method's preprocessing covers full-model training
-    plus its per-group counterfactual construction; query time is the
-    recorded matrix-computation time.  Speedups and the step-count
-    ratio are reported relative to the leave-one-group-out branch.  Only
-    the methods the run's ``config.json`` configures are reported, so
-    matrix records an earlier config left in the directory are ignored.
+    A network method's preprocessing is ``train_full`` plus its per-group
+    phases (``train_logo_k`` for ``logoa``, ``unlearn_<method>_k`` else);
+    prototype and oracle have none.  ``t_query_seconds`` is the matrix
+    record's wall time over that record's own query count.  Speedups and
+    step ratios are relative to LOGO.  Only methods configured in the
+    run's ``config.json`` are reported, so stale records are ignored.
     """
     run_dir = Path(run_dir)
-    keys_dir = run_dir / "keys"
-    if not keys_dir.exists():
-        raise ValueError(f"{run_dir} has no timing records")
-    records = {}
-    for path in sorted(keys_dir.glob("*.json")):
-        records[path.stem] = json.loads(path.read_text())
+    records = {p.stem: json.loads(p.read_text()) for p in sorted((run_dir / "keys").glob("*.json"))}
     if not records:
         raise ValueError(f"{run_dir} has no timing records")
-
-    def seconds(name: str) -> float:
-        if name not in records:
-            raise ValueError(f"missing timing record {name!r}")
-        return float(records[name].get("wall_seconds", 0.0))
-
-    def steps(name: str) -> int:
-        return int(records[name].get("steps", 0))
-
-    phase_seconds = {name: float(rec.get("wall_seconds", 0.0)) for name, rec in records.items()}
-    phase_steps = {name: int(rec["steps"]) for name, rec in records.items() if "steps" in rec}
-
     cfg = ExperimentConfig.from_json(run_dir / "config.json")
-    n = cfg.dataset.n_groups
-    q_count = 0
-    for rec in records.values():
-        if "queries" in rec:
-            q_count = int(rec["queries"])
+    seconds = {name: float(rec.get("wall_seconds", 0.0)) for name, rec in records.items()}
+    steps = {name: int(rec["steps"]) for name, rec in records.items() if "steps" in rec}
 
-    full_train = seconds("train_full") if "train_full" in records else 0.0
-    logo_names = [f"train_logo_{k}" for k in range(n) if f"train_logo_{k}" in records]
-    logo_steps_total = sum(steps(nm) for nm in logo_names)
+    def per_group(prefix: str) -> tuple[float, int]:
+        names = [n for k in range(cfg.dataset.n_groups) if (n := f"{prefix}_{k}") in records]
+        return sum(seconds[nm] for nm in names), sum(steps.get(nm, 0) for nm in names)
 
-    configured = {"logoa", "prototype", "oracle", *(u.method for u in cfg.unlearn_methods)}
+    _, logo_steps = per_group("train_logo")
+    unlearn_methods = {u.method for u in cfg.unlearn_methods}
     methods: dict[str, dict] = {}
-    for name in records:
-        method = name[len("matrix_"):]
-        if not name.startswith("matrix_") or method not in configured:
+    for name, rec in records.items():
+        method = name.removeprefix("matrix_")
+        if method == name or method not in {"logoa", "prototype", "oracle", *unlearn_methods}:
             continue
-        query_seconds = seconds(name)
-        if method == "logoa":
-            preproc = full_train + sum(seconds(nm) for nm in logo_names)
-            cf_steps = logo_steps_total
-        elif method in ("prototype", "oracle"):
-            preproc = 0.0
-            cf_steps = 0
+        if method in ("prototype", "oracle"):
+            preproc, cf_steps = 0.0, 0
         else:
-            ul_names = [f"unlearn_{method}_{k}" for k in range(n)
-                        if f"unlearn_{method}_{k}" in records]
-            preproc = full_train + sum(seconds(nm) for nm in ul_names)
-            cf_steps = sum(steps(nm) for nm in ul_names)
-        t_query = query_seconds / q_count if q_count else 0.0
-        entry = {
+            cf_seconds, cf_steps = per_group("train_logo" if method == "logoa"
+                                             else f"unlearn_{method}")
+            preproc = seconds.get("train_full", 0.0) + cf_seconds
+        query_seconds = seconds[name]
+        methods[method] = {
             "preproc_seconds": preproc,
             "query_seconds": query_seconds,
-            "t_query_seconds": t_query,
+            "t_query_seconds": query_seconds / rec["queries"] if rec["queries"] else 0.0,
             "total_seconds": preproc + query_seconds,
             "counterfactual_steps": cf_steps,
         }
-        if method not in ("logoa", "prototype", "oracle") and cf_steps > 0:
-            entry["logo_step_ratio"] = logo_steps_total / cf_steps
-        methods[method] = entry
+        if method in unlearn_methods and cf_steps > 0:
+            methods[method]["logo_step_ratio"] = logo_steps / cf_steps
 
     if "logoa" in methods:
         logoa_total = methods["logoa"]["total_seconds"]
-        for name, entry in methods.items():
+        for entry in methods.values():
             if entry["total_seconds"] > 0:
                 entry["speedup_vs_logo"] = logoa_total / entry["total_seconds"]
 
-    return TimingReport(phase_seconds, phase_steps, methods, q_count)
+    return TimingReport(seconds, steps, methods, cfg.queries.count)
 
 
 def sweep(

@@ -7,7 +7,8 @@ Two training entry points share one loop:
   of optimizer steps matches a leave-one-group-out run.
 - ``train_logo`` excludes a fixed group throughout.
 
-Both take one ``TrainSpec`` and the run's seed as an argument.
+Both take one ``TrainSpec`` and the run's seed as an argument; the
+caller writes the per-epoch log from the ``TrainRun`` they return.
 
 ``empirical_denoiser`` is the closed-form optimal eps-predictor for an
 empirical data distribution; it serves as an exact oracle both for
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -57,18 +57,14 @@ class TrainSpec:
 
 @dataclass
 class TrainRun:
-    """Trained parameters plus bookkeeping for logs and cost accounting."""
+    """Trained parameters plus bookkeeping for cost accounting and the
+    loss log: the mean loss and wall milliseconds of each epoch."""
 
     params: DenoiserParams
     steps: int
     epoch_losses: list[float]
     wall_seconds: float
-
-    def write_log(self, path: str | Path, epoch_ms: list[float]) -> None:
-        with open(path, "w") as f:
-            f.write("epoch,loss,wall_ms\n")
-            for i, (loss, ms) in enumerate(zip(self.epoch_losses, epoch_ms)):
-                f.write(f"{i},{loss!r},{ms!r}\n")
+    epoch_ms: list[float]
 
 
 BatchHook = Callable[[int, np.ndarray, np.ndarray | None], None]
@@ -83,7 +79,6 @@ def _train(
     fixed_exclude: int | None,
     exposure: bool,
     batch_hook: BatchHook | None = None,
-    log_path: str | Path | None = None,
 ) -> TrainRun:
     params = init_network(arch, derive_seed(seed, "init"))
     if arch.cond_dim not in (0, d.cond_dim):
@@ -122,10 +117,7 @@ def _train(
         epoch_losses.append(float(np.mean(losses)) if losses else math.nan)
         epoch_ms.append((time.perf_counter() - tic) * 1e3)
 
-    run = TrainRun(params, steps, epoch_losses, time.perf_counter() - start)
-    if log_path is not None:
-        run.write_log(log_path, epoch_ms)
-    return run
+    return TrainRun(params, steps, epoch_losses, time.perf_counter() - start, epoch_ms)
 
 
 def train_full(
@@ -135,14 +127,13 @@ def train_full(
     s: Schedule,
     seed: int,
     batch_hook: BatchHook | None = None,
-    log_path: str | Path | None = None,
 ) -> TrainRun:
     """Train on all groups (one random group left out per epoch when
-    exposure matching is on)."""
+    exposure matching is on); the run carries per-epoch logs."""
     if cfg.exposure_matched and d.n_groups < 2:
         raise ValueError("exposure matching needs at least 2 groups")
     return _train(d, arch, cfg, s, seed, fixed_exclude=None, exposure=cfg.exposure_matched,
-                  batch_hook=batch_hook, log_path=log_path)
+                  batch_hook=batch_hook)
 
 
 def train_logo(
@@ -153,14 +144,13 @@ def train_logo(
     s: Schedule,
     seed: int,
     batch_hook: BatchHook | None = None,
-    log_path: str | Path | None = None,
 ) -> TrainRun:
     """Train with group k excluded throughout, same step budget as
-    ``train_full`` under equal group sizes."""
+    ``train_full`` under equal group sizes; the run carries per-epoch logs."""
     if not 0 <= k < d.n_groups:
         raise ValueError(f"group index {k} outside [0, {d.n_groups})")
     return _train(d, arch, cfg, s, seed, fixed_exclude=k, exposure=False,
-                  batch_hook=batch_hook, log_path=log_path)
+                  batch_hook=batch_hook)
 
 
 def empirical_denoiser(subset: np.ndarray, xt: np.ndarray, t: int, s: Schedule) -> np.ndarray:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -303,12 +302,6 @@ class UnlearnRun:
     forget_losses: list[float]
     preserve_losses: list[float]
     wall_seconds: float
-
-    def write_log(self, path: str | Path) -> None:
-        with open(path, "w") as f:
-            f.write("step,forget_loss,preserve_loss\n")
-            for i, (lf, lp) in enumerate(zip(self.forget_losses, self.preserve_losses)):
-                f.write(f"{i},{lf!r},{lp!r}\n")
 
 
 def unlearn(

@@ -1,10 +1,12 @@
-"""The package names the benchmark's tracer wraps must exist.
+"""The package names the benchmark's tracer wraps must exist, and the
+run records its checks read must pass them.
 
 ``perfbench/tracer.py`` replaces functions and ``Pipeline`` methods by
 name when ``--trace 1`` installs it, so a rename in the package breaks
 traced runs.  The tracer module imports only the standard library and
 is loaded here by path, read-only.  Some wrappers also read an
 argument by position, so those positions are checked by signature.
+``perfbench/checks.py`` is loaded the same way to check ``timing.json``.
 """
 
 import dataclasses
@@ -15,18 +17,29 @@ from pathlib import Path
 
 import pytest
 
-from groupattr.harness import Pipeline
+from groupattr.harness import Pipeline, run_experiment
 from groupattr.metrics import rank_report
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from conftest import tiny_experiment_config
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return _load("checks")
 
 
 def test_traced_functions_resolve(tracer):
@@ -106,3 +119,14 @@ def test_bench_config_names_and_fields(name, keywords):
 def test_bench_default_config_entry_point():
     harness = importlib.import_module("groupattr.harness")
     assert callable(getattr(harness, "default_experiment_config", None))
+
+
+def test_timing_step_ratio_passes_the_bench_check(checks, tiny_run, tmp_path):
+    """``timing.json`` carries the LOGO-to-unlearning step ratio the
+    benchmark checks: the config's ratio with LOGO as the gold, and 0.0
+    when no LOGO model was trained."""
+    cfg, out, _ = tiny_run
+    assert checks.check_step_ratio(out, checks.expected_step_ratio(cfg, True)) == []
+    oracle_gold = tmp_path / "oracle_gold"
+    run_experiment(cfg, oracle_gold, gold="oracle")
+    assert checks.check_step_ratio(oracle_gold, checks.expected_step_ratio(cfg, False)) == []

@@ -1,8 +1,12 @@
 """Pipeline orchestration: caching, determinism, timing, and sweeps."""
 
+import filecmp
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -202,6 +206,67 @@ class TestDeterminismAndCaching:
         Pipeline(cfg, out).ensure_train_full()
         assert ckpt.read_bytes() == original
 
+    def test_key_vouches_only_while_every_file_exists(self, tiny_run, tmp_path):
+        """A phase whose key record is intact but one of whose files is gone
+        is rebuilt, and the rebuild writes the same bytes."""
+        cfg, out, _ = tiny_run
+        rerun = tmp_path / "rerun"
+        shutil.copytree(out, rerun)
+        gone = ["matrices/retrack.csv", "checkpoints/unlearn_retrack_0.json",
+                "logs/unlearn_retrack_0.csv"]
+        for name in gone:
+            (rerun / name).unlink()
+        run_experiment(cfg, rerun)
+        for name in gone:
+            assert (rerun / name).exists(), name
+        for pattern in ("matrices/*", "checkpoints/*.ckpt"):
+            names = sorted(f.name for f in out.glob(pattern))
+            assert names == sorted(f.name for f in rerun.glob(pattern))
+            for f in out.glob(pattern):
+                assert f.read_bytes() == (rerun / f.relative_to(out)).read_bytes(), f.name
+
+    def test_blas_thread_count_changes_no_byte(self, tmp_path):
+        """One and two OpenBLAS threads give the same matrices, checkpoints
+        and queries, and the same forward/backward bytes on blocks large
+        enough to reach a threaded BLAS path."""
+        script = """
+import hashlib, sys
+import numpy as np
+from conftest import tiny_experiment_config
+from groupattr.denoiser import Architecture, backward_batch, forward_batch, init_network
+from groupattr.harness import run_experiment
+
+run_experiment(tiny_experiment_config(), sys.argv[1])
+p = init_network(Architecture(input_dim=2, hidden_dims=(128, 128), time_embed_dim=8,
+                              cond_dim=4), 0)
+rng = np.random.default_rng(0)
+h = hashlib.sha256()
+for rows in (64, 256, 1024):
+    xt, cond = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 4))
+    out, cache = forward_batch(p, xt, rng.integers(1, 101, size=rows), 100, cond,
+                               want_cache=True)
+    h.update(out.tobytes())
+    h.update(backward_batch(p, cache, out - xt).tobytes())
+print(h.hexdigest())
+"""
+        paths = [str(Path(harness.__file__).parents[1]), str(Path(__file__).parent)]
+        digests, runs = [], []
+        for threads in ("1", "2"):
+            run = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(paths)}
+            done = subprocess.run([sys.executable, "-c", script, str(run)], env=env,
+                                  capture_output=True, text=True, check=True)
+            digests.append(done.stdout.split()[-1])
+            runs.append(run)
+        assert digests[0] == digests[1]
+        one, two = runs
+        files = sorted(f.relative_to(one) for pattern in
+                       ("matrices/*", "checkpoints/*.ckpt", "queries.npz")
+                       for f in one.glob(pattern))
+        assert len(files) == 21  # 10 matrix files, 10 checkpoints, the queries
+        for f in files:
+            assert filecmp.cmp(one / f, two / f, shallow=False), f
 
     def test_each_checkpoint_loaded_once(self, tmp_path, monkeypatch):
         """A loaded checkpoint is served again while its key record vouches
@@ -320,6 +385,20 @@ class TestTiming:
     def test_missing_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             timing_report(tmp_path / "nothing")
+
+    def test_query_count_comes_from_the_config(self, tiny_run, tmp_path):
+        """A stale matrix record of an earlier config does not set Q: each
+        method's query time is divided by its own matrix's query count."""
+        cfg, out, _ = tiny_run
+        rerun = tmp_path / "rerun"
+        shutil.copytree(out, rerun)
+        run_experiment(replace(cfg, unlearn_methods=cfg.unlearn_methods[1:],
+                               queries=QuerySpec(count=4)), rerun)
+        timing = json.loads((rerun / "reports" / "timing.json").read_text())
+        assert timing["queries"] == 4
+        assert sorted(timing["methods"]) == ["esd", "logoa", "oracle", "prototype"]
+        for entry in timing["methods"].values():
+            assert entry["t_query_seconds"] == entry["query_seconds"] / 4
 
     def test_rerun_with_fewer_methods_drops_stale_ones(self, tiny_run, tmp_path):
         """A rerun without esd reports the methods of its own config only."""

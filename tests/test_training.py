@@ -18,6 +18,7 @@ from groupattr import (
     loss_and_grad,
 )
 from groupattr.denoiser import noise_batch
+from groupattr.harness import _write_log
 from groupattr.seeding import derive_seed
 from groupattr.training import KernelDenoiser, train_full, train_logo
 
@@ -71,10 +72,13 @@ class TestTrainFull:
 
     def test_training_log_written(self, two_groups, schedule, tmp_path):
         cfg = TrainSpec(epochs=3, batch_size=32, lr=1e-3, exposure_matched=False)
-        train_full(two_groups, ARCH, cfg, schedule, 1, log_path=tmp_path / "log.csv")
+        run = train_full(two_groups, ARCH, cfg, schedule, 1)
+        assert len(run.epoch_ms) == 3 and all(ms > 0.0 for ms in run.epoch_ms)
+        _write_log(tmp_path / "log.csv", "epoch,loss,wall_ms", run.epoch_losses, run.epoch_ms)
         lines = (tmp_path / "log.csv").read_text().splitlines()
         assert lines[0] == "epoch,loss,wall_ms"
         assert len(lines) == 4
+        assert lines[1] == f"0,{run.epoch_losses[0]!r},{run.epoch_ms[0]!r}"
 
     def test_loss_approaches_kernel_floor(self, schedule):
         """After 200 epochs the eps-loss sits within 110% of the exact
