@@ -229,10 +229,15 @@ def kernel_softmax(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``kernel_logits`` normalized to posterior weights (per row) by a stable softmax."""
     w, centers = kernel_logits(points, xt, t, s, K)
+    return softmax_inplace(w), centers
+
+
+def softmax_inplace(w: np.ndarray) -> np.ndarray:
+    """Stable softmax of ``w`` over its last axis, written into ``w``."""
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    return w, centers
+    return w
 
 
 def true_posterior(s: Schedule, x0: np.ndarray, xt: np.ndarray, t: int) -> GaussianLaw:
@@ -300,7 +305,10 @@ def sample(
     ``clip_x0`` clamps the predicted clean sample to a coordinate box
     (the usual clip-denoised stabilization; off by default).  Each row
     draws x_T and then its step noise from its own ``rng_for(seed,
-    "sample")`` stream, so a row depends only on its seed and condition.
+    "sample")`` stream, so a row depends only on its seed and condition:
+    all of a row's normals (x_T, then one per ``ddpm`` step with noise)
+    come from one draw, whose values are those of consecutive per-step
+    draws.
     """
     steps = s.num_steps if steps is None else int(steps)
     if not 1 <= steps <= s.num_steps:
@@ -314,13 +322,14 @@ def sample(
     if len(seeds) == 0:
         return np.zeros((0, dim))
 
-    rngs = [rng_for(seed, "sample") for seed in seeds]
-
-    def normals() -> np.ndarray:
-        return np.stack([rng.standard_normal(dim) for rng in rngs])
-
-    x = normals()
     taus = _respaced_timesteps(s.num_steps, steps)
+    # x_T, then one row per ddpm step that adds noise; the last step
+    # (var = 0) adds none, and a trailing unused draw changes no value before it.
+    normals = np.empty((len(seeds), len(taus) if method == "ddpm" else 1, dim))
+    for q, seed in enumerate(seeds):
+        rng_for(seed, "sample").standard_normal(out=normals[q])
+    x = normals[:, 0].copy()
+    drawn = 1
     for i in range(len(taus) - 1, -1, -1):
         t_cur = int(taus[i])
         t_prev = int(taus[i - 1]) if i > 0 else 0
@@ -342,5 +351,6 @@ def sample(
             var = (1.0 - abar_prev) / (1.0 - abar_cur) * beta_eff
             x = mean
             if var > 0.0:
-                x = x + math.sqrt(var) * normals()
+                x = x + math.sqrt(var) * normals[:, drawn]
+                drawn += 1
     return x

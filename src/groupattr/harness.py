@@ -506,9 +506,9 @@ class Pipeline:
         s = self.schedule()
         n = d.n_groups
         if method == "oracle":
-            full = KernelDenoiser(d.all_samples(), s)
-            cfs = [KernelDenoiser(d.all_samples(exclude=k), s) for k in range(n)]
-            return full, cfs
+            points, labels = d.labeled_samples()
+            full = KernelDenoiser(points, s)
+            return full, [full.restrict(np.flatnonzero(labels != k)) for k in range(n)]
         full = self.ensure_train_full()
         if method == "logoa":
             cfs = [self.ensure_train_logo(k) for k in range(n)]
@@ -601,14 +601,23 @@ def timing_report(run_dir: str | Path) -> TimingReport:
     phases (``train_logo_k`` for ``logoa``, ``unlearn_<method>_k`` else);
     prototype and oracle have none.  ``t_query_seconds`` is the matrix
     record's wall time over that record's own query count.  Speedups and
-    step ratios are relative to LOGO.  Only methods configured in the
-    run's ``config.json`` are reported, so stale records are ignored.
+    step ratios are relative to LOGO.  Only the phases the run's
+    ``config.json`` defines are reported (``dataset``, ``train_full``,
+    ``train_logo_k`` and ``unlearn_<method>_k`` for its groups and
+    unlearning methods, ``queries`` and the matrices of its methods), so
+    stale records are ignored.
     """
     run_dir = Path(run_dir)
     records = {p.stem: json.loads(p.read_text()) for p in sorted((run_dir / "keys").glob("*.json"))}
     if not records:
         raise ValueError(f"{run_dir} has no timing records")
     cfg = ExperimentConfig.from_json(run_dir / "config.json")
+    unlearn_methods = [u.method for u in cfg.unlearn_methods]
+    phases = {"dataset", "train_full", "queries",
+              *(f"matrix_{m}" for m in ["logoa", *unlearn_methods, "prototype", "oracle"])}
+    for k in range(cfg.dataset.n_groups):
+        phases |= {f"train_logo_{k}", *(f"unlearn_{m}_{k}" for m in unlearn_methods)}
+    records = {name: rec for name, rec in records.items() if name in phases}
     seconds = {name: float(rec.get("wall_seconds", 0.0)) for name, rec in records.items()}
     steps = {name: int(rec["steps"]) for name, rec in records.items() if "steps" in rec}
 
@@ -617,11 +626,10 @@ def timing_report(run_dir: str | Path) -> TimingReport:
         return sum(seconds[nm] for nm in names), sum(steps.get(nm, 0) for nm in names)
 
     _, logo_steps = per_group("train_logo")
-    unlearn_methods = {u.method for u in cfg.unlearn_methods}
     methods: dict[str, dict] = {}
     for name, rec in records.items():
         method = name.removeprefix("matrix_")
-        if method == name or method not in {"logoa", "prototype", "oracle", *unlearn_methods}:
+        if method == name:
             continue
         if method in ("prototype", "oracle"):
             preproc, cf_steps = 0.0, 0

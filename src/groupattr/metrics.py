@@ -19,7 +19,7 @@ whose self-agreement maximum is 1 - p^N.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.stats import rankdata
@@ -95,7 +95,8 @@ class RankReport:
     per_query: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Shallow: ``asdict`` would deep-copy every per-query dict.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RankReport":

@@ -10,10 +10,13 @@ closed-form mean-difference term.
 
 Scoring runs on blocks: ``elbo_block`` scores Q queries under M models
 with one denoiser call per model and grid point.  Each query's noise at
-grid point t derives deterministically from (its noise seed, t), is
-drawn once and shared by every model, which makes score differences
-between models use identical noise (variance reduction) and makes grid
-sums additive over disjoint grids.  ``elbo_estimate`` and
+grid point t derives deterministically from (its noise seed, t): the
+(Q, dim) noise block of a grid point is seeded in one ``block_rngs``
+pass, drawn once and shared by every model, which makes score
+differences between models use identical noise (variance reduction) and
+makes grid sums additive over disjoint grids.  Kernel denoisers over one
+point set (the oracle's full and leave-one-group-out sets) share one
+distance block per grid point.  ``elbo_estimate`` and
 ``paired_score_difference`` are the one-query cases.
 """
 
@@ -27,7 +30,8 @@ import numpy as np
 
 from .denoiser import DenoiserParams, forward_batch
 from .diffusion import Schedule, forward_marginal, model_posterior, true_posterior
-from .seeding import rng_for
+from .seeding import block_rngs
+from .training import KernelDenoiser
 
 
 @dataclass(frozen=True)
@@ -76,13 +80,29 @@ def check_input_dims(models: Sequence) -> None:
         raise ValueError(f"models disagree on input dim: {sorted(dims)}")
 
 
-def _predict(model, xt: np.ndarray, t: int, cond: np.ndarray | None, s: Schedule) -> np.ndarray:
-    # DenoiserParams run as one forward pass; anything else is a block denoiser.
-    if isinstance(model, DenoiserParams):
-        return forward_batch(model, xt, t, s.num_steps, cond)
-    if callable(model):
-        return np.asarray(model(xt, t, cond), dtype=np.float64)
-    raise TypeError(f"cannot interpret {type(model).__name__} as a denoiser")
+def _predict_all(models: Sequence, xt: np.ndarray, t: int, cond: np.ndarray | None,
+                 s: Schedule) -> list[np.ndarray]:
+    """Every model's eps block at (x_t, t).
+
+    DenoiserParams run as one forward pass.  Kernel denoisers over one
+    point set take their logits from one ``KernelDenoiser.logits`` block
+    of that set, which is dropped on return.  Any other callable is a
+    block denoiser.
+    """
+    shared: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    eps = []
+    for model in models:
+        if isinstance(model, DenoiserParams):
+            eps.append(forward_batch(model, xt, t, s.num_steps, cond))
+        elif isinstance(model, KernelDenoiser):
+            if id(model.base) not in shared:
+                shared[id(model.base)] = model.base.logits(xt, t)
+            eps.append(model.from_logits(*shared[id(model.base)], xt, t))
+        elif callable(model):
+            eps.append(np.asarray(model(xt, t, cond), dtype=np.float64))
+        else:
+            raise TypeError(f"cannot interpret {type(model).__name__} as a denoiser")
+    return eps
 
 
 def elbo_block(
@@ -96,11 +116,13 @@ def elbo_block(
     """ELBO of every query under every model, as an (M models, Q queries) array.
 
     ``x0`` holds one query per row and ``cond`` is None or one condition
-    row per query.  At each grid point t and sample j, query q draws its
-    noise from ``rng_for(noise_seeds[q], t, j)`` (``cfg.noise_seed`` is
+    row per query.  At each grid point t and sample j, the (Q, dim) noise
+    block is drawn from ``block_rngs(noise_seeds, t, j)``: row q is the
+    stream of ``rng_for(noise_seeds[q], t, j)`` (``cfg.noise_seed`` is
     not read: the caller keys each query's stream).  The noise, x_t and
     the true posterior are formed once and shared by all models, and
-    each model makes one denoiser call over the Q rows.  Per query the
+    each model makes one denoiser call over the Q rows (kernel denoisers
+    over one point set share its distance block).  Per query the
     per-timestep KLs are summed with ``math.fsum`` over the grid, so each
     row is the value the query would get scored alone.
     """
@@ -114,17 +136,26 @@ def elbo_block(
     grid = cfg.grid()
     J = cfg.samples_per_t
     kls = np.empty((len(models), len(x0), len(grid), J))
+    eps = np.empty(x0.shape)
     for g, t in enumerate(grid):
         for j in range(J):
-            eps = np.stack([rng_for(seed, t, j).standard_normal(x0.shape[1])
-                            for seed in noise_seeds])
+            for i, rng in enumerate(block_rngs(noise_seeds, t, j)):
+                rng.standard_normal(out=eps[i])
             xt = forward_marginal(s, x0, t, eps)
             q = true_posterior(s, x0, xt, t)
-            for m, model in enumerate(models):
-                p = model_posterior(s, _predict(model, xt, t, cond, s), xt, t)
+            for m, eps_hat in enumerate(_predict_all(models, xt, t, cond, s)):
+                p = model_posterior(s, eps_hat, xt, t)
                 kls[m, :, g, j] = np.sum((q.mean - p.mean) ** 2, axis=1) / (2.0 * q.variance)
-    return np.array([[-math.fsum(math.fsum(kl_j) / J for kl_j in kl_q) for kl_q in kl_m]
-                     for kl_m in kls])
+    return -_grid_sums(kls)
+
+
+def _grid_sums(kls: np.ndarray) -> np.ndarray:
+    """Per (model, query) of an (M, Q, G, J) KL block: ``math.fsum`` over
+    the J samples of each grid point divided by J, then ``math.fsum`` over
+    the grid in grid order.  Runs on Python floats, not numpy scalars."""
+    M, Q, G, J = kls.shape
+    means = [math.fsum(kl_j) / J for kl_j in kls.reshape(-1, J).tolist()]
+    return np.array([math.fsum(means[i:i + G]) for i in range(0, len(means), G)]).reshape(M, Q)
 
 
 def elbo_estimate(

@@ -9,7 +9,8 @@ so results do not depend on scheduling or evaluation order.
 ``block_rngs`` is the block form of ``content_rng`` and ``rng_for``: it
 hashes the seed of every row of a block in one vectorized pass of
 ``SeedSequence``'s algorithm and replays each row's stream through one
-reused generator.  The streams are bit for bit those of the one-row
+reused generator.  Its labels are strings or integers, as the path parts
+of ``rng_for``.  The streams are bit for bit those of the one-row
 functions.
 """
 
@@ -69,21 +70,24 @@ def content_rng(root: int, *arrays: np.ndarray | None) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def block_rngs(roots, *columns: np.ndarray | str | None) -> Iterator[np.random.Generator]:
+def block_rngs(roots, *columns: np.ndarray | str | int | None) -> Iterator[np.random.Generator]:
     """Yield, for each row i of a block, a generator in row i's stream.
 
     ``roots`` is one root for every row or a (B,) vector of roots.  Each
     column is a block with one row per item (keyed by the row's bytes,
     as ``content_rng``), ``None`` (as a ``None`` array of ``content_rng``)
-    or a string label (as a label of ``rng_for``).  Row i's stream is
-    that of ``content_rng(roots[i], x0[i], cond[i])`` for the columns
-    ``x0, cond``, and that of ``rng_for(roots[i], "anchor")`` for the
-    column ``"anchor"``.  The same generator object is yielded for every
-    row, reset to the next row's state on each step, so draw from it
-    before advancing.
+    or a string or integer label (as a path part of ``rng_for``; the
+    label 0 gives the same word as ``None``).  Row i's stream is that of
+    ``content_rng(roots[i], x0[i], cond[i])`` for the columns ``x0,
+    cond``, that of ``rng_for(roots[i], "anchor")`` for the column
+    ``"anchor"`` and that of ``rng_for(roots[i], t, j)`` for the labels
+    ``t, j``.  The same generator object is yielded for every row, reset
+    to the next row's state on each step, so draw from it before
+    advancing.
     """
     scalar_root = np.ndim(roots) == 0
-    rows = next((len(c) for c in columns if c is not None and not isinstance(c, str)),
+    labels = [c is None or isinstance(c, (str, int, np.integer)) for c in columns]
+    rows = next((len(c) for c, label in zip(columns, labels) if not label),
                 None if scalar_root else len(roots))
     if rows is None:
         raise ValueError("block_rngs needs a vector of roots or a block column")
@@ -91,8 +95,8 @@ def block_rngs(roots, *columns: np.ndarray | str | None) -> Iterator[np.random.G
         entropy = [[_encode(roots)] * rows]
     else:
         entropy = [[_encode(r) for r in roots]]
-    for c in columns:
-        if c is None or isinstance(c, str):
+    for c, label in zip(columns, labels):
+        if label:
             entropy.append([_encode(c) if c is not None else 0] * rows)
         else:
             entropy.append([_crc(row) for row in np.asarray(c)])

@@ -34,7 +34,7 @@ from .denoiser import (
     loss_and_grad,
     optimizer_step,
 )
-from .diffusion import Schedule, kernel_softmax
+from .diffusion import Schedule, kernel_logits, kernel_softmax, softmax_inplace
 from .seeding import derive_seed, rng_for
 
 
@@ -170,7 +170,12 @@ class KernelDenoiser:
     """Block denoiser running ``empirical_denoiser`` over a fixed point set.
 
     Ignores the condition argument; the empirical predictor is defined
-    on the raw sample space.
+    on the raw sample space.  ``restrict(cols)`` gives the denoiser over
+    ``points[cols]`` (a leave-one-group-out set) whose ``base`` is this
+    one: its logits are the columns ``cols`` of its base's logits, so
+    ``from_logits`` turns one ``base.logits`` block into the prediction
+    of every denoiser over that base (the oracle's N + 1 denoisers share
+    one distance block per grid point).  A denoiser is its own base.
     """
 
     def __init__(self, points: np.ndarray, schedule: Schedule):
@@ -178,10 +183,40 @@ class KernelDenoiser:
         if self.points.shape[0] == 0:
             raise ValueError("points must be non-empty")
         self.schedule = schedule
+        self.base = self
+        self.cols: np.ndarray | None = None
 
     @property
     def input_dim(self) -> int:
         return self.points.shape[1]
+
+    def restrict(self, cols) -> "KernelDenoiser":
+        """The denoiser over ``points[cols]``, with this one as its base."""
+        cols = np.asarray(cols, dtype=np.intp)
+        sub = KernelDenoiser(self.points[cols], self.schedule)
+        sub.base, sub.cols = self, cols
+        return sub
+
+    def logits(self, xt: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """``kernel_logits`` of this denoiser's points at (x_t, t)."""
+        return kernel_logits(self.points, xt, t, self.schedule)
+
+    def from_logits(self, logits: np.ndarray, centers: np.ndarray, xt: np.ndarray,
+                    t: int) -> np.ndarray:
+        """The prediction at (x_t, t) from ``base.logits(xt, t)``, which is left as it was.
+
+        ``np.take`` copies this denoiser's columns into a C-contiguous
+        block, whose row sums in the softmax then run in the order of
+        ``empirical_denoiser`` over ``points``, so the result is bit for
+        bit the same.  ``logits[:, cols]`` is not C-contiguous; its row
+        sums run in another order and move the result in the last bits.
+        """
+        if self.cols is None:
+            w = logits.copy()
+        else:
+            w = np.take(logits, self.cols, axis=-1)
+            centers = np.take(centers, self.cols, axis=-2)
+        return (xt - softmax_inplace(w) @ centers) / self.schedule.sigma(t)
 
     def __call__(self, xt: np.ndarray, t: int, cond: np.ndarray | None = None) -> np.ndarray:
         return empirical_denoiser(self.points, xt, t, self.schedule)

@@ -1,6 +1,7 @@
-"""Block paths of the training and unlearning inner loop, against their one-row forms.
+"""Block paths of the training, unlearning and scoring inner loops, against their one-row forms.
 
-``block_rngs`` seeds every row of a block in one vectorized pass, and
+``block_rngs`` seeds every row of a block in one vectorized pass (keyed by
+row bytes, string labels or the integer labels of the ELBO noise), and
 ``noise_batch``, ``forward_marginal``, ``retrack_target`` and
 ``anchor_select`` work on whole blocks.  Each must give, row for row and
 bit for bit, what the one-row definitions give: ``content_rng`` and
@@ -76,6 +77,17 @@ def test_block_rngs_match_content_rng(block, vector_root):
 def test_block_rngs_match_rng_for_with_mixed_seed_widths(seeds):
     for seed, rng in zip(seeds, block_rngs(np.array(seeds, dtype=np.int64), "anchor")):
         assert rng.bit_generator.state == rng_for(seed, "anchor").bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(roots, min_size=1, max_size=8),
+       t=st.one_of(st.just(0), st.integers(1, 1000)), j=st.one_of(st.just(0), st.integers(1, 5)))
+def test_block_rngs_with_integer_labels_match_rng_for(seeds, t, j):
+    """The ELBO noise block: row i of ``block_rngs(seeds, t, j)`` is
+    ``rng_for(seeds[i], t, j)``, label 0 included."""
+    for seed, rng in zip(seeds, block_rngs(seeds, t, j), strict=True):
+        want = rng_for(seed, t, j).standard_normal(3)
+        assert rng.standard_normal(3).tobytes() == want.tobytes()
 
 
 def test_block_of_mixed_seed_widths_covers_both_groups():

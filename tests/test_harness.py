@@ -400,6 +400,21 @@ class TestTiming:
         for entry in timing["methods"].values():
             assert entry["t_query_seconds"] == entry["query_seconds"] / 4
 
+    def test_phase_records_come_from_the_config(self, tiny_run, tmp_path):
+        """A rerun with esd only keeps no phase record of retrack."""
+        cfg, out, _ = tiny_run
+        rerun = tmp_path / "rerun"
+        shutil.copytree(out, rerun)
+        run_experiment(replace(cfg, unlearn_methods=cfg.unlearn_methods[1:]), rerun)
+        assert (rerun / "keys" / "matrix_retrack.json").exists()
+        timing = json.loads((rerun / "reports" / "timing.json").read_text())
+        n = cfg.dataset.n_groups
+        want = {"dataset", "train_full", "queries",
+                *(f"{prefix}_{k}" for prefix in ("train_logo", "unlearn_esd") for k in range(n)),
+                *(f"matrix_{m}" for m in ("logoa", "esd", "prototype", "oracle"))}
+        assert set(timing["phase_seconds"]) == want
+        assert set(timing["phase_steps"]) == {p for p in want if p.startswith(("train", "unlearn"))}
+
     def test_rerun_with_fewer_methods_drops_stale_ones(self, tiny_run, tmp_path):
         """A rerun without esd reports the methods of its own config only."""
         cfg, out, _ = tiny_run

@@ -257,6 +257,20 @@ class TestRankReport:
         assert back.top1 == rep.top1
         assert back.per_query == rep.per_query
 
+    def test_to_dict_serializes_as_asdict(self):
+        """``to_dict`` is shallow, but its JSON is that of ``asdict``, and it
+        round-trips through ``from_dict``."""
+        import json
+        from dataclasses import asdict
+
+        from groupattr.metrics import RankReport
+
+        rng = np.random.default_rng(5)
+        rep = rank_report(matrix(rng.normal(size=(6, 4))), matrix(rng.normal(size=(6, 4))))
+        d = rep.to_dict()
+        assert json.dumps(d) == json.dumps(asdict(rep))
+        assert RankReport.from_dict(d) == rep
+
 
 @st.composite
 def report_pairs(draw):

@@ -162,18 +162,29 @@ class TestBlockScoring:
         assert abs(block[0, 0] - reference_elbo(full, x0, cond, cfg.noise_seed, cfg)) <= (
             1e-12 * abs(block[0, 0]))
 
+    @pytest.mark.parametrize("samples_per_t", [1, 2])
+    def test_grid_sum_is_the_nested_fsum(self, samples_per_t):
+        from groupattr.scoring import _grid_sums
+
+        rng = np.random.default_rng(samples_per_t)
+        kls = rng.lognormal(0.0, 6.0, size=(6, 40, 10, samples_per_t))
+        want = np.array([[math.fsum(math.fsum(kl_j) / samples_per_t for kl_j in kl_q)
+                          for kl_q in kl_m] for kl_m in kls])
+        assert _grid_sums(kls).tobytes() == want.tobytes()
+
     def test_noise_drawn_once_per_query_and_grid_point(self, monkeypatch):
         """One keyed draw per (query, t, j), shared by every model."""
         from groupattr import scoring
 
         calls = []
-        real_rng_for = scoring.rng_for
+        real_block_rngs = scoring.block_rngs
 
-        def counting_rng_for(*path):
-            calls.append(path)
-            return real_rng_for(*path)
+        def counting_block_rngs(roots, *labels):
+            for root, rng in zip(roots, real_block_rngs(roots, *labels)):
+                calls.append((root, *labels))
+                yield rng
 
-        monkeypatch.setattr(scoring, "rng_for", counting_rng_for)
+        monkeypatch.setattr(scoring, "block_rngs", counting_block_rngs)
         full, cfs = kernels()
         cfg = ElboConfig(stride=10, t_min=2, t_max=50, noise_seed=4, samples_per_t=2)
         attribution_matrix(*query_block(5, "none"), full, cfs, cfg, S)
@@ -212,6 +223,56 @@ class TestBlockSampler:
     def test_empty_block(self):
         full, _ = kernels()
         assert sample(S, full, []).shape == (0, 2)
+
+    @pytest.mark.parametrize("method", ["ddpm", "ddim"])
+    @pytest.mark.parametrize("steps", [50, 17])
+    def test_elementwise_block_is_the_per_seed_loop_bit_for_bit(self, method, steps):
+        """With a zero denoiser every step is elementwise, so each row is its
+        seed's one-row run exactly: one draw per query gives the values of
+        the per-step draws."""
+        def zero(x, t, cond):
+            return np.zeros_like(x)
+
+        seeds = [0, 7, 2**32 - 1, 2**32, 2**40 + 3]
+        block = sample(S_LIN, zero, seeds, steps=steps, method=method, dim=3)
+        for row, seed in zip(block, seeds):
+            ref = reference_sample(S_LIN, zero, seed, None, steps, method, 3, None)
+            assert row.tobytes() == ref.tobytes()
+
+
+@cache
+def desk_oracle():
+    """A desk-size oracle built as the harness builds it: the full kernel
+    denoiser and its restriction to every leave-one-group-out set."""
+    d = generate_grouped_dataset(DatasetSpec(n_groups=5, samples_per_group=200), seed=0)
+    points, labels = d.labeled_samples()
+    full = KernelDenoiser(points, S)
+    return d, full, [full.restrict(np.flatnonzero(labels != k)) for k in range(5)]
+
+
+class TestSharedKernelBlock:
+    """The oracle's leave-one-group-out denoisers take their logits from the
+    full point set's one distance block."""
+
+    @pytest.mark.parametrize("t", [2, 12, 31, 50])
+    def test_restriction_is_empirical_denoiser_bit_for_bit(self, t):
+        from groupattr.scoring import _predict_all
+
+        d, full, cfs = desk_oracle()
+        xt = np.random.default_rng(t).normal(size=(64, 2)) * 4.0
+        shared = full.logits(xt, t)
+        before = shared[0].copy()
+        got = _predict_all([full, *cfs], xt, t, None, S)
+        want = empirical_denoiser(full.points, xt, t, S).tobytes()
+        assert got[0].tobytes() == full.from_logits(*shared, xt, t).tobytes() == want
+        for k, (cf, eps) in enumerate(zip(cfs, got[1:])):
+            points = d.all_samples(exclude=k)
+            want = empirical_denoiser(points, xt, t, S).tobytes()
+            assert cf.points.tobytes() == points.tobytes()
+            assert eps.tobytes() == want
+            assert cf.from_logits(*shared, xt, t).tobytes() == want
+            assert cf(xt, t).tobytes() == want
+        assert shared[0].tobytes() == before.tobytes()
 
 
 # -- rows depend only on their own query ------------------------------------
