@@ -10,7 +10,6 @@ CSV (one row per query) and JSON (with method metadata).
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,18 +54,6 @@ class AttributionMatrix:
             for qid, row in zip(self.query_ids, self.scores):
                 writer.writerow([qid, *[repr(float(v)) for v in row]])
 
-    @classmethod
-    def from_csv(cls, path: str | Path, method: str = "") -> "AttributionMatrix":
-        text = Path(path).read_text()
-        lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-        rows = list(csv.reader(io.StringIO("\n".join(lines))))
-        header = rows[0]
-        query_ids = [r[0] for r in rows[1:]]
-        scores = np.array(
-            [[float(v) for v in r[1:]] for r in rows[1:]], dtype=np.float64
-        ).reshape(len(query_ids), len(header) - 1)
-        return cls(method, scores, query_ids, header[1:])
-
     def to_json(self, path: str | Path, provenance: dict | None = None) -> None:
         doc = {
             "method": self.method,
@@ -101,9 +88,9 @@ def attribution_matrix(
     """scores[q][k] = ELBO(full) - ELBO(counterfactual k) for query row q.
 
     ``x0`` is the (Q, dim) query block and ``cond`` its (Q, cond_dim)
-    condition block or None.  Every query gets its own noise stream
-    derived from (cfg.noise_seed, q); within a query all models share
-    that stream, so identical models produce exactly zero columns.  All
+    condition block or None.  Query q's noise is keyed by its own seed
+    ``derive_seed(cfg.noise_seed, "query", q)``; within a query all models
+    share that noise, so identical models produce exactly zero columns.  All
     queries and models are scored in one ``elbo_block`` call.
     """
     n = len(counterfactuals)

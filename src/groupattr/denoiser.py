@@ -10,6 +10,9 @@ are exact up to floating point.
 A batch is one (x0, cond) block, (B, dim) and (B, cond_dim) or None;
 every training and unlearning objective noises it with ``noise_batch``
 and ends in ``regress``, the shared forward, residual and backward step.
+``noise_batch`` takes each row's t and eps from one keyed draw over the
+block (``seeding.content_rng``), keyed by the seed and the row's content,
+so a row's noise does not depend on its batch or its position in it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .diffusion import Schedule, forward_marginal
-from .seeding import block_rngs, content_rng  # noqa: F401  (content_rng: one row's stream)
+from .seeding import content_rng, normals
 
 ACTIVATIONS = ("silu", "relu")
 
@@ -301,27 +304,23 @@ def noise_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Noise every row of an (x0, cond) block through the forward marginal.
 
-    ``x0`` is (B, dim) and ``cond`` is (B, cond_dim) or None.  Row i
-    draws t uniform in [t_lo, t_hi], then eps, from its own
-    ``content_rng(rng_seed, x0[i], cond[i])`` stream, so its draws depend
-    only on (rng_seed, row content).  The rows' streams are seeded as one
-    block by ``block_rngs`` and are bit for bit those of ``content_rng``;
-    x_t is formed for the whole block by one ``forward_marginal`` call.
-    Returns t (B,), x_t (B, dim) and eps (B, dim), plus, with
-    ``anchor_seeds``, each row's next draw ``integers(1 << 62)`` from its
-    stream (B,) (else None).
+    ``x0`` is (B, dim) and ``cond`` is (B, cond_dim) or None.  Row i's
+    draws are the uniforms of ``content_rng(rng_seed, x0, cond)`` row i,
+    so they depend only on (rng_seed, row content): uniform 0 gives t in
+    [t_lo, t_hi], the next 2 * ceil(dim / 2) give eps by Box-Muller
+    (``normals``), and, with ``anchor_seeds``, one more gives the row's
+    anchor seed in [0, 2^62).  x_t is formed for the whole block by one
+    ``forward_marginal`` call.  Returns t (B,), x_t (B, dim), eps (B, dim)
+    and the anchor seeds (B,) (else None).
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 2 or len(x0) == 0:
         raise ValueError("batch must be a non-empty (B, dim) block")
-    ts = np.empty(len(x0), dtype=np.int64)
-    eps = np.empty_like(x0)
-    seeds = np.empty(len(x0), dtype=np.int64) if anchor_seeds else None
-    for i, rng in enumerate(block_rngs(rng_seed, x0, cond)):
-        ts[i] = rng.integers(t_lo, t_hi + 1)
-        eps[i] = rng.standard_normal(x0.shape[1])
-        if anchor_seeds:
-            seeds[i] = rng.integers(1 << 62)
+    dim = x0.shape[1]
+    u = content_rng(rng_seed, x0, cond, n=1 + dim + dim % 2 + anchor_seeds)
+    ts = t_lo + np.floor(u[:, 0] * (t_hi - t_lo + 1)).astype(np.int64)
+    eps = normals(u[:, 1:], dim)
+    seeds = (u[:, -1] * 2.0**62).astype(np.int64) if anchor_seeds else None
     return ts, forward_marginal(s, x0, ts, eps), eps, seeds
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .seeding import rng_for
+from .seeding import content_rng, normals
 
 SCHEDULE_KINDS = ("linear", "squared_cosine")
 
@@ -303,12 +303,10 @@ def sample(
     ``steps`` <= T timesteps, in which case the posterior coefficients
     are formed from the abar values of consecutive grid points.
     ``clip_x0`` clamps the predicted clean sample to a coordinate box
-    (the usual clip-denoised stabilization; off by default).  Each row
-    draws x_T and then its step noise from its own ``rng_for(seed,
-    "sample")`` stream, so a row depends only on its seed and condition:
-    all of a row's normals (x_T, then one per ``ddpm`` step with noise)
-    come from one draw, whose values are those of consecutive per-step
-    draws.
+    (the usual clip-denoised stabilization; off by default).  All of a
+    row's normals (x_T, then one per ``ddpm`` step with noise) are one
+    keyed draw, ``normals(content_rng(seeds, "sample", ...))``, so a row
+    depends only on its seed and condition.
     """
     steps = s.num_steps if steps is None else int(steps)
     if not 1 <= steps <= s.num_steps:
@@ -323,12 +321,13 @@ def sample(
         return np.zeros((0, dim))
 
     taus = _respaced_timesteps(s.num_steps, steps)
-    # x_T, then one row per ddpm step that adds noise; the last step
-    # (var = 0) adds none, and a trailing unused draw changes no value before it.
-    normals = np.empty((len(seeds), len(taus) if method == "ddpm" else 1, dim))
-    for q, seed in enumerate(seeds):
-        rng_for(seed, "sample").standard_normal(out=normals[q])
-    x = normals[:, 0].copy()
+    # x_T, then one row per ddpm step; the last step (var = 0) adds no
+    # noise, so the last row is drawn but unused.
+    rows = len(taus) if method == "ddpm" else 1
+    width = rows * dim
+    noise = normals(content_rng(seeds, "sample", n=width + width % 2), width)
+    noise = noise.reshape(len(seeds), rows, dim)
+    x = noise[:, 0].copy()
     drawn = 1
     for i in range(len(taus) - 1, -1, -1):
         t_cur = int(taus[i])
@@ -351,6 +350,6 @@ def sample(
             var = (1.0 - abar_prev) / (1.0 - abar_cur) * beta_eff
             x = mean
             if var > 0.0:
-                x = x + math.sqrt(var) * normals[:, drawn]
+                x = x + math.sqrt(var) * noise[:, drawn]
                 drawn += 1
     return x

@@ -29,7 +29,9 @@ All model scoring goes through checkpoint files (float32), so fresh and
 cache-resumed runs produce byte-identical numeric outputs.
 
 Randomness derives from the master seed through labeled streams
-(phase name, group index, query index); see ``seeding``.
+(phase name, group index, query index); the per-row noise inside a
+phase is a keyed draw on (phase seed, row content or labels), so it
+does not depend on batch order.  See ``seeding``.
 """
 
 from __future__ import annotations

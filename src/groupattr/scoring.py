@@ -11,8 +11,8 @@ closed-form mean-difference term.
 Scoring runs on blocks: ``elbo_block`` scores Q queries under M models
 with one denoiser call per model and grid point.  Each query's noise at
 grid point t derives deterministically from (its noise seed, t): the
-(Q, dim) noise block of a grid point is seeded in one ``block_rngs``
-pass, drawn once and shared by every model, which makes score
+(Q, dim) noise block of a grid point is one keyed ``content_rng`` draw,
+drawn once and shared by every model, which makes score
 differences between models use identical noise (variance reduction) and
 makes grid sums additive over disjoint grids.  Kernel denoisers over one
 point set (the oracle's full and leave-one-group-out sets) share one
@@ -30,7 +30,7 @@ import numpy as np
 
 from .denoiser import DenoiserParams, forward_batch
 from .diffusion import Schedule, forward_marginal, model_posterior, true_posterior
-from .seeding import block_rngs
+from .seeding import content_rng, normals
 from .training import KernelDenoiser
 
 
@@ -117,9 +117,9 @@ def elbo_block(
 
     ``x0`` holds one query per row and ``cond`` is None or one condition
     row per query.  At each grid point t and sample j, the (Q, dim) noise
-    block is drawn from ``block_rngs(noise_seeds, t, j)``: row q is the
-    stream of ``rng_for(noise_seeds[q], t, j)`` (``cfg.noise_seed`` is
-    not read: the caller keys each query's stream).  The noise, x_t and
+    block is ``normals(content_rng(noise_seeds, t, j, n=dim + dim % 2), dim)``:
+    row q depends only on (noise_seeds[q], t, j) (``cfg.noise_seed`` is
+    not read: the caller keys each query's draws).  The noise, x_t and
     the true posterior are formed once and shared by all models, and
     each model makes one denoiser call over the Q rows (kernel denoisers
     over one point set share its distance block).  Per query the
@@ -136,11 +136,10 @@ def elbo_block(
     grid = cfg.grid()
     J = cfg.samples_per_t
     kls = np.empty((len(models), len(x0), len(grid), J))
-    eps = np.empty(x0.shape)
+    dim = x0.shape[1]
     for g, t in enumerate(grid):
         for j in range(J):
-            for i, rng in enumerate(block_rngs(noise_seeds, t, j)):
-                rng.standard_normal(out=eps[i])
+            eps = normals(content_rng(noise_seeds, t, j, n=dim + dim % 2), dim)
             xt = forward_marginal(s, x0, t, eps)
             q = true_posterior(s, x0, xt, t)
             for m, eps_hat in enumerate(_predict_all(models, xt, t, cond, s)):
@@ -168,8 +167,8 @@ def elbo_estimate(
     """Negative sum of per-timestep posterior KLs on the stride grid.
 
     Higher is better; a model predicting the exact noise at every grid
-    point attains 0.  The noise at (t, j) comes from
-    ``rng_for(cfg.noise_seed, t, j)``, so identical (model, x0, cfg)
+    point attains 0.  The noise at (t, j) is keyed by
+    ``(cfg.noise_seed, t, j)``, so identical (model, x0, cfg)
     always reproduce the same value.  This is ``elbo_block`` for one
     model and one query.
     """
@@ -185,7 +184,7 @@ def paired_score_difference(
     cfg: ElboConfig,
     s: Schedule,
 ) -> float:
-    """ELBO(full) - ELBO(counterfactual) under one shared noise stream.
+    """ELBO(full) - ELBO(counterfactual) under one shared noise draw.
 
     Positive values mean the full model explains the sample better than
     the counterfactual.  Identical models give exactly 0 and swapping

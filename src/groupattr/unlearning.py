@@ -41,7 +41,7 @@ from .denoiser import (
     regress,
 )
 from .diffusion import Schedule, kernel_logits, kernel_softmax
-from .seeding import block_rngs, derive_seed, rng_for
+from .seeding import content_rng, derive_seed, rng_for
 
 UNLEARN_METHODS = ("retrack", "esd", "cond_anchor")
 
@@ -253,20 +253,16 @@ def anchor_select(sel: AnchorSelector, forget_group: int, seed) -> tuple:
 
     ``seed`` is one seed, giving (style, anchor (cond_dim,)), or a (B,)
     vector of seeds, giving (styles (B,), anchors (B, cond_dim)).  Each
-    seed's style is one ``choice(p=probs)`` from its ``rng_for(seed,
-    "anchor")`` stream.  A vector's streams are seeded as one block by
-    ``block_rngs``, and its choices are drawn as ``choice`` draws them:
-    one ``random()`` per row, placed by one ``searchsorted`` on the
+    seed's style takes one uniform, keyed by (seed, "anchor") through
+    ``content_rng``, and places it by one ``searchsorted`` on the
     normalized cumulative probabilities.
     """
     retain_idx, probs = sel.selection_probs(forget_group)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    chosen = retain_idx[cdf.searchsorted(content_rng(seed, "anchor", n=1)[:, 0], side="right")]
     if np.ndim(seed) == 0:
-        chosen = int(retain_idx[rng_for(seed, "anchor").choice(len(retain_idx), p=probs)])
-    else:
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
-        u = np.array([rng.random() for rng in block_rngs(seed, "anchor")])
-        chosen = retain_idx[cdf.searchsorted(u, side="right")]
+        chosen = int(chosen[0])
     return chosen, sel.anchor_condition(forget_group, chosen)
 
 

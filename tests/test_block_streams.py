@@ -1,17 +1,20 @@
-"""Block paths of the training, unlearning and scoring inner loops, against their one-row forms.
+"""The keyed draw and the block paths of the training, unlearning and scoring inner loops.
 
-``block_rngs`` seeds every row of a block in one vectorized pass (keyed by
-row bytes, string labels or the integer labels of the ELBO noise), and
-``noise_batch``, ``forward_marginal``, ``retrack_target`` and
-``anchor_select`` work on whole blocks.  Each must give, row for row and
-bit for bit, what the one-row definitions give: ``content_rng`` and
-``rng_for`` for the streams, a one-row call for the arithmetic.  The
-retrack target and the anchor draws are also checked against references
-written here: the stable-argsort prefix with a softmax, and
-``Generator.choice``.
+``content_rng`` draws a whole block's uniforms in one pass, keyed by each
+row's root, labels and float64 words.  Its rows must depend on nothing
+else: row i of a block is the one-row call, permuted or duplicated rows
+draw the same, and -0.0 keys as 0.0.  ``noise_batch``, ``elbo_block``,
+``anchor_select`` and ``sample`` each make one draw per block, and the
+values drawn have the laws they stand for.  ``forward_marginal``,
+``retrack_target`` and ``anchor_select`` work on whole blocks and must
+give, row for row and bit for bit, what a one-row call gives; the
+retrack target is also checked against a reference written here: the
+stable-argsort prefix with a softmax.
 """
 
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -19,81 +22,183 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from groupattr.denoiser import noise_batch
+from groupattr import denoiser, diffusion, scoring, unlearning
 from groupattr.data import DatasetSpec, generate_grouped_dataset
+from groupattr.denoiser import noise_batch
 from groupattr.diffusion import build_schedule, forward_marginal, kernel_logits
-from groupattr.seeding import block_rngs, content_rng, rng_for
+from groupattr.scoring import ElboConfig
+from groupattr.seeding import content_rng, normals
 from groupattr.unlearning import AnchorSelector, anchor_select, retrack_target
 
 S = build_schedule(40)
 
-# Roots 0, below 2^32 and at or above 2^32 (one or two entropy words).
+# Roots 0, below 2^32 and at or above 2^32.
 roots = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**63 - 1))
 # Finite values with -0.0 and 0.0 over-represented: their bytes differ.
 values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+labels = st.one_of(st.none(), st.sampled_from(["anchor", "sample", ""]),
+                   st.integers(0, 2**63 - 1))
 
 
 @st.composite
 def blocks(draw):
-    """A root and 0-5 columns of B rows: value blocks, zero blocks or None."""
+    """B rows: one root per row (or one for all) and 0-5 columns, each a
+    value block, a zero block or a label."""
     b = draw(st.integers(1, 5))
     columns = []
     for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(["values", "zeros", "none"]))
-        if kind == "none":
-            columns.append(None)
+        kind = draw(st.sampled_from(["values", "zeros", "label"]))
+        if kind == "label":
+            columns.append(draw(labels))
         else:
             width = draw(st.integers(1, 3))
             block = draw(arrays(np.float64, (b, width), elements=values))
             columns.append(block * 0.0 if kind == "zeros" else block)
-    return draw(roots), b, columns
+    row_roots = draw(st.lists(roots, min_size=b, max_size=b))
+    return row_roots, b, columns
 
 
-def rows_of(column, i):
-    return None if column is None else column[i]
+def is_block(column):
+    return isinstance(column, np.ndarray)
+
+
+def rows_of(column, idx):
+    return column[idx] if is_block(column) else column
 
 
 @settings(max_examples=80, deadline=None)
-@given(block=blocks(), vector_root=st.booleans())
-def test_block_rngs_match_content_rng(block, vector_root):
-    root, b, columns = block
-    # Without a value column the block is sized by a vector of roots.
-    if vector_root or all(c is None for c in columns):
-        root_arg = np.full(b, root, dtype=np.uint64)
+@given(block=blocks(), n=st.integers(1, 6), shared_root=st.booleans())
+@example(block=([3, 2**40 + 1, 2**32 - 1, 2**32, 0], 5, ["anchor"]), n=1, shared_root=False)
+def test_block_rows_match_one_row_calls(block, n, shared_root):
+    row_roots, b, columns = block
+    if shared_root and any(is_block(c) for c in columns):
+        row_roots = [row_roots[0]] * b
+        root_arg = row_roots[0]
     else:
-        root_arg = root
-    seen = 0
-    for i, rng in enumerate(block_rngs(root_arg, *columns)):
-        ref = content_rng(root, *(rows_of(c, i) for c in columns))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
-        seen += 1
-    assert seen == b
+        root_arg = np.array(row_roots, dtype=np.int64)
+    got = content_rng(root_arg, *columns, n=n)
+    assert got.shape == (b, n)
+    assert np.all((got >= 0.0) & (got < 1.0))
+    for i in range(b):
+        one = content_rng(row_roots[i], *(rows_of(c, slice(i, i + 1)) for c in columns), n=n)
+        assert one.tobytes() == got[i:i + 1].tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(seeds=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**62 - 1)),
-                      min_size=1, max_size=8))
-def test_block_rngs_match_rng_for_with_mixed_seed_widths(seeds):
-    for seed, rng in zip(seeds, block_rngs(np.array(seeds, dtype=np.int64), "anchor")):
-        assert rng.bit_generator.state == rng_for(seed, "anchor").bit_generator.state
+M64 = 2**64 - 1
+
+
+def splitmix(z):
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & M64
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB & M64
+    return z ^ z >> 31
+
+
+def reference_uniforms(root, row_columns, n):
+    """One row's uniforms, written out with Python integers: the key chains
+    SplitMix64's finalizer over the root, each label's word and each float64
+    word of the row; uniform k is the top 53 bits of mix(key + (k+1) golden)."""
+    key = splitmix(root & (2**63 - 1))
+    for c in row_columns:
+        if isinstance(c, np.ndarray):
+            words = [struct.unpack("<Q", struct.pack("<d", float(v) + 0.0))[0] for v in c]
+        elif isinstance(c, str):
+            words = [zlib.crc32(c.encode("utf-8"))]
+        else:
+            words = [0 if c is None else c]
+        for w in words:
+            key = splitmix(key ^ w)
+    return [(splitmix((key + (k + 1) * 0x9E3779B97F4A7C15) & M64) >> 11) * 2.0**-53
+            for k in range(n)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(seeds=st.lists(roots, min_size=1, max_size=8),
-       t=st.one_of(st.just(0), st.integers(1, 1000)), j=st.one_of(st.just(0), st.integers(1, 5)))
-def test_block_rngs_with_integer_labels_match_rng_for(seeds, t, j):
-    """The ELBO noise block: row i of ``block_rngs(seeds, t, j)`` is
-    ``rng_for(seeds[i], t, j)``, label 0 included."""
-    for seed, rng in zip(seeds, block_rngs(seeds, t, j), strict=True):
-        want = rng_for(seed, t, j).standard_normal(3)
-        assert rng.standard_normal(3).tobytes() == want.tobytes()
+@given(block=blocks(), n=st.integers(1, 5))
+def test_draw_is_the_splitmix64_chain(block, n):
+    row_roots, b, columns = block
+    got = content_rng(np.array(row_roots, dtype=np.int64), *columns, n=n)
+    for i in range(b):
+        want = reference_uniforms(row_roots[i], [rows_of(c, i) for c in columns], n)
+        assert got[i].tolist() == want
 
 
-def test_block_of_mixed_seed_widths_covers_both_groups():
-    seeds = np.array([3, 2**40 + 1, 2**32 - 1, 2**32, 0], dtype=np.int64)
-    got = [rng.integers(1 << 62) for rng in block_rngs(seeds, "anchor")]
-    assert got == [rng_for(int(s), "anchor").integers(1 << 62) for s in seeds]
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_normals_are_box_muller(dim):
+    u = content_rng(np.arange(50), "box-muller", n=dim + dim % 2)
+    p = (dim + 1) // 2
+    want = [[math.sqrt(-2.0 * math.log1p(-row[k % p]))
+             * (math.cos if k < p else math.sin)(2.0 * math.pi * row[p + k % p])
+             for k in range(dim)] for row in u.tolist()]
+    np.testing.assert_allclose(normals(u, dim), want, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block=blocks(), data=st.data())
+def test_permuting_rows_permutes_the_draws(block, data):
+    row_roots, b, columns = block
+    perm = np.array(data.draw(st.permutations(range(b))))
+    roots_arr = np.array(row_roots, dtype=np.int64)
+    got = content_rng(roots_arr[perm], *(rows_of(c, perm) for c in columns), n=3)
+    assert got.tobytes() == content_rng(roots_arr, *columns, n=3)[perm].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(block=blocks(), data=st.data())
+def test_duplicate_rows_draw_identically(block, data):
+    row_roots, b, columns = block
+    idx = np.array(data.draw(st.lists(st.integers(0, b - 1), min_size=1, max_size=8)))
+    roots_arr = np.array(row_roots, dtype=np.int64)
+    got = content_rng(roots_arr[idx], *(rows_of(c, idx) for c in columns), n=3)
+    assert got.tobytes() == content_rng(roots_arr, *columns, n=3)[idx].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(root=roots, x=arrays(np.float64, (4, 3), elements=values))
+def test_negative_zero_keys_as_zero(root, x):
+    negative = np.where(x == 0.0, -0.0, x)
+    positive = np.where(x == 0.0, 0.0, x)
+    assert content_rng(root, negative, n=2).tobytes() == content_rng(root, positive, n=2).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(root=roots, x=arrays(np.float64, (3, 2), elements=values))
+def test_none_column_keys_as_label_zero(root, x):
+    assert content_rng(root, x, None, n=4).tobytes() == content_rng(root, x, 0, n=4).tobytes()
+
+
+@pytest.mark.parametrize("t_lo, t_hi", [(1, 40), (5, 9), (7, 7)])
+def test_noise_batch_t_covers_its_range(t_lo, t_hi):
+    x0 = np.arange(4000.0).reshape(2000, 2)
+    ts = noise_batch(x0, None, S, 3, t_lo, t_hi)[0]
+    assert set(ts.tolist()) == set(range(t_lo, t_hi + 1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_normals_have_unit_law(dim):
+    """Mean 0 and variance 1 within 5 standard errors over 10^5 draws."""
+    n_rows = 100_000 // dim
+    z = normals(content_rng(np.arange(n_rows), "moments", n=dim + dim % 2), dim)
+    assert z.shape == (n_rows, dim)
+    z = z.ravel()
+    assert abs(z.mean()) <= 5.0 / math.sqrt(z.size)
+    assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / z.size)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), b=st.integers(1, 6), conditional=st.booleans(),
+       data=st.data())
+def test_noise_batch_matches_content_rng_rows(seed, b, conditional, data):
+    """t, eps and the anchor seed are the uniforms of one keyed draw."""
+    x0 = data.draw(arrays(np.float64, (b, 3), elements=values))
+    cond = data.draw(arrays(np.float64, (b, 3), elements=values)) if conditional else None
+    ts, xt, eps, anchors = noise_batch(x0, cond, S, seed, 5, 30, anchor_seeds=True)
+    assert noise_batch(x0, cond, S, seed, 5, 30)[3] is None
+    u = content_rng(seed, x0, cond, n=6)
+    assert ts.tolist() == [5 + math.floor(v * 26) for v in u[:, 0]]
+    assert eps.tobytes() == normals(u[:, 1:5], 3).tobytes()
+    assert xt.tobytes() == forward_marginal(S, x0, ts, eps).tobytes()
+    assert anchors.tolist() == [int(v * 2.0**62) for v in u[:, 5]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,24 +210,6 @@ def test_forward_marginal_block_matches_rows(b, dim, data):
     block = forward_marginal(S, x0, ts, eps)
     for i in range(b):
         assert block[i].tobytes() == forward_marginal(S, x0[i], int(ts[i]), eps[i]).tobytes()
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**63 - 1), b=st.integers(1, 6), conditional=st.booleans(),
-       data=st.data())
-def test_noise_batch_matches_content_rng_rows(seed, b, conditional, data):
-    x0 = data.draw(arrays(np.float64, (b, 2), elements=values))
-    cond = data.draw(arrays(np.float64, (b, 3), elements=values)) if conditional else None
-    ts, xt, eps, anchors = noise_batch(x0, cond, S, seed, 5, 30, anchor_seeds=True)
-    assert noise_batch(x0, cond, S, seed, 5, 30)[3] is None
-    for i in range(b):
-        rng = content_rng(seed, x0[i], rows_of(cond, i))
-        t = int(rng.integers(5, 31))
-        e = rng.standard_normal(2)
-        assert ts[i] == t
-        assert eps[i].tobytes() == e.tobytes()
-        assert xt[i].tobytes() == forward_marginal(S, x0[i], t, e).tobytes()
-        assert anchors[i] == rng.integers(1 << 62)
 
 
 @st.composite
@@ -237,16 +324,52 @@ def test_anchor_select_block_matches_one_seed_calls():
 
 
 @pytest.mark.parametrize("tau, eta_mix", [(2.0, 0.1), (0.5, 0.0), (5.0, 1.0)])
-def test_anchor_draws_are_generator_choice(tau, eta_mix):
-    """Every seed's style is ``Generator.choice(p=probs)`` on its anchor stream."""
+def test_anchor_styles_follow_selection_probs(tau, eta_mix):
+    """Each style's frequency over 20,000 seeds is within 5 standard errors
+    of its selection probability."""
     spec = DatasetSpec(n_groups=4, samples_per_group=5, conditional=True, descriptor_dim=4)
     sel = AnchorSelector.from_dataset(generate_grouped_dataset(spec, seed=3), tau, eta_mix)
-    rng = np.random.default_rng(11)
-    seeds = np.concatenate([rng.integers(0, 2**32, 500), rng.integers(2**32, 2**62, 500)])
+    seeds = np.arange(20_000, dtype=np.int64) * 7919 + 2**33
     for k in range(4):
         idx, probs = sel.selection_probs(k)
-        ref = idx[[rng_for(int(seed), "anchor").choice(len(idx), p=probs) for seed in seeds]]
         styles, anchors = anchor_select(sel, k, seeds)
-        assert styles.tolist() == ref.tolist()
-        assert anchors.tobytes() == sel.anchor_condition(k, ref).tobytes()
-        assert [anchor_select(sel, k, int(seed))[0] for seed in seeds[::50]] == ref[::50].tolist()
+        freq = (styles[:, None] == idx).mean(axis=0)
+        assert np.all(np.abs(freq - probs) <= 5.0 * np.sqrt(probs * (1.0 - probs) / len(seeds)))
+        assert anchors.tobytes() == sel.anchor_condition(k, styles).tobytes()
+
+
+def _zero_denoiser(x, t, cond):
+    return np.zeros_like(x)
+
+
+SITES = {
+    "noise_batch": (denoiser, lambda x0, seeds: noise_batch(x0, None, S, 5, 1, 40,
+                                                            anchor_seeds=True)),
+    "elbo_block": (scoring, lambda x0, seeds: scoring.elbo_block(
+        [_zero_denoiser], x0, None, seeds, ElboConfig(stride=10, t_min=2, t_max=40,
+                                                      noise_seed=0, samples_per_t=2), S)),
+    "anchor_select": (unlearning, lambda x0, seeds: anchor_select(
+        AnchorSelector.from_dataset(generate_grouped_dataset(
+            DatasetSpec(n_groups=3, samples_per_group=4, conditional=True), seed=1)), 0, seeds)),
+    "sample": (diffusion, lambda x0, seeds: diffusion.sample(S, _zero_denoiser, seeds, steps=12,
+                                                             dim=2)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_each_site_draws_once_per_block(site, monkeypatch):
+    """``content_rng`` is called once per block (once per ELBO grid point and
+    sample), over every row at once."""
+    module, run = SITES[site]
+    rows = []
+    real = module.content_rng
+
+    def counting(roots, *columns, n):
+        out = real(roots, *columns, n=n)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(module, "content_rng", counting)
+    run(np.arange(14.0).reshape(7, 2), np.arange(7, dtype=np.int64) + 100)
+    blocks_drawn = len(range(2, 41, 10)) * 2 if site == "elbo_block" else 1
+    assert rows == [7] * blocks_drawn

@@ -36,7 +36,7 @@ from groupattr import (
 )
 from groupattr.denoiser import forward_batch
 from groupattr.scoring import elbo_block
-from groupattr.seeding import derive_seed, rng_for
+from groupattr.seeding import content_rng, derive_seed, normals
 
 S = build_schedule(50, "squared_cosine")
 # Sampling with an untrained network stays O(1) only where abar_T is not tiny.
@@ -51,11 +51,12 @@ def one_point_eps(model, xt, t, cond):
 
 
 def reference_elbo(model, x0, cond, seed, cfg):
+    dim = x0.shape[0]
     terms = []
     for t in cfg.grid():
         kls = []
         for j in range(cfg.samples_per_t):
-            eps = rng_for(seed, t, j).standard_normal(x0.shape[0])
+            eps = normals(content_rng(seed, t, j, n=dim + dim % 2), dim)[0]
             xt = forward_marginal(S, x0, t, eps)
             q = true_posterior(S, x0, xt, t)
             p = model_posterior(S, one_point_eps(model, xt, t, cond), xt, t)
@@ -74,10 +75,13 @@ def reference_matrix(x0s, conds, full, cfs, cfg):
 
 
 def reference_sample(s, eps_fn, seed, cond, steps, method, dim, clip_x0):
-    """One seed through the reverse process, one row at a time."""
-    rng = rng_for(seed, "sample")
-    x = rng.standard_normal(dim)
+    """One seed through the reverse process, one row at a time.  Its normals
+    are the seed's one-row keyed draw: x_T, then one row per step that adds
+    noise."""
     taus = np.unique(np.round(np.linspace(s.num_steps, 1, steps)).astype(int))
+    width = (len(taus) if method == "ddpm" else 1) * dim
+    noise = iter(normals(content_rng(seed, "sample", n=width + width % 2), width).reshape(-1, dim))
+    x = next(noise)
     for i in range(len(taus) - 1, -1, -1):
         t_cur = int(taus[i])
         t_prev = int(taus[i - 1]) if i > 0 else 0
@@ -95,7 +99,7 @@ def reference_sample(s, eps_fn, seed, cond, steps, method, dim, clip_x0):
                  + math.sqrt(alpha_eff) * (1.0 - abar_prev) / (1.0 - abar_cur) * x)
             var = (1.0 - abar_prev) / (1.0 - abar_cur) * beta_eff
             if var > 0.0:
-                x = x + math.sqrt(var) * rng.standard_normal(dim)
+                x = x + math.sqrt(var) * next(noise)
     return x
 
 
@@ -177,14 +181,13 @@ class TestBlockScoring:
         from groupattr import scoring
 
         calls = []
-        real_block_rngs = scoring.block_rngs
+        real_content_rng = scoring.content_rng
 
-        def counting_block_rngs(roots, *labels):
-            for root, rng in zip(roots, real_block_rngs(roots, *labels)):
-                calls.append((root, *labels))
-                yield rng
+        def counting_content_rng(roots, *labels, n):
+            calls.extend((root, *labels) for root in roots)
+            return real_content_rng(roots, *labels, n=n)
 
-        monkeypatch.setattr(scoring, "block_rngs", counting_block_rngs)
+        monkeypatch.setattr(scoring, "content_rng", counting_content_rng)
         full, cfs = kernels()
         cfg = ElboConfig(stride=10, t_min=2, t_max=50, noise_seed=4, samples_per_t=2)
         attribution_matrix(*query_block(5, "none"), full, cfs, cfg, S)

@@ -74,7 +74,7 @@ class TestElboConfig:
 
 
 class ExactNoiseDenoiser:
-    """Cheating block denoiser that replays the elbo noise stream on every row."""
+    """Cheating block denoiser that replays the elbo noise draw on every row."""
 
     input_dim = 2
 
@@ -82,9 +82,10 @@ class ExactNoiseDenoiser:
         self.cfg = cfg
 
     def __call__(self, xt, t, cond=None):
-        from groupattr.seeding import rng_for
+        from groupattr.seeding import content_rng, normals
 
-        return np.stack([rng_for(self.cfg.noise_seed, t, 0).standard_normal(2) for _ in xt])
+        eps = normals(content_rng(self.cfg.noise_seed, t, 0, n=2), 2)
+        return np.repeat(eps, len(xt), axis=0)
 
 
 class TestElboEstimate:

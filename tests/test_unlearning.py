@@ -25,7 +25,7 @@ from groupattr import (
     unlearn,
 )
 from groupattr.data import GroupedDataset
-from groupattr.denoiser import content_rng, forward_batch
+from groupattr.denoiser import forward_batch, noise_batch
 from groupattr.diffusion import forward_marginal, kernel_softmax
 from groupattr.training import empirical_denoiser, train_full
 from groupattr.unlearning import AnchorSelector, default_timestep_range
@@ -203,10 +203,8 @@ class TestRetrackForgetLoss:
         x0 = cond_dataset.groups[0][0]
         cfg = make_cfg(K=6)
         # Replicate the per-item draw to know (t, xt) in advance.
-        rng = content_rng(777, x0, None)
-        t = int(rng.integers(cfg.timestep_range[0], cfg.timestep_range[1] + 1))
-        eps = rng.standard_normal(2)
-        xt = forward_marginal(S, x0, t, eps)
+        ts, xts, _, _ = noise_batch(x0[None], None, S, 777, *cfg.timestep_range)
+        t, xt = int(ts[0]), xts[0]
         target = retrack_target(retain, xt, t, 6, S)
         w = np.zeros(UNCOND_ARCH.param_count)
         w[-2:] = target
@@ -452,12 +450,10 @@ class TestConditionalForgetLoss:
             # Recompute draws and anchors exactly as the loss does.
             total = 0.0
             for x0, cond in zip(x0s, conds):
-                rng = content_rng(7, x0, cond)
-                t = int(rng.integers(cfg.timestep_range[0], cfg.timestep_range[1] + 1))
-                eps = rng.standard_normal(2)
-                xt = forward_marginal(S, x0, t, eps)
-                anchor_seed = int(rng.integers(1 << 62))
-                _, c_a = anchor_select(sel, 0, anchor_seed)
+                ts, xts, _, seeds = noise_batch(x0[None], cond[None], S, 7,
+                                                *cfg.timestep_range, anchor_seeds=True)
+                t, xt = int(ts[0]), xts[0]
+                _, c_a = anchor_select(sel, 0, int(seeds[0]))
                 ref = forward_batch(frozen, xt[None], t, S.num_steps, c_a[None])[0]
                 out = forward_batch(p, xt[None], t, S.num_steps, np.asarray(cond)[None])[0]
                 total += float(np.sum((out - ref) ** 2))
