@@ -68,8 +68,8 @@ def rows_of(column, idx):
 
 @settings(max_examples=80, deadline=None)
 @given(block=blocks(), n=st.integers(1, 6), shared_root=st.booleans())
-@example(block=([3, 2**40 + 1, 2**32 - 1, 2**32, 0], 5, ["anchor"]), n=1, shared_root=False)
-def test_block_rows_match_one_row_calls(block, n, shared_root):
+def test_block_rngs_match_content_rng(block, n, shared_root):
+    """Row i of a block draw is the one-row ``content_rng`` call."""
     row_roots, b, columns = block
     if shared_root and any(is_block(c) for c in columns):
         row_roots = [row_roots[0]] * b
@@ -121,6 +121,46 @@ def test_draw_is_the_splitmix64_chain(block, n):
     for i in range(b):
         want = reference_uniforms(row_roots[i], [rows_of(c, i) for c in columns], n)
         assert got[i].tolist() == want
+
+
+mixed_widths = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**62 - 1)),
+                        min_size=1, max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=mixed_widths)
+def test_block_rngs_match_rng_for_with_mixed_seed_widths(seeds):
+    """A vector of roots on both sides of 2^32 draws, row for row, what
+    each root draws alone."""
+    got = content_rng(np.array(seeds, dtype=np.int64), "anchor", n=3)
+    for i, seed in enumerate(seeds):
+        assert got[i:i + 1].tobytes() == content_rng(seed, "anchor", n=3).tobytes()
+        assert got[i].tolist() == reference_uniforms(seed, ["anchor"], 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(roots, min_size=1, max_size=8),
+       t=st.one_of(st.just(0), st.integers(1, 1000)), j=st.one_of(st.just(0), st.integers(1, 5)))
+def test_block_rngs_with_integer_labels_match_rng_for(seeds, t, j):
+    """The ELBO noise block: row i of ``content_rng(seeds, t, j)`` is the
+    one-row call on ``seeds[i]``, and an integer label folds in as its own
+    word, label 0 included."""
+    got = content_rng(np.array(seeds, dtype=np.int64), t, j, n=4)
+    assert got.shape == (len(seeds), 4)
+    for i, seed in enumerate(seeds):
+        assert got[i:i + 1].tobytes() == content_rng(seed, t, j, n=4).tobytes()
+        assert got[i].tolist() == reference_uniforms(seed, [t, j], 4)
+
+
+def test_block_of_mixed_seed_widths_covers_both_groups():
+    seeds = np.array([3, 2**40 + 1, 2**32 - 1, 2**32, 0], dtype=np.int64)
+    got = content_rng(seeds, "anchor", n=1)
+    want = [reference_uniforms(int(s), ["anchor"], 1) for s in seeds]
+    assert got.tolist() == want
+    for i, s in enumerate(seeds):
+        assert got[i:i + 1].tobytes() == content_rng(int(s), "anchor", n=1).tobytes()
+    # Roots just below and at 2^32 key apart.
+    assert len(set(got[:, 0].tolist())) == len(seeds)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
