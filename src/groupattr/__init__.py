@@ -41,7 +41,7 @@ from .harness import (
     timing_report,
 )
 from .metrics import RankReport, rank, rank_report
-from .scoring import ElboConfig, elbo_estimate, gaussian_kl_isotropic, paired_score_difference
+from .scoring import ElboSpec, elbo_estimate, gaussian_kl_isotropic, paired_score_difference
 from .training import (
     KernelDenoiser,
     TrainSpec,

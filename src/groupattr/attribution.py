@@ -3,8 +3,8 @@
 ``attribution_matrix`` scores a query block, x0 (Q, dim) and cond
 (Q, cond_dim) or None, against every counterfactual model by the paired
 ELBO difference; ``prototype_baseline`` scores the rows of x0 by cosine
-similarity to per-group mean embeddings.  Matrices serialize to
-CSV (one row per query) and JSON (with method metadata).
+similarity to per-group mean embeddings.  Matrices serialize to CSV
+(one row per query) and JSON (method tag, names, scores), as data only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import GroupedDataset
 from .diffusion import Schedule
-from .scoring import ElboConfig, check_input_dims, elbo_block
+from .scoring import ElboSpec, check_input_dims, elbo_block
 from .seeding import derive_seed
 
 @dataclass(frozen=True)
@@ -45,24 +45,20 @@ class AttributionMatrix:
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
 
-    def to_csv(self, path: str | Path, provenance: dict | None = None) -> None:
+    def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as f:
-            if provenance:
-                f.write("# " + json.dumps(provenance, sort_keys=True) + "\n")
             writer = csv.writer(f)
             writer.writerow(["query_id", *self.group_names])
             for qid, row in zip(self.query_ids, self.scores):
                 writer.writerow([qid, *[repr(float(v)) for v in row]])
 
-    def to_json(self, path: str | Path, provenance: dict | None = None) -> None:
+    def to_json(self, path: str | Path) -> None:
         doc = {
             "method": self.method,
             "group_names": self.group_names,
             "query_ids": self.query_ids,
             "scores": self.scores.tolist(),
         }
-        if provenance:
-            doc["provenance"] = provenance
         Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1))
 
     @classmethod
@@ -79,28 +75,28 @@ def attribution_matrix(
     cond: np.ndarray | None,
     model_full,
     counterfactuals: Sequence,
-    cfg: ElboConfig,
+    spec: ElboSpec,
     s: Schedule,
+    noise_seed: int,
     method: str = "elbo_diff",
     group_names: Sequence[str] | None = None,
-    query_ids: Sequence[str] | None = None,
 ) -> AttributionMatrix:
     """scores[q][k] = ELBO(full) - ELBO(counterfactual k) for query row q.
 
     ``x0`` is the (Q, dim) query block and ``cond`` its (Q, cond_dim)
     condition block or None.  Query q's noise is keyed by its own seed
-    ``derive_seed(cfg.noise_seed, "query", q)``; within a query all models
-    share that noise, so identical models produce exactly zero columns.  All
-    queries and models are scored in one ``elbo_block`` call.
+    ``derive_seed(noise_seed, "query", q)``; within a query all models
+    share that noise, so identical models produce exactly zero columns.
+    All queries and models are scored in one ``elbo_block`` call.
     """
     n = len(counterfactuals)
     check_input_dims([model_full, *counterfactuals])
 
     x0 = np.asarray(x0, dtype=np.float64)
-    seeds = [derive_seed(cfg.noise_seed, "query", q) for q in range(len(x0))]
-    elbos = elbo_block([model_full, *counterfactuals], x0, cond, seeds, cfg, s)
+    seeds = [derive_seed(noise_seed, "query", q) for q in range(len(x0))]
+    elbos = elbo_block([model_full, *counterfactuals], x0, cond, seeds, spec, s)
     scores = elbos[0] - elbos[1:]
-    qids = list(query_ids) if query_ids is not None else [f"q{q}" for q in range(len(x0))]
+    qids = [f"q{q}" for q in range(len(x0))]
     names = list(group_names) if group_names is not None else [f"group{k}" for k in range(n)]
     return AttributionMatrix(method, scores.T, qids, names)
 

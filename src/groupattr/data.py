@@ -119,15 +119,12 @@ class GroupedDataset:
     def group_means(self) -> np.ndarray:
         return np.stack([g.mean(axis=0) for g in self.groups])
 
-    def save(self, path: str | Path, provenance: dict | None = None) -> None:
+    def save(self, path: str | Path) -> None:
+        """Write the groups, condition vectors and names (data only) as ``.npz``."""
         arrays = {f"group_{i}": g for i, g in enumerate(self.groups)}
         if self.cond_vectors is not None:
             arrays["cond_vectors"] = np.stack(self.cond_vectors)
         arrays["group_names"] = np.array(self.group_names)
-        if provenance:
-            import json
-
-            arrays["provenance"] = np.array(json.dumps(provenance, sort_keys=True))
         with open(path, "wb") as f:  # a file object keeps np.savez from renaming the path
             np.savez(f, **arrays)
 

@@ -25,6 +25,7 @@ import numpy as np
 from .seeding import content_rng, normals
 
 SCHEDULE_KINDS = ("linear", "squared_cosine")
+SAMPLERS = ("ddpm", "ddim")
 
 # Offset and beta ceiling for the squared-cosine schedule.
 _COSINE_OFFSET = 0.008
@@ -311,7 +312,7 @@ def sample(
     steps = s.num_steps if steps is None else int(steps)
     if not 1 <= steps <= s.num_steps:
         raise ValueError(f"steps must be in [1, {s.num_steps}], got {steps}")
-    if method not in ("ddpm", "ddim"):
+    if method not in SAMPLERS:
         raise ValueError(f"unknown sampling method {method!r}")
     if dim is None:
         dim = getattr(denoiser, "input_dim", None)

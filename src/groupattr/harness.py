@@ -3,10 +3,10 @@
 A run directory is populated phase by phase.  Every ``Pipeline.ensure_*``
 phase runs through ``Pipeline._phase``: it serves the phase's artifact
 when the phase's key record vouches for it, and otherwise builds every
-file of the phase (a checkpoint also gets a JSON sidecar and a run log,
-which the harness writes for training and unlearning alike) and writes
-a new key record: the hash of the phase-relevant configuration chain,
-the provenance, wall-clock seconds and optimizer step counts.
+file of the phase (a checkpoint also gets a run log) and writes a new
+key record: the hash of the phase-relevant configuration chain, the
+provenance, wall-clock seconds, step counts and the run's settings.  It
+is the phase's only metadata: artifacts carry data only.
 
 The key rule: a key record is deleted before its phase builds, written
 only once every file of the phase is complete, and vouches only while
@@ -41,6 +41,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -53,9 +54,9 @@ from .attribution import AttributionMatrix, attribution_matrix, prototype_baseli
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetSpec, GroupedDataset, generate_grouped_dataset
 from .denoiser import Architecture, forward_batch
-from .diffusion import Schedule, build_schedule, sample
+from .diffusion import SAMPLERS, Schedule, build_schedule, sample
 from .metrics import RankReport, rank_report
-from .scoring import ElboConfig
+from .scoring import ElboSpec
 from .seeding import derive_seed
 from .training import KernelDenoiser, TrainSpec, train_full, train_logo
 from .unlearning import UnlearnSpec, unlearn
@@ -125,6 +126,9 @@ class ScheduleSpec:
     num_steps: int = 100
     kind: str = "squared_cosine"
 
+    def __post_init__(self):
+        build_schedule(self.num_steps, self.kind)
+
 
 @dataclass(frozen=True)
 class ArchSpec:
@@ -134,6 +138,11 @@ class ArchSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        self.architecture(1)
+
+    def architecture(self, input_dim: int, cond_dim: int = 0) -> Architecture:
+        return Architecture(input_dim, self.hidden_dims, self.time_embed_dim, cond_dim,
+                            self.activation)
 
 
 @dataclass(frozen=True)
@@ -149,12 +158,8 @@ class QuerySpec:
             raise ValueError("query count must be >= 0")
         if self.cond_mode not in ("null", "group"):
             raise ValueError(f"unknown cond_mode {self.cond_mode!r}")
-
-
-@dataclass(frozen=True)
-class ElboSpec:
-    stride: int = 10
-    samples_per_t: int = 1
+        if self.method not in SAMPLERS:
+            raise ValueError(f"unknown sampling method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -177,6 +182,8 @@ class ExperimentConfig:
         for u in self.unlearn_methods:
             if u.timestep_range is not None and u.timestep_range[1] > T:
                 raise ValueError(f"{u.method}: timestep range {u.timestep_range} exceeds T={T}")
+        if not 1 <= (self.queries.steps or T) <= T:
+            raise ValueError(f"query steps {self.queries.steps} outside [1, T={T}]")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -310,16 +317,6 @@ class Pipeline:
             self._schedule = build_schedule(self.cfg.schedule.num_steps, self.cfg.schedule.kind)
         return self._schedule
 
-    def architecture(self, d: GroupedDataset) -> Architecture:
-        a = self.cfg.arch
-        return Architecture(
-            input_dim=d.dim,
-            hidden_dims=a.hidden_dims,
-            time_embed_dim=a.time_embed_dim,
-            cond_dim=d.cond_dim,
-            activation=a.activation,
-        )
-
     def _unlearn_spec(self, method: str) -> UnlearnSpec:
         for spec in self.cfg.unlearn_methods:
             if spec.method == method:
@@ -362,21 +359,18 @@ class Pipeline:
             self._loaded[name] = (key, value)
             return value
 
-    def _run_files(self, name: str, ckpt: str) -> tuple[Path, Path, Path]:
-        """The checkpoint, JSON sidecar and log of a training or unlearning phase."""
-        path = self.out / "checkpoints" / f"{ckpt}.ckpt"
-        return path, path.with_suffix(".json"), self.out / "logs" / f"{name}.csv"
+    def _run_files(self, name: str, ckpt: str) -> tuple[Path, Path]:
+        """The checkpoint and log of a training or unlearning phase."""
+        return self.out / "checkpoints" / f"{ckpt}.ckpt", self.out / "logs" / f"{name}.csv"
 
-    def _save_run(self, files: tuple[Path, Path, Path], run, log: tuple, **sidecar) -> dict:
+    def _save_run(self, files: tuple[Path, Path], run, log: tuple, **fields) -> dict:
         """Write a training or unlearning run's log (``log`` is its header and
-        columns), checkpoint and JSON sidecar; returns its key record fields."""
-        path, sidecar_path, log_path = files
+        columns) and checkpoint; returns its key record fields."""
+        path, log_path = files
         _write_log(log_path, *log)
         with _replacing(path) as tmp:
             save_checkpoint(tmp, run.params)
-        record = {"wall_seconds": run.wall_seconds, "steps": run.steps}
-        _write_json(sidecar_path, {"provenance": self.provenance(), **record, **sidecar})
-        return record
+        return {"wall_seconds": run.wall_seconds, "steps": run.steps, **fields}
 
     def ensure_dataset(self) -> GroupedDataset:
         path = self.out / "dataset.npz"
@@ -387,7 +381,7 @@ class Pipeline:
                 self.cfg.dataset, derive_seed(self.cfg.master_seed, "dataset")
             )
             with _replacing(path) as tmp:
-                d.save(tmp, provenance=self.provenance())
+                d.save(tmp)
             return {"wall_seconds": time.perf_counter() - tic}
 
         return self._phase("dataset", self._k_dataset(), (path,), "dataset", build,
@@ -398,8 +392,8 @@ class Pipeline:
         files = self._run_files("train_full", "full")
 
         def build():
-            run = train_full(d, self.architecture(d), self.cfg.train, self.schedule(),
-                             derive_seed(self.cfg.master_seed, "train_full"))
+            run = train_full(d, self.cfg.arch.architecture(d.dim, d.cond_dim), self.cfg.train,
+                             self.schedule(), derive_seed(self.cfg.master_seed, "train_full"))
             log = ("epoch,loss,wall_ms", run.epoch_losses, run.epoch_ms)
             return self._save_run(files, run, log, final_loss=(run.epoch_losses or [None])[-1])
 
@@ -411,7 +405,8 @@ class Pipeline:
         files = self._run_files(f"train_logo_{k}", f"logo_{k}")
 
         def build():
-            run = train_logo(d, k, self.architecture(d), self.cfg.train, self.schedule(),
+            run = train_logo(d, k, self.cfg.arch.architecture(d.dim, d.cond_dim),
+                             self.cfg.train, self.schedule(),
                              derive_seed(self.cfg.master_seed, "train_logo"))
             log = ("epoch,loss,wall_ms", run.epoch_losses, run.epoch_ms)
             return self._save_run(files, run, log, group=k)
@@ -452,8 +447,7 @@ class Pipeline:
                 cond=conds, steps=qs.steps or s.num_steps, method=qs.method, dim=d.dim,
                 clip_x0=qs.clip_x0,
             )
-            arrays = {"x0": x_arr, "labels": _nearest_group(x_arr, d),
-                      "provenance": np.array(json.dumps(self.provenance(), sort_keys=True))}
+            arrays = {"x0": x_arr, "labels": _nearest_group(x_arr, d)}
             if conds is not None:
                 arrays["conds"] = conds
             with _replacing(path) as tmp, open(tmp, "wb") as f:
@@ -486,19 +480,14 @@ class Pipeline:
             if models is None:
                 mat = prototype_baseline(x0, d)
             else:
-                s = self.schedule()
-                ecfg = ElboConfig(
-                    stride=self.cfg.elbo.stride, t_min=2, t_max=s.num_steps,
-                    noise_seed=derive_seed(self.cfg.master_seed, "elbo"),
-                    samples_per_t=self.cfg.elbo.samples_per_t,
-                )
-                mat = attribution_matrix(x0, cond, *models, ecfg, s, method=method,
-                                         group_names=d.group_names)
+                mat = attribution_matrix(x0, cond, *models, self.cfg.elbo, self.schedule(),
+                                         derive_seed(self.cfg.master_seed, "elbo"),
+                                         method=method, group_names=d.group_names)
             wall = time.perf_counter() - tic
             with _replacing(csv_path) as tmp:
-                mat.to_csv(tmp, provenance=self.provenance())
+                mat.to_csv(tmp)
             with _replacing(json_path) as tmp:
-                mat.to_json(tmp, provenance=self.provenance())
+                mat.to_json(tmp)
             return {"wall_seconds": wall, "queries": len(x0)}
 
         return self._phase(f"matrix_{method}", self._k_matrix(method), (json_path, csv_path),
@@ -669,7 +658,9 @@ def sweep(
     """Run the pipeline once per value, varying one unlearning axis.
 
     ``axis`` is one of epochs / lambda / K / lr, applied to every
-    configured unlearning method.  Returns one row per value with the
+    configured unlearning method.  A value's run directory that does not
+    exist starts as a copy of the previous value's, so only the phases
+    the value changes are rebuilt.  Returns one row per value with the
     aggregate agreement metrics of each method versus the gold matrix,
     and writes the comparison table as CSV.
     """
@@ -680,11 +671,15 @@ def sweep(
     field_name = _AXIS_FIELD[axis]
     out_dir = Path(out_dir)
     rows = []
+    previous = None
     for value in values:
         cast = int(value) if field_name in ("steps_or_epochs", "K") else float(value)
         specs = tuple(replace(u, **{field_name: cast}) for u in cfg.unlearn_methods)
         sub_cfg = replace(cfg, unlearn_methods=specs)
         run_dir = out_dir / f"{axis}_{value}"
+        if previous is not None and not run_dir.exists():
+            shutil.copytree(previous, run_dir)
+        previous = run_dir
         summary = run_experiment(sub_cfg, run_dir, gold=gold)
         row = {"axis": axis, "value": value}
         for method, rep in summary["reports"].items():

@@ -2,21 +2,21 @@
 
 The ELBO of a sample under a model is estimated as the negative sum of
 per-timestep KL divergences between the true posterior q(x_{t-1} | x_t,
-x_0) and the model posterior p(x_{t-1} | x_t), evaluated on a uniform
-timestep grid starting at t = 2 (the reconstruction term at t = 1 and
-the prior term at t = T are constants across compared models and are
-dropped).  Both posteriors share the fixed variance, so each KL is a
-closed-form mean-difference term.
+x_0) and the model posterior p(x_{t-1} | x_t), evaluated at every
+``stride``-th timestep from t = 2 to T (the reconstruction term at
+t = 1 and the prior term at t = T are constants across compared models
+and are dropped).  ``ElboSpec`` holds the stride and the number of noise
+draws per grid point.  Both posteriors share the fixed variance, so each
+KL is a closed-form mean-difference term.
 
 Scoring runs on blocks: ``elbo_block`` scores Q queries under M models
 with one denoiser call per model and grid point.  Each query's noise at
 grid point t derives deterministically from (its noise seed, t): the
 (Q, dim) noise block of a grid point is one keyed ``content_rng`` draw,
-drawn once and shared by every model, which makes score
-differences between models use identical noise (variance reduction) and
-makes grid sums additive over disjoint grids.  Kernel denoisers over one
-point set (the oracle's full and leave-one-group-out sets) share one
-distance block per grid point.  ``elbo_estimate`` and
+drawn once and shared by every model, which makes score differences
+between models use identical noise (variance reduction).  Kernel
+denoisers over one point set (the oracle's full and leave-one-group-out
+sets) share one distance block per grid point.  ``elbo_estimate`` and
 ``paired_score_difference`` are the one-query cases.
 """
 
@@ -35,23 +35,17 @@ from .training import KernelDenoiser
 
 
 @dataclass(frozen=True)
-class ElboConfig:
-    stride: int
-    t_min: int
-    t_max: int
-    noise_seed: int
+class ElboSpec:
+    """The ELBO grid (every ``stride``-th t from 2 to T) and draws per t."""
+
+    stride: int = 10
     samples_per_t: int = 1
 
     def __post_init__(self):
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if not 2 <= self.t_min <= self.t_max:
-            raise ValueError(f"need 2 <= t_min <= t_max, got [{self.t_min}, {self.t_max}]")
         if self.samples_per_t < 1:
             raise ValueError("samples_per_t must be >= 1")
-
-    def grid(self) -> range:
-        return range(self.t_min, self.t_max + 1, self.stride)
 
 
 def gaussian_kl_isotropic(mu_q: np.ndarray, mu_p: np.ndarray, variance: float) -> float:
@@ -110,31 +104,31 @@ def elbo_block(
     x0: np.ndarray,
     cond: np.ndarray | None,
     noise_seeds: Sequence[int],
-    cfg: ElboConfig,
+    spec: ElboSpec,
     s: Schedule,
 ) -> np.ndarray:
     """ELBO of every query under every model, as an (M models, Q queries) array.
 
     ``x0`` holds one query per row and ``cond`` is None or one condition
-    row per query.  At each grid point t and sample j, the (Q, dim) noise
-    block is ``normals(content_rng(noise_seeds, t, j, n=dim + dim % 2), dim)``:
-    row q depends only on (noise_seeds[q], t, j) (``cfg.noise_seed`` is
-    not read: the caller keys each query's draws).  The noise, x_t and
+    row per query.  The grid is ``range(2, T + 1, spec.stride)``.  At each
+    grid point t and sample j, the (Q, dim) noise block is
+    ``normals(content_rng(noise_seeds, t, j, n=dim + dim % 2), dim)``:
+    row q depends only on (noise_seeds[q], t, j).  The noise, x_t and
     the true posterior are formed once and shared by all models, and
     each model makes one denoiser call over the Q rows (kernel denoisers
     over one point set share its distance block).  Per query the
     per-timestep KLs are summed with ``math.fsum`` over the grid, so each
     row is the value the query would get scored alone.
     """
-    if cfg.t_max > s.num_steps:
-        raise ValueError(f"t_max {cfg.t_max} exceeds schedule length {s.num_steps}")
+    if s.num_steps < 2:
+        raise ValueError(f"the ELBO grid starts at t = 2, but T = {s.num_steps}")
     x0 = np.asarray(x0, dtype=np.float64)
     if len(noise_seeds) != len(x0):
         raise ValueError(f"{len(noise_seeds)} noise seeds for {len(x0)} queries")
     if len(x0) == 0:
         return np.zeros((len(models), 0))
-    grid = cfg.grid()
-    J = cfg.samples_per_t
+    grid = range(2, s.num_steps + 1, spec.stride)
+    J = spec.samples_per_t
     kls = np.empty((len(models), len(x0), len(grid), J))
     dim = x0.shape[1]
     for g, t in enumerate(grid):
@@ -161,19 +155,20 @@ def elbo_estimate(
     model,
     x0: np.ndarray,
     cond: np.ndarray | None,
-    cfg: ElboConfig,
+    spec: ElboSpec,
     s: Schedule,
+    noise_seed: int,
 ) -> float:
     """Negative sum of per-timestep posterior KLs on the stride grid.
 
     Higher is better; a model predicting the exact noise at every grid
     point attains 0.  The noise at (t, j) is keyed by
-    ``(cfg.noise_seed, t, j)``, so identical (model, x0, cfg)
+    ``(noise_seed, t, j)``, so identical (model, x0, spec, noise_seed)
     always reproduce the same value.  This is ``elbo_block`` for one
     model and one query.
     """
     cond = None if cond is None else np.atleast_2d(cond)
-    return float(elbo_block([model], np.atleast_2d(x0), cond, [cfg.noise_seed], cfg, s)[0, 0])
+    return float(elbo_block([model], np.atleast_2d(x0), cond, [noise_seed], spec, s)[0, 0])
 
 
 def paired_score_difference(
@@ -181,8 +176,9 @@ def paired_score_difference(
     model_cf,
     x0: np.ndarray,
     cond: np.ndarray | None,
-    cfg: ElboConfig,
+    spec: ElboSpec,
     s: Schedule,
+    noise_seed: int,
 ) -> float:
     """ELBO(full) - ELBO(counterfactual) under one shared noise draw.
 
@@ -191,6 +187,6 @@ def paired_score_difference(
     the arguments flips the sign exactly.
     """
     check_input_dims([model_full, model_cf])
-    return elbo_estimate(model_full, x0, cond, cfg, s) - elbo_estimate(
-        model_cf, x0, cond, cfg, s
+    return elbo_estimate(model_full, x0, cond, spec, s, noise_seed) - elbo_estimate(
+        model_cf, x0, cond, spec, s, noise_seed
     )

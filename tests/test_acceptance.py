@@ -13,7 +13,7 @@ import pytest
 from groupattr import (
     Architecture,
     DatasetSpec,
-    ElboConfig,
+    ElboSpec,
     KernelDenoiser,
     attribution_matrix,
     build_schedule,
@@ -93,8 +93,7 @@ def test_criterion_2_exact_nonparametric_attribution():
         g = q % 5
         queries.append(d.groups[g][(q * 7) % 200])
         labels.append(g)
-    cfg = ElboConfig(stride=10, t_min=2, t_max=100, noise_seed=321)
-    mat = attribution_matrix(np.stack(queries), None, full, cfs, cfg, s)
+    mat = attribution_matrix(np.stack(queries), None, full, cfs, ElboSpec(stride=10), s, 321)
     top = np.array([rank(mat.scores[q])[0] for q in range(256)])
     agreement = float(np.mean(top == np.array(labels)))
     elapsed = time.perf_counter() - tic
@@ -294,12 +293,10 @@ def test_criterion_8_variance_reduction():
 
     paired, independent = [], []
     for i in range(32):
-        cfg = ElboConfig(stride=10, t_min=2, t_max=100, noise_seed=4000 + i)
-        paired.append(paired_score_difference(base, other, x0, None, cfg, s))
-        cfg_a = ElboConfig(stride=10, t_min=2, t_max=100, noise_seed=5000 + i)
-        cfg_b = ElboConfig(stride=10, t_min=2, t_max=100, noise_seed=6000 + i)
-        independent.append(elbo_estimate(base, x0, None, cfg_a, s)
-                           - elbo_estimate(other, x0, None, cfg_b, s))
+        spec = ElboSpec(stride=10)
+        paired.append(paired_score_difference(base, other, x0, None, spec, s, 4000 + i))
+        independent.append(elbo_estimate(base, x0, None, spec, s, 5000 + i)
+                           - elbo_estimate(other, x0, None, spec, s, 6000 + i))
     vp, vi = float(np.var(paired)), float(np.var(independent))
     elapsed = time.perf_counter() - tic
     assert vp < vi

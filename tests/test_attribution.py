@@ -9,7 +9,7 @@ import pytest
 from groupattr import (
     AttributionMatrix,
     DatasetSpec,
-    ElboConfig,
+    ElboSpec,
     attribution_matrix,
     build_schedule,
     generate_grouped_dataset,
@@ -21,7 +21,8 @@ from groupattr.denoiser import Architecture
 from groupattr.training import KernelDenoiser
 
 S = build_schedule(50, "squared_cosine")
-CFG = ElboConfig(stride=10, t_min=2, t_max=50, noise_seed=3)
+SPEC = ElboSpec(stride=10)
+SEED = 3
 
 
 class TestAttributionMatrix:
@@ -35,11 +36,8 @@ class TestAttributionMatrix:
         scores = np.array([[0.125, -3.5], [1e-17, 2.25]])
         mat = AttributionMatrix("m", scores, ["q0", "q1"], ["a", "b"])
         path = tmp_path / "m.csv"
-        mat.to_csv(path, provenance={"config_hash": "x"})
-        text = path.read_text()
-        assert text.startswith("# ")
-        assert "query_id,a,b" in text.splitlines()[1]
-        rows = list(csv.reader(text.splitlines()[1:]))
+        mat.to_csv(path)
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["query_id", "a", "b"]
         np.testing.assert_array_equal(np.array([[float(v) for v in r[1:]] for r in rows[1:]]),
                                       scores)
@@ -57,8 +55,8 @@ class TestAttributionMatrix:
     def test_csv_bytes_deterministic(self, tmp_path):
         scores = np.random.default_rng(0).normal(size=(3, 2))
         mat = AttributionMatrix("m", scores, ["q0", "q1", "q2"], ["a", "b"])
-        mat.to_csv(tmp_path / "a.csv", provenance={"h": 1})
-        mat.to_csv(tmp_path / "b.csv", provenance={"h": 1})
+        mat.to_csv(tmp_path / "a.csv")
+        mat.to_csv(tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -66,7 +64,7 @@ class TestAttributionMatrixOp:
     def test_identical_counterfactuals_zero_matrix(self):
         p = init_network(Architecture(2, (8,), 4), seed=1)
         x0 = np.array([[0.1, 0.2], [-0.5, 0.3]])
-        mat = attribution_matrix(x0, None, p, [p, p, p], CFG, S)
+        mat = attribution_matrix(x0, None, p, [p, p, p], SPEC, S, SEED)
         np.testing.assert_array_equal(mat.scores, 0.0)
 
     def test_separated_groups_oracle(self):
@@ -75,7 +73,7 @@ class TestAttributionMatrixOp:
         d = generate_grouped_dataset(spec, seed=17)
         full = KernelDenoiser(d.all_samples(), S)
         cfs = [KernelDenoiser(d.all_samples(exclude=k), S) for k in range(2)]
-        mat = attribution_matrix(d.groups[0][5:6], None, full, cfs, CFG, S,
+        mat = attribution_matrix(d.groups[0][5:6], None, full, cfs, SPEC, S, SEED,
                                  group_names=d.group_names)
         assert mat.scores[0, 0] > 0.0
         assert mat.scores[0, 0] > 10 * abs(mat.scores[0, 1])
@@ -83,15 +81,15 @@ class TestAttributionMatrixOp:
     def test_column_permutation(self):
         models = [init_network(Architecture(2, (8,), 4), seed=s) for s in range(4)]
         x0 = np.array([[0.4, -0.1]])
-        a = attribution_matrix(x0, None, models[0], models[1:], CFG, S)
-        b = attribution_matrix(x0, None, models[0], models[1:][::-1], CFG, S)
+        a = attribution_matrix(x0, None, models[0], models[1:], SPEC, S, SEED)
+        b = attribution_matrix(x0, None, models[0], models[1:][::-1], SPEC, S, SEED)
         np.testing.assert_array_equal(b.scores[:, ::-1], a.scores)
 
     def test_arch_mismatch_rejected(self):
         a = init_network(Architecture(2, (8,), 4), seed=0)
         b = init_network(Architecture(3, (8,), 4), seed=0)
         with pytest.raises(ValueError):
-            attribution_matrix(np.zeros((1, 2)), None, a, [b], CFG, S)
+            attribution_matrix(np.zeros((1, 2)), None, a, [b], SPEC, S, SEED)
 
 
 class TestPrototypeBaseline:

@@ -26,7 +26,7 @@ from groupattr import denoiser, diffusion, scoring, unlearning
 from groupattr.data import DatasetSpec, generate_grouped_dataset
 from groupattr.denoiser import noise_batch
 from groupattr.diffusion import build_schedule, forward_marginal, kernel_logits
-from groupattr.scoring import ElboConfig
+from groupattr.scoring import ElboSpec
 from groupattr.seeding import content_rng, normals
 from groupattr.unlearning import AnchorSelector, anchor_select, retrack_target
 
@@ -386,8 +386,7 @@ SITES = {
     "noise_batch": (denoiser, lambda x0, seeds: noise_batch(x0, None, S, 5, 1, 40,
                                                             anchor_seeds=True)),
     "elbo_block": (scoring, lambda x0, seeds: scoring.elbo_block(
-        [_zero_denoiser], x0, None, seeds, ElboConfig(stride=10, t_min=2, t_max=40,
-                                                      noise_seed=0, samples_per_t=2), S)),
+        [_zero_denoiser], x0, None, seeds, ElboSpec(stride=10, samples_per_t=2), S)),
     "anchor_select": (unlearning, lambda x0, seeds: anchor_select(
         AnchorSelector.from_dataset(generate_grouped_dataset(
             DatasetSpec(n_groups=3, samples_per_group=4, conditional=True), seed=1)), 0, seeds)),

@@ -110,14 +110,20 @@ class TestFailures:
         ("unlearn_methods", "method", "bogus"),
         ("train", "epochs", -1),
         ("unlearn_methods", "timestep_range", [1, 500]),
+        ("queries", "steps", 500),
+        ("queries", "method", "euler"),
+        ("arch", "activation", "tanh"),
+        ("schedule", "kind", "cosine"),
+        ("elbo", "stride", 0),
     ])
     def test_bad_config_fails_before_any_phase(self, tmp_path, capsys, section, key, value):
+        """Every stage's settings are checked when the config is built, so a
+        bad one fails before the run directory is made."""
         cfg_path = _edited_config(tmp_path, section, key, value)
         out = tmp_path / "run"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("[")
-        assert not (out / "dataset.npz").exists()
-        assert not list(out.glob("checkpoints/*.ckpt"))
+        assert not out.exists()
 
     def test_timestep_range_past_T_is_refused_at_load(self, tmp_path):
         # The tiny config has T = 40.

@@ -96,7 +96,7 @@ class TestGroupedDataset:
 
     def test_save_load_roundtrip(self, tmp_path):
         path = tmp_path / "data.npz"
-        self.d.save(path, provenance={"config_hash": "abc"})
+        self.d.save(path)
         back = GroupedDataset.load(path)
         assert back.group_names == self.d.group_names
         for ga, gb in zip(back.groups, self.d.groups):

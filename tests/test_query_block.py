@@ -20,7 +20,7 @@ from groupattr import (
     Architecture,
     DatasetSpec,
     DenoiserParams,
-    ElboConfig,
+    ElboSpec,
     KernelDenoiser,
     attribution_matrix,
     build_schedule,
@@ -50,27 +50,27 @@ def one_point_eps(model, xt, t, cond):
     return empirical_denoiser(model.points, xt, t, S)
 
 
-def reference_elbo(model, x0, cond, seed, cfg):
+def reference_elbo(model, x0, cond, seed, spec):
     dim = x0.shape[0]
     terms = []
-    for t in cfg.grid():
+    for t in range(2, S.num_steps + 1, spec.stride):
         kls = []
-        for j in range(cfg.samples_per_t):
+        for j in range(spec.samples_per_t):
             eps = normals(content_rng(seed, t, j, n=dim + dim % 2), dim)[0]
             xt = forward_marginal(S, x0, t, eps)
             q = true_posterior(S, x0, xt, t)
             p = model_posterior(S, one_point_eps(model, xt, t, cond), xt, t)
             kls.append(gaussian_kl_isotropic(q.mean, p.mean, q.variance))
-        terms.append(math.fsum(kls) / cfg.samples_per_t)
+        terms.append(math.fsum(kls) / spec.samples_per_t)
     return -math.fsum(terms)
 
 
-def reference_matrix(x0s, conds, full, cfs, cfg):
+def reference_matrix(x0s, conds, full, cfs, spec, noise_seed):
     rows = []
     for q, (x0, cond) in enumerate(zip(x0s, [None] * len(x0s) if conds is None else conds)):
-        seed = derive_seed(cfg.noise_seed, "query", q)
-        e_full = reference_elbo(full, x0, cond, seed, cfg)
-        rows.append([e_full - reference_elbo(cf, x0, cond, seed, cfg) for cf in cfs])
+        seed = derive_seed(noise_seed, "query", q)
+        e_full = reference_elbo(full, x0, cond, seed, spec)
+        rows.append([e_full - reference_elbo(cf, x0, cond, seed, spec) for cf in cfs])
     return np.array(rows)
 
 
@@ -147,10 +147,9 @@ class TestBlockScoring:
     def test_matches_per_query_reference(self, models, cond_mode, samples_per_t):
         full, cfs = networks() if models == "network" else kernels()
         x0, cond = query_block(12, cond_mode)
-        cfg = ElboConfig(stride=6, t_min=2, t_max=50, noise_seed=77,
-                         samples_per_t=samples_per_t)
-        got = attribution_matrix(x0, cond, full, cfs, cfg, S).scores
-        want = reference_matrix(x0, cond, full, cfs, cfg)
+        spec = ElboSpec(stride=6, samples_per_t=samples_per_t)
+        got = attribution_matrix(x0, cond, full, cfs, spec, S, 77).scores
+        want = reference_matrix(x0, cond, full, cfs, spec, 77)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
 
@@ -159,11 +158,11 @@ class TestBlockScoring:
 
         full, _ = networks()
         (x0,), (cond,) = query_block(1, "group")
-        cfg = ElboConfig(stride=6, t_min=2, t_max=50, noise_seed=91)
-        block = elbo_block([full], x0[None, :], cond[None, :], [cfg.noise_seed], cfg, S)
+        spec = ElboSpec(stride=6)
+        block = elbo_block([full], x0[None, :], cond[None, :], [91], spec, S)
         assert block.shape == (1, 1)
-        assert block[0, 0] == elbo_estimate(full, x0, cond, cfg, S)
-        assert abs(block[0, 0] - reference_elbo(full, x0, cond, cfg.noise_seed, cfg)) <= (
+        assert block[0, 0] == elbo_estimate(full, x0, cond, spec, S, 91)
+        assert abs(block[0, 0] - reference_elbo(full, x0, cond, 91, spec)) <= (
             1e-12 * abs(block[0, 0]))
 
     @pytest.mark.parametrize("samples_per_t", [1, 2])
@@ -189,9 +188,9 @@ class TestBlockScoring:
 
         monkeypatch.setattr(scoring, "content_rng", counting_content_rng)
         full, cfs = kernels()
-        cfg = ElboConfig(stride=10, t_min=2, t_max=50, noise_seed=4, samples_per_t=2)
-        attribution_matrix(*query_block(5, "none"), full, cfs, cfg, S)
-        assert len(calls) == len(set(calls)) == 5 * len(cfg.grid()) * 2
+        attribution_matrix(*query_block(5, "none"), full, cfs,
+                           ElboSpec(stride=10, samples_per_t=2), S, 4)
+        assert len(calls) == len(set(calls)) == 5 * len(range(2, 51, 10)) * 2
 
 
 class TestBlockSampler:
@@ -281,7 +280,7 @@ class TestSharedKernelBlock:
 # -- rows depend only on their own query ------------------------------------
 
 Q = 8
-PROP_CFG = ElboConfig(stride=12, t_min=2, t_max=50, noise_seed=0)
+PROP_SPEC = ElboSpec(stride=12)
 
 
 @cache
@@ -290,7 +289,7 @@ def full_block():
     x0 = np.random.default_rng(8).normal(size=(Q, 2)) * 2.0
     conds = np.array([dataset().cond_vectors[q % N_GROUPS] for q in range(Q)])
     seeds = [derive_seed(99, "query", q) for q in range(Q)]
-    scores = elbo_block([full, *cfs], x0, conds, seeds, PROP_CFG, S)
+    scores = elbo_block([full, *cfs], x0, conds, seeds, PROP_SPEC, S)
     samples = sample(S_LIN, _net_fn(), seeds, cond=conds, steps=20, dim=2)
     return x0, conds, seeds, scores, samples
 
@@ -315,7 +314,7 @@ def test_block_rows_follow_their_queries(rows):
     x0, conds, seeds, scores, samples = full_block()
     rows = list(rows)
     sub_seeds = [seeds[r] for r in rows]
-    got = elbo_block([full, *cfs], x0[rows], conds[rows], sub_seeds, PROP_CFG, S)
+    got = elbo_block([full, *cfs], x0[rows], conds[rows], sub_seeds, PROP_SPEC, S)
     assert np.max(np.abs(got - scores[:, rows])) <= 1e-12
     got_samples = sample(S_LIN, _net_fn(), sub_seeds, cond=conds[rows], steps=20, dim=2)
     assert np.max(np.abs(got_samples - samples[rows])) <= 1e-12
@@ -327,6 +326,6 @@ def test_matrix_prefix_keeps_rows(n):
     """The first n queries of a matrix score as they do in the whole matrix."""
     full, cfs = networks()
     x0, conds, _, _, _ = full_block()
-    whole = attribution_matrix(x0, conds, full, cfs, PROP_CFG, S).scores
-    prefix = attribution_matrix(x0[:n], conds[:n], full, cfs, PROP_CFG, S).scores
+    whole = attribution_matrix(x0, conds, full, cfs, PROP_SPEC, S, 0).scores
+    prefix = attribution_matrix(x0[:n], conds[:n], full, cfs, PROP_SPEC, S, 0).scores
     assert np.max(np.abs(prefix - whole[:n])) <= 1e-12

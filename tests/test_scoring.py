@@ -8,7 +8,7 @@ import pytest
 from groupattr import (
     Architecture,
     DatasetSpec,
-    ElboConfig,
+    ElboSpec,
     TrainSpec,
     build_schedule,
     elbo_estimate,
@@ -17,6 +17,7 @@ from groupattr import (
     init_network,
     paired_score_difference,
 )
+from groupattr.scoring import elbo_block
 from groupattr.training import KernelDenoiser, train_full
 
 S = build_schedule(60, "squared_cosine")
@@ -61,16 +62,24 @@ class TestGaussianKl:
 
 class TestElboConfig:
     def test_grid(self):
-        cfg = ElboConfig(stride=10, t_min=2, t_max=60, noise_seed=0)
-        assert list(cfg.grid()) == [2, 12, 22, 32, 42, 52]
+        """The grid is every stride-th t from 2 to T."""
+        seen = []
+
+        def zero(xt, t, cond=None):
+            seen.append(t)
+            return np.zeros_like(xt)
+
+        elbo_block([zero], np.zeros((1, 2)), None, [0], ElboSpec(stride=10), S)
+        assert seen == [2, 12, 22, 32, 42, 52]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ElboConfig(stride=0, t_min=2, t_max=10, noise_seed=0)
+            ElboSpec(stride=0)
         with pytest.raises(ValueError):
-            ElboConfig(stride=1, t_min=1, t_max=10, noise_seed=0)
-        with pytest.raises(ValueError):
-            ElboConfig(stride=1, t_min=11, t_max=10, noise_seed=0)
+            ElboSpec(samples_per_t=0)
+        with pytest.raises(ValueError, match="T = 1"):
+            elbo_block([ExactNoiseDenoiser(0)], np.zeros((1, 2)), None, [0], ElboSpec(),
+                       build_schedule(1, "squared_cosine"))
 
 
 class ExactNoiseDenoiser:
@@ -78,30 +87,31 @@ class ExactNoiseDenoiser:
 
     input_dim = 2
 
-    def __init__(self, cfg):
-        self.cfg = cfg
+    def __init__(self, noise_seed):
+        self.noise_seed = noise_seed
 
     def __call__(self, xt, t, cond=None):
         from groupattr.seeding import content_rng, normals
 
-        eps = normals(content_rng(self.cfg.noise_seed, t, 0, n=2), 2)
+        eps = normals(content_rng(self.noise_seed, t, 0, n=2), 2)
         return np.repeat(eps, len(xt), axis=0)
 
 
 class TestElboEstimate:
     def setup_method(self):
-        self.cfg = ElboConfig(stride=7, t_min=2, t_max=60, noise_seed=41)
+        self.spec = ElboSpec(stride=7)
+        self.seed = 41
 
     def test_exact_noise_gives_zero(self):
-        den = ExactNoiseDenoiser(self.cfg)
-        val = elbo_estimate(den, np.array([0.4, -1.0]), None, self.cfg, S)
+        den = ExactNoiseDenoiser(self.seed)
+        val = elbo_estimate(den, np.array([0.4, -1.0]), None, self.spec, S, self.seed)
         assert val == pytest.approx(0.0, abs=1e-18)
 
     def test_seeded_determinism(self):
         p = init_network(Architecture(2, (8,), 4), seed=3)
         x0 = np.array([0.2, 0.1])
-        a = elbo_estimate(p, x0, None, self.cfg, S)
-        b = elbo_estimate(p, x0, None, self.cfg, S)
+        a = elbo_estimate(p, x0, None, self.spec, S, self.seed)
+        b = elbo_estimate(p, x0, None, self.spec, S, self.seed)
         assert a == b
 
     def test_single_point_kernel_is_maximal(self):
@@ -109,30 +119,12 @@ class TestElboEstimate:
         timestep, so every KL term vanishes."""
         x0 = np.array([1.0, -2.0])
         den = KernelDenoiser(x0[None, :], S)
-        val = elbo_estimate(den, x0, None, self.cfg, S)
+        val = elbo_estimate(den, x0, None, self.spec, S, self.seed)
         assert val == pytest.approx(0.0, abs=1e-10)
 
     def test_nonzero_for_imperfect_model(self):
         p = init_network(Architecture(2, (8,), 4), seed=3)
-        assert elbo_estimate(p, np.array([0.2, 0.1]), None, self.cfg, S) < 0.0
-
-    def test_grid_additivity(self):
-        """ELBO over a union of disjoint grids is the sum of the parts."""
-        p = init_network(Architecture(2, (8,), 4), seed=5)
-        x0 = np.array([0.5, 0.5])
-        full = ElboConfig(stride=10, t_min=2, t_max=60, noise_seed=8)
-        evens = ElboConfig(stride=20, t_min=2, t_max=60, noise_seed=8)
-        odds = ElboConfig(stride=20, t_min=12, t_max=60, noise_seed=8)
-        assert set(full.grid()) == set(evens.grid()) | set(odds.grid())
-        e_full = elbo_estimate(p, x0, None, full, S)
-        e_sum = elbo_estimate(p, x0, None, evens, S) + elbo_estimate(p, x0, None, odds, S)
-        assert e_full == pytest.approx(e_sum, rel=1e-12)
-
-    def test_t_max_beyond_schedule_rejected(self):
-        cfg = ElboConfig(stride=10, t_min=2, t_max=61, noise_seed=0)
-        p = init_network(Architecture(2, (8,), 4), seed=3)
-        with pytest.raises(ValueError):
-            elbo_estimate(p, np.zeros(2), None, cfg, S)
+        assert elbo_estimate(p, np.array([0.2, 0.1]), None, self.spec, S, self.seed) < 0.0
 
     def test_monotone_degradation_under_weight_noise(self):
         """Growing weight corruption cannot raise the median ELBO."""
@@ -142,41 +134,41 @@ class TestElboEstimate:
         run = train_full(d, arch, TrainSpec(epochs=60, batch_size=32, lr=1e-3,
                                             exposure_matched=False), S, 3)
         x0 = d.groups[0][0]
-        cfg = ElboConfig(stride=10, t_min=2, t_max=60, noise_seed=17)
         medians = []
         for scale in (0.0, 0.05, 0.15, 0.5, 2.0):
             vals = []
             for seed in range(16):
                 noise = np.random.default_rng(seed).standard_normal(run.params.param_count)
                 corrupted = run.params.with_weights(run.params.weights + scale * noise)
-                vals.append(elbo_estimate(corrupted, x0, None, cfg, S))
+                vals.append(elbo_estimate(corrupted, x0, None, ElboSpec(stride=10), S, 17))
             medians.append(float(np.median(vals)))
         assert all(b <= a + 1e-9 for a, b in zip(medians, medians[1:]))
 
 
 class TestPairedScoreDifference:
     def setup_method(self):
-        self.cfg = ElboConfig(stride=10, t_min=2, t_max=60, noise_seed=23)
+        self.spec = ElboSpec(stride=10)
+        self.seed = 23
         self.arch = Architecture(2, (8,), 4)
 
     def test_identical_models_exactly_zero(self):
         p = init_network(self.arch, seed=1)
-        diff = paired_score_difference(p, p, np.array([0.1, 0.2]), None, self.cfg, S)
+        diff = paired_score_difference(p, p, np.array([0.1, 0.2]), None, self.spec, S, self.seed)
         assert diff == 0.0
 
     def test_antisymmetry(self):
         a = init_network(self.arch, seed=1)
         b = init_network(self.arch, seed=2)
         x0 = np.array([0.3, -0.4])
-        ab = paired_score_difference(a, b, x0, None, self.cfg, S)
-        ba = paired_score_difference(b, a, x0, None, self.cfg, S)
+        ab = paired_score_difference(a, b, x0, None, self.spec, S, self.seed)
+        ba = paired_score_difference(b, a, x0, None, self.spec, S, self.seed)
         assert ab == -ba != 0.0
 
     def test_dimension_mismatch_rejected(self):
         a = init_network(self.arch, seed=1)
         b = init_network(Architecture(3, (8,), 4), seed=1)
         with pytest.raises(ValueError):
-            paired_score_difference(a, b, np.zeros(2), None, self.cfg, S)
+            paired_score_difference(a, b, np.zeros(2), None, self.spec, S, self.seed)
 
     def test_separated_groups_sign(self):
         """Removing the query's group from an exact kernel denoiser
@@ -187,8 +179,8 @@ class TestPairedScoreDifference:
         without_0 = KernelDenoiser(d.all_samples(exclude=0), S)
         without_1 = KernelDenoiser(d.all_samples(exclude=1), S)
         x0 = d.groups[0][3]
-        own = paired_score_difference(full, without_0, x0, None, self.cfg, S)
-        other = paired_score_difference(full, without_1, x0, None, self.cfg, S)
+        own = paired_score_difference(full, without_0, x0, None, self.spec, S, self.seed)
+        other = paired_score_difference(full, without_1, x0, None, self.spec, S, self.seed)
         assert own > 0.0
         assert own > 10 * abs(other)
 
@@ -202,12 +194,10 @@ class TestPairedScoreDifference:
 
         paired, independent = [], []
         for i in range(32):
-            cfg_i = ElboConfig(stride=10, t_min=2, t_max=60, noise_seed=1000 + i)
-            paired.append(paired_score_difference(base, other, x0, None, cfg_i, S))
-            cfg_a = ElboConfig(stride=10, t_min=2, t_max=60, noise_seed=2000 + i)
-            cfg_b = ElboConfig(stride=10, t_min=2, t_max=60, noise_seed=3000 + i)
+            paired.append(paired_score_difference(base, other, x0, None, self.spec, S,
+                                                  1000 + i))
             independent.append(
-                elbo_estimate(base, x0, None, cfg_a, S)
-                - elbo_estimate(other, x0, None, cfg_b, S)
+                elbo_estimate(base, x0, None, self.spec, S, 2000 + i)
+                - elbo_estimate(other, x0, None, self.spec, S, 3000 + i)
             )
         assert np.var(paired) < np.var(independent)

@@ -8,7 +8,7 @@ import pytest
 from groupattr import (
     Architecture,
     DatasetSpec,
-    ElboConfig,
+    ElboSpec,
     TrainSpec,
     build_schedule,
     elbo_estimate,
@@ -153,9 +153,9 @@ class TestTrainLogo:
         full = train_full(d, ARCH, cfg, schedule, 10)
         logo = train_logo(d, 0, ARCH, cfg, schedule, 10)
         proto = d.groups[0].mean(axis=0)
-        ecfg = ElboConfig(stride=5, t_min=2, t_max=50, noise_seed=777)
-        e_full = elbo_estimate(full.params, proto, None, ecfg, schedule)
-        e_logo = elbo_estimate(logo.params, proto, None, ecfg, schedule)
+        spec = ElboSpec(stride=5)
+        e_full = elbo_estimate(full.params, proto, None, spec, schedule, 777)
+        e_logo = elbo_estimate(logo.params, proto, None, spec, schedule, 777)
         assert e_logo < e_full
 
 
