@@ -11,8 +11,15 @@ A batch is one (x0, cond) block, (B, dim) and (B, cond_dim) or None;
 every training and unlearning objective noises it with ``noise_batch``
 and ends in ``regress``, the shared forward, residual and backward step.
 ``noise_batch`` takes each row's t and eps from one keyed draw over the
-block (``seeding.content_rng``), keyed by the seed and the row's content,
-so a row's noise does not depend on its batch or its position in it.
+block (``seeding.content_rng``), keyed by the row's root and content, so
+a row's noise does not depend on its batch or its position in it.  The
+root is one seed for the block or one seed per row: ``loss_and_grad``
+draws its own block under one seed, while the training and unlearning
+loops noise a whole epoch or block of steps in one call, each row under
+its step's seed, and so draw the same bits.
+
+The forward pass keeps each SiLU layer's sigmoid for the backward pass,
+which writes every layer's gradient straight into one flat vector.
 """
 
 from __future__ import annotations
@@ -174,25 +181,12 @@ def init_network(arch: Architecture, seed: int) -> DenoiserParams:
     return DenoiserParams(arch, np.concatenate(chunks))
 
 
-def _silu(z):
-    sig = 1.0 / (1.0 + np.exp(-z))
-    return z * sig
-
-
-def _silu_grad(z):
-    sig = 1.0 / (1.0 + np.exp(-z))
-    return sig * (1.0 + z * (1.0 - sig))
-
-
-def _relu(z):
-    return np.maximum(z, 0.0)
-
-
-def _relu_grad(z):
-    return (z > 0.0).astype(np.float64)
-
-
-_ACT = {"silu": (_silu, _silu_grad), "relu": (_relu, _relu_grad)}
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), computed in one new array."""
+    sig = np.negative(z)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    return np.divide(1.0, sig, out=sig)
 
 
 def _assemble_features(
@@ -238,41 +232,56 @@ def forward_batch(
     if xt.ndim != 2 or xt.shape[1] != p.arch.input_dim:
         raise ValueError(f"xt must have shape (B, {p.arch.input_dim})")
     feats = _assemble_features(p.arch, xt, t, num_steps, cond)
-    act, act_grad = _ACT[p.arch.activation]
     layers = _unpack(p.arch, p.weights)
+    silu = p.arch.activation == "silu"
 
+    # pre[i] is hidden layer i's pre-activation z, post[i] its input, and
+    # sigs[i] its sigmoid(z) under SiLU (None under ReLU), reused by the backward pass.
     a = feats
-    pre, post = [], [feats]
-    for i, (w, b) in enumerate(layers):
-        z = a @ w.T + b
-        if i < len(layers) - 1:
-            pre.append(z)
-            a = act(z)
-            post.append(a)
-        else:
-            a = z
+    pre, post, sigs = [], [feats], []
+    for w, b in layers[:-1]:
+        z = a @ w.T
+        z += b
+        sig = _sigmoid(z) if silu else None
+        a = z * sig if silu else np.maximum(z, 0.0)
+        pre.append(z)
+        sigs.append(sig)
+        post.append(a)
+    w, b = layers[-1]
+    out = a @ w.T
+    out += b
     if not want_cache:
-        return a
-    return a, (layers, pre, post, act_grad)
+        return out
+    return out, (layers, pre, post, sigs)
 
 
 def backward_batch(p: DenoiserParams, cache, grad_out: np.ndarray) -> np.ndarray:
-    """Flat parameter gradient given d(loss)/d(output) rows."""
-    layers, pre, post, act_grad = cache
-    grads = [None] * len(layers)
+    """Flat parameter gradient given d(loss)/d(output) rows.
+
+    Each layer's weight and bias gradients are written straight into
+    their slices of the flat vector.  The activation derivative is
+    sig * (1 + z * (1 - sig)) for SiLU, from the forward pass's sigmoid,
+    and the 0/1 mask of z > 0 for ReLU.
+    """
+    layers, pre, post, sigs = cache
+    flat = np.empty(p.param_count)
+    grads = _unpack(p.arch, flat)  # views into ``flat``, laid out as the weights
     g = np.asarray(grad_out, dtype=np.float64)
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        grads[i] = (g.T @ post[i], g.sum(axis=0))
+        gw, gb = grads[i]
+        np.matmul(g.T, post[i], out=gw)
+        np.sum(g, axis=0, out=gb)
         if i > 0:
-            g = (g @ w) * act_grad(pre[i - 1])
-    flat = np.empty(p.param_count)
-    off = 0
-    for gw, gb in grads:
-        flat[off : off + gw.size] = gw.ravel()
-        off += gw.size
-        flat[off : off + gb.size] = gb
-        off += gb.size
+            z, sig = pre[i - 1], sigs[i - 1]
+            if sig is None:
+                d = (z > 0.0).astype(np.float64)
+            else:
+                d = np.subtract(1.0, sig)
+                d *= z
+                d += 1.0
+                d *= sig
+            g = g @ layers[i][0]
+            g *= d
     return flat
 
 
@@ -296,7 +305,7 @@ def noise_batch(
     x0: np.ndarray,
     cond: np.ndarray | None,
     s: Schedule,
-    rng_seed: int,
+    rng_seed: int | np.ndarray,
     t_lo: int,
     t_hi: int,
     *,
@@ -304,9 +313,10 @@ def noise_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Noise every row of an (x0, cond) block through the forward marginal.
 
-    ``x0`` is (B, dim) and ``cond`` is (B, cond_dim) or None.  Row i's
+    ``x0`` is (B, dim) and ``cond`` is (B, cond_dim) or None;
+    ``rng_seed`` is one seed or a (B,) vector of per-row seeds.  Row i's
     draws are the uniforms of ``content_rng(rng_seed, x0, cond)`` row i,
-    so they depend only on (rng_seed, row content): uniform 0 gives t in
+    so they depend only on (its seed, row content): uniform 0 gives t in
     [t_lo, t_hi], the next 2 * ceil(dim / 2) give eps by Box-Muller
     (``normals``), and, with ``anchor_seeds``, one more gives the row's
     anchor seed in [0, 2^62).  x_t is formed for the whole block by one
@@ -339,15 +349,16 @@ def regress(
     (trust-region clipping): a clipped row contributes the cap value and
     no gradient.
     """
-    out, cache = forward_batch(p, xt, ts, num_steps, cond, want_cache=True)
-    resid = out - target
+    resid, cache = forward_batch(p, xt, ts, num_steps, cond, want_cache=True)
+    resid -= target
     raw = np.sum(resid**2, axis=1)
     if cap is not None:
-        resid = resid * (raw < cap)[:, None]
+        resid *= (raw < cap)[:, None]
         raw = np.minimum(raw, cap)
     loss = float(np.mean(raw))
-    grad = backward_batch(p, cache, 2.0 * resid / len(xt))
-    return loss, grad
+    resid *= 2.0
+    resid /= len(xt)
+    return loss, backward_batch(p, cache, resid)
 
 
 def loss_and_grad(
@@ -396,11 +407,21 @@ def optimizer_step(
     grad = clip_gradient(grad)
 
     step = st.step_count + 1
-    m = st.beta1 * st.first_moment + (1.0 - st.beta1) * grad
-    v = st.beta2 * st.second_moment + (1.0 - st.beta2) * grad**2
-    m_hat = m / (1.0 - st.beta1**step)
-    v_hat = v / (1.0 - st.beta2**step)
+    m = st.first_moment * st.beta1
+    tmp = grad * (1.0 - st.beta1)
+    m += tmp
+    v = st.second_moment * st.beta2
+    np.square(grad, out=tmp)
+    tmp *= 1.0 - st.beta2
+    v += tmp
+    # tmp becomes sqrt(v_hat) + epsilon, upd lr * m_hat over it.
+    np.divide(v, 1.0 - st.beta2**step, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += st.epsilon
+    upd = m / (1.0 - st.beta1**step)
+    upd *= st.lr
+    upd /= tmp
     w = p.weights * (1.0 - st.lr * st.weight_decay)
-    w = w - st.lr * m_hat / (np.sqrt(v_hat) + st.epsilon)
+    w -= upd
     new_state = replace(st, first_moment=m, second_moment=v, step_count=step)
-    return p.with_weights(w), new_state
+    return DenoiserParams(p.arch, w), new_state

@@ -190,7 +190,11 @@ def kernel_logits(
     diff = np.empty_like(dist2)
     for i in range(points.shape[1]):
         out = diff if i else dist2
-        np.subtract(xt[..., i, None], scale * points[:, i], out=out)
+        if idx.ndim:  # per-row scales: the (B, n) products go straight into the buffer
+            np.multiply(scale, points[:, i], out=out)
+            np.subtract(xt[..., i, None], out, out=out)
+        else:
+            np.subtract(xt[..., i, None], scale * points[:, i], out=out)
         np.multiply(out, out, out=out)
         if i:
             dist2 += diff

@@ -179,6 +179,8 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ValueError("duplicate unlearning method in config")
         T = self.schedule.num_steps
+        if T < 2:
+            raise ValueError(f"the ELBO grid starts at t = 2, so T must be >= 2, got T={T}")
         for u in self.unlearn_methods:
             if u.timestep_range is not None and u.timestep_range[1] > T:
                 raise ValueError(f"{u.method}: timestep range {u.timestep_range} exceeds T={T}")
@@ -295,7 +297,7 @@ class Pipeline:
 
     def _k_unlearn(self, method: str, k: int) -> str:
         spec = self._unlearn_spec(method)
-        return _hash_obj(["unlearn", method, k, self._k_full(), dataclasses.asdict(spec)])
+        return _hash_obj(["unlearn", method, k, self._k_full(), spec.read_settings()])
 
     def _k_queries(self) -> str:
         return _hash_obj(["queries", self._k_full(), dataclasses.asdict(self.cfg.queries)])

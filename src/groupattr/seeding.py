@@ -45,8 +45,8 @@ def derive_seed(root: int, *path: int | str) -> int:
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finalizer on a uint64 array (a new array)."""
-    z = z ^ (z >> np.uint64(30))
+    """SplitMix64's finalizer, in place on a uint64 array, which it returns."""
+    z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
@@ -63,16 +63,24 @@ def content_rng(roots, *columns: np.ndarray | str | int | None, n: int) -> np.nd
     crc32), an integer, or ``None`` (the label 0).  A one-root call with
     no block column draws one row.
     """
-    key = _mix(np.atleast_1d(np.asarray(roots)).astype(np.uint64) & np.uint64(_MASK63))
+    key = np.atleast_1d(np.asarray(roots)).astype(np.uint64)
+    key &= np.uint64(_MASK63)
+    _mix(key)
     for c in columns:
         if c is None or isinstance(c, (str, int, np.integer)):
-            key = _mix(key ^ np.uint64(0 if c is None else _encode(c)))
+            key ^= np.uint64(0 if c is None else _encode(c))
+            _mix(key)
         else:
             words = (np.asarray(c, dtype=np.float64) + 0.0).view(np.uint64)
             for w in words.T:
-                key = _mix(key ^ w)
-    counters = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
-    return (_mix(key[:, None] + counters) >> np.uint64(11)) * 2.0**-53
+                if key.shape == w.shape:
+                    key ^= w
+                else:  # one root for a block: its first word spreads the key over the rows
+                    key = key ^ w
+                _mix(key)
+    u = _mix(key[:, None] + np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN)
+    u >>= np.uint64(11)
+    return u * 2.0**-53
 
 
 def normals(u: np.ndarray, dim: int) -> np.ndarray:

@@ -10,6 +10,12 @@ Two training entry points share one loop:
 Both take one ``TrainSpec`` and the run's seed as an argument; the
 caller writes the per-epoch log from the ``TrainRun`` they return.
 
+A step's draws come from streams of the run's seed: epoch e is shuffled
+by (seed, "shuffle", e), batch b's condition dropout by (seed, "dropout",
+e, b), and the whole epoch is noised by one ``noise_batch`` call in which
+batch b's rows are keyed by ``derive_seed(seed, "loss", e, b)``.  So every
+batch gets the noise that ``loss_and_grad`` would draw for it alone.
+
 ``empirical_denoiser`` is the closed-form optimal eps-predictor for an
 empirical data distribution; it serves as an exact oracle both for
 attribution (no training required) and as a loss floor for trained
@@ -31,8 +37,9 @@ from .denoiser import (
     DenoiserParams,
     init_network,
     init_optimizer,
-    loss_and_grad,
+    noise_batch,
     optimizer_step,
+    regress,
 )
 from .diffusion import Schedule, kernel_logits, kernel_softmax, softmax_inplace
 from .seeding import derive_seed, rng_for
@@ -101,16 +108,20 @@ def _train(
         perm = rng_for(seed, "shuffle", epoch).permutation(len(xs))
         xs, labels = xs[perm], labels[perm]
 
+        # One keyed draw noises the epoch, each row under its batch's root.
+        starts = range(0, len(xs), cfg.batch_size)
+        conds = [d.dropout_conditions(labels[i : i + cfg.batch_size], conditional, seed,
+                                      epoch, b) for b, i in enumerate(starts)]
+        roots = np.repeat([derive_seed(seed, "loss", epoch, b) for b in range(len(starts))],
+                          [min(cfg.batch_size, len(xs) - i) for i in starts])
+        ts, xts, eps, _ = noise_batch(xs, np.concatenate(conds) if conditional else None, s,
+                                      roots, 1, s.num_steps)
         losses = []
-        n_batches = math.ceil(len(xs) / cfg.batch_size)
-        for b in range(n_batches):
-            rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
-            bx, blab = xs[rows], labels[rows]
-            conds = d.dropout_conditions(blab, conditional, seed, epoch, b)
+        for b, i in enumerate(starts):
+            rows = slice(i, i + cfg.batch_size)
             if batch_hook is not None:
-                batch_hook(epoch, bx, conds)
-            loss, grad = loss_and_grad(params, bx, conds, s,
-                                       derive_seed(seed, "loss", epoch, b))
+                batch_hook(epoch, xs[rows], conds[b])
+            loss, grad = regress(params, xts[rows], ts[rows], s.num_steps, conds[b], eps[rows])
             params, opt = optimizer_step(params, opt, grad)
             steps += 1
             losses.append(loss)

@@ -20,7 +20,18 @@ Loss weighting follows two conventions, selected by method:
 ``L_forget + lambda_pres * L_preserve`` for cond_anchor.
 
 Every objective takes its batch as one (x0, cond) block (see
-``denoiser``) and ends in the shared regression step ``regress``.
+``denoiser``): the public loss noises it, and one target builder per
+objective (``_retrack_fit``, ``_esd_fit``, ``_distill_fit`` for cond_anchor
+and preservation) fits the noised rows through the shared regression
+step ``regress``.
+
+Step s of ``unlearn`` draws its retain and forget rows from (seed,
+"retain", s) and (seed, "forget", s), and its retain rows' condition
+dropout from (seed, "dropout", s).  Its noise comes from two
+``noise_batch`` calls per block of ``_DRAW_BLOCK`` steps, one over the
+block's forget rows and one over its retain rows, with step s's rows
+keyed by ``derive_seed(seed, "floss", s)`` and ``derive_seed(seed,
+"ploss", s)``: the bits the public losses draw for that step alone.
 """
 
 from __future__ import annotations
@@ -44,6 +55,17 @@ from .diffusion import Schedule, kernel_logits, kernel_softmax
 from .seeding import content_rng, derive_seed, rng_for
 
 UNLEARN_METHODS = ("retrack", "esd", "cond_anchor")
+
+# Steps whose forget and retain rows are noised by one keyed draw each.
+_DRAW_BLOCK = 16
+
+# The ``UnlearnSpec`` fields each method reads.
+_COMMON_SETTINGS = ("steps_or_epochs", "lr", "batch_size", "timestep_range")
+_METHOD_SETTINGS = {
+    "retrack": _COMMON_SETTINGS + ("lambda_forget", "K", "kl_cap"),
+    "esd": _COMMON_SETTINGS + ("lambda_forget", "guidance_weight"),
+    "cond_anchor": _COMMON_SETTINGS + ("lambda_pres", "tau", "eta_mix"),
+}
 
 
 @dataclass(frozen=True)
@@ -89,6 +111,10 @@ class UnlearnSpec:
             object.__setattr__(self, "timestep_range", (lo, hi))
             if not 1 <= lo <= hi:
                 raise ValueError(f"invalid timestep range {self.timestep_range}")
+
+    def read_settings(self) -> dict:
+        """The fields its method reads, by name: what a model unlearned with it depends on."""
+        return {name: getattr(self, name) for name in _METHOD_SETTINGS[self.method]}
 
 
 def default_timestep_range(num_steps: int) -> tuple[int, int]:
@@ -151,6 +177,11 @@ def retrack_forget_loss(
     if retain.shape[0] == 0:
         raise ValueError("retain set must be non-empty")
     ts, xts, _, _ = _noise_batch(x0, cond, cfg, s, rng_seed)
+    return _retrack_fit(p, ts, xts, retain, cfg, s)
+
+
+def _retrack_fit(p, ts, xts, retain, cfg: UnlearnSpec, s: Schedule):
+    """``retrack_forget_loss`` on noised forget rows (t, x_t)."""
     targets = retrack_target(retain, xts, ts, cfg.K, s)
     null = np.zeros((len(ts), p.arch.cond_dim)) if p.arch.cond_dim > 0 else None
     return regress(p, xts, ts, s.num_steps, null, targets, cap=cfg.kl_cap)
@@ -174,6 +205,11 @@ def esd_forget_loss(
     if p.arch.cond_dim == 0 or p_full_frozen.arch.cond_dim == 0:
         raise ValueError("esd requires conditional models (cond_dim > 0)")
     ts, xts, _, _ = _noise_batch(x0, cond, cfg, s, rng_seed)
+    return _esd_fit(p, p_full_frozen, ts, xts, cond, cfg, s)
+
+
+def _esd_fit(p, p_full_frozen, ts, xts, cond, cfg: UnlearnSpec, s: Schedule):
+    """``esd_forget_loss`` on noised forget rows (t, x_t)."""
     null = np.zeros((len(ts), p.arch.cond_dim))
     eps_c = forward_batch(p_full_frozen, xts, ts, s.num_steps, cond)
     eps_u = forward_batch(p_full_frozen, xts, ts, s.num_steps, null)
@@ -195,7 +231,14 @@ def preservation_loss(
     batch mean of |eps_p - eps_full|^2 on a block of retain rows.
     """
     ts, xts, _, _ = noise_batch(x0, cond, s, seed, 1, s.num_steps)
-    ref = forward_batch(p_full_frozen, xts, ts, s.num_steps, cond)
+    return _distill_fit(p, p_full_frozen, ts, xts, cond, cond, s)
+
+
+def _distill_fit(p, p_frozen, ts, xts, cond, ref_cond, s: Schedule):
+    """|eps_p(x_t, t, cond) - eps_frozen(x_t, t, ref_cond)|^2 on noised rows:
+    the preservation loss with ``ref_cond = cond``, the cond_anchor forget
+    loss with anchor conditions."""
+    ref = forward_batch(p_frozen, xts, ts, s.num_steps, ref_cond)
     return regress(p, xts, ts, s.num_steps, cond, ref)
 
 
@@ -286,9 +329,8 @@ def conditional_forget_loss(
     if p.arch.cond_dim == 0:
         raise ValueError("cond_anchor requires a conditional model")
     ts, xts, _, seeds = _noise_batch(x0, cond, cfg, s, rng_seed, anchor_seeds=True)
-    _, anchors = anchor_select(sel, forget_group, seeds)
-    ref = forward_batch(p_full_frozen, xts, ts, s.num_steps, anchors)
-    return regress(p, xts, ts, s.num_steps, cond, ref)
+    return _distill_fit(p, p_full_frozen, ts, xts, cond,
+                        anchor_select(sel, forget_group, seeds)[1], s)
 
 
 @dataclass
@@ -327,39 +369,53 @@ def unlearn(
     forget_x = d.groups[k]
     conditional = p_full.arch.cond_dim > 0
     sel = AnchorSelector.from_dataset(d, cfg.tau, cfg.eta_mix) if cfg.method == "cond_anchor" else None
+    n_retain = min(cfg.batch_size, len(retain_x))
+    n_forget = min(cfg.batch_size, len(forget_x))
+    forget_cond = np.tile(d.cond_of(k), (n_forget, 1)) if conditional else None
 
     params = p_full
     opt = init_optimizer(params, cfg.lr, weight_decay=0.0)
     forget_losses, preserve_losses = [], []
-    for step in range(cfg.steps_or_epochs):
-        rb = rng_for(seed, "retain", step).choice(
-            len(retain_x), size=min(cfg.batch_size, len(retain_x)), replace=False
-        )
-        fb = rng_for(seed, "forget", step).choice(
-            len(forget_x), size=min(cfg.batch_size, len(forget_x)), replace=False
-        )
-        retain_cond = d.dropout_conditions(retain_lab[rb], conditional, seed, step)
-        forget_cond = np.tile(d.cond_of(k), (len(fb), 1)) if conditional else None
+    for first in range(0, cfg.steps_or_epochs, _DRAW_BLOCK):
+        block = range(first, min(first + _DRAW_BLOCK, cfg.steps_or_epochs))
+        rbs = [rng_for(seed, "retain", step).choice(len(retain_x), size=n_retain, replace=False)
+               for step in block]
+        fbs = [rng_for(seed, "forget", step).choice(len(forget_x), size=n_forget, replace=False)
+               for step in block]
+        retain_conds = [d.dropout_conditions(retain_lab[rb], conditional, seed, step)
+                        for rb, step in zip(rbs, block)]
+        # One keyed draw each for the block's forget and retain rows, each row
+        # under its step's root.
+        f_ts, f_xts, _, f_seeds = _noise_batch(
+            forget_x[np.concatenate(fbs)],
+            np.tile(forget_cond, (len(block), 1)) if conditional else None, cfg, s,
+            np.repeat([derive_seed(seed, "floss", step) for step in block], n_forget),
+            anchor_seeds=sel is not None)
+        p_ts, p_xts, _, _ = noise_batch(
+            retain_x[np.concatenate(rbs)],
+            np.concatenate(retain_conds) if conditional else None, s,
+            np.repeat([derive_seed(seed, "ploss", step) for step in block], n_retain),
+            1, s.num_steps)
 
-        fseed = derive_seed(seed, "floss", step)
-        if cfg.method == "retrack":
-            lf, gf = retrack_forget_loss(params, forget_x[fb], forget_cond, retain_x, cfg, s,
-                                         fseed)
-        elif cfg.method == "esd":
-            lf, gf = esd_forget_loss(params, p_full, forget_x[fb], forget_cond, cfg, s, fseed)
-        else:
-            lf, gf = conditional_forget_loss(params, p_full, forget_x[fb], forget_cond, k, sel,
-                                             cfg, s, fseed)
-        lp, gp = preservation_loss(params, p_full, retain_x[rb], retain_cond, s,
-                                   derive_seed(seed, "ploss", step))
+        for j, rcond in enumerate(retain_conds):
+            f = slice(j * n_forget, (j + 1) * n_forget)
+            if cfg.method == "retrack":
+                lf, gf = _retrack_fit(params, f_ts[f], f_xts[f], retain_x, cfg, s)
+            elif cfg.method == "esd":
+                lf, gf = _esd_fit(params, p_full, f_ts[f], f_xts[f], forget_cond, cfg, s)
+            else:
+                lf, gf = _distill_fit(params, p_full, f_ts[f], f_xts[f], forget_cond,
+                                      anchor_select(sel, k, f_seeds[f])[1], s)
+            r = slice(j * n_retain, (j + 1) * n_retain)
+            lp, gp = _distill_fit(params, p_full, p_ts[r], p_xts[r], rcond, rcond, s)
 
-        if cfg.method == "cond_anchor":
-            grad = gf + cfg.lambda_pres * gp
-        else:
-            grad = cfg.lambda_forget * gf + gp
-        params, opt = optimizer_step(params, opt, grad)
-        forget_losses.append(lf)
-        preserve_losses.append(lp)
+            if cfg.method == "cond_anchor":
+                grad = gf + cfg.lambda_pres * gp
+            else:
+                grad = cfg.lambda_forget * gf + gp
+            params, opt = optimizer_step(params, opt, grad)
+            forget_losses.append(lf)
+            preserve_losses.append(lp)
 
     return UnlearnRun(params, cfg.steps_or_epochs, forget_losses, preserve_losses,
                       time.perf_counter() - start)

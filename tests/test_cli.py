@@ -78,6 +78,11 @@ def _edited_config(tmp_path, section, key, value):
     doc = tiny_experiment_config().to_dict()
     part = doc[section][0] if section == "unlearn_methods" else doc[section]
     part[key] = value
+    if (section, key) == ("schedule", "num_steps"):
+        # The unlearning ranges are sized for T = 40; with the default
+        # range T is the only bad value.
+        for u in doc["unlearn_methods"]:
+            u["timestep_range"] = None
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     return path
@@ -115,6 +120,7 @@ class TestFailures:
         ("arch", "activation", "tanh"),
         ("schedule", "kind", "cosine"),
         ("elbo", "stride", 0),
+        ("schedule", "num_steps", 1),
     ])
     def test_bad_config_fails_before_any_phase(self, tmp_path, capsys, section, key, value):
         """Every stage's settings are checked when the config is built, so a

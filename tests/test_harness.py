@@ -549,6 +549,37 @@ class TestSweep:
         for f in files:
             assert filecmp.cmp(second / f, fresh / f, shallow=False), f
 
+    def test_k_sweep_unlearns_esd_once_per_group(self, tmp_path, monkeypatch):
+        """esd reads no ``K``: a two-value ``K`` sweep unlearns it once per
+        group and scores it once, and the second value's outputs are still
+        byte-identical to a fresh run of it."""
+        calls = {"retrack": 0, "esd": 0}
+        real = harness.unlearn
+
+        def counted(p_full, d, k, cfg, s, seed):
+            calls[cfg.method] += 1
+            return real(p_full, d, k, cfg, s, seed)
+
+        monkeypatch.setattr(harness, "unlearn", counted)
+        cfg = tiny_experiment_config()
+        sweep(cfg, "K", [5, 10], tmp_path / "sw")
+        n = cfg.dataset.n_groups
+        assert calls == {"retrack": 2 * n, "esd": n}
+        first, second = tmp_path / "sw" / "K_5", tmp_path / "sw" / "K_10"
+        for name in ("keys/matrix_esd.json", "keys/unlearn_esd_0.json"):
+            assert filecmp.cmp(first / name, second / name, shallow=False), name
+        monkeypatch.setattr(harness, "unlearn", real)
+        fresh = tmp_path / "fresh"
+        run_experiment(replace(cfg, unlearn_methods=tuple(
+            replace(u, K=10) for u in cfg.unlearn_methods)), fresh)
+        files = sorted(f.relative_to(fresh) for pattern in
+                       ("dataset.npz", "queries.npz", "checkpoints/*", "matrices/*",
+                        "logs/unlearn_*")
+                       for f in fresh.glob(pattern))
+        assert len(files) == 2 + 10 + 10 + 6
+        for f in files:
+            assert filecmp.cmp(second / f, fresh / f, shallow=False), f
+
     def test_invalid_axis_and_empty_values(self, tmp_path):
         cfg = tiny_experiment_config()
         with pytest.raises(ValueError):
