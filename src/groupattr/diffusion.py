@@ -163,70 +163,111 @@ def kernel_logits(
     logits.  ``t`` is one timestep, or for a block a (B,) vector of
     per-row timesteps, whose centres are (B, n, dim).  The squared
     distance is summed coordinate by coordinate into two (B, n) buffers,
-    so a block needs no (B, n, dim) temporary.  With ``K`` only the K
-    nearest points of each row are kept (see ``_nearest``), ordered by
-    (distance, index): ties break toward the lower index, as a stable
-    sort would.  Every row gets the arithmetic of a one-row call.
+    so a block needs no (B, n, dim) temporary.  With ``K`` the call is
+    ``NearestKernel(points, K)(xt, t, s)``: only the K nearest points of
+    each row are kept, and the (B, n) buffers are that fresh instance's,
+    which the returned arrays never alias.  Every row gets the arithmetic
+    of a one-row call.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    n = points.shape[0]
-    if n == 0:
-        raise ValueError("point set must be non-empty")
+    if K is not None:
+        return NearestKernel(points, K)(xt, t, s)
+    points = _point_set(points)
     xt = np.asarray(xt, dtype=np.float64)
-    if K is not None and not 1 <= K <= n:
-        raise ValueError(f"K must be in [1, {n}], got {K}")
+    scale, denom = _kernel_scales(s, t, xt)
+    dist2 = np.empty(xt.shape[:-1] + (len(points),))
+    _squared_distances(points.T, xt, scale, dist2, np.empty_like(dist2))
+    dist2 /= denom
+    return dist2, points * scale[..., None] if np.ndim(scale) else scale * points
+
+
+class NearestKernel:
+    """``kernel_logits`` truncated to the K nearest points of a fixed point
+    set, on buffers reused from call to call.
+
+    Calling it with (xt, t, s) returns the K kept logits and centres of
+    each row, (B, K) and (B, K, dim) for a block or (K,) and (K, dim) for
+    one row, ordered by (distance, index): ties break toward the lower
+    index, as a stable sort would.  The points are held as contiguous
+    coordinate columns.  The (B, n) distance, difference, partition and
+    mask buffers are allocated on the first call and again only when B
+    changes; the returned arrays are fresh and never alias them.
+    """
+
+    def __init__(self, points: np.ndarray, K: int):
+        self.points = _point_set(points)
+        n = len(self.points)
+        if not 1 <= K <= n:
+            raise ValueError(f"K must be in [1, {n}], got {K}")
+        self.K = K
+        self._columns = np.ascontiguousarray(self.points.T)
+        self._buffers: tuple[np.ndarray, ...] = ()
+
+    def __call__(self, xt: np.ndarray, t, s: Schedule) -> tuple[np.ndarray, np.ndarray]:
+        xt = np.asarray(xt, dtype=np.float64)
+        scale, denom = _kernel_scales(s, t, xt)
+        rows = np.atleast_2d(xt)
+        B, n, K = len(rows), len(self.points), self.K
+        if not self._buffers or len(self._buffers[0]) != B:
+            self._buffers = (np.empty((B, n)), np.empty((B, n)), np.empty((B, n)),
+                             np.empty((B, n), dtype=bool))
+        dist2, diff, part, within = self._buffers
+        _squared_distances(self._columns, rows, scale, dist2, diff)
+        # A row keeps every point within its K-th smallest distance.  Only
+        # rows with more than K such points (exact ties at the K-th
+        # distance) fall back to the stable argsort prefix.
+        np.copyto(part, dist2)
+        part.partition(K - 1, axis=1)
+        np.less_equal(dist2, part[:, K - 1 : K], out=within)
+        tied = within.sum(axis=1) > K
+        within[tied] = False
+        keep = np.empty((B, K), dtype=np.intp)
+        keep[~tied] = (np.flatnonzero(within) % n).reshape(-1, K)
+        keep[tied] = np.argsort(dist2[tied], axis=1, kind="stable")[:, :K]
+        order = np.argsort(np.take_along_axis(dist2, keep, axis=1), axis=1, kind="stable")
+        keep = np.take_along_axis(keep, order, axis=1)
+        logits = np.take_along_axis(dist2, keep, axis=1)
+        logits /= denom
+        if np.ndim(scale):
+            centers = self.points[keep] * scale[..., None]
+        else:
+            centers = scale * self.points[keep]
+        return (logits, centers) if xt.ndim == 2 else (logits[0], centers[0])
+
+
+def _point_set(points: np.ndarray) -> np.ndarray:
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.shape[0] == 0:
+        raise ValueError("point set must be non-empty")
+    return points
+
+
+def _kernel_scales(s: Schedule, t, xt: np.ndarray):
+    """(sqrt(abar_t), -2 sigma_t^2): floats for one timestep, (B, 1)
+    columns for a (B,) vector of timesteps of an x_t block."""
     idx = s._index(t)
-    if idx.ndim:
-        if xt.ndim != 2 or len(idx) != len(xt):
-            raise ValueError(f"{len(idx)} timesteps for an x_t block of shape {xt.shape}")
-        scale = np.sqrt(s.alpha_bars[idx])[:, None]
-        denom = (-2.0 * s.sigmas[idx] ** 2)[:, None]
-    else:
-        scale = math.sqrt(s.alpha_bar(t))
-        denom = -2.0 * s.sigma(t) ** 2
+    if not idx.ndim:
+        return math.sqrt(s.alpha_bar(t)), -2.0 * s.sigma(t) ** 2
+    if xt.ndim != 2 or len(idx) != len(xt):
+        raise ValueError(f"{len(idx)} timesteps for an x_t block of shape {xt.shape}")
+    return np.sqrt(s.alpha_bars[idx])[:, None], (-2.0 * s.sigmas[idx] ** 2)[:, None]
+
+
+def _squared_distances(columns, xt: np.ndarray, scale, dist2: np.ndarray,
+                       diff: np.ndarray) -> None:
+    """Write |xt - scale x_i|^2 into ``dist2``, summed coordinate by
+    coordinate over the points' ``columns``; ``diff`` is scratch of its shape."""
     # Squares are never -0.0, so starting from the first square instead of
     # from zeros leaves every sum unchanged.
-    dist2 = np.empty(xt.shape[:-1] + (n,))
-    diff = np.empty_like(dist2)
-    for i in range(points.shape[1]):
+    for i, column in enumerate(columns):
         out = diff if i else dist2
-        if idx.ndim:  # per-row scales: the (B, n) products go straight into the buffer
-            np.multiply(scale, points[:, i], out=out)
+        if np.ndim(scale):  # per-row scales: the (B, n) products go straight into the buffer
+            np.multiply(scale, column, out=out)
             np.subtract(xt[..., i, None], out, out=out)
         else:
-            np.subtract(xt[..., i, None], scale * points[:, i], out=out)
+            np.subtract(xt[..., i, None], scale * column, out=out)
         np.multiply(out, out, out=out)
         if i:
             dist2 += diff
-    if K is None:
-        keep = slice(None)
-    else:
-        keep = _nearest(np.atleast_2d(dist2), K).reshape(dist2.shape[:-1] + (K,))
-        dist2 = np.take_along_axis(dist2, keep, axis=-1)
-    if idx.ndim:
-        centers = points[keep] * scale[..., None]
-    else:
-        centers = scale * points[keep]
-    dist2 /= denom
-    return dist2, centers
-
-
-def _nearest(dist2: np.ndarray, K: int) -> np.ndarray:
-    """Per row of (B, n) distances, the indices of the K smallest, ordered by
-    (distance, index); the same as ``np.argsort(row, kind="stable")[:K]``.
-
-    A row keeps every point within its K-th smallest distance.  Only rows
-    with more than K such points (exact ties at the K-th distance) fall
-    back to the stable argsort prefix.
-    """
-    kth = np.partition(dist2, K - 1, axis=1)[:, K - 1 : K]
-    within = dist2 <= kth
-    tied = within.sum(axis=1) > K
-    keep = np.empty((len(dist2), K), dtype=np.intp)
-    keep[~tied] = (np.flatnonzero(within[~tied]) % dist2.shape[1]).reshape(-1, K)
-    keep[tied] = np.argsort(dist2[tied], axis=1, kind="stable")[:, :K]
-    order = np.argsort(np.take_along_axis(dist2, keep, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(keep, order, axis=1)
 
 
 def kernel_softmax(

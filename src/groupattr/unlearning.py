@@ -32,6 +32,14 @@ dropout from (seed, "dropout", s).  Its noise comes from two
 block's forget rows and one over its retain rows, with step s's rows
 keyed by ``derive_seed(seed, "floss", s)`` and ``derive_seed(seed,
 "ploss", s)``: the bits the public losses draw for that step alone.
+cond_anchor's anchors are drawn once per block too, keyed per row by the
+forget rows' anchor seeds.
+
+Retrack's K-nearest targets come from one ``diffusion.NearestKernel``
+per ``unlearn`` run, built over the retain set and handed to
+``retrack_target`` at every step.  Its (B, n) distance and selection
+buffers live in that instance and are reused from step to step; the
+targets never alias them.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from .denoiser import (
     optimizer_step,
     regress,
 )
-from .diffusion import Schedule, kernel_logits, kernel_softmax
+from .diffusion import NearestKernel, Schedule, kernel_logits, softmax_inplace
 from .seeding import content_rng, derive_seed, rng_for
 
 UNLEARN_METHODS = ("retrack", "esd", "cond_anchor")
@@ -130,7 +138,8 @@ def retain_mixture_logpdf(points: np.ndarray, xt: np.ndarray, t: int, s: Schedul
     return float(m + math.log(np.exp(logs - m).sum()) - math.log(len(logs)))
 
 
-def retrack_target(retain: np.ndarray, xt: np.ndarray, t, K: int, s: Schedule) -> np.ndarray:
+def retrack_target(retain: np.ndarray | NearestKernel, xt: np.ndarray, t, K: int,
+                   s: Schedule) -> np.ndarray:
     """Importance-weighted eps target truncated to the K nearest retain points.
 
     Nearest is measured by |xt - sqrt(abar_t) x_i|; ties break toward the
@@ -139,9 +148,16 @@ def retrack_target(retain: np.ndarray, xt: np.ndarray, t, K: int, s: Schedule) -
     (dim,) with one timestep, or a (B, dim) block with a (B,) vector of
     timesteps, contracted as one stacked ``matmul`` of (1, K) by (K, dim)
     per row; a block's row i is bit for bit the one-row target of
-    (xt[i], t[i]).
+    (xt[i], t[i]).  ``retain`` is the (n, dim) retain set, whose K-nearest
+    buffers belong to a fresh ``NearestKernel``, or a prepared
+    ``NearestKernel`` over it, whose buffers are reused and whose ``K``
+    must be ``K``.  The target never aliases the buffers.
     """
-    w, centers = kernel_softmax(retain, xt, t, s, K)
+    kernel = retain if isinstance(retain, NearestKernel) else NearestKernel(retain, K)
+    if kernel.K != K:
+        raise ValueError(f"K={K} for a kernel prepared with K={kernel.K}")
+    w, centers = kernel(xt, t, s)
+    softmax_inplace(w)
     if np.ndim(t) == 0:
         return (w @ (xt - centers)) / s.sigma(t)
     sigmas = s.sigmas[np.asarray(t) - 1]
@@ -181,7 +197,8 @@ def retrack_forget_loss(
 
 
 def _retrack_fit(p, ts, xts, retain, cfg: UnlearnSpec, s: Schedule):
-    """``retrack_forget_loss`` on noised forget rows (t, x_t)."""
+    """``retrack_forget_loss`` on noised forget rows (t, x_t); ``retain`` is
+    the retain set or a ``NearestKernel`` over it (see ``retrack_target``)."""
     targets = retrack_target(retain, xts, ts, cfg.K, s)
     null = np.zeros((len(ts), p.arch.cond_dim)) if p.arch.cond_dim > 0 else None
     return regress(p, xts, ts, s.num_steps, null, targets, cap=cfg.kl_cap)
@@ -369,6 +386,7 @@ def unlearn(
     forget_x = d.groups[k]
     conditional = p_full.arch.cond_dim > 0
     sel = AnchorSelector.from_dataset(d, cfg.tau, cfg.eta_mix) if cfg.method == "cond_anchor" else None
+    nearest = NearestKernel(retain_x, cfg.K) if cfg.method == "retrack" else None
     n_retain = min(cfg.batch_size, len(retain_x))
     n_forget = min(cfg.batch_size, len(forget_x))
     forget_cond = np.tile(d.cond_of(k), (n_forget, 1)) if conditional else None
@@ -391,6 +409,7 @@ def unlearn(
             np.tile(forget_cond, (len(block), 1)) if conditional else None, cfg, s,
             np.repeat([derive_seed(seed, "floss", step) for step in block], n_forget),
             anchor_seeds=sel is not None)
+        anchors = anchor_select(sel, k, f_seeds)[1] if sel is not None else None
         p_ts, p_xts, _, _ = noise_batch(
             retain_x[np.concatenate(rbs)],
             np.concatenate(retain_conds) if conditional else None, s,
@@ -400,12 +419,12 @@ def unlearn(
         for j, rcond in enumerate(retain_conds):
             f = slice(j * n_forget, (j + 1) * n_forget)
             if cfg.method == "retrack":
-                lf, gf = _retrack_fit(params, f_ts[f], f_xts[f], retain_x, cfg, s)
+                lf, gf = _retrack_fit(params, f_ts[f], f_xts[f], nearest, cfg, s)
             elif cfg.method == "esd":
                 lf, gf = _esd_fit(params, p_full, f_ts[f], f_xts[f], forget_cond, cfg, s)
             else:
                 lf, gf = _distill_fit(params, p_full, f_ts[f], f_xts[f], forget_cond,
-                                      anchor_select(sel, k, f_seeds[f])[1], s)
+                                      anchors[f], s)
             r = slice(j * n_retain, (j + 1) * n_retain)
             lp, gp = _distill_fit(params, p_full, p_ts[r], p_xts[r], rcond, rcond, s)
 

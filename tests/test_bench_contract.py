@@ -7,16 +7,23 @@ traced runs.  The tracer module imports only the standard library and
 is loaded here by path, read-only.  Some wrappers also read an
 argument by position, so those positions are checked by signature.
 ``perfbench/checks.py`` is loaded the same way to check ``timing.json``.
+The tracer counts a function's calls only where the package calls it
+through the module-level name it replaces.
 """
 
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import pytest
 
+from groupattr import unlearning
+from groupattr.data import DatasetSpec, generate_grouped_dataset
+from groupattr.denoiser import Architecture, init_network
+from groupattr.diffusion import build_schedule
 from groupattr.harness import Pipeline, run_experiment
 from groupattr.metrics import rank_report
 
@@ -130,3 +137,29 @@ def test_timing_step_ratio_passes_the_bench_check(checks, tiny_run, tmp_path):
     oracle_gold = tmp_path / "oracle_gold"
     run_experiment(cfg, oracle_gold, gold="oracle")
     assert checks.check_step_ratio(oracle_gold, checks.expected_step_ratio(cfg, False)) == []
+
+
+@pytest.mark.parametrize("method, traced", [("retrack", "retrack_target"),
+                                            ("cond_anchor", "anchor_select")])
+def test_unlearn_calls_the_traced_functions_by_module_name(method, traced, monkeypatch):
+    """An ``unlearn`` of S steps calls ``unlearning.retrack_target`` once per
+    step (retrack) and ``unlearning.anchor_select`` once per draw block
+    (cond_anchor), each through the name the tracer replaces."""
+    calls = []
+    real = getattr(unlearning, traced)
+
+    def counting(*args, **kwargs):
+        calls.append(traced)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(unlearning, traced, counting)
+    d = generate_grouped_dataset(DatasetSpec(n_groups=3, samples_per_group=12, conditional=True,
+                                             descriptor_dim=4), seed=6)
+    p = init_network(Architecture(input_dim=2, hidden_dims=(6,), time_embed_dim=4, cond_dim=7),
+                     seed=1)
+    steps = 2 * unlearning._DRAW_BLOCK + 3
+    cfg = unlearning.UnlearnSpec(method=method, steps_or_epochs=steps, lr=1e-3, K=4,
+                                 batch_size=4)
+    unlearning.unlearn(p, d, 0, cfg, build_schedule(40), 3)
+    expected = steps if method == "retrack" else math.ceil(steps / unlearning._DRAW_BLOCK)
+    assert len(calls) == expected

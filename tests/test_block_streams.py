@@ -9,7 +9,9 @@ values drawn have the laws they stand for.  ``forward_marginal``,
 ``retrack_target`` and ``anchor_select`` work on whole blocks and must
 give, row for row and bit for bit, what a one-row call gives; the
 retrack target is also checked against a reference written here: the
-stable-argsort prefix with a softmax.
+stable-argsort prefix with a softmax.  One ``NearestKernel`` reused over
+blocks of changing size gives what fresh calls give, and its results
+never alias its buffers.
 """
 
 import math
@@ -25,7 +27,7 @@ from hypothesis.extra.numpy import arrays
 from groupattr import denoiser, diffusion, scoring, unlearning
 from groupattr.data import DatasetSpec, generate_grouped_dataset
 from groupattr.denoiser import noise_batch
-from groupattr.diffusion import build_schedule, forward_marginal, kernel_logits
+from groupattr.diffusion import NearestKernel, build_schedule, forward_marginal, kernel_logits
 from groupattr.scoring import ElboSpec
 from groupattr.seeding import content_rng, normals
 from groupattr.unlearning import AnchorSelector, anchor_select, retrack_target
@@ -350,6 +352,53 @@ def test_truncation_keeps_the_lowest_indices_of_exact_ties():
     for xt, tt in ((np.zeros(2), t), (np.zeros((1, 2)), np.array([t]))):
         _, centers = kernel_logits(retain, xt, tt, S, K=2)
         assert centers.reshape(2, 2).tobytes() == (scale * retain[:2]).tobytes()
+
+
+@pytest.mark.parametrize("K", [5, None], ids=["K=5", "K=n"])
+def test_prepared_kernel_reuses_its_buffers_across_block_sizes(K):
+    """One kernel through blocks of 64, 30, one row and 64 again gives, bit
+    for bit, fresh ``kernel_logits`` and one-row ``retrack_target`` results,
+    and no result aliases its buffers: neither another call on a block of
+    the same size nor mutating a result changes any other result."""
+    rng = np.random.default_rng(11)
+    base = rng.integers(-4, 5, size=(40, 2)) / 2.0
+    retain = np.vstack([base, base[:8], -base[8:16]])  # duplicated and mirrored points
+    K = len(retain) if K is None else K
+    kernel = NearestKernel(retain, K)
+    ties = 0
+    for size in (64, 30, 1, 64):
+        ts = rng.integers(1, S.num_steps + 1, size)
+        xt = rng.integers(-4, 5, size=(size, 2)) / 2.0
+        on = rng.integers(0, len(retain), size)[::3]
+        xt[::3] = np.sqrt(S.alpha_bars[ts[::3] - 1])[:, None] * retain[on]
+        if size == 1:
+            xt, ts = xt[0], int(ts[0])
+        logits, centers = kernel(xt, ts, S)
+        fresh = kernel_logits(retain, xt, ts, S, K)
+        assert logits.tobytes() == fresh[0].tobytes()
+        assert centers.tobytes() == fresh[1].tobytes()
+        targets = retrack_target(kernel, xt, ts, K, S)
+        for i, (x, t) in enumerate(zip(np.atleast_2d(xt), np.atleast_1d(ts))):
+            row = retrack_target(retain, x, int(t), K, S)
+            assert np.atleast_2d(targets)[i].tobytes() == row.tobytes()
+            dist = np.sort(squared_distances(retain, x, int(t)))
+            ties += K < len(retain) and dist[K - 1] == dist[K]
+        results = (logits, centers, targets)
+        saved = [r.tobytes() for r in results]
+        kernel(-xt, ts, S)  # another block of this size
+        retrack_target(kernel, -xt, ts, K, S)
+        assert [r.tobytes() for r in results] == saved
+        for r in results:
+            r[...] = np.nan
+        again = (*kernel(xt, ts, S), retrack_target(kernel, xt, ts, K, S))
+        assert [r.tobytes() for r in again] == saved
+    assert ties or K == len(retain)
+
+
+def test_prepared_kernel_rejects_another_K():
+    kernel = NearestKernel(np.eye(3), 2)
+    with pytest.raises(ValueError):
+        retrack_target(kernel, np.zeros(3), 5, 3, S)
 
 
 def test_anchor_select_block_matches_one_seed_calls():
