@@ -47,11 +47,12 @@ class DatasetSpec:
 
 @dataclass
 class GroupedDataset:
-    """N disjoint groups of samples with optional per-group conditions."""
+    """N disjoint groups of samples with optional per-group conditions:
+    ``cond_vectors`` is the (N, cond_dim) condition table, row k group k's."""
 
     groups: list[np.ndarray]
     dim: int
-    cond_vectors: list[np.ndarray] | None
+    cond_vectors: np.ndarray | None
     group_names: list[str]
 
     def __post_init__(self):
@@ -62,8 +63,10 @@ class GroupedDataset:
                 raise ValueError("every group must be a (n, dim) array")
         if len(self.group_names) != len(self.groups):
             raise ValueError("one name per group required")
-        if self.cond_vectors is not None and len(self.cond_vectors) != len(self.groups):
-            raise ValueError("one condition vector per group required")
+        if self.cond_vectors is not None:
+            self.cond_vectors = np.asarray(self.cond_vectors, dtype=np.float64)
+            if self.cond_vectors.ndim != 2 or len(self.cond_vectors) != len(self.groups):
+                raise ValueError("one condition vector per group required")
 
     @property
     def n_groups(self) -> int:
@@ -71,9 +74,7 @@ class GroupedDataset:
 
     @property
     def cond_dim(self) -> int:
-        if self.cond_vectors is None:
-            return 0
-        return int(self.cond_vectors[0].shape[0])
+        return 0 if self.cond_vectors is None else self.cond_vectors.shape[1]
 
     def null_condition(self) -> np.ndarray | None:
         if self.cond_vectors is None:
@@ -98,7 +99,7 @@ class GroupedDataset:
         if not conditional:
             return None
         drop = rng_for(seed, "dropout", *path).random(len(labels)) < COND_DROPOUT
-        conds = np.stack(self.cond_vectors)[labels]
+        conds = self.cond_vectors[labels]
         conds[drop] = 0.0
         return conds
 
@@ -123,7 +124,7 @@ class GroupedDataset:
         """Write the groups, condition vectors and names (data only) as ``.npz``."""
         arrays = {f"group_{i}": g for i, g in enumerate(self.groups)}
         if self.cond_vectors is not None:
-            arrays["cond_vectors"] = np.stack(self.cond_vectors)
+            arrays["cond_vectors"] = self.cond_vectors
         arrays["group_names"] = np.array(self.group_names)
         with open(path, "wb") as f:  # a file object keeps np.savez from renaming the path
             np.savez(f, **arrays)
@@ -133,9 +134,7 @@ class GroupedDataset:
         with np.load(path, allow_pickle=False) as z:
             names = [str(n) for n in z["group_names"]]
             groups = [np.asarray(z[f"group_{i}"], dtype=np.float64) for i in range(len(names))]
-            conds = None
-            if "cond_vectors" in z:
-                conds = [np.asarray(row, dtype=np.float64) for row in z["cond_vectors"]]
+            conds = z["cond_vectors"] if "cond_vectors" in z else None
         return cls(groups, groups[0].shape[1], conds, names)
 
 
@@ -162,16 +161,13 @@ def generate_grouped_dataset(spec: DatasetSpec, seed: int) -> GroupedDataset:
     conds = None
     if spec.conditional:
         shared = rng.standard_normal(spec.descriptor_dim)
-        conds = []
+        conds = np.hstack([np.eye(n), np.empty((n, spec.descriptor_dim))])
         for k in range(n):
-            onehot = np.zeros(n)
-            onehot[k] = 1.0
             own = rng.standard_normal(spec.descriptor_dim)
-            desc = (
+            conds[k, n:] = (
                 math.sqrt(spec.descriptor_overlap) * shared
                 + math.sqrt(1.0 - spec.descriptor_overlap) * own
             )
-            conds.append(np.concatenate([onehot, desc]))
 
     names = [f"group{k}" for k in range(n)]
     return GroupedDataset(groups, spec.dim, conds, names)

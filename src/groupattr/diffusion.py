@@ -152,25 +152,20 @@ def forward_marginal(s: Schedule, x0: np.ndarray, t, eps: np.ndarray) -> np.ndar
     return np.sqrt(s.alpha_bars[idx]) * x0 + s.sigmas[idx] * eps
 
 
-def kernel_logits(
-    points: np.ndarray, xt: np.ndarray, t, s: Schedule, K: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def kernel_logits(points: np.ndarray, xt: np.ndarray, t,
+                  s: Schedule) -> tuple[np.ndarray, np.ndarray]:
     """Forward-kernel log-weights of a point set given x_t, and the kernel centres.
 
     Returns (-|xt - sqrt(abar_t) x_i|^2 / (2 sigma_t^2), sqrt(abar_t) x_i)
-    over the points x_i.  ``xt`` is one row (dim,), giving logits of
+    over all the points x_i.  ``xt`` is one row (dim,), giving logits of
     shape (n,) and centres (n, dim), or a block (B, dim), giving (B, n)
     logits.  ``t`` is one timestep, or for a block a (B,) vector of
     per-row timesteps, whose centres are (B, n, dim).  The squared
     distance is summed coordinate by coordinate into two (B, n) buffers,
-    so a block needs no (B, n, dim) temporary.  With ``K`` the call is
-    ``NearestKernel(points, K)(xt, t, s)``: only the K nearest points of
-    each row are kept, and the (B, n) buffers are that fresh instance's,
-    which the returned arrays never alias.  Every row gets the arithmetic
-    of a one-row call.
+    so a block needs no (B, n, dim) temporary.  Every row gets the
+    arithmetic of a one-row call.  ``NearestKernel`` keeps only the K
+    nearest points of each row.
     """
-    if K is not None:
-        return NearestKernel(points, K)(xt, t, s)
     points = _point_set(points)
     xt = np.asarray(xt, dtype=np.float64)
     scale, denom = _kernel_scales(s, t, xt)
@@ -181,32 +176,32 @@ def kernel_logits(
 
 
 class NearestKernel:
-    """``kernel_logits`` truncated to the K nearest points of a fixed point
-    set, on buffers reused from call to call.
+    """``kernel_logits`` of a fixed point set truncated to the K nearest
+    points, on buffers reused from call to call.
 
-    Calling it with (xt, t, s) returns the K kept logits and centres of
+    Calling it with (xt, t, s, K) returns the K kept logits and centres of
     each row, (B, K) and (B, K, dim) for a block or (K,) and (K, dim) for
     one row, ordered by (distance, index): ties break toward the lower
-    index, as a stable sort would.  The points are held as contiguous
-    coordinate columns.  The (B, n) distance, difference, partition and
-    mask buffers are allocated on the first call and again only when B
-    changes; the returned arrays are fresh and never alias them.
+    index, as a stable sort would.  K is chosen per call and must be in
+    [1, n].  The points are held as contiguous coordinate columns.  The
+    (B, n) distance, difference, partition and mask buffers are allocated
+    on the first call and again only when B changes; the returned arrays
+    are fresh and never alias them.
     """
 
-    def __init__(self, points: np.ndarray, K: int):
+    def __init__(self, points: np.ndarray):
         self.points = _point_set(points)
-        n = len(self.points)
-        if not 1 <= K <= n:
-            raise ValueError(f"K must be in [1, {n}], got {K}")
-        self.K = K
         self._columns = np.ascontiguousarray(self.points.T)
         self._buffers: tuple[np.ndarray, ...] = ()
 
-    def __call__(self, xt: np.ndarray, t, s: Schedule) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, xt: np.ndarray, t, s: Schedule, K: int) -> tuple[np.ndarray, np.ndarray]:
+        n = len(self.points)
+        if not 1 <= K <= n:
+            raise ValueError(f"K must be in [1, {n}], got {K}")
         xt = np.asarray(xt, dtype=np.float64)
         scale, denom = _kernel_scales(s, t, xt)
         rows = np.atleast_2d(xt)
-        B, n, K = len(rows), len(self.points), self.K
+        B = len(rows)
         if not self._buffers or len(self._buffers[0]) != B:
             self._buffers = (np.empty((B, n)), np.empty((B, n)), np.empty((B, n)),
                              np.empty((B, n), dtype=bool))
@@ -235,6 +230,7 @@ class NearestKernel:
 
 
 def _point_set(points: np.ndarray) -> np.ndarray:
+    """``points`` as a float64 (n, dim) array; an empty set is refused."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[0] == 0:
         raise ValueError("point set must be non-empty")
@@ -268,14 +264,6 @@ def _squared_distances(columns, xt: np.ndarray, scale, dist2: np.ndarray,
         np.multiply(out, out, out=out)
         if i:
             dist2 += diff
-
-
-def kernel_softmax(
-    points: np.ndarray, xt: np.ndarray, t, s: Schedule, K: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``kernel_logits`` normalized to posterior weights (per row) by a stable softmax."""
-    w, centers = kernel_logits(points, xt, t, s, K)
-    return softmax_inplace(w), centers
 
 
 def softmax_inplace(w: np.ndarray) -> np.ndarray:
@@ -359,6 +347,8 @@ def sample(
         raise ValueError(f"steps must be in [1, {s.num_steps}], got {steps}")
     if method not in SAMPLERS:
         raise ValueError(f"unknown sampling method {method!r}")
+    if clip_x0 is not None and not clip_x0 > 0.0:
+        raise ValueError(f"clip_x0 must be positive, got {clip_x0}")
     if dim is None:
         dim = getattr(denoiser, "input_dim", None)
         if dim is None:

@@ -160,6 +160,10 @@ class QuerySpec:
             raise ValueError(f"unknown cond_mode {self.cond_mode!r}")
         if self.method not in SAMPLERS:
             raise ValueError(f"unknown sampling method {self.method!r}")
+        if self.steps is not None and self.steps < 1:
+            raise ValueError(f"query steps must be >= 1 or None (all T), got {self.steps}")
+        if self.clip_x0 is not None and not self.clip_x0 > 0.0:
+            raise ValueError(f"clip_x0 must be positive or None, got {self.clip_x0}")
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,7 @@ class ExperimentConfig:
         for u in self.unlearn_methods:
             if u.timestep_range is not None and u.timestep_range[1] > T:
                 raise ValueError(f"{u.method}: timestep range {u.timestep_range} exceeds T={T}")
-        if not 1 <= (self.queries.steps or T) <= T:
+        if self.queries.steps is not None and self.queries.steps > T:
             raise ValueError(f"query steps {self.queries.steps} outside [1, T={T}]")
 
     def to_dict(self) -> dict:
@@ -446,7 +450,7 @@ class Pipeline:
             x_arr = sample(
                 s, lambda xt, t, cond: forward_batch(full, xt, t, s.num_steps, cond),
                 seeds=[derive_seed(self.cfg.master_seed, "query", q) for q in range(qs.count)],
-                cond=conds, steps=qs.steps or s.num_steps, method=qs.method, dim=d.dim,
+                cond=conds, steps=qs.steps, method=qs.method, dim=d.dim,
                 clip_x0=qs.clip_x0,
             )
             arrays = {"x0": x_arr, "labels": _nearest_group(x_arr, d)}
@@ -463,10 +467,8 @@ class Pipeline:
         if d.cond_dim == 0:
             return None
         if self.cfg.queries.cond_mode == "group":
-            rows = [d.cond_vectors[q % d.n_groups] for q in range(count)]
-        else:
-            rows = [d.null_condition()] * count
-        return np.array(rows, dtype=np.float64).reshape(count, d.cond_dim)
+            return d.cond_vectors[np.arange(count) % d.n_groups]
+        return np.zeros((count, d.cond_dim))
 
     def ensure_matrix(self, method: str) -> AttributionMatrix:
         d = self.ensure_dataset()

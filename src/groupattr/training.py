@@ -41,7 +41,7 @@ from .denoiser import (
     optimizer_step,
     regress,
 )
-from .diffusion import Schedule, kernel_logits, kernel_softmax, softmax_inplace
+from .diffusion import Schedule, _point_set, kernel_logits, softmax_inplace
 from .seeding import derive_seed, rng_for
 
 
@@ -60,6 +60,8 @@ class TrainSpec:
             raise ValueError("batch_size must be >= 1")
         if not self.lr > 0.0:
             raise ValueError("lr must be positive")
+        if self.weight_decay < 0.0:
+            raise ValueError("weight_decay must be non-negative")
 
 
 @dataclass
@@ -173,8 +175,8 @@ def empirical_denoiser(subset: np.ndarray, xt: np.ndarray, t: int, s: Schedule) 
     the minimizer of the eps-prediction loss when the data distribution
     is the empirical measure on ``subset``.
     """
-    w, centers = kernel_softmax(subset, xt, t, s)
-    return (xt - w @ centers) / s.sigma(t)
+    w, centers = kernel_logits(subset, xt, t, s)
+    return (xt - softmax_inplace(w) @ centers) / s.sigma(t)
 
 
 class KernelDenoiser:
@@ -190,9 +192,7 @@ class KernelDenoiser:
     """
 
     def __init__(self, points: np.ndarray, schedule: Schedule):
-        self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if self.points.shape[0] == 0:
-            raise ValueError("points must be non-empty")
+        self.points = _point_set(points)
         self.schedule = schedule
         self.base = self
         self.cols: np.ndarray | None = None

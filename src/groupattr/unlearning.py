@@ -37,9 +37,10 @@ forget rows' anchor seeds.
 
 Retrack's K-nearest targets come from one ``diffusion.NearestKernel``
 per ``unlearn`` run, built over the retain set and handed to
-``retrack_target`` at every step.  Its (B, n) distance and selection
-buffers live in that instance and are reused from step to step; the
-targets never alias them.
+``retrack_target`` at every step with the spec's K, which is an
+argument of each kernel call.  Its (B, n) distance and selection buffers
+live in that instance and are reused from step to step; the targets
+never alias them.
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ class UnlearnSpec:
             raise ValueError("lr must be positive")
         if self.steps_or_epochs < 0:
             raise ValueError("steps_or_epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.lambda_forget < 0.0 or self.lambda_pres < 0.0:
             raise ValueError("loss weights must be non-negative")
         if self.K < 1:
@@ -150,13 +153,11 @@ def retrack_target(retain: np.ndarray | NearestKernel, xt: np.ndarray, t, K: int
     per row; a block's row i is bit for bit the one-row target of
     (xt[i], t[i]).  ``retain`` is the (n, dim) retain set, whose K-nearest
     buffers belong to a fresh ``NearestKernel``, or a prepared
-    ``NearestKernel`` over it, whose buffers are reused and whose ``K``
-    must be ``K``.  The target never aliases the buffers.
+    ``NearestKernel`` over it, whose buffers are reused; ``K`` is passed
+    to the kernel's call.  The target never aliases the buffers.
     """
-    kernel = retain if isinstance(retain, NearestKernel) else NearestKernel(retain, K)
-    if kernel.K != K:
-        raise ValueError(f"K={K} for a kernel prepared with K={kernel.K}")
-    w, centers = kernel(xt, t, s)
+    kernel = retain if isinstance(retain, NearestKernel) else NearestKernel(retain)
+    w, centers = kernel(xt, t, s, K)
     softmax_inplace(w)
     if np.ndim(t) == 0:
         return (w @ (xt - centers)) / s.sigma(t)
@@ -189,9 +190,6 @@ def retrack_forget_loss(
     capped at ``kl_cap`` (trust-region clipping): a row whose raw loss
     exceeds the cap contributes the cap value and no gradient.
     """
-    retain = np.atleast_2d(np.asarray(retain, dtype=np.float64))
-    if retain.shape[0] == 0:
-        raise ValueError("retain set must be non-empty")
     ts, xts, _, _ = _noise_batch(x0, cond, cfg, s, rng_seed)
     return _retrack_fit(p, ts, xts, retain, cfg, s)
 
@@ -280,12 +278,11 @@ class AnchorSelector:
     def from_dataset(cls, d: GroupedDataset, tau: float = 2.0, eta_mix: float = 0.1) -> "AnchorSelector":
         if d.cond_vectors is None:
             raise ValueError("dataset has no condition vectors")
-        conds = np.stack(d.cond_vectors)
-        desc = conds[:, d.n_groups :]
+        desc = d.cond_vectors[:, d.n_groups :]
         norms = np.linalg.norm(desc, axis=1)
         if np.any(norms == 0.0):
             raise FloatingPointError("zero-norm descriptor vector")
-        return cls(desc / norms[:, None], tau, eta_mix, conds, d.n_groups)
+        return cls(desc / norms[:, None], tau, eta_mix, d.cond_vectors, d.n_groups)
 
     def selection_probs(self, forget_group: int) -> tuple[np.ndarray, np.ndarray]:
         """(retain group indices, probabilities) for the forget group."""
@@ -386,11 +383,15 @@ def unlearn(
     forget_x = d.groups[k]
     conditional = p_full.arch.cond_dim > 0
     sel = AnchorSelector.from_dataset(d, cfg.tau, cfg.eta_mix) if cfg.method == "cond_anchor" else None
-    nearest = NearestKernel(retain_x, cfg.K) if cfg.method == "retrack" else None
+    nearest = NearestKernel(retain_x) if cfg.method == "retrack" else None
     n_retain = min(cfg.batch_size, len(retain_x))
     n_forget = min(cfg.batch_size, len(forget_x))
     forget_cond = np.tile(d.cond_of(k), (n_forget, 1)) if conditional else None
 
+    if cfg.method == "cond_anchor":
+        w_forget, w_preserve = 1.0, cfg.lambda_pres
+    else:
+        w_forget, w_preserve = cfg.lambda_forget, 1.0
     params = p_full
     opt = init_optimizer(params, cfg.lr, weight_decay=0.0)
     forget_losses, preserve_losses = [], []
@@ -427,12 +428,10 @@ def unlearn(
                                       anchors[f], s)
             r = slice(j * n_retain, (j + 1) * n_retain)
             lp, gp = _distill_fit(params, p_full, p_ts[r], p_xts[r], rcond, rcond, s)
-
-            if cfg.method == "cond_anchor":
-                grad = gf + cfg.lambda_pres * gp
-            else:
-                grad = cfg.lambda_forget * gf + gp
-            params, opt = optimizer_step(params, opt, grad)
+            # w_forget * gf + w_preserve * gp, in place: both gradients are fresh.
+            gf *= w_forget
+            gf += np.multiply(gp, w_preserve, out=gp)
+            params, opt = optimizer_step(params, opt, gf)
             forget_losses.append(lf)
             preserve_losses.append(lp)
 

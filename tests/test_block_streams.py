@@ -10,8 +10,8 @@ values drawn have the laws they stand for.  ``forward_marginal``,
 give, row for row and bit for bit, what a one-row call gives; the
 retrack target is also checked against a reference written here: the
 stable-argsort prefix with a softmax.  One ``NearestKernel`` reused over
-blocks of changing size gives what fresh calls give, and its results
-never alias its buffers.
+blocks of changing size and over a different K on each call gives what
+fresh calls give, and its results never alias its buffers.
 """
 
 import math
@@ -332,11 +332,11 @@ TIE_RETAIN = np.array([[-2.0, -2.0], [2.0, -2.0], [-2.0, 2.0], [2.0, 2.0], [0.5,
 def test_truncation_is_the_stable_argsort_prefix(case):
     """The K kept points are the first K of a stable sort by distance."""
     retain, xt, ts, K = case
-    block_logits, block_centers = kernel_logits(retain, xt, ts, S, K)
+    block_logits, block_centers = NearestKernel(retain)(xt, ts, S, K)
     for i in range(len(xt)):
         logits, centers = kernel_logits(retain, xt[i], int(ts[i]), S)
         keep = np.argsort(squared_distances(retain, xt[i], int(ts[i])), kind="stable")[:K]
-        row_logits, row_centers = kernel_logits(retain, xt[i], int(ts[i]), S, K)
+        row_logits, row_centers = NearestKernel(retain)(xt[i], int(ts[i]), S, K)
         for got_logits, got_centers in ((row_logits, row_centers),
                                         (block_logits[i], block_centers[i])):
             assert got_logits.tobytes() == logits[keep].tobytes()
@@ -350,21 +350,21 @@ def test_truncation_keeps_the_lowest_indices_of_exact_ties():
     t = 7
     scale = np.sqrt(S.alpha_bars[t - 1])
     for xt, tt in ((np.zeros(2), t), (np.zeros((1, 2)), np.array([t]))):
-        _, centers = kernel_logits(retain, xt, tt, S, K=2)
+        _, centers = NearestKernel(retain)(xt, tt, S, 2)
         assert centers.reshape(2, 2).tobytes() == (scale * retain[:2]).tobytes()
 
 
-@pytest.mark.parametrize("K", [5, None], ids=["K=5", "K=n"])
+@pytest.mark.parametrize("K", [1, 5, None], ids=["K=1", "K=5", "K=n"])
 def test_prepared_kernel_reuses_its_buffers_across_block_sizes(K):
     """One kernel through blocks of 64, 30, one row and 64 again gives, bit
-    for bit, fresh ``kernel_logits`` and one-row ``retrack_target`` results,
-    and no result aliases its buffers: neither another call on a block of
-    the same size nor mutating a result changes any other result."""
+    for bit, a fresh kernel's and one-row ``retrack_target`` results, and
+    no result aliases its buffers: neither another call on a block of the
+    same size nor mutating a result changes any other result."""
     rng = np.random.default_rng(11)
     base = rng.integers(-4, 5, size=(40, 2)) / 2.0
     retain = np.vstack([base, base[:8], -base[8:16]])  # duplicated and mirrored points
     K = len(retain) if K is None else K
-    kernel = NearestKernel(retain, K)
+    kernel = NearestKernel(retain)
     ties = 0
     for size in (64, 30, 1, 64):
         ts = rng.integers(1, S.num_steps + 1, size)
@@ -373,8 +373,8 @@ def test_prepared_kernel_reuses_its_buffers_across_block_sizes(K):
         xt[::3] = np.sqrt(S.alpha_bars[ts[::3] - 1])[:, None] * retain[on]
         if size == 1:
             xt, ts = xt[0], int(ts[0])
-        logits, centers = kernel(xt, ts, S)
-        fresh = kernel_logits(retain, xt, ts, S, K)
+        logits, centers = kernel(xt, ts, S, K)
+        fresh = NearestKernel(retain)(xt, ts, S, K)
         assert logits.tobytes() == fresh[0].tobytes()
         assert centers.tobytes() == fresh[1].tobytes()
         targets = retrack_target(kernel, xt, ts, K, S)
@@ -385,20 +385,39 @@ def test_prepared_kernel_reuses_its_buffers_across_block_sizes(K):
             ties += K < len(retain) and dist[K - 1] == dist[K]
         results = (logits, centers, targets)
         saved = [r.tobytes() for r in results]
-        kernel(-xt, ts, S)  # another block of this size
+        kernel(-xt, ts, S, K)  # another block of this size
         retrack_target(kernel, -xt, ts, K, S)
         assert [r.tobytes() for r in results] == saved
         for r in results:
             r[...] = np.nan
-        again = (*kernel(xt, ts, S), retrack_target(kernel, xt, ts, K, S))
+        again = (*kernel(xt, ts, S, K), retrack_target(kernel, xt, ts, K, S))
         assert [r.tobytes() for r in again] == saved
     assert ties or K == len(retain)
 
 
-def test_prepared_kernel_rejects_another_K():
-    kernel = NearestKernel(np.eye(3), 2)
-    with pytest.raises(ValueError):
-        retrack_target(kernel, np.zeros(3), 5, 3, S)
+def test_prepared_kernel_serves_another_K_on_each_call():
+    """One kernel called with K = 1, n, 5, 1, 17 and n in turn gives, bit for
+    bit, a fresh kernel's and one-row ``retrack_target`` results each time,
+    and refuses a K outside [1, n] on any call."""
+    rng = np.random.default_rng(12)
+    base = rng.integers(-4, 5, size=(30, 2)) / 2.0
+    retain = np.vstack([base, base[:6]])
+    n = len(retain)
+    kernel = NearestKernel(retain)
+    ts = rng.integers(1, S.num_steps + 1, 20)
+    xt = rng.integers(-4, 5, size=(20, 2)) / 2.0
+    for K in (1, n, 5, 1, 17, n):
+        logits, centers = kernel(xt, ts, S, K)
+        assert logits.shape == (20, K) and centers.shape == (20, K, 2)
+        fresh = NearestKernel(retain)(xt, ts, S, K)
+        assert logits.tobytes() == fresh[0].tobytes()
+        assert centers.tobytes() == fresh[1].tobytes()
+        targets = retrack_target(kernel, xt, ts, K, S)
+        for i in range(len(xt)):
+            assert targets[i].tobytes() == retrack_target(retain, xt[i], int(ts[i]), K, S).tobytes()
+    for K in (0, n + 1):
+        with pytest.raises(ValueError, match="K must be in"):
+            kernel(xt, ts, S, K)
 
 
 def test_anchor_select_block_matches_one_seed_calls():

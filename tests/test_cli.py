@@ -121,6 +121,10 @@ class TestFailures:
         ("schedule", "kind", "cosine"),
         ("elbo", "stride", 0),
         ("schedule", "num_steps", 1),
+        ("queries", "steps", 0),
+        ("queries", "clip_x0", -1.0),
+        ("unlearn_methods", "batch_size", 0),
+        ("train", "weight_decay", -1.0),
     ])
     def test_bad_config_fails_before_any_phase(self, tmp_path, capsys, section, key, value):
         """Every stage's settings are checked when the config is built, so a

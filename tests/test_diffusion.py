@@ -244,3 +244,10 @@ class TestSample:
         den = KernelDenoiser(np.zeros((1, 2)), self.s)
         with pytest.raises(ValueError):
             sample(self.s, den, [0], steps=61)
+
+    @pytest.mark.parametrize("clip_x0", [0.0, -1.0])
+    def test_non_positive_clip_rejected(self, clip_x0):
+        # np.clip with min > max would send every sample to one point.
+        den = KernelDenoiser(np.zeros((1, 2)), self.s)
+        with pytest.raises(ValueError, match="clip_x0"):
+            sample(self.s, den, [0], clip_x0=clip_x0)

@@ -26,7 +26,7 @@ from groupattr import (
 )
 from groupattr.data import GroupedDataset
 from groupattr.denoiser import forward_batch, noise_batch
-from groupattr.diffusion import forward_marginal, kernel_softmax
+from groupattr.diffusion import forward_marginal, kernel_logits, softmax_inplace
 from groupattr.training import empirical_denoiser, train_full
 from groupattr.unlearning import AnchorSelector, default_timestep_range
 
@@ -59,12 +59,12 @@ def cond_dataset():
 
 class TestImportanceWeights:
     def test_single_point(self):
-        w = kernel_softmax(np.array([[0.3, 0.4]]), np.array([1.0, 1.0]), 5, S)[0]
+        w = softmax_inplace(kernel_logits(np.array([[0.3, 0.4]]), np.array([1.0, 1.0]), 5, S)[0])
         np.testing.assert_array_equal(w, [1.0])
 
     def test_two_equidistant(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        w = kernel_softmax(pts, np.array([0.0, 0.5]), 7, S)[0]
+        w = softmax_inplace(kernel_logits(pts, np.array([0.0, 0.5]), 7, S)[0])
         np.testing.assert_allclose(w, [0.5, 0.5], rtol=1e-12)
 
     def test_direct_substitution(self):
@@ -75,7 +75,7 @@ class TestImportanceWeights:
         xt = np.array([0.0, 0.0])
         # First point exactly at xt / root; second offset by sigma*sqrt(2)/root.
         pts = np.array([[0.0, 0.0], [sigma * math.sqrt(2.0) / root, 0.0]])
-        w = kernel_softmax(pts, xt, t, S)[0]
+        w = softmax_inplace(kernel_logits(pts, xt, t, S)[0])
         expected = np.array([1.0, math.exp(-1.0)])
         expected /= expected.sum()
         np.testing.assert_allclose(w, expected, atol=1e-4)
@@ -88,15 +88,15 @@ class TestImportanceWeights:
             pts = rng.normal(size=(13, 2)) * 2.0
             xt = rng.normal(size=2)
             t = int(rng.integers(2, 41))
-            w = kernel_softmax(pts, xt, t, S)[0]
+            w = softmax_inplace(kernel_logits(pts, xt, t, S)[0])
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
             perm = rng.permutation(13)
-            w_perm = kernel_softmax(pts[perm], xt, t, S)[0]
+            w_perm = softmax_inplace(kernel_logits(pts[perm], xt, t, S)[0])
             np.testing.assert_allclose(w_perm, w[perm], rtol=1e-10)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            kernel_softmax(np.zeros((0, 2)), np.zeros(2), 3, S)[0]
+            kernel_logits(np.zeros((0, 2)), np.zeros(2), 3, S)
 
 
 class TestRetainMixtureLogpdf:
@@ -402,12 +402,7 @@ def shared_descriptor_dataset():
     spec = DatasetSpec(n_groups=3, samples_per_group=8, radius=3.0,
                        conditional=True, descriptor_dim=4)
     d = generate_grouped_dataset(spec, seed=13)
-    desc = d.cond_vectors[0][3:].copy()
-    conds = []
-    for k in range(3):
-        onehot = np.zeros(3)
-        onehot[k] = 1.0
-        conds.append(np.concatenate([onehot, desc]))
+    conds = np.hstack([np.eye(3), np.tile(d.cond_vectors[0, 3:], (3, 1))])
     return GroupedDataset(d.groups, d.dim, conds, d.group_names)
 
 
