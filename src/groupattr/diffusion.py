@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .seeding import content_rng, normals
 
@@ -30,6 +31,14 @@ SAMPLERS = ("ddpm", "ddim")
 # Offset and beta ceiling for the squared-cosine schedule.
 _COSINE_OFFSET = 0.008
 _BETA_MAX = 0.999
+
+# Tree candidates per row beyond the K that ``NearestKernel`` keeps.  Its
+# candidate check allows (dim + 16) * _ROUNDING_SLACK of a row's magnitude
+# for the rounding of each of the two distance formulas: 2^-44 is 512 units
+# of float64 rounding, far more than the few units per coordinate that the
+# scan's arithmetic or the tree's bookkeeping can lose.
+_SPARE_CANDIDATES = 4
+_ROUNDING_SLACK = 2.0 ** -44
 
 # (x_t block (B, dim), t, condition block (B, cond_dim) or None) -> eps block (B, dim)
 DenoiserFn = Callable[[np.ndarray, int, Optional[np.ndarray]], np.ndarray]
@@ -177,21 +186,35 @@ def kernel_logits(points: np.ndarray, xt: np.ndarray, t,
 
 class NearestKernel:
     """``kernel_logits`` of a fixed point set truncated to the K nearest
-    points, on buffers reused from call to call.
+    points.
 
     Calling it with (xt, t, s, K) returns the K kept logits and centres of
     each row, (B, K) and (B, K, dim) for a block or (K,) and (K, dim) for
     one row, ordered by (distance, index): ties break toward the lower
     index, as a stable sort would.  K is chosen per call and must be in
-    [1, n].  The points are held as contiguous coordinate columns.  The
-    (B, n) distance, difference, partition and mask buffers are allocated
-    on the first call and again only when B changes; the returned arrays
-    are fresh and never alias them.
+    [1, n].
+
+    A k-d tree over the points (``scipy.spatial.cKDTree``, built once)
+    gives each row K + ``_SPARE_CANDIDATES`` candidates, the points nearest
+    to x_t / sqrt(abar_t).  Their squared distances are recomputed with the
+    arithmetic of the full scan and ordered by (distance, index).  A row
+    keeps them only when every point outside the candidates is provably
+    farther than its K-th kept point: the tree's last candidate distance,
+    scaled back, must exceed that point's distance by a slack that covers
+    the rounding of both distance formulas.  Rows that fail this check,
+    and every row of a call with K + ``_SPARE_CANDIDATES`` >= n, go
+    through the full scan over all n points, whose (B, n) distance,
+    difference, partition and mask buffers exist only once the scan has
+    run and are allocated again only when its row count changes.  Either
+    way a row's result is bit for bit the scan's.  The returned arrays are
+    fresh and never alias the buffers.
     """
 
     def __init__(self, points: np.ndarray):
         self.points = _point_set(points)
         self._columns = np.ascontiguousarray(self.points.T)
+        self._reach = np.abs(self.points).max(axis=0)
+        self._tree = cKDTree(self.points)
         self._buffers: tuple[np.ndarray, ...] = ()
 
     def __call__(self, xt: np.ndarray, t, s: Schedule, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,6 +224,42 @@ class NearestKernel:
         xt = np.asarray(xt, dtype=np.float64)
         scale, denom = _kernel_scales(s, t, xt)
         rows = np.atleast_2d(xt)
+        if K + _SPARE_CANDIDATES >= n:
+            keep, logits = self._scan(rows, scale, K)
+        else:
+            keep, logits = self._candidates(rows, scale, K)
+        logits /= denom
+        if np.ndim(scale):
+            centers = self.points[keep] * scale[..., None]
+        else:
+            centers = scale * self.points[keep]
+        return (logits, centers) if xt.ndim == 2 else (logits[0], centers[0])
+
+    def _candidates(self, rows: np.ndarray, scale, K: int) -> tuple[np.ndarray, np.ndarray]:
+        """(kept indices, their squared distances), both (B, K), from the
+        tree's candidates; rows the check refuses come from ``_scan``."""
+        tree_dist, cand = self._tree.query(rows / scale, K + _SPARE_CANDIDATES)
+        cand.sort(axis=1)  # so that a stable sort by distance breaks ties by index
+        dist2 = np.empty(cand.shape)
+        _squared_distances(self._columns[:, cand], rows, scale, dist2, np.empty_like(dist2))
+        order = np.argsort(dist2, axis=1, kind="stable")[:, :K]
+        keep = np.take_along_axis(cand, order, axis=1)
+        dist2 = np.take_along_axis(dist2, order, axis=1)
+        # Every term of either formula is bounded by the row's magnitude
+        # sum_j (|x_t,j| + sqrt(abar_t) max_i |x_i,j|)^2.
+        size = np.square(np.abs(rows) + scale * self._reach).sum(axis=1)
+        slack = _ROUNDING_SLACK * (rows.shape[1] + 16) * size
+        outside = np.square(scale * tree_dist[:, -1:])[:, 0]
+        refused = ~(dist2[:, -1] + slack < outside - slack)
+        if refused.any():
+            keep[refused], dist2[refused] = self._scan(
+                rows[refused], scale[refused] if np.ndim(scale) else scale, K)
+        return keep, dist2
+
+    def _scan(self, rows: np.ndarray, scale, K: int) -> tuple[np.ndarray, np.ndarray]:
+        """(kept indices, their squared distances), both (B, K), from the
+        distances of each row to all n points."""
+        n = len(self.points)
         B = len(rows)
         if not self._buffers or len(self._buffers[0]) != B:
             self._buffers = (np.empty((B, n)), np.empty((B, n)), np.empty((B, n)),
@@ -220,13 +279,7 @@ class NearestKernel:
         keep[tied] = np.argsort(dist2[tied], axis=1, kind="stable")[:, :K]
         order = np.argsort(np.take_along_axis(dist2, keep, axis=1), axis=1, kind="stable")
         keep = np.take_along_axis(keep, order, axis=1)
-        logits = np.take_along_axis(dist2, keep, axis=1)
-        logits /= denom
-        if np.ndim(scale):
-            centers = self.points[keep] * scale[..., None]
-        else:
-            centers = scale * self.points[keep]
-        return (logits, centers) if xt.ndim == 2 else (logits[0], centers[0])
+        return keep, np.take_along_axis(dist2, keep, axis=1)
 
 
 def _point_set(points: np.ndarray) -> np.ndarray:
@@ -251,7 +304,8 @@ def _kernel_scales(s: Schedule, t, xt: np.ndarray):
 def _squared_distances(columns, xt: np.ndarray, scale, dist2: np.ndarray,
                        diff: np.ndarray) -> None:
     """Write |xt - scale x_i|^2 into ``dist2``, summed coordinate by
-    coordinate over the points' ``columns``; ``diff`` is scratch of its shape."""
+    coordinate over the points' ``columns``: (dim, n) for every point, or
+    (dim, B, m) for m points per row.  ``diff`` is scratch of its shape."""
     # Squares are never -0.0, so starting from the first square instead of
     # from zeros leaves every sum unchanged.
     for i, column in enumerate(columns):

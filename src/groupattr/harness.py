@@ -183,8 +183,8 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ValueError("duplicate unlearning method in config")
         T = self.schedule.num_steps
-        if T < 2:
-            raise ValueError(f"the ELBO grid starts at t = 2, so T must be >= 2, got T={T}")
+        if T < 3:
+            raise ValueError(f"the ELBO grid is t = 2..T - 1, so T must be >= 3, got T={T}")
         for u in self.unlearn_methods:
             if u.timestep_range is not None and u.timestep_range[1] > T:
                 raise ValueError(f"{u.method}: timestep range {u.timestep_range} exceeds T={T}")

@@ -3,11 +3,14 @@
 The ELBO of a sample under a model is estimated as the negative sum of
 per-timestep KL divergences between the true posterior q(x_{t-1} | x_t,
 x_0) and the model posterior p(x_{t-1} | x_t), evaluated at every
-``stride``-th timestep from t = 2 to T (the reconstruction term at
-t = 1 and the prior term at t = T are constants across compared models
-and are dropped).  ``ElboSpec`` holds the stride and the number of noise
-draws per grid point.  Both posteriors share the fixed variance, so each
-KL is a closed-form mean-difference term.
+``stride``-th timestep from t = 2 to T - 1.  The reconstruction term at
+t = 1 and the prior term are constants across compared models and are
+dropped.  So is the KL term at t = T: the schedule clips beta_T (to 0.999
+for the squared-cosine schedule), which weights that term's eps error
+hundreds of times more than any other, so a grid that reached T would be
+ruled by one noisy term.  ``ElboSpec`` holds the stride and the number
+of noise draws per grid point.  Both posteriors share the fixed variance,
+so each KL is a closed-form mean-difference term.
 
 Scoring runs on blocks: ``elbo_block`` scores Q queries under M models
 with one denoiser call per model and grid point.  Each query's noise at
@@ -36,7 +39,7 @@ from .training import KernelDenoiser
 
 @dataclass(frozen=True)
 class ElboSpec:
-    """The ELBO grid (every ``stride``-th t from 2 to T) and draws per t."""
+    """The ELBO grid (every ``stride``-th t from 2 to T - 1) and draws per t."""
 
     stride: int = 10
     samples_per_t: int = 1
@@ -110,7 +113,7 @@ def elbo_block(
     """ELBO of every query under every model, as an (M models, Q queries) array.
 
     ``x0`` holds one query per row and ``cond`` is None or one condition
-    row per query.  The grid is ``range(2, T + 1, spec.stride)``.  At each
+    row per query.  The grid is ``range(2, T, spec.stride)``.  At each
     grid point t and sample j, the (Q, dim) noise block is
     ``normals(content_rng(noise_seeds, t, j, n=dim + dim % 2), dim)``:
     row q depends only on (noise_seeds[q], t, j).  The noise, x_t and
@@ -120,14 +123,14 @@ def elbo_block(
     per-timestep KLs are summed with ``math.fsum`` over the grid, so each
     row is the value the query would get scored alone.
     """
-    if s.num_steps < 2:
-        raise ValueError(f"the ELBO grid starts at t = 2, but T = {s.num_steps}")
+    if s.num_steps < 3:
+        raise ValueError(f"the ELBO grid is t = 2..T - 1, but T = {s.num_steps}")
     x0 = np.asarray(x0, dtype=np.float64)
     if len(noise_seeds) != len(x0):
         raise ValueError(f"{len(noise_seeds)} noise seeds for {len(x0)} queries")
     if len(x0) == 0:
         return np.zeros((len(models), 0))
-    grid = range(2, s.num_steps + 1, spec.stride)
+    grid = range(2, s.num_steps, spec.stride)
     J = spec.samples_per_t
     kls = np.empty((len(models), len(x0), len(grid), J))
     dim = x0.shape[1]

@@ -20,10 +20,10 @@ Loss weighting follows two conventions, selected by method:
 ``L_forget + lambda_pres * L_preserve`` for cond_anchor.
 
 Every objective takes its batch as one (x0, cond) block (see
-``denoiser``): the public loss noises it, and one target builder per
-objective (``_retrack_fit``, ``_esd_fit``, ``_distill_fit`` for cond_anchor
-and preservation) fits the noised rows through the shared regression
-step ``regress``.
+``denoiser``): the public loss noises it, and one fit per objective
+(``_retrack_fit`` on its targets, ``_esd_fit``, ``_distill_fit`` for
+cond_anchor and preservation) fits the noised rows through the shared
+regression step ``regress``.
 
 Step s of ``unlearn`` draws its retain and forget rows from (seed,
 "retain", s) and (seed, "forget", s), and its retain rows' condition
@@ -35,12 +35,13 @@ keyed by ``derive_seed(seed, "floss", s)`` and ``derive_seed(seed,
 cond_anchor's anchors are drawn once per block too, keyed per row by the
 forget rows' anchor seeds.
 
-Retrack's K-nearest targets come from one ``diffusion.NearestKernel``
-per ``unlearn`` run, built over the retain set and handed to
-``retrack_target`` at every step with the spec's K, which is an
-argument of each kernel call.  Its (B, n) distance and selection buffers
-live in that instance and are reused from step to step; the targets
-never alias them.
+Retrack's targets depend on the draws only, not on the weights, so
+``unlearn`` calls ``retrack_target`` once per draw block, on all of the
+block's noised forget rows, and each step regresses on its rows' slice
+of those targets.  They come from one ``diffusion.NearestKernel`` per
+``unlearn`` run, built over the retain set (with its k-d tree) and given
+the spec's K on each call.  A block's targets are bit for bit the ones
+that per-step calls would give.
 """
 
 from __future__ import annotations
@@ -151,10 +152,14 @@ def retrack_target(retain: np.ndarray | NearestKernel, xt: np.ndarray, t, K: int
     (dim,) with one timestep, or a (B, dim) block with a (B,) vector of
     timesteps, contracted as one stacked ``matmul`` of (1, K) by (K, dim)
     per row; a block's row i is bit for bit the one-row target of
-    (xt[i], t[i]).  ``retain`` is the (n, dim) retain set, whose K-nearest
-    buffers belong to a fresh ``NearestKernel``, or a prepared
-    ``NearestKernel`` over it, whose buffers are reused; ``K`` is passed
-    to the kernel's call.  The target never aliases the buffers.
+    (xt[i], t[i]).  ``retain`` is the (n, dim) retain set, for which a
+    fresh ``NearestKernel`` is built, or a prepared ``NearestKernel`` over
+    it, whose k-d tree and scan buffers are reused; ``K`` is passed to the
+    kernel's call.  The kernel takes each row's K nearest points from the
+    tree's candidates, rechecked with the scan's exact arithmetic, and
+    scans all n points, in (B, n) buffers, only for rows whose candidates
+    it cannot prove complete and for K close to n.  The target never
+    aliases the buffers.
     """
     kernel = retain if isinstance(retain, NearestKernel) else NearestKernel(retain)
     w, centers = kernel(xt, t, s, K)
@@ -191,13 +196,12 @@ def retrack_forget_loss(
     exceeds the cap contributes the cap value and no gradient.
     """
     ts, xts, _, _ = _noise_batch(x0, cond, cfg, s, rng_seed)
-    return _retrack_fit(p, ts, xts, retain, cfg, s)
+    return _retrack_fit(p, ts, xts, retrack_target(retain, xts, ts, cfg.K, s), cfg, s)
 
 
-def _retrack_fit(p, ts, xts, retain, cfg: UnlearnSpec, s: Schedule):
-    """``retrack_forget_loss`` on noised forget rows (t, x_t); ``retain`` is
-    the retain set or a ``NearestKernel`` over it (see ``retrack_target``)."""
-    targets = retrack_target(retain, xts, ts, cfg.K, s)
+def _retrack_fit(p, ts, xts, targets, cfg: UnlearnSpec, s: Schedule):
+    """``retrack_forget_loss`` on noised forget rows (t, x_t) and their
+    ``retrack_target`` targets."""
     null = np.zeros((len(ts), p.arch.cond_dim)) if p.arch.cond_dim > 0 else None
     return regress(p, xts, ts, s.num_steps, null, targets, cap=cfg.kl_cap)
 
@@ -411,6 +415,7 @@ def unlearn(
             np.repeat([derive_seed(seed, "floss", step) for step in block], n_forget),
             anchor_seeds=sel is not None)
         anchors = anchor_select(sel, k, f_seeds)[1] if sel is not None else None
+        targets = retrack_target(nearest, f_xts, f_ts, cfg.K, s) if nearest is not None else None
         p_ts, p_xts, _, _ = noise_batch(
             retain_x[np.concatenate(rbs)],
             np.concatenate(retain_conds) if conditional else None, s,
@@ -420,7 +425,7 @@ def unlearn(
         for j, rcond in enumerate(retain_conds):
             f = slice(j * n_forget, (j + 1) * n_forget)
             if cfg.method == "retrack":
-                lf, gf = _retrack_fit(params, f_ts[f], f_xts[f], nearest, cfg, s)
+                lf, gf = _retrack_fit(params, f_ts[f], f_xts[f], targets[f], cfg, s)
             elif cfg.method == "esd":
                 lf, gf = _esd_fit(params, p_full, f_ts[f], f_xts[f], forget_cond, cfg, s)
             else:

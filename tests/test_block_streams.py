@@ -11,7 +11,10 @@ give, row for row and bit for bit, what a one-row call gives; the
 retrack target is also checked against a reference written here: the
 stable-argsort prefix with a softmax.  One ``NearestKernel`` reused over
 blocks of changing size and over a different K on each call gives what
-fresh calls give, and its results never alias its buffers.
+fresh calls give, and its results never alias its buffers.  On point sets
+large enough for its k-d tree candidates, rows get the same reference
+result, and only rows with ties past the candidates go through its full
+scan.
 """
 
 import math
@@ -418,6 +421,90 @@ def test_prepared_kernel_serves_another_K_on_each_call():
     for K in (0, n + 1):
         with pytest.raises(ValueError, match="K must be in"):
             kernel(xt, ts, S, K)
+
+
+def recorded_scans(monkeypatch) -> list:
+    """The row blocks that ``NearestKernel`` sends through its full scan."""
+    scanned = []
+    scan = NearestKernel._scan
+
+    def recording(self, rows, scale, K):
+        scanned.append(rows.copy())
+        return scan(self, rows, scale, K)
+
+    monkeypatch.setattr(NearestKernel, "_scan", recording)
+    return scanned
+
+
+def assert_stable_argsort_prefix(retain, xt, ts, K, kernel):
+    """Every row of the kernel's block result at ``ts`` (one t or per-row t),
+    and of its retrack target at per-row t, is bit for bit the
+    stable-argsort reference of that row."""
+    per_row = np.broadcast_to(ts, len(xt))
+    logits, centers = kernel(xt, ts, S, K)
+    targets = retrack_target(kernel, xt, per_row, K, S)
+    for i, t in enumerate(per_row.tolist()):
+        row_logits, row_centers = kernel_logits(retain, xt[i], t, S)
+        keep = np.argsort(squared_distances(retain, xt[i], t), kind="stable")[:K]
+        assert logits[i].tobytes() == row_logits[keep].tobytes()
+        assert centers[i].tobytes() == row_centers[keep].tobytes()
+        assert targets[i].tobytes() == reference_target(retain, xt[i], t, K).tobytes()
+
+
+# 400 points, so that K + diffusion._SPARE_CANDIDATES < n and the k-d tree
+# proposes the candidates.
+SPREAD = np.random.default_rng(21).normal(size=(400, 2)) * 2.0
+
+
+@pytest.mark.parametrize("K", [1, 10, 40])
+def test_tree_candidates_give_the_stable_argsort_prefix(K, monkeypatch):
+    """Blocks of noised points at one t (t = 1, 9, 23 and T) and at per-row
+    t (T among them) get the reference result from the tree's candidates
+    alone.  At t = T, sqrt(abar_T) is about 1e-3, which puts x_t / sqrt(abar_T)
+    far from the points."""
+    scanned = recorded_scans(monkeypatch)
+    rng = np.random.default_rng(K)
+    kernel = NearestKernel(SPREAD)
+    ts = np.append(rng.integers(1, S.num_steps + 1, 39), S.num_steps)
+    x0 = SPREAD[rng.integers(0, len(SPREAD), 40)]
+    xt = forward_marginal(S, x0, ts, rng.normal(size=x0.shape))
+    assert_stable_argsort_prefix(SPREAD, xt, ts, K, kernel)
+    for t in (1, 9, 23, S.num_steps):
+        xt = forward_marginal(S, x0, t, rng.normal(size=x0.shape))
+        assert_stable_argsort_prefix(SPREAD, xt, t, K, kernel)
+    assert scanned == []
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["one t", "per-row t"])
+def test_ties_past_the_candidates_fall_back_to_the_scan(per_row, monkeypatch):
+    """A row with more than K + c points at its K-th distance (c the spare
+    candidates) goes through the scan and keeps their lowest indices.  Here
+    that is a row on a point with K + c + 3 copies, and the row x_t = 0,
+    around which a ring of 8 symmetric points repeats to K + c + 3 points.
+    The other rows are decided from the tree's candidates, among them a row
+    on a point with only K + c - 2 copies.  With a K past the ring, the
+    ring's ties sit inside the candidates, which must order them by index
+    and need no scan."""
+    K = 10
+    copies = K + diffusion._SPARE_CANDIDATES + 3
+    rng = np.random.default_rng(8)
+    far = SPREAD[np.hypot(*SPREAD.T) > 3.0]  # nothing nearer to 0 than the ring
+    dup, few = np.array([9.25, -9.5]), np.array([-9.5, 9.25])  # far from all other rows
+    ring = np.array([[a, b] for a, b in ((1.5, 0.5), (0.5, 1.5)) for a in (a, -a) for b in (b, -b)])
+    retain = np.vstack([far[:100], np.tile(dup, (copies, 1)), np.resize(ring, (copies, 2)),
+                        far[100:], np.tile(few, (copies - 5, 1))])
+    ts = rng.integers(1, S.num_steps // 2, 8) if per_row else 9
+    x0 = far[rng.integers(0, len(far), 8)]
+    xt = forward_marginal(S, x0, ts, rng.normal(size=x0.shape))
+    scales = np.sqrt(S.alpha_bars[np.broadcast_to(ts, 8) - 1])
+    xt[2], xt[5], xt[6] = scales[2] * dup, 0.0, scales[6] * few
+    scanned = recorded_scans(monkeypatch)
+    kernel = NearestKernel(retain)
+    assert_stable_argsort_prefix(retain, xt, ts, K, kernel)
+    # Once for the kernel call, once for the target's.
+    assert [rows.tobytes() for rows in scanned] == [xt[[2, 5]].tobytes()] * 2
+    assert_stable_argsort_prefix(retain, xt, ts, copies + 3, kernel)
+    assert len(scanned) == 2
 
 
 def test_anchor_select_block_matches_one_seed_calls():

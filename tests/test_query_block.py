@@ -53,7 +53,7 @@ def one_point_eps(model, xt, t, cond):
 def reference_elbo(model, x0, cond, seed, spec):
     dim = x0.shape[0]
     terms = []
-    for t in range(2, S.num_steps + 1, spec.stride):
+    for t in range(2, S.num_steps, spec.stride):
         kls = []
         for j in range(spec.samples_per_t):
             eps = normals(content_rng(seed, t, j, n=dim + dim % 2), dim)[0]

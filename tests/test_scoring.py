@@ -62,7 +62,7 @@ class TestGaussianKl:
 
 class TestElboConfig:
     def test_grid(self):
-        """The grid is every stride-th t from 2 to T."""
+        """The grid is every stride-th t from 2 to T - 1."""
         seen = []
 
         def zero(xt, t, cond=None):
@@ -71,6 +71,36 @@ class TestElboConfig:
 
         elbo_block([zero], np.zeros((1, 2)), None, [0], ElboSpec(stride=10), S)
         assert seen == [2, 12, 22, 32, 42, 52]
+
+    @pytest.mark.parametrize("stride", [1, 2, 7, 14])
+    def test_no_grid_point_outweighs_the_rest(self, stride):
+        """On T = 100, where each stride below steps onto t = T from t = 2,
+        the weight of a unit eps error at any grid point stays within 100x
+        the mean weight at the others.  Model m predicts the exact noise
+        except at the m-th grid point, so its score is minus that weight.
+        At t = T the clipped beta_T gives a weight of about 500, 3000-5000
+        times the mean at the other points of these grids."""
+        s = build_schedule(100, "squared_cosine")
+        x0 = np.array([[0.3, -0.7]])
+        spec = ElboSpec(stride=stride)
+        grid = []
+
+        def record(xt, t, cond=None):
+            grid.append(t)
+            return np.zeros_like(xt)
+
+        elbo_block([record], x0, None, [5], spec, s)
+
+        def off_at(t_off):
+            def eps(xt, t, cond=None):
+                exact = (xt - math.sqrt(s.alpha_bar(t)) * x0) / s.sigma(t)
+                return exact + (t == t_off) * np.array([1.0, 0.0])
+            return eps
+
+        weights = -elbo_block([off_at(t) for t in grid], x0, None, [5], spec, s)[:, 0]
+        assert np.all(weights > 0.0)
+        for g, w in enumerate(weights):
+            assert w <= 100.0 * np.delete(weights, g).mean(), (grid[g], w)
 
     def test_validation(self):
         with pytest.raises(ValueError):
