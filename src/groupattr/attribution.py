@@ -20,7 +20,6 @@ import numpy as np
 from .data import GroupedDataset
 from .diffusion import Schedule
 from .scoring import ElboSpec, check_input_dims, elbo_block
-from .seeding import derive_seed
 
 @dataclass(frozen=True)
 class AttributionMatrix:
@@ -77,7 +76,7 @@ def attribution_matrix(
     counterfactuals: Sequence,
     spec: ElboSpec,
     s: Schedule,
-    noise_seed: int,
+    noise_seeds: Sequence[int],
     method: str = "elbo_diff",
     group_names: Sequence[str] | None = None,
 ) -> AttributionMatrix:
@@ -85,16 +84,18 @@ def attribution_matrix(
 
     ``x0`` is the (Q, dim) query block and ``cond`` its (Q, cond_dim)
     condition block or None.  Query q's noise is keyed by its own seed
-    ``derive_seed(noise_seed, "query", q)``; within a query all models
-    share that noise, so identical models produce exactly zero columns.
-    All queries and models are scored in one ``elbo_block`` call.
+    ``noise_seeds[q]``; a pipeline derives them once per run
+    (``seeding.query_seeds`` of its "elbo" root) and passes the same list
+    to every matrix.  Within a query all models share that noise, so
+    identical models produce exactly zero columns.  All queries and
+    models are scored in one ``elbo_block`` call, in which the kernel
+    oracle's denoisers share one kernel block per grid point.
     """
     n = len(counterfactuals)
     check_input_dims([model_full, *counterfactuals])
 
     x0 = np.asarray(x0, dtype=np.float64)
-    seeds = [derive_seed(noise_seed, "query", q) for q in range(len(x0))]
-    elbos = elbo_block([model_full, *counterfactuals], x0, cond, seeds, spec, s)
+    elbos = elbo_block([model_full, *counterfactuals], x0, cond, noise_seeds, spec, s)
     scores = elbos[0] - elbos[1:]
     qids = [f"q{q}" for q in range(len(x0))]
     names = list(group_names) if group_names is not None else [f"group{k}" for k in range(n)]

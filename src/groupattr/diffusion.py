@@ -320,10 +320,15 @@ def _squared_distances(columns, xt: np.ndarray, scale, dist2: np.ndarray,
             dist2 += diff
 
 
+def softmax_numerators(w: np.ndarray) -> np.ndarray:
+    """exp(w - max of ``w`` over its last axis), written into ``w``."""
+    w -= w.max(axis=-1, keepdims=True)
+    return np.exp(w, out=w)
+
+
 def softmax_inplace(w: np.ndarray) -> np.ndarray:
     """Stable softmax of ``w`` over its last axis, written into ``w``."""
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
+    w = softmax_numerators(w)
     w /= w.sum(axis=-1, keepdims=True)
     return w
 

@@ -22,7 +22,8 @@ Phases build their dependencies on demand, so a matrix trains or unlearns
 exactly the models it scores and the outputs do not depend on the order
 phases are requested in.  The query phase samples every query as one
 block, and a matrix scores every query under every model in one block
-(``attribution_matrix``).  Deleting only the query-phase outputs
+(``attribution_matrix``) with the ELBO noise seeds that the ``Pipeline``
+derives once for all its matrices.  Deleting only the query-phase outputs
 re-scores against cached counterfactual checkpoints without retraining.
 
 All model scoring goes through checkpoint files (float32), so fresh and
@@ -57,7 +58,7 @@ from .denoiser import Architecture, forward_batch
 from .diffusion import SAMPLERS, Schedule, build_schedule, sample
 from .metrics import RankReport, rank_report
 from .scoring import ElboSpec
-from .seeding import derive_seed
+from .seeding import derive_seed, query_seeds
 from .training import KernelDenoiser, TrainSpec, train_full, train_logo
 from .unlearning import UnlearnSpec, unlearn
 
@@ -261,6 +262,7 @@ class Pipeline:
             (self.out / sub).mkdir(exist_ok=True)
         cfg.to_json(self.out / "config.json")
         self._schedule: Schedule | None = None
+        self._elbo_seeds: list[int] | None = None
         # phase name -> (phase key, loaded artifact), valid while the key record matches
         self._loaded: dict[str, tuple[str, object]] = {}
 
@@ -322,6 +324,13 @@ class Pipeline:
         if self._schedule is None:
             self._schedule = build_schedule(self.cfg.schedule.num_steps, self.cfg.schedule.kind)
         return self._schedule
+
+    def _elbo_noise_seeds(self) -> list[int]:
+        """Each query's ELBO noise seed, derived once and shared by every matrix."""
+        if self._elbo_seeds is None:
+            self._elbo_seeds = query_seeds(derive_seed(self.cfg.master_seed, "elbo"),
+                                           self.cfg.queries.count)
+        return self._elbo_seeds
 
     def _unlearn_spec(self, method: str) -> UnlearnSpec:
         for spec in self.cfg.unlearn_methods:
@@ -449,7 +458,7 @@ class Pipeline:
             conds = self._query_conditions(d, qs.count)
             x_arr = sample(
                 s, lambda xt, t, cond: forward_batch(full, xt, t, s.num_steps, cond),
-                seeds=[derive_seed(self.cfg.master_seed, "query", q) for q in range(qs.count)],
+                seeds=query_seeds(self.cfg.master_seed, qs.count),
                 cond=conds, steps=qs.steps, method=qs.method, dim=d.dim,
                 clip_x0=qs.clip_x0,
             )
@@ -485,7 +494,7 @@ class Pipeline:
                 mat = prototype_baseline(x0, d)
             else:
                 mat = attribution_matrix(x0, cond, *models, self.cfg.elbo, self.schedule(),
-                                         derive_seed(self.cfg.master_seed, "elbo"),
+                                         self._elbo_noise_seeds(),
                                          method=method, group_names=d.group_names)
             wall = time.perf_counter() - tic
             with _replacing(csv_path) as tmp:

@@ -17,9 +17,18 @@ with one denoiser call per model and grid point.  Each query's noise at
 grid point t derives deterministically from (its noise seed, t): the
 (Q, dim) noise block of a grid point is one keyed ``content_rng`` draw,
 drawn once and shared by every model, which makes score differences
-between models use identical noise (variance reduction).  Kernel
-denoisers over one point set (the oracle's full and leave-one-group-out
-sets) share one distance block per grid point.  ``elbo_estimate`` and
+between models use identical noise (variance reduction).  The caller
+derives the Q noise seeds once and passes the same list to every block.
+
+Kernel denoisers over one point set (the oracle's full and
+leave-one-group-out sets) share one ``KernelBlock`` per grid point: one
+distance block and one exp(logits - row maximum) over all n points.  A
+subset reuses those exps wherever the row maximum over all points lies
+in the subset.  There the maximum over the subset is the same float, so
+the exps are the very bits its own softmax would compute.  Only the other
+rows are exponentiated again.  Each set's row sums, normalisation and
+contraction then run as they would alone, so every score is bit for bit
+the one its denoiser would give scored by itself.  ``elbo_estimate`` and
 ``paired_score_difference`` are the one-query cases.
 """
 
@@ -82,23 +91,32 @@ def _predict_all(models: Sequence, xt: np.ndarray, t: int, cond: np.ndarray | No
     """Every model's eps block at (x_t, t).
 
     DenoiserParams run as one forward pass.  Kernel denoisers over one
-    point set take their logits from one ``KernelDenoiser.logits`` block
-    of that set, which is dropped on return.  Any other callable is a
-    block denoiser.
+    base share that base's one ``KernelDenoiser.kernel_block``: one
+    distance block and one ``exp`` over all its points, from which each
+    takes its columns (see ``KernelDenoiser.from_block`` for why the bits
+    are those of its own softmax).  The base's own denoiser normalises the
+    block's exps in place, so it predicts last, and a denoiser listed
+    twice predicts once.  Any other callable is a block denoiser.
     """
-    shared: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    eps = []
-    for model in models:
+    eps: list = [None] * len(models)
+    kernels: dict[int, list[int]] = {}
+    for m, model in enumerate(models):
         if isinstance(model, DenoiserParams):
-            eps.append(forward_batch(model, xt, t, s.num_steps, cond))
+            eps[m] = forward_batch(model, xt, t, s.num_steps, cond)
         elif isinstance(model, KernelDenoiser):
-            if id(model.base) not in shared:
-                shared[id(model.base)] = model.base.logits(xt, t)
-            eps.append(model.from_logits(*shared[id(model.base)], xt, t))
+            kernels.setdefault(id(model.base), []).append(m)
         elif callable(model):
-            eps.append(np.asarray(model(xt, t, cond), dtype=np.float64))
+            eps[m] = np.asarray(model(xt, t, cond), dtype=np.float64)
         else:
             raise TypeError(f"cannot interpret {type(model).__name__} as a denoiser")
+    for users in kernels.values():
+        base = models[users[0]].base
+        block = base.kernel_block(xt, t)
+        done: dict[int, np.ndarray] = {}
+        for m in sorted(users, key=lambda m: models[m] is base):
+            if id(models[m]) not in done:
+                done[id(models[m])] = models[m].from_block(block, xt, t)
+            eps[m] = done[id(models[m])]
     return eps
 
 
@@ -119,7 +137,7 @@ def elbo_block(
     row q depends only on (noise_seeds[q], t, j).  The noise, x_t and
     the true posterior are formed once and shared by all models, and
     each model makes one denoiser call over the Q rows (kernel denoisers
-    over one point set share its distance block).  Per query the
+    over one point set share its kernel block).  Per query the
     per-timestep KLs are summed with ``math.fsum`` over the grid, so each
     row is the value the query would get scored alone.
     """
@@ -148,10 +166,16 @@ def elbo_block(
 def _grid_sums(kls: np.ndarray) -> np.ndarray:
     """Per (model, query) of an (M, Q, G, J) KL block: ``math.fsum`` over
     the J samples of each grid point divided by J, then ``math.fsum`` over
-    the grid in grid order.  Runs on Python floats, not numpy scalars."""
+    the grid in grid order.  Runs on Python floats, not numpy scalars.
+    With J = 1 the per-point mean ``math.fsum([x]) / 1`` is x exactly, so
+    the grid sums run straight over the (M * Q, G) rows."""
     M, Q, G, J = kls.shape
-    means = [math.fsum(kl_j) / J for kl_j in kls.reshape(-1, J).tolist()]
-    return np.array([math.fsum(means[i:i + G]) for i in range(0, len(means), G)]).reshape(M, Q)
+    if J == 1:
+        rows = kls.reshape(M * Q, G).tolist()
+    else:
+        means = [math.fsum(kl_j) / J for kl_j in kls.reshape(-1, J).tolist()]
+        rows = [means[i:i + G] for i in range(0, len(means), G)]
+    return np.array([math.fsum(row) for row in rows]).reshape(M, Q)
 
 
 def elbo_estimate(

@@ -44,6 +44,11 @@ def derive_seed(root: int, *path: int | str) -> int:
     return int(state[0]) << 31 | int(state[1] >> 1)
 
 
+def query_seeds(root: int, count: int) -> list[int]:
+    """``derive_seed(root, "query", q)`` for each query q < ``count``."""
+    return [derive_seed(root, "query", q) for q in range(count)]
+
+
 def _mix(z: np.ndarray) -> np.ndarray:
     """SplitMix64's finalizer, in place on a uint64 array, which it returns."""
     z ^= z >> np.uint64(30)

@@ -41,7 +41,7 @@ from .denoiser import (
     optimizer_step,
     regress,
 )
-from .diffusion import Schedule, _point_set, kernel_logits, softmax_inplace
+from .diffusion import Schedule, _point_set, kernel_logits, softmax_inplace, softmax_numerators
 from .seeding import derive_seed, rng_for
 
 
@@ -184,11 +184,11 @@ class KernelDenoiser:
 
     Ignores the condition argument; the empirical predictor is defined
     on the raw sample space.  ``restrict(cols)`` gives the denoiser over
-    ``points[cols]`` (a leave-one-group-out set) whose ``base`` is this
-    one: its logits are the columns ``cols`` of its base's logits, so
-    ``from_logits`` turns one ``base.logits`` block into the prediction
-    of every denoiser over that base (the oracle's N + 1 denoisers share
-    one distance block per grid point).  A denoiser is its own base.
+    ``points[cols]`` whose ``base`` is this one; a denoiser is its own
+    base.  Every denoiser over one base predicts from the base's one
+    ``kernel_block`` at (x_t, t) through ``from_block`` (the oracle's
+    full and N leave-one-group-out denoisers share one distance block and
+    one ``exp`` per grid point).
     """
 
     def __init__(self, points: np.ndarray, schedule: Schedule):
@@ -196,6 +196,7 @@ class KernelDenoiser:
         self.schedule = schedule
         self.base = self
         self.cols: np.ndarray | None = None
+        self._member: np.ndarray | None = None
 
     @property
     def input_dim(self) -> int:
@@ -206,28 +207,53 @@ class KernelDenoiser:
         cols = np.asarray(cols, dtype=np.intp)
         sub = KernelDenoiser(self.points[cols], self.schedule)
         sub.base, sub.cols = self, cols
+        sub._member = np.zeros(len(self.points), dtype=bool)
+        sub._member[cols] = True
         return sub
 
-    def logits(self, xt: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """``kernel_logits`` of this denoiser's points at (x_t, t)."""
-        return kernel_logits(self.points, xt, t, self.schedule)
+    def kernel_block(self, xt: np.ndarray, t: int) -> KernelBlock:
+        """This point set's ``KernelBlock`` at an x_t block (B, dim) and t."""
+        logits, centers = kernel_logits(self.points, xt, t, self.schedule)
+        nearest = logits.argmax(axis=-1)
+        exps = logits - np.take_along_axis(logits, nearest[:, None], axis=-1)
+        return KernelBlock(logits, np.exp(exps, out=exps), nearest, centers)
 
-    def from_logits(self, logits: np.ndarray, centers: np.ndarray, xt: np.ndarray,
-                    t: int) -> np.ndarray:
-        """The prediction at (x_t, t) from ``base.logits(xt, t)``, which is left as it was.
+    def from_block(self, block: KernelBlock, xt: np.ndarray, t: int) -> np.ndarray:
+        """The prediction at (x_t, t) from ``base.kernel_block(xt, t)``.
 
-        ``np.take`` copies this denoiser's columns into a C-contiguous
-        block, whose row sums in the softmax then run in the order of
-        ``empirical_denoiser`` over ``points``, so the result is bit for
-        bit the same.  ``logits[:, cols]`` is not C-contiguous; its row
-        sums run in another order and move the result in the last bits.
+        The result is bit for bit ``empirical_denoiser(points, xt, t)``.
+        That softmax subtracts each row's maximum over ``points`` and
+        exponentiates.  A restricted denoiser copies its columns of
+        ``block.exps`` with ``np.take``; a row whose nearest base point
+        is one of its points has the base's row maximum, so the copied
+        exps are the bits it would compute.  Only the other rows (about
+        B / N for N equal leave-one-group-out sets) are exponentiated
+        again from their logits over ``cols``.  The C-contiguous copy
+        then sums and contracts exactly as ``empirical_denoiser`` does.
+        The base's own denoiser normalises ``block.exps`` in place, so it
+        must be the block's last user.
         """
         if self.cols is None:
-            w = logits.copy()
+            w, centers = block.exps, block.centers
         else:
-            w = np.take(logits, self.cols, axis=-1)
-            centers = np.take(centers, self.cols, axis=-2)
-        return (xt - softmax_inplace(w) @ centers) / self.schedule.sigma(t)
+            w = np.take(block.exps, self.cols, axis=-1)
+            centers = np.take(block.centers, self.cols, axis=-2)
+            rows = np.flatnonzero(~self._member[block.nearest])
+            w[rows] = softmax_numerators(np.take(block.logits[rows], self.cols, axis=-1))
+        w /= w.sum(axis=-1, keepdims=True)
+        return (xt - w @ centers) / self.schedule.sigma(t)
 
     def __call__(self, xt: np.ndarray, t: int, cond: np.ndarray | None = None) -> np.ndarray:
         return empirical_denoiser(self.points, xt, t, self.schedule)
+
+
+@dataclass(frozen=True)
+class KernelBlock:
+    """A point set's kernel at an x_t block (B, dim): ``kernel_logits``'
+    (B, n) logits and centres, ``exps`` = exp(logits - each row's maximum)
+    and ``nearest``, each row's first argmax (its nearest point)."""
+
+    logits: np.ndarray
+    exps: np.ndarray
+    nearest: np.ndarray
+    centers: np.ndarray

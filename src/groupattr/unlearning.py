@@ -149,25 +149,25 @@ def retrack_target(retain: np.ndarray | NearestKernel, xt: np.ndarray, t, K: int
     Nearest is measured by |xt - sqrt(abar_t) x_i|; ties break toward the
     lower sample index.  Weights are renormalized over the kept subset.
     The target is ``w @ (xt - centers) / sigma_t``.  ``xt`` is one row
-    (dim,) with one timestep, or a (B, dim) block with a (B,) vector of
-    timesteps, contracted as one stacked ``matmul`` of (1, K) by (K, dim)
-    per row; a block's row i is bit for bit the one-row target of
-    (xt[i], t[i]).  ``retain`` is the (n, dim) retain set, for which a
-    fresh ``NearestKernel`` is built, or a prepared ``NearestKernel`` over
-    it, whose k-d tree and scan buffers are reused; ``K`` is passed to the
-    kernel's call.  The kernel takes each row's K nearest points from the
-    tree's candidates, rechecked with the scan's exact arithmetic, and
-    scans all n points, in (B, n) buffers, only for rows whose candidates
-    it cannot prove complete and for K close to n.  The target never
-    aliases the buffers.
+    (dim,) with one timestep, or a (B, dim) block with one timestep or a
+    (B,) vector of them, contracted as one stacked ``matmul`` of (1, K)
+    by (K, dim) per row; a block's row i is bit for bit the one-row
+    target of (xt[i], t[i]).  ``retain`` is the (n, dim) retain set, for
+    which a fresh ``NearestKernel`` is built, or a prepared
+    ``NearestKernel`` over it, whose k-d tree and scan buffers are
+    reused; ``K`` is passed to the kernel's call.  The kernel takes each
+    row's K nearest points from the tree's candidates, rechecked with the
+    scan's exact arithmetic, and scans all n points, in (B, n) buffers,
+    only for rows whose candidates it cannot prove complete and for K
+    close to n.  The target never aliases the buffers.
     """
     kernel = retain if isinstance(retain, NearestKernel) else NearestKernel(retain)
     w, centers = kernel(xt, t, s, K)
     softmax_inplace(w)
-    if np.ndim(t) == 0:
+    if np.ndim(xt) == 1:
         return (w @ (xt - centers)) / s.sigma(t)
-    sigmas = s.sigmas[np.asarray(t) - 1]
-    return np.matmul(w[:, None, :], xt[:, None, :] - centers)[:, 0] / sigmas[:, None]
+    sigmas = np.reshape(s.sigmas[np.asarray(t) - 1], (-1, 1))
+    return np.matmul(w[:, None, :], xt[:, None, :] - centers)[:, 0] / sigmas
 
 
 def _noise_batch(x0, cond, cfg: UnlearnSpec, s: Schedule, rng_seed: int, *,

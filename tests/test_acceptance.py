@@ -28,6 +28,7 @@ from groupattr import (
 from groupattr.denoiser import DenoiserParams
 from groupattr.diffusion import forward_marginal
 from groupattr.harness import default_experiment_config, run_experiment, timing_report
+from groupattr.seeding import query_seeds
 from groupattr.training import empirical_denoiser
 from groupattr.unlearning import (
     AnchorSelector,
@@ -93,7 +94,8 @@ def test_criterion_2_exact_nonparametric_attribution():
         g = q % 5
         queries.append(d.groups[g][(q * 7) % 200])
         labels.append(g)
-    mat = attribution_matrix(np.stack(queries), None, full, cfs, ElboSpec(stride=10), s, 321)
+    mat = attribution_matrix(np.stack(queries), None, full, cfs, ElboSpec(stride=10), s,
+                             query_seeds(321, 256))
     top = np.array([rank(mat.scores[q])[0] for q in range(256)])
     agreement = float(np.mean(top == np.array(labels)))
     elapsed = time.perf_counter() - tic

@@ -18,6 +18,7 @@ from groupattr import (
 )
 from groupattr.data import GroupedDataset
 from groupattr.denoiser import Architecture
+from groupattr.seeding import query_seeds
 from groupattr.training import KernelDenoiser
 
 S = build_schedule(50, "squared_cosine")
@@ -64,7 +65,7 @@ class TestAttributionMatrixOp:
     def test_identical_counterfactuals_zero_matrix(self):
         p = init_network(Architecture(2, (8,), 4), seed=1)
         x0 = np.array([[0.1, 0.2], [-0.5, 0.3]])
-        mat = attribution_matrix(x0, None, p, [p, p, p], SPEC, S, SEED)
+        mat = attribution_matrix(x0, None, p, [p, p, p], SPEC, S, query_seeds(SEED, 2))
         np.testing.assert_array_equal(mat.scores, 0.0)
 
     def test_separated_groups_oracle(self):
@@ -73,7 +74,8 @@ class TestAttributionMatrixOp:
         d = generate_grouped_dataset(spec, seed=17)
         full = KernelDenoiser(d.all_samples(), S)
         cfs = [KernelDenoiser(d.all_samples(exclude=k), S) for k in range(2)]
-        mat = attribution_matrix(d.groups[0][5:6], None, full, cfs, SPEC, S, SEED,
+        mat = attribution_matrix(d.groups[0][5:6], None, full, cfs, SPEC, S,
+                                 query_seeds(SEED, 1),
                                  group_names=d.group_names)
         assert mat.scores[0, 0] > 0.0
         assert mat.scores[0, 0] > 10 * abs(mat.scores[0, 1])
@@ -81,15 +83,16 @@ class TestAttributionMatrixOp:
     def test_column_permutation(self):
         models = [init_network(Architecture(2, (8,), 4), seed=s) for s in range(4)]
         x0 = np.array([[0.4, -0.1]])
-        a = attribution_matrix(x0, None, models[0], models[1:], SPEC, S, SEED)
-        b = attribution_matrix(x0, None, models[0], models[1:][::-1], SPEC, S, SEED)
+        a = attribution_matrix(x0, None, models[0], models[1:], SPEC, S, query_seeds(SEED, 1))
+        b = attribution_matrix(x0, None, models[0], models[1:][::-1], SPEC, S,
+                               query_seeds(SEED, 1))
         np.testing.assert_array_equal(b.scores[:, ::-1], a.scores)
 
     def test_arch_mismatch_rejected(self):
         a = init_network(Architecture(2, (8,), 4), seed=0)
         b = init_network(Architecture(3, (8,), 4), seed=0)
         with pytest.raises(ValueError):
-            attribution_matrix(np.zeros((1, 2)), None, a, [b], SPEC, S, SEED)
+            attribution_matrix(np.zeros((1, 2)), None, a, [b], SPEC, S, query_seeds(SEED, 1))
 
 
 class TestPrototypeBaseline:

@@ -322,6 +322,27 @@ def test_retrack_target_block_matches_rows(case):
         assert row.tobytes() == reference_target(retain, xt[i], int(ts[i]), K).tobytes()
 
 
+# 60 points and K = 5, so that the k-d tree proposes the candidates.
+TREE_CASE = (np.random.default_rng(5).normal(size=(60, 2)) * 2.0,
+             np.random.default_rng(6).normal(size=(8, 2)) * 2.0, np.array([9]), 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=retrack_cases())
+@example(case=PARTIAL_TIES)
+@example(case=TREE_CASE)
+def test_retrack_target_block_with_one_timestep_matches_rows(case):
+    """An x_t block with one scalar t: every row is bit for bit its one-row
+    target, and the block is the block at that t repeated per row."""
+    retain, xt, ts, K = case
+    t = int(ts[0])
+    block = retrack_target(retain, xt, t, K, S)
+    assert block.shape == xt.shape
+    assert block.tobytes() == retrack_target(retain, xt, np.full(len(xt), t), K, S).tobytes()
+    for i in range(len(xt)):
+        assert block[i].tobytes() == retrack_target(retain, xt[i], t, K, S).tobytes()
+
+
 # Points 4 and 11 are at one exact distance from centre 10, but point 11's
 # float64 distance is one ulp smaller while their logits are equal.
 TIE_RETAIN = np.array([[-2.0, -2.0], [2.0, -2.0], [-2.0, 2.0], [2.0, 2.0], [0.5, -1.5],

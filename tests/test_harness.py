@@ -243,14 +243,17 @@ class TestDeterminismAndCaching:
 
     def test_blas_thread_count_changes_no_byte(self, tmp_path):
         """One and two OpenBLAS threads give the same matrices, checkpoints
-        and queries, and the same forward/backward bytes on blocks large
-        enough to reach a threaded BLAS path."""
+        and queries, and the same forward/backward and kernel-oracle ELBO
+        bytes on blocks large enough to reach a threaded BLAS path."""
         script = """
 import hashlib, sys
 import numpy as np
 from conftest import tiny_experiment_config
 from groupattr.denoiser import Architecture, backward_batch, forward_batch, init_network
-from groupattr.harness import run_experiment
+from groupattr import KernelDenoiser, build_schedule, generate_grouped_dataset
+from groupattr.harness import default_experiment_config, run_experiment
+from groupattr.scoring import ElboSpec, elbo_block
+from groupattr.seeding import query_seeds
 
 run_experiment(tiny_experiment_config(), sys.argv[1])
 p = init_network(Architecture(input_dim=2, hidden_dims=(128, 128), time_embed_dim=8,
@@ -263,6 +266,15 @@ for rows in (64, 256, 1024):
                                want_cache=True)
     h.update(out.tobytes())
     h.update(backward_batch(p, cache, out - xt).tobytes())
+# The kernel oracle's blocks at desk scale (256 queries, 1000 points), large
+# enough for a threaded gemm in ``w @ centres``.
+d = generate_grouped_dataset(default_experiment_config(0).dataset, 0)
+points, labels = d.labeled_samples()
+full = KernelDenoiser(points, build_schedule(100, "squared_cosine"))
+cfs = [full.restrict(np.flatnonzero(labels != k)) for k in range(d.n_groups)]
+x0 = rng.normal(size=(256, 2)) * 4.0
+h.update(elbo_block([full, *cfs], x0, None, query_seeds(3, 256), ElboSpec(), full.schedule)
+         .tobytes())
 print(h.hexdigest())
 """
         paths = [str(Path(harness.__file__).parents[1]), str(Path(__file__).parent)]
@@ -283,6 +295,35 @@ print(h.hexdigest())
         assert len(files) == 21  # 10 matrix files, 10 checkpoints, the queries
         for f in files:
             assert filecmp.cmp(one / f, two / f, shallow=False), f
+
+    def test_elbo_noise_seeds_derived_once(self, tmp_path, monkeypatch):
+        """A run derives each query's ELBO noise seed once, under the run's
+        "elbo" root, and every ELBO matrix scores with that one list."""
+        from groupattr import attribution, seeding
+
+        roots, used = [], []
+        real_derive = seeding.derive_seed
+        real_matrix = attribution.attribution_matrix
+
+        def counting_derive(root, *path):
+            roots.append((root, *path))
+            return real_derive(root, *path)
+
+        def recording_matrix(*args, **kwargs):
+            used.append(list(args[6]))
+            return real_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(seeding, "derive_seed", counting_derive)
+        monkeypatch.setattr(harness, "derive_seed", counting_derive)
+        monkeypatch.setattr(harness, "attribution_matrix", recording_matrix)
+        cfg = tiny_experiment_config()
+        run_experiment(cfg, tmp_path / "seeds")
+        elbo = real_derive(cfg.master_seed, "elbo")
+        Q = cfg.queries.count
+        assert roots.count((cfg.master_seed, "elbo")) == 1
+        assert [r for r in roots if r[0] == elbo] == [(elbo, "query", q) for q in range(Q)]
+        assert len(used) == 4  # logoa, retrack, esd and oracle
+        assert all(u == seeding.query_seeds(elbo, Q) for u in used)
 
     def test_each_checkpoint_loaded_once(self, tmp_path, monkeypatch):
         """A loaded checkpoint is served again while its key record vouches

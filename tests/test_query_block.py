@@ -36,7 +36,7 @@ from groupattr import (
 )
 from groupattr.denoiser import forward_batch
 from groupattr.scoring import elbo_block
-from groupattr.seeding import content_rng, derive_seed, normals
+from groupattr.seeding import content_rng, derive_seed, normals, query_seeds
 
 S = build_schedule(50, "squared_cosine")
 # Sampling with an untrained network stays O(1) only where abar_T is not tiny.
@@ -148,7 +148,7 @@ class TestBlockScoring:
         full, cfs = networks() if models == "network" else kernels()
         x0, cond = query_block(12, cond_mode)
         spec = ElboSpec(stride=6, samples_per_t=samples_per_t)
-        got = attribution_matrix(x0, cond, full, cfs, spec, S, 77).scores
+        got = attribution_matrix(x0, cond, full, cfs, spec, S, query_seeds(77, len(x0))).scores
         want = reference_matrix(x0, cond, full, cfs, spec, 77)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
@@ -189,7 +189,7 @@ class TestBlockScoring:
         monkeypatch.setattr(scoring, "content_rng", counting_content_rng)
         full, cfs = kernels()
         attribution_matrix(*query_block(5, "none"), full, cfs,
-                           ElboSpec(stride=10, samples_per_t=2), S, 4)
+                           ElboSpec(stride=10, samples_per_t=2), S, query_seeds(4, 5))
         assert len(calls) == len(set(calls)) == 5 * len(range(2, 51, 10)) * 2
 
 
@@ -253,8 +253,24 @@ def desk_oracle():
 
 
 class TestSharedKernelBlock:
-    """The oracle's leave-one-group-out denoisers take their logits from the
-    full point set's one distance block."""
+    """The oracle's denoisers take their predictions from the full point
+    set's one kernel block: one distance block and one ``exp`` per grid
+    point.  Every prediction is bit for bit ``empirical_denoiser`` over the
+    denoiser's own points."""
+
+    @staticmethod
+    def assert_block_predictions(full, subsets, xt, t):
+        """Each restriction, then the full set (which consumes the block's
+        exps), predicts ``empirical_denoiser``'s bits; the logits are kept."""
+        block = full.kernel_block(xt, t)
+        logits = block.logits.copy()
+        for sub in subsets:
+            want = empirical_denoiser(full.points[sub.cols], xt, t, S).tobytes()
+            assert sub.from_block(block, xt, t).tobytes() == want
+            assert sub(xt, t).tobytes() == want
+        want = empirical_denoiser(full.points, xt, t, S).tobytes()
+        assert full.from_block(block, xt, t).tobytes() == want
+        assert block.logits.tobytes() == logits.tobytes()
 
     @pytest.mark.parametrize("t", [2, 12, 31, 50])
     def test_restriction_is_empirical_denoiser_bit_for_bit(self, t):
@@ -262,19 +278,63 @@ class TestSharedKernelBlock:
 
         d, full, cfs = desk_oracle()
         xt = np.random.default_rng(t).normal(size=(64, 2)) * 4.0
-        shared = full.logits(xt, t)
-        before = shared[0].copy()
         got = _predict_all([full, *cfs], xt, t, None, S)
         want = empirical_denoiser(full.points, xt, t, S).tobytes()
-        assert got[0].tobytes() == full.from_logits(*shared, xt, t).tobytes() == want
+        assert got[0].tobytes() == want
         for k, (cf, eps) in enumerate(zip(cfs, got[1:])):
             points = d.all_samples(exclude=k)
-            want = empirical_denoiser(points, xt, t, S).tobytes()
             assert cf.points.tobytes() == points.tobytes()
-            assert eps.tobytes() == want
-            assert cf.from_logits(*shared, xt, t).tobytes() == want
-            assert cf(xt, t).tobytes() == want
-        assert shared[0].tobytes() == before.tobytes()
+            assert eps.tobytes() == empirical_denoiser(points, xt, t, S).tobytes()
+        self.assert_block_predictions(full, cfs, xt, t)
+
+    @pytest.mark.parametrize("t", [2, 31])
+    def test_rows_nearest_every_group(self, t):
+        """Every group holds some row's nearest point, so every
+        leave-one-group-out denoiser recomputes the exps of those rows."""
+        d, full, cfs = desk_oracle()
+        _, labels = d.labeled_samples()
+        xt = math.sqrt(S.alpha_bar(t)) * full.points[::25] + 0.01
+        nearest = full.kernel_block(xt, t).nearest
+        assert set(labels[nearest].tolist()) == set(range(len(cfs)))
+        self.assert_block_predictions(full, cfs, xt, t)
+
+    @pytest.mark.parametrize("t", [2, 12])
+    def test_row_maximum_tied_across_two_groups(self, t):
+        """A point of group 0 duplicated in group 1: rows centred on it have
+        their first argmax in group 0 and the same maximum in group 1.  The
+        last row's nearest point is in group 0 too; at t = 2 its exps over
+        the other groups, taken relative to the full row maximum, underflow
+        to 0, so leaving out group 0 must compute them again."""
+        points = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 0.0], [-3.0, 0.0]])
+        labels = np.array([0, 0, 1, 1, 2])
+        full = KernelDenoiser(points, S)
+        cfs = [full.restrict(np.flatnonzero(labels != k)) for k in range(3)]
+        xt = math.sqrt(S.alpha_bar(t)) * np.array([[3.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
+        xt[1] += 1e-3
+        block = full.kernel_block(xt, t)
+        assert block.nearest.tolist() == [1, 1, 0]
+        assert block.logits[:2, 1].tobytes() == block.logits[:2, 3].tobytes()
+        self.assert_block_predictions(full, cfs, xt, t)
+
+    @pytest.mark.parametrize("t", [2, 31])
+    def test_any_column_subset(self, t):
+        """A restriction to every third point, which is no group's complement."""
+        _, full, _ = desk_oracle()
+        third = full.restrict(np.arange(0, len(full.points), 3))
+        xt = np.random.default_rng(t).normal(size=(64, 2)) * 4.0
+        nearest = full.kernel_block(xt, t).nearest
+        assert 0 < np.count_nonzero(nearest % 3) < len(xt)
+        self.assert_block_predictions(full, [third], xt, t)
+
+    def test_denoiser_listed_twice(self):
+        from groupattr.scoring import _predict_all
+
+        _, full, cfs = desk_oracle()
+        xt = np.random.default_rng(3).normal(size=(16, 2)) * 4.0
+        got = _predict_all([full, cfs[0], full, cfs[0], cfs[1]], xt, 12, None, S)
+        want = [empirical_denoiser(m.points, xt, 12, S).tobytes()
+                for m in (full, cfs[0], full, cfs[0], cfs[1])]
+        assert [eps.tobytes() for eps in got] == want
 
 
 # -- rows depend only on their own query ------------------------------------
@@ -326,6 +386,7 @@ def test_matrix_prefix_keeps_rows(n):
     """The first n queries of a matrix score as they do in the whole matrix."""
     full, cfs = networks()
     x0, conds, _, _, _ = full_block()
-    whole = attribution_matrix(x0, conds, full, cfs, PROP_SPEC, S, 0).scores
-    prefix = attribution_matrix(x0[:n], conds[:n], full, cfs, PROP_SPEC, S, 0).scores
+    whole = attribution_matrix(x0, conds, full, cfs, PROP_SPEC, S, query_seeds(0, Q)).scores
+    prefix = attribution_matrix(x0[:n], conds[:n], full, cfs, PROP_SPEC, S,
+                                query_seeds(0, n)).scores
     assert np.max(np.abs(prefix - whole[:n])) <= 1e-12
