@@ -2,9 +2,11 @@
 
 ``attribution_matrix`` scores a query block, x0 (Q, dim) and cond
 (Q, cond_dim) or None, against every counterfactual model by the paired
-ELBO difference; ``prototype_baseline`` scores the rows of x0 by cosine
-similarity to per-group mean embeddings.  Matrices serialize to CSV
-(one row per query) and JSON (method tag, names, scores), as data only.
+ELBO difference, on a ``scoring.ElboGrid`` that it forms or that a
+pipeline shares between matrices; ``prototype_baseline`` scores the rows
+of x0 by cosine similarity to per-group mean embeddings.  Matrices
+serialize to CSV (one row per query) and JSON (method tag, names,
+scores), as data only.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .data import GroupedDataset
 from .diffusion import Schedule
-from .scoring import ElboSpec, check_input_dims, elbo_block
+from .scoring import ElboGrid, ElboSpec, check_input_dims
 
 @dataclass(frozen=True)
 class AttributionMatrix:
@@ -48,17 +50,27 @@ class AttributionMatrix:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["query_id", *self.group_names])
-            for qid, row in zip(self.query_ids, self.scores):
-                writer.writerow([qid, *[repr(float(v)) for v in row]])
+            for qid, row in zip(self.query_ids, self.scores.tolist()):
+                writer.writerow([qid, *map(repr, row)])
 
     def to_json(self, path: str | Path) -> None:
-        doc = {
-            "method": self.method,
-            "group_names": self.group_names,
-            "query_ids": self.query_ids,
-            "scores": self.scores.tolist(),
+        """Write the text of ``json.dumps(doc, sort_keys=True, indent=1)``.
+
+        ``doc`` holds the method, group names, query ids and scores.  An
+        indented ``json.dumps`` runs the encoder's pure-Python path, so the
+        same text is laid out here: each string through ``json.dumps`` and
+        each score as its ``repr``, which is how the encoder writes a
+        finite float.
+        """
+        fields = {
+            "group_names": _json_list([json.dumps(n) for n in self.group_names], 1),
+            "method": json.dumps(self.method),
+            "query_ids": _json_list([json.dumps(q) for q in self.query_ids], 1),
+            "scores": _json_list([_json_list(list(map(repr, row)), 2)
+                                  for row in self.scores.tolist()], 1),
         }
-        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1))
+        body = ",\n".join(f" {json.dumps(key)}: {value}" for key, value in fields.items())
+        Path(path).write_text("{\n" + body + "\n}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "AttributionMatrix":
@@ -67,6 +79,15 @@ class AttributionMatrix:
         qids = list(doc["query_ids"])
         scores = np.array(doc["scores"], dtype=np.float64).reshape(len(qids), len(names))
         return cls(doc["method"], scores, qids, names)
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """A list of encoded JSON values laid out as ``json.dumps(..., indent=1)``
+    lays out a list nested ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
 
 
 def attribution_matrix(
@@ -79,6 +100,8 @@ def attribution_matrix(
     noise_seeds: Sequence[int],
     method: str = "elbo_diff",
     group_names: Sequence[str] | None = None,
+    grid: ElboGrid | None = None,
+    full_elbos: np.ndarray | None = None,
 ) -> AttributionMatrix:
     """scores[q][k] = ELBO(full) - ELBO(counterfactual k) for query row q.
 
@@ -88,15 +111,27 @@ def attribution_matrix(
     (``seeding.query_seeds`` of its "elbo" root) and passes the same list
     to every matrix.  Within a query all models share that noise, so
     identical models produce exactly zero columns.  All queries and
-    models are scored in one ``elbo_block`` call, in which the kernel
-    oracle's denoisers share one kernel block per grid point.
+    models are scored on one ``ElboGrid``, on which the kernel oracle's
+    denoisers share their kernel blocks.
+
+    A pipeline scoring several matrices on one query set passes that
+    set's ``grid``, the ``ElboGrid`` of (x0, cond, noise_seeds, spec, s),
+    and may pass ``full_elbos``, the row ``grid.elbos([model_full])[0]``;
+    then only the counterfactuals are scored.  A model's ELBO row does not
+    depend on the models scored with it, so the matrix has the same bits.
     """
     n = len(counterfactuals)
     check_input_dims([model_full, *counterfactuals])
 
     x0 = np.asarray(x0, dtype=np.float64)
-    elbos = elbo_block([model_full, *counterfactuals], x0, cond, noise_seeds, spec, s)
-    scores = elbos[0] - elbos[1:]
+    if grid is None:
+        grid = ElboGrid(x0, cond, noise_seeds, spec, s)
+    if full_elbos is None:
+        elbos = grid.elbos([model_full, *counterfactuals])
+        full_elbos, elbos = elbos[0], elbos[1:]
+    else:
+        elbos = grid.elbos(counterfactuals)
+    scores = full_elbos - elbos
     qids = [f"q{q}" for q in range(len(x0))]
     names = list(group_names) if group_names is not None else [f"group{k}" for k in range(n)]
     return AttributionMatrix(method, scores.T, qids, names)

@@ -18,8 +18,11 @@ draws its own block under one seed, while the training and unlearning
 loops noise a whole epoch or block of steps in one call, each row under
 its step's seed, and so draw the same bits.
 
-The forward pass keeps each SiLU layer's sigmoid for the backward pass,
-which writes every layer's gradient straight into one flat vector.
+A forward pass that a backward pass follows (``want_cache``) keeps each
+layer's input and pre-activation and, under SiLU, its sigmoid; the
+backward pass reuses them and writes every layer's gradient straight
+into one flat vector.  An inference forward keeps nothing and forms each
+activation in place.
 """
 
 from __future__ import annotations
@@ -226,7 +229,9 @@ def forward_batch(
 
     ``xt`` has shape (B, input_dim); ``t`` is a scalar or length-B
     vector; ``cond`` is None, a single vector, or a (B, cond_dim) matrix.
-    With ``want_cache`` the returned cache supports ``backward_batch``.
+    With ``want_cache`` the returned cache supports ``backward_batch``;
+    without it no layer's arrays are kept and each activation is formed
+    in place, in the same bits.
     """
     xt = np.asarray(xt, dtype=np.float64)
     if xt.ndim != 2 or xt.shape[1] != p.arch.input_dim:
@@ -242,11 +247,17 @@ def forward_batch(
     for w, b in layers[:-1]:
         z = a @ w.T
         z += b
-        sig = _sigmoid(z) if silu else None
-        a = z * sig if silu else np.maximum(z, 0.0)
-        pre.append(z)
-        sigs.append(sig)
-        post.append(a)
+        if want_cache:
+            sig = _sigmoid(z) if silu else None
+            a = z * sig if silu else np.maximum(z, 0.0)
+            pre.append(z)
+            sigs.append(sig)
+            post.append(a)
+        elif silu:  # nothing is kept, so the activation is formed in place
+            a = _sigmoid(z)
+            a *= z
+        else:
+            a = np.maximum(z, 0.0, out=z)
     w, b = layers[-1]
     out = a @ w.T
     out += b

@@ -21,9 +21,11 @@ while the key record still vouches for it, so a checkpoint is read once.
 Phases build their dependencies on demand, so a matrix trains or unlearns
 exactly the models it scores and the outputs do not depend on the order
 phases are requested in.  The query phase samples every query as one
-block, and a matrix scores every query under every model in one block
-(``attribution_matrix``) with the ELBO noise seeds that the ``Pipeline``
-derives once for all its matrices.  Deleting only the query-phase outputs
+block.  The ``Pipeline`` derives the ELBO noise seeds once, forms the
+query set's ``ElboGrid`` (noise, x_t and true posterior at every grid
+point) once, and scores the full network model on it once; every matrix
+of the set shares them, and ``attribution_matrix`` scores its
+counterfactuals on that grid.  Deleting only the query-phase outputs
 re-scores against cached counterfactual checkpoints without retraining.
 
 All model scoring goes through checkpoint files (float32), so fresh and
@@ -57,7 +59,7 @@ from .data import DatasetSpec, GroupedDataset, generate_grouped_dataset
 from .denoiser import Architecture, forward_batch
 from .diffusion import SAMPLERS, Schedule, build_schedule, sample
 from .metrics import RankReport, rank_report
-from .scoring import ElboSpec
+from .scoring import ElboGrid, ElboSpec
 from .seeding import derive_seed, query_seeds
 from .training import KernelDenoiser, TrainSpec, train_full, train_logo
 from .unlearning import UnlearnSpec, unlearn
@@ -263,6 +265,10 @@ class Pipeline:
         cfg.to_json(self.out / "config.json")
         self._schedule: Schedule | None = None
         self._elbo_seeds: list[int] | None = None
+        # (query set, its ElboGrid, seconds) and (full model, its ELBO row on
+        # that grid, seconds): formed once, shared by every matrix of the set
+        self._grid: tuple | None = None
+        self._full_elbos: tuple | None = None
         # phase name -> (phase key, loaded artifact), valid while the key record matches
         self._loaded: dict[str, tuple[str, object]] = {}
 
@@ -485,26 +491,55 @@ class Pipeline:
         json_path = self.out / "matrices" / f"{method}.json"
 
         def build():
-            x0, cond, _ = self.ensure_queries()
+            queries = self.ensure_queries()
             # Models are built (or loaded) before the clock starts: the
             # recorded time is the query cost alone.
-            models = None if method == "prototype" else self._models_for(method, d)
-            tic = time.perf_counter()
-            if models is None:
-                mat = prototype_baseline(x0, d)
+            if method == "prototype":
+                tic = time.perf_counter()
+                mat = prototype_baseline(queries[0], d)
+                wall = time.perf_counter() - tic
             else:
-                mat = attribution_matrix(x0, cond, *models, self.cfg.elbo, self.schedule(),
-                                         self._elbo_noise_seeds(),
-                                         method=method, group_names=d.group_names)
-            wall = time.perf_counter() - tic
+                mat, wall = self._elbo_matrix(method, queries, *self._models_for(method, d),
+                                              d.group_names)
             with _replacing(csv_path) as tmp:
                 mat.to_csv(tmp)
             with _replacing(json_path) as tmp:
                 mat.to_json(tmp)
-            return {"wall_seconds": wall, "queries": len(x0)}
+            return {"wall_seconds": wall, "queries": len(queries[0])}
 
         return self._phase(f"matrix_{method}", self._k_matrix(method), (json_path, csv_path),
                            "attribute", build, AttributionMatrix.from_json)
+
+    def _elbo_matrix(self, method: str, queries: tuple, full, cfs: list,
+                     names: list[str]) -> tuple[AttributionMatrix, float]:
+        """The ELBO-difference matrix of ``method`` on a loaded query set,
+        and the seconds it costs.
+
+        The set's ``ElboGrid`` is formed once, and a network method's full
+        model is scored on it once; every matrix of the set shares them.
+        Each matrix is charged their seconds besides its own, so its
+        recorded time does not depend on the order matrices are built in.
+        """
+        x0, cond, _ = queries
+        seeds = self._elbo_noise_seeds()
+        if self._grid is None or self._grid[0] is not queries:
+            tic = time.perf_counter()
+            grid = ElboGrid(x0, cond, seeds, self.cfg.elbo, self.schedule())
+            self._grid = (queries, grid, time.perf_counter() - tic)
+            self._full_elbos = None
+        _, grid, shared = self._grid
+        full_elbos = None
+        if method != "oracle":  # the oracle's full kernel shares its blocks with its subsets
+            if self._full_elbos is None or self._full_elbos[0] is not full:
+                tic = time.perf_counter()
+                self._full_elbos = (full, grid.elbos([full])[0], time.perf_counter() - tic)
+            _, full_elbos, full_seconds = self._full_elbos
+            shared += full_seconds
+        tic = time.perf_counter()
+        mat = attribution_matrix(x0, cond, full, cfs, self.cfg.elbo, self.schedule(), seeds,
+                                 method=method, group_names=names, grid=grid,
+                                 full_elbos=full_elbos)
+        return mat, shared + time.perf_counter() - tic
 
     def _models_for(self, method: str, d: GroupedDataset):
         s = self.schedule()

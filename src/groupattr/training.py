@@ -186,9 +186,10 @@ class KernelDenoiser:
     on the raw sample space.  ``restrict(cols)`` gives the denoiser over
     ``points[cols]`` whose ``base`` is this one; a denoiser is its own
     base.  Every denoiser over one base predicts from the base's one
-    ``kernel_block`` at (x_t, t) through ``from_block`` (the oracle's
-    full and N leave-one-group-out denoisers share one distance block and
-    one ``exp`` per grid point).
+    ``kernel_block`` at (x_t, t) through ``from_block``: scoring runs an
+    x_t block in cache-sized row blocks, and the oracle's full and N
+    leave-one-group-out denoisers share one distance block and one
+    ``exp`` per row block (``scoring._predict_all``).
     """
 
     def __init__(self, points: np.ndarray, schedule: Schedule):

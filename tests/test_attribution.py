@@ -1,6 +1,7 @@
 """Attribution matrices: ELBO-difference scoring and the similarity baseline."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -59,6 +60,44 @@ class TestAttributionMatrix:
         mat.to_csv(tmp_path / "a.csv")
         mat.to_csv(tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def reference_csv(mat: AttributionMatrix, path) -> None:
+    """The csv writer as it was: ``repr(float(v))`` of each numpy score."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["query_id", *mat.group_names])
+        for qid, row in zip(mat.query_ids, mat.scores):
+            writer.writerow([qid, *[repr(float(v)) for v in row]])
+
+
+WRITER_CASES = {
+    "no queries": AttributionMatrix("m", np.zeros((0, 2)), [], ["a", "b"]),
+    "no groups": AttributionMatrix("m", np.zeros((3, 0)), ["q0", "q1", "q2"], []),
+    "quotes and non-ascii": AttributionMatrix(
+        'me"th\u00f6d', np.array([[1.0, 2.5]]), ['q "0"'], ['g,"1"\\', "\u4e2d\u00e9\U0001f600"]),
+    "extremes": AttributionMatrix(
+        "m", np.array([[-0.0, 1e-300, 1e300], [5e-324, -1.5, 0.1]]), ["q0", "q1"],
+        ["a", "b", "c"]),
+    "desk size": AttributionMatrix(
+        "logoa", np.random.default_rng(0).normal(size=(256, 5)) * 10.0 ** np.arange(-2, 3),
+        [f"q{q}" for q in range(256)], [f"group{k}" for k in range(5)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_writers_match_the_reference_bytes(case, tmp_path):
+    """``to_json`` writes the bytes of ``json.dumps(doc, sort_keys=True,
+    indent=1)`` and ``to_csv`` those of the ``repr(float(v))`` writer."""
+    mat = WRITER_CASES[case]
+    doc = {"method": mat.method, "group_names": mat.group_names,
+           "query_ids": mat.query_ids, "scores": mat.scores.tolist()}
+    mat.to_json(tmp_path / "m.json")
+    assert (tmp_path / "m.json").read_bytes() == json.dumps(doc, sort_keys=True,
+                                                             indent=1).encode()
+    mat.to_csv(tmp_path / "m.csv")
+    reference_csv(mat, tmp_path / "ref.csv")
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestAttributionMatrixOp:

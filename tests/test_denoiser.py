@@ -16,7 +16,7 @@ from groupattr import (
     optimizer_step,
     predict_eps,
 )
-from groupattr.denoiser import clip_gradient, time_features
+from groupattr.denoiser import clip_gradient, forward_batch, time_features
 
 SMALL = Architecture(input_dim=2, hidden_dims=(8,), time_embed_dim=4, cond_dim=0)
 
@@ -125,6 +125,27 @@ class TestPredictEps:
         cond_net = init_network(cond_arch, seed=0)
         with pytest.raises(ValueError):
             predict_eps(cond_net, np.zeros(2), 1, 10)
+
+
+class TestInferenceForward:
+    @pytest.mark.parametrize("activation", ["silu", "relu"])
+    @pytest.mark.parametrize("rows", [1, 128, 256])
+    def test_matches_the_cached_forward_bit_for_bit(self, activation, rows):
+        """Without a cache the activations are formed in place: the output
+        is the cached forward's, bit for bit, and aliases no input."""
+        arch = Architecture(input_dim=2, hidden_dims=(64, 64), time_embed_dim=8, cond_dim=3,
+                            activation=activation)
+        p = init_network(arch, 11)
+        rng = np.random.default_rng(rows)
+        xt, cond = rng.normal(size=(rows, 2)) * 3.0, rng.normal(size=(rows, 3))
+        ts = rng.integers(1, 51, size=rows)
+        inputs = (xt, cond, ts, p.weights)
+        before = [a.tobytes() for a in inputs]
+        out = forward_batch(p, xt, ts, 50, cond)
+        cached, _ = forward_batch(p, xt, ts, 50, cond, want_cache=True)
+        assert out.tobytes() == cached.tobytes()
+        assert not any(np.shares_memory(out, a) for a in inputs)
+        assert [a.tobytes() for a in inputs] == before
 
 
 class TestTimeFeatures:

@@ -7,13 +7,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from groupattr import AttributionMatrix
+from groupattr import AttributionMatrix, attribution_matrix
 from groupattr import harness
 from groupattr.harness import (
     ExperimentConfig,
@@ -243,8 +244,8 @@ class TestDeterminismAndCaching:
 
     def test_blas_thread_count_changes_no_byte(self, tmp_path):
         """One and two OpenBLAS threads give the same matrices, checkpoints
-        and queries, and the same forward/backward and kernel-oracle ELBO
-        bytes on blocks large enough to reach a threaded BLAS path."""
+        and queries, the same forward/backward bytes on blocks large enough
+        to reach a threaded BLAS path, and the same kernel-oracle ELBOs."""
         script = """
 import hashlib, sys
 import numpy as np
@@ -266,8 +267,8 @@ for rows in (64, 256, 1024):
                                want_cache=True)
     h.update(out.tobytes())
     h.update(backward_batch(p, cache, out - xt).tobytes())
-# The kernel oracle's blocks at desk scale (256 queries, 1000 points), large
-# enough for a threaded gemm in ``w @ centres``.
+# The kernel oracle at desk scale (256 queries, 1000 points), whose
+# ``w @ centres`` runs on row blocks of 32 rows.
 d = generate_grouped_dataset(default_experiment_config(0).dataset, 0)
 points, labels = d.labeled_samples()
 full = KernelDenoiser(points, build_schedule(100, "squared_cosine"))
@@ -339,6 +340,42 @@ print(h.hexdigest())
         out = tmp_path / "memo"
         run_experiment(tiny_experiment_config(), out)
         assert sorted(loaded) == sorted(p.name for p in (out / "checkpoints").glob("*.ckpt"))
+
+    def test_matrices_share_one_grid_and_one_full_model_row(self, tmp_path, monkeypatch):
+        """A run scores its full network on each ELBO grid point once, for the
+        logoa and unlearning matrices together.  Every matrix is the bits of
+        a fresh ``attribution_matrix`` call, and each network matrix's key
+        record is charged the full model's scoring time."""
+        from groupattr import scoring
+
+        cfg = tiny_experiment_config()
+        out = tmp_path / "shared"
+        p = Pipeline(cfg, out)
+        full = p.ensure_train_full()
+        delay, scored_at = 0.02, []
+        real_forward = scoring.forward_batch
+
+        def slow_on_full(model, xt, t, *args, **kwargs):
+            if model is full:
+                scored_at.append(t)
+                time.sleep(delay)
+            return real_forward(model, xt, t, *args, **kwargs)
+
+        monkeypatch.setattr(scoring, "forward_batch", slow_on_full)
+        p.run_all()
+        monkeypatch.undo()
+        grid = list(range(2, cfg.schedule.num_steps, cfg.elbo.stride))
+        assert scored_at == grid
+        d = p.ensure_dataset()
+        x0, cond, _ = p.ensure_queries()
+        for method in ("logoa", "retrack", "esd", "oracle"):
+            fresh = attribution_matrix(x0, cond, *p._models_for(method, d), cfg.elbo,
+                                       p.schedule(), p._elbo_noise_seeds(), method=method,
+                                       group_names=d.group_names)
+            assert p.ensure_matrix(method).scores.tobytes() == fresh.scores.tobytes()
+            if method != "oracle":
+                record = json.loads((out / "keys" / f"matrix_{method}.json").read_text())
+                assert record["wall_seconds"] >= len(grid) * delay
 
     @pytest.mark.parametrize("case", ["checkpoint", "queries", "matrix"])
     def test_failed_rebuild_keeps_previous_artifact(self, tmp_path, monkeypatch, case):

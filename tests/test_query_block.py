@@ -254,9 +254,9 @@ def desk_oracle():
 
 class TestSharedKernelBlock:
     """The oracle's denoisers take their predictions from the full point
-    set's one kernel block: one distance block and one ``exp`` per grid
-    point.  Every prediction is bit for bit ``empirical_denoiser`` over the
-    denoiser's own points."""
+    set's one kernel block: one distance block and one ``exp`` per row
+    block of each grid point.  Every prediction is bit for bit
+    ``empirical_denoiser`` over the denoiser's own points."""
 
     @staticmethod
     def assert_block_predictions(full, subsets, xt, t):
@@ -325,6 +325,34 @@ class TestSharedKernelBlock:
         nearest = full.kernel_block(xt, t).nearest
         assert 0 < np.count_nonzero(nearest % 3) < len(xt)
         self.assert_block_predictions(full, [third], xt, t)
+
+    @pytest.mark.parametrize("rows", [1, 31, 33, 257])
+    def test_row_blocks_give_the_whole_block_bits(self, rows, monkeypatch):
+        """``_predict_all`` runs the oracle in row blocks of 32 rows at
+        n = 1000.  On x_t blocks of other lengths, with a denoiser listed
+        twice and a column subset that is no group's complement, every
+        prediction is ``empirical_denoiser``'s over the whole x_t block,
+        and no kernel block is larger than one row block."""
+        from groupattr import scoring
+
+        _, full, cfs = desk_oracle()
+        models = [cfs[2], full.restrict(np.arange(1, len(full.points), 3)), full, cfs[2],
+                  cfs[0]]
+        sizes = []
+        real_kernel_block = KernelDenoiser.kernel_block
+
+        def recording(self, xt, t):
+            sizes.append(len(xt))
+            return real_kernel_block(self, xt, t)
+
+        monkeypatch.setattr(KernelDenoiser, "kernel_block", recording)
+        xt = np.random.default_rng(rows).normal(size=(rows, 2)) * 4.0
+        got = scoring._predict_all(models, xt, 12, None, S)
+        assert [eps.tobytes() for eps in got] == [
+            empirical_denoiser(m.points, xt, 12, S).tobytes() for m in models]
+        block_rows = scoring._KERNEL_BLOCK_BYTES // (8 * len(full.points))
+        assert block_rows == 32
+        assert sum(sizes) == rows and max(sizes) <= block_rows
 
     def test_denoiser_listed_twice(self):
         from groupattr.scoring import _predict_all
