@@ -239,12 +239,17 @@ class NearestKernel:
         """(kept indices, their squared distances), both (B, K), from the
         tree's candidates; rows the check refuses come from ``_scan``."""
         tree_dist, cand = self._tree.query(rows / scale, K + _SPARE_CANDIDATES)
-        cand.sort(axis=1)  # so that a stable sort by distance breaks ties by index
         dist2 = np.empty(cand.shape)
         _squared_distances(self._columns[:, cand], rows, scale, dist2, np.empty_like(dist2))
-        order = np.argsort(dist2, axis=1, kind="stable")[:, :K]
-        keep = np.take_along_axis(cand, order, axis=1)
-        dist2 = np.take_along_axis(dist2, order, axis=1)
+        # A row whose recomputed distances strictly increase in the tree's
+        # order is already in (distance, index) order; only the others, out
+        # of order or tied, are sorted.
+        unsorted = ~np.all(dist2[:, 1:] > dist2[:, :-1], axis=1)
+        if unsorted.any():
+            order = np.lexsort((cand[unsorted], dist2[unsorted]))
+            cand[unsorted] = np.take_along_axis(cand[unsorted], order, axis=1)
+            dist2[unsorted] = np.take_along_axis(dist2[unsorted], order, axis=1)
+        keep, dist2 = np.ascontiguousarray(cand[:, :K]), np.ascontiguousarray(dist2[:, :K])
         # Every term of either formula is bounded by the row's magnitude
         # sum_j (|x_t,j| + sqrt(abar_t) max_i |x_i,j|)^2.
         size = np.square(np.abs(rows) + scale * self._reach).sum(axis=1)

@@ -15,8 +15,15 @@ or torn artifact; an interrupted build is redone.
 
 Every artifact is written to a temp file beside it and swapped in with
 ``os.replace``, so an interrupted write leaves the previous artifact
-whole.  A ``Pipeline`` keeps each artifact it loaded and serves it again
-while the key record still vouches for it, so a checkpoint is read once.
+whole.  Checkpoints, the dataset and the queries are read back from
+their files after a build (a checkpoint's read-back applies the float32
+projection); a matrix is served as built, since the ``repr`` its files
+hold of each score reads back to the same float.  A ``Pipeline`` keeps
+each artifact it served and serves it again while the key record still
+vouches for it, so a checkpoint is read once.  It computes each phase
+key, and the config hash, once: the config is frozen.  The key records
+themselves are read on every call.  Every JSON file goes through
+``attribution.json_text``.
 
 Phases build their dependencies on demand, so a matrix trains or unlearns
 exactly the models it scores and the outputs do not depend on the order
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -53,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .attribution import AttributionMatrix, attribution_matrix, prototype_baseline
+from .attribution import AttributionMatrix, attribution_matrix, json_text, prototype_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetSpec, GroupedDataset, generate_grouped_dataset
 from .denoiser import Architecture, forward_batch
@@ -112,7 +120,7 @@ def _replacing(path: Path):
 
 def _write_json(path: Path, doc: dict) -> None:
     with _replacing(path) as tmp:
-        tmp.write_text(json.dumps(doc, sort_keys=True, indent=1))
+        tmp.write_text(json_text(doc))
 
 
 def _write_log(path: Path, header: str, *columns) -> None:
@@ -226,6 +234,20 @@ def _hash_obj(obj) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def _memoized(key_method):
+    """Compute a ``Pipeline``'s phase key once per argument tuple: its
+    config is frozen, so a key never changes."""
+
+    @functools.wraps(key_method)
+    def memoized(self, *args):
+        memo = (key_method.__name__, *args)
+        if memo not in self._keys:
+            self._keys[memo] = key_method(self, *args)
+        return self._keys[memo]
+
+    return memoized
+
+
 def default_experiment_config(master_seed: int = 0, **overrides) -> ExperimentConfig:
     """The desk-scale benchmark: 5 conditional Gaussian groups, trained
     full and leave-one-group-out models, retrack and esd unlearning."""
@@ -269,15 +291,17 @@ class Pipeline:
         # that grid, seconds): formed once, shared by every matrix of the set
         self._grid: tuple | None = None
         self._full_elbos: tuple | None = None
-        # phase name -> (phase key, loaded artifact), valid while the key record matches
+        # phase name -> (phase key, served artifact), valid while the key record matches
         self._loaded: dict[str, tuple[str, object]] = {}
+        # (key method, its arguments) -> phase key or config hash
+        self._keys: dict[tuple, str] = {}
 
     # -- provenance ---------------------------------------------------
 
     def provenance(self) -> dict:
         return {
             "artifact_version": ARTIFACT_VERSION,
-            "config_hash": self.cfg.config_hash(),
+            "config_hash": self._config_hash(),
             "master_seed": self.cfg.master_seed,
             "package_version": _pkg_version,
         }
@@ -295,25 +319,35 @@ class Pipeline:
 
     # -- phase keys -----------------------------------------------------
 
+    @_memoized
+    def _config_hash(self) -> str:
+        return self.cfg.config_hash()
+
+    @_memoized
     def _k_dataset(self) -> str:
         return _hash_obj(["dataset", dataclasses.asdict(self.cfg.dataset), self.cfg.master_seed])
 
+    @_memoized
     def _k_full(self) -> str:
         return _hash_obj(["train_full", self._k_dataset(),
                           dataclasses.asdict(self.cfg.schedule),
                           dataclasses.asdict(self.cfg.arch),
                           dataclasses.asdict(self.cfg.train)])
 
+    @_memoized
     def _k_logo(self, k: int) -> str:
         return _hash_obj(["train_logo", k, self._k_full()])
 
+    @_memoized
     def _k_unlearn(self, method: str, k: int) -> str:
         spec = self._unlearn_spec(method)
         return _hash_obj(["unlearn", method, k, self._k_full(), spec.read_settings()])
 
+    @_memoized
     def _k_queries(self) -> str:
         return _hash_obj(["queries", self._k_full(), dataclasses.asdict(self.cfg.queries)])
 
+    @_memoized
     def _k_matrix(self, method: str) -> str:
         deps: list = ["matrix", method, self._k_queries(), dataclasses.asdict(self.cfg.elbo)]
         if method == "logoa":
@@ -356,27 +390,34 @@ class Pipeline:
     # -- phases -----------------------------------------------------------
 
     def _phase(self, name: str, key: str, files: tuple[Path, ...], tag: str, build, load):
-        """Load ``files[0]``, building first unless key record ``name`` vouches for it.
+        """Serve the phase's artifact, building it first unless key record
+        ``name`` vouches for it.
 
         ``files`` are every file the phase writes; the record vouches only
         while all exist.  ``build`` writes them (each through a temp file
-        and ``os.replace``) and returns the extra fields of its key record.
-        The old record is deleted before the build starts and the new one
-        is written only after it returns, so an interrupted build leaves no
-        key behind, and the previous artifact intact.  A loaded artifact is
+        and ``os.replace``) and returns the extra fields of its key record
+        and the artifact to serve as built (a matrix), or None to read
+        ``files[0]`` back with ``load`` (checkpoints, whose read-back
+        applies the float32 projection, the dataset and the queries).  The
+        old record is deleted before the build starts and the new one is
+        written only after it returns, so an interrupted build leaves no
+        key behind, and the previous artifact intact.  A served artifact is
         kept and served again while the key record still vouches for it; a
-        rebuild replaces it.  Any failure is re-raised as ``PhaseError(tag)``.
+        rebuild replaces it.  ``key`` comes from the ``Pipeline``'s memo,
+        but the record is read on every call.  Any failure is re-raised as
+        ``PhaseError(tag)``.
         """
         with _tagged(tag):
+            built = None
             if self._fresh(name, key, files):
                 loaded_key, value = self._loaded.get(name, (None, None))
                 if loaded_key == key:
                     return value
             else:
                 self._key_path(name).unlink(missing_ok=True)
-                record = build()
+                record, built = build()
                 self._write_key(name, key, **record)
-            value = load(files[0])
+            value = load(files[0]) if built is None else built
             self._loaded[name] = (key, value)
             return value
 
@@ -384,14 +425,15 @@ class Pipeline:
         """The checkpoint and log of a training or unlearning phase."""
         return self.out / "checkpoints" / f"{ckpt}.ckpt", self.out / "logs" / f"{name}.csv"
 
-    def _save_run(self, files: tuple[Path, Path], run, log: tuple, **fields) -> dict:
+    def _save_run(self, files: tuple[Path, Path], run, log: tuple, **fields) -> tuple[dict, None]:
         """Write a training or unlearning run's log (``log`` is its header and
-        columns) and checkpoint; returns its key record fields."""
+        columns) and checkpoint; returns its key record fields, and None
+        for the checkpoint, which is read back."""
         path, log_path = files
         _write_log(log_path, *log)
         with _replacing(path) as tmp:
             save_checkpoint(tmp, run.params)
-        return {"wall_seconds": run.wall_seconds, "steps": run.steps, **fields}
+        return {"wall_seconds": run.wall_seconds, "steps": run.steps, **fields}, None
 
     def ensure_dataset(self) -> GroupedDataset:
         path = self.out / "dataset.npz"
@@ -403,7 +445,7 @@ class Pipeline:
             )
             with _replacing(path) as tmp:
                 d.save(tmp)
-            return {"wall_seconds": time.perf_counter() - tic}
+            return {"wall_seconds": time.perf_counter() - tic}, None
 
         return self._phase("dataset", self._k_dataset(), (path,), "dataset", build,
                            GroupedDataset.load)
@@ -473,7 +515,7 @@ class Pipeline:
                 arrays["conds"] = conds
             with _replacing(path) as tmp, open(tmp, "wb") as f:
                 np.savez(f, **arrays)  # a file object keeps np.savez from renaming the path
-            return {"wall_seconds": time.perf_counter() - tic}
+            return {"wall_seconds": time.perf_counter() - tic}, None
 
         return self._phase("queries", self._k_queries(), (path,), "queries", build,
                            _load_queries)
@@ -505,7 +547,7 @@ class Pipeline:
                 mat.to_csv(tmp)
             with _replacing(json_path) as tmp:
                 mat.to_json(tmp)
-            return {"wall_seconds": wall, "queries": len(queries[0])}
+            return {"wall_seconds": wall, "queries": len(queries[0])}, mat
 
         return self._phase(f"matrix_{method}", self._k_matrix(method), (json_path, csv_path),
                            "attribute", build, AttributionMatrix.from_json)

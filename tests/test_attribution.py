@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupattr import (
     AttributionMatrix,
@@ -17,6 +19,7 @@ from groupattr import (
     init_network,
     prototype_baseline,
 )
+from groupattr.attribution import json_text
 from groupattr.data import GroupedDataset
 from groupattr.denoiser import Architecture
 from groupattr.seeding import query_seeds
@@ -98,6 +101,66 @@ def test_writers_match_the_reference_bytes(case, tmp_path):
     mat.to_csv(tmp_path / "m.csv")
     reference_csv(mat, tmp_path / "ref.csv")
     assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def reference_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+TEXT = st.text(st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\n\t", "\u00e9\u4e2d\U0001f600", ""])
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+           | st.floats(width=64).map(np.float64))
+JSON_DOCS = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
+                   | st.dictionaries(TEXT, inner, max_size=5)
+                   | st.lists(st.fixed_dictionaries({"query_id": TEXT, "top1": inner,
+                                                     "mrr": SCALARS}), max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_DOCS)
+def test_json_text_is_the_indented_json_dumps(doc):
+    assert json_text(doc) == reference_json(doc)
+
+
+REPORT_ROWS = [{"query_id": f"q{q}", **{m: float(v) for m, v in zip(
+    ("top1", "mrr", "ndcg3", "top3", "rbo", "spearman"),
+    np.random.default_rng(q).random(6))}} for q in range(256)]
+JSON_CASES = {
+    "numpy floats": [np.float64(0.1), np.float64(-0.0), {"x": np.float64(1e300)}],
+    "non-finite": [float("nan"), float("inf"), -float("inf"), {"v": [float("nan")]}],
+    "extremes": [-0.0, 5e-324, 1e300, -1e-300, 0.1],
+    "tuples and bools": {"a": (1, True, 0, False), "b": [(True, 1.0), ()], "c": (None,)},
+    "empty at every depth": {"": {}, "a": [], "b": [[], [{}], {"c": {"d": []}}], "e": [{}, {}]},
+    "quotes, escapes, non-ascii": {'k"\\\x01': ['"', "\\", "\x00\x7f", "\u00e9\U0001f600"],
+                                   "\u4e2d": {"\n": "\t"}},
+    "non-string keys": [{1: "a", 2.5: [1], -0.0: True, 10**20: None}, {True: 1, False: 2},
+                        {None: 0}, {float("inf"): 1}],
+    "rows with other keys": [{"a": 1, "b": 2}, {"b": 3, "a": [4]}, {"a": 5}],
+    "rank report": {"method": "retrack", "gold": "logoa", "per_query": REPORT_ROWS,
+                    "top1": 0.5, "provenance": {"artifact_version": 1, "master_seed": 0}},
+    "matrix": {"method": "logoa", "group_names": [f"group{k}" for k in range(5)],
+               "query_ids": [f"q{q}" for q in range(256)],
+               "scores": (np.random.default_rng(1).normal(size=(256, 5))
+                          * 10.0 ** np.arange(-2, 3)).tolist()},
+    "top-level scalar": 1.5,
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_CASES))
+def test_json_text_matches_json_dumps_on_named_cases(case):
+    assert json_text(JSON_CASES[case]) == reference_json(JSON_CASES[case])
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    for doc in ({"a": object()}, [np.int64(1)], {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            reference_json(doc)
+        with pytest.raises(TypeError):
+            json_text(doc)
 
 
 class TestAttributionMatrixOp:

@@ -13,8 +13,8 @@ stable-argsort prefix with a softmax.  One ``NearestKernel`` reused over
 blocks of changing size and over a different K on each call gives what
 fresh calls give, and its results never alias its buffers.  On point sets
 large enough for its k-d tree candidates, rows get the same reference
-result, and only rows with ties past the candidates go through its full
-scan.
+result, also where rounding inverts the tree's order of the candidates,
+and only rows with ties past the candidates go through its full scan.
 """
 
 import math
@@ -26,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 from groupattr import denoiser, diffusion, scoring, unlearning
 from groupattr.data import DatasetSpec, generate_grouped_dataset
@@ -493,6 +494,29 @@ def test_tree_candidates_give_the_stable_argsort_prefix(K, monkeypatch):
     for t in (1, 9, 23, S.num_steps):
         xt = forward_marginal(S, x0, t, rng.normal(size=x0.shape))
         assert_stable_argsort_prefix(SPREAD, xt, t, K, kernel)
+    assert scanned == []
+
+
+def test_candidates_whose_distances_invert_the_tree_order(monkeypatch):
+    """Seen from its centre, a ring of K + 2 points at radius 1, far from
+    every other point, is one near-tie: the tree proposes the ring in an
+    order that the recomputed distances invert by rounding, on every row.
+    Those rows are sorted by (distance, index) and get the reference
+    result from the candidates alone."""
+    K = 10
+    centre = np.array([4.0, -1.0])
+    angles = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, K + 2)
+    far = SPREAD[np.hypot(*(SPREAD - centre).T) > 2.0]
+    retain = np.vstack([far[:150], centre + np.stack([np.cos(angles), np.sin(angles)], 1),
+                        far[150:]])
+    ts = np.array([1, 3, 9, 17, 30])
+    scales = np.sqrt(S.alpha_bars[ts - 1])
+    xt = scales[:, None] * centre
+    _, tree_order = cKDTree(retain).query(centre, K + diffusion._SPARE_CANDIDATES)
+    for i, t in enumerate(ts.tolist()):
+        assert np.any(np.diff(squared_distances(retain, xt[i], t)[tree_order]) < 0.0)
+    scanned = recorded_scans(monkeypatch)
+    assert_stable_argsort_prefix(retain, xt, ts, K, NearestKernel(retain))
     assert scanned == []
 
 

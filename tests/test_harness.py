@@ -341,6 +341,74 @@ print(h.hexdigest())
         run_experiment(tiny_experiment_config(), out)
         assert sorted(loaded) == sorted(p.name for p in (out / "checkpoints").glob("*.ckpt"))
 
+    def test_phase_keys_hashed_once_per_pipeline(self, tiny_run, tmp_path, monkeypatch):
+        """A second ``Pipeline`` re-running the query round (queries, every
+        matrix, reports, timing) over a finished run directory hashes each
+        phase key it uses once, and the config once."""
+        cfg, done, _ = tiny_run
+        out = tmp_path / "requery"
+        shutil.copytree(done, out)
+        for pattern in ("queries.npz", "matrices/*", "reports/*", "keys/queries.json",
+                        "keys/matrix_*.json"):
+            for path in out.glob(pattern):
+                path.unlink()
+        hashed = []
+        real_hash = harness._hash_obj
+
+        def counting_hash(obj):
+            hashed.append(json.dumps(obj, sort_keys=True))
+            return real_hash(obj)
+
+        monkeypatch.setattr(harness, "_hash_obj", counting_hash)
+        p = Pipeline(cfg, out)
+        p.ensure_queries()
+        for method in p.method_names():
+            p.ensure_matrix(method)
+        p.ensure_reports()
+        p.ensure_timing()
+        phases = list((out / "keys").glob("*.json"))
+        assert len(phases) == 17  # dataset, full, 3 LOGO, 2 x 3 unlearned, queries, 5 matrices
+        assert len(hashed) == len(set(hashed)) == len(phases) + 1
+
+    def test_matrices_served_as_built_equal_their_files(self, tmp_path, monkeypatch):
+        """A cold run serves each matrix as it built it, with no read-back,
+        and still scores through the harness module's ``attribution_matrix``,
+        ``prototype_baseline`` and ``rank_report``.  Each served matrix
+        equals the one a fresh ``Pipeline`` loads from the file: the same
+        field types and the same score bytes."""
+        calls = {name: 0 for name in ("attribution_matrix", "prototype_baseline",
+                                      "rank_report", "from_json")}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("attribution_matrix", "prototype_baseline", "rank_report"):
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        monkeypatch.setattr(AttributionMatrix, "from_json", classmethod(
+            counting("from_json", AttributionMatrix.from_json.__func__)))
+        cfg = tiny_experiment_config()
+        out = tmp_path / "served"
+        built = Pipeline(cfg, out)
+        methods = built.method_names()
+        built.run_all()
+        assert calls == {"attribution_matrix": 4, "prototype_baseline": 1,
+                         "rank_report": len(methods), "from_json": 0}
+        loaded = Pipeline(cfg, out)
+        for method in methods:
+            a, b = built.ensure_matrix(method), loaded.ensure_matrix(method)
+            for field in ("method", "query_ids", "group_names"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert x == y and type(x) is type(y), field
+                assert [type(v) for v in ([x] if isinstance(x, str) else x)] == \
+                       [type(v) for v in ([y] if isinstance(y, str) else y)], field
+            assert a.scores.dtype == b.scores.dtype and a.scores.shape == b.scores.shape
+            assert a.scores.flags.c_contiguous and b.scores.flags.c_contiguous
+            assert a.scores.tobytes() == b.scores.tobytes()
+        assert calls["from_json"] == len(methods)
+
     def test_matrices_share_one_grid_and_one_full_model_row(self, tmp_path, monkeypatch):
         """A run scores its full network on each ELBO grid point once, for the
         logoa and unlearning matrices together.  Every matrix is the bits of
