@@ -22,7 +22,19 @@ A forward pass that a backward pass follows (``want_cache``) keeps each
 layer's input and pre-activation and, under SiLU, its sigmoid; the
 backward pass reuses them and writes every layer's gradient straight
 into one flat vector.  An inference forward keeps nothing and forms each
-activation in place.
+activation in place.  A ``DenoiserParams`` unpacks its layer views once
+(``layers``), and integer timesteps in [0, T] take their time features
+from one table per (T, embed_dim).
+
+Every ``DenoiserParams`` handed out is immutable: its weights are a
+read-only array that nothing writes.  During a training or unlearning
+run the weights live in the run's ``AdamW``, which owns the writable
+weight buffer, the AdamW moments and scratch, and the flat gradient
+buffers, and updates them in place on every step.  The run's model is a
+read-only view of that buffer, so its layer views stay valid; it is not
+handed out.  The run ends by handing out a fresh copy (``result``).
+``optimizer_step`` is the same update as a pure function: it copies its
+inputs into a one-step ``AdamW``.
 """
 
 from __future__ import annotations
@@ -110,6 +122,11 @@ class DenoiserParams:
     def with_weights(self, w: np.ndarray) -> "DenoiserParams":
         return DenoiserParams(self.arch, np.array(w, dtype=np.float64))
 
+    @functools.cached_property
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each layer's (weight, bias) views into ``weights``, unpacked once."""
+        return _unpack(self.arch, self.weights)
+
 
 @dataclass(frozen=True)
 class OptimizerState:
@@ -142,12 +159,29 @@ def time_features(t, num_steps: int, embed_dim: int) -> np.ndarray:
     """Sinusoidal features with frequencies geometric from 1 to T/2.
 
     Accepts a scalar timestep or a vector of per-row timesteps; returns
-    shape (embed_dim,) or (len(t), embed_dim) respectively.
+    shape (embed_dim,) or (len(t), embed_dim) respectively.  Integer
+    timesteps that all lie in [0, T] are copied from rows of
+    ``_feature_table``, which holds the formula's bits; any other ``t``
+    (float, negative or beyond T) is computed by the formula.
     """
+    t_arr = np.asarray(t)
+    if t_arr.dtype.kind in "iu" and t_arr.size and 0 <= t_arr.min() and t_arr.max() <= num_steps:
+        return np.take(_feature_table(num_steps, embed_dim), t_arr, axis=0)
+    return _features(t_arr, num_steps, embed_dim)
+
+
+def _features(t: np.ndarray, num_steps: int, embed_dim: int) -> np.ndarray:
     freqs = _frequencies(num_steps, embed_dim)
-    t_arr = np.asarray(t, dtype=np.float64)
-    angles = 2.0 * math.pi * np.multiply.outer(t_arr, freqs) / num_steps
+    angles = 2.0 * math.pi * np.multiply.outer(t.astype(np.float64), freqs) / num_steps
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def _feature_table(num_steps: int, embed_dim: int) -> np.ndarray:
+    """Row t is ``_features(t)`` for t = 0..T, read-only."""
+    table = _features(np.arange(num_steps + 1), num_steps, embed_dim)
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=64)
@@ -237,7 +271,7 @@ def forward_batch(
     if xt.ndim != 2 or xt.shape[1] != p.arch.input_dim:
         raise ValueError(f"xt must have shape (B, {p.arch.input_dim})")
     feats = _assemble_features(p.arch, xt, t, num_steps, cond)
-    layers = _unpack(p.arch, p.weights)
+    layers = p.layers
     silu = p.arch.activation == "silu"
 
     # pre[i] is hidden layer i's pre-activation z, post[i] its input, and
@@ -266,17 +300,23 @@ def forward_batch(
     return out, (layers, pre, post, sigs)
 
 
-def backward_batch(p: DenoiserParams, cache, grad_out: np.ndarray) -> np.ndarray:
+def gradient_buffer(arch: Architecture) -> tuple[np.ndarray, list]:
+    """A flat gradient vector and its per-layer views, laid out as the weights."""
+    flat = np.empty(arch.param_count)
+    return flat, _unpack(arch, flat)
+
+
+def backward_batch(p: DenoiserParams, cache, grad_out: np.ndarray, out=None) -> np.ndarray:
     """Flat parameter gradient given d(loss)/d(output) rows.
 
     Each layer's weight and bias gradients are written straight into
-    their slices of the flat vector.  The activation derivative is
-    sig * (1 + z * (1 - sig)) for SiLU, from the forward pass's sigmoid,
-    and the 0/1 mask of z > 0 for ReLU.
+    their slices of the flat vector: a fresh one, or ``out``, a
+    ``gradient_buffer``, whose flat vector is returned.  The activation
+    derivative is sig * (1 + z * (1 - sig)) for SiLU, from the forward
+    pass's sigmoid, and the 0/1 mask of z > 0 for ReLU.
     """
     layers, pre, post, sigs = cache
-    flat = np.empty(p.param_count)
-    grads = _unpack(p.arch, flat)  # views into ``flat``, laid out as the weights
+    flat, grads = gradient_buffer(p.arch) if out is None else out
     g = np.asarray(grad_out, dtype=np.float64)
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grads[i]
@@ -353,12 +393,14 @@ def regress(
     cond: np.ndarray | None,
     target: np.ndarray,
     cap: float | None = None,
+    out=None,
 ) -> tuple[float, np.ndarray]:
     """Batch mean of |eps_p(xt, t, cond) - target|^2 over rows, with gradient.
 
     With ``cap`` each row's squared residual norm is clipped at ``cap``
     (trust-region clipping): a clipped row contributes the cap value and
-    no gradient.
+    no gradient.  The gradient is written into ``out`` (a
+    ``gradient_buffer``) if given.
     """
     resid, cache = forward_batch(p, xt, ts, num_steps, cond, want_cache=True)
     resid -= target
@@ -369,7 +411,7 @@ def regress(
     loss = float(np.mean(raw))
     resid *= 2.0
     resid /= len(xt)
-    return loss, backward_batch(p, cache, resid)
+    return loss, backward_batch(p, cache, resid, out)
 
 
 def loss_and_grad(
@@ -398,41 +440,90 @@ def clip_gradient(grad: np.ndarray, max_norm: float = GRAD_CLIP_NORM) -> np.ndar
     return grad
 
 
+class AdamW:
+    """A run's weights, AdamW moments and scratch, updated in place.
+
+    Built from a starting model and ``OptimizerState``, both copied.
+    ``params`` is a read-only view of the run's weight buffer: its layer
+    views follow every ``step``, and it is for the run's own forward and
+    backward passes only.  ``grads`` holds ``n_grads`` gradient buffers
+    for ``regress(out=...)``.  ``result`` hands out the weights as a fresh
+    immutable ``DenoiserParams``.
+    """
+
+    def __init__(self, p: DenoiserParams, st: OptimizerState, n_grads: int = 1):
+        self.hyper = st  # hyperparameters; its moments and step count are copied below
+        self.step_count = st.step_count
+        self._w = np.array(p.weights)
+        # ``[:]`` is a view: DenoiserParams makes it read-only, not the buffer.
+        self.params = DenoiserParams(p.arch, self._w[:])
+        self._m = np.array(st.first_moment, dtype=np.float64)
+        self._v = np.array(st.second_moment, dtype=np.float64)
+        self._tmp = np.empty_like(self._w)
+        self._upd = np.empty_like(self._w)
+        self.grads = [gradient_buffer(p.arch) for _ in range(n_grads)]
+
+    def step(self, grad: np.ndarray) -> None:
+        """One AdamW update with global-norm gradient clipping at 1.0.
+
+        The gradient is rescaled in place so its norm is at most 1, then
+        the bias-corrected moment update is applied together with
+        decoupled weight decay.  A non-finite gradient raises
+        ``FloatingPointError`` and leaves the run unchanged; non-finite
+        weights after the update raise ``ValueError``.
+        """
+        # A non-finite entry makes the norm non-finite, so only then are the
+        # entries scanned.  A finite gradient whose squared norm overflows
+        # passes the scan and is scaled by 1 / inf, to zero.
+        norm = float(np.linalg.norm(grad))
+        if not math.isfinite(norm) and not np.all(np.isfinite(grad)):
+            raise FloatingPointError("gradient contains non-finite entries")
+        if norm > GRAD_CLIP_NORM:
+            grad *= GRAD_CLIP_NORM / norm
+        st, m, v, tmp, upd, w = self.hyper, self._m, self._v, self._tmp, self._upd, self._w
+        self.step_count += 1
+        step = self.step_count
+        m *= st.beta1
+        np.multiply(grad, 1.0 - st.beta1, out=tmp)
+        m += tmp
+        v *= st.beta2
+        np.square(grad, out=tmp)
+        tmp *= 1.0 - st.beta2
+        v += tmp
+        # tmp becomes sqrt(v_hat) + epsilon, upd lr * m_hat over it.
+        np.divide(v, 1.0 - st.beta2**step, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += st.epsilon
+        np.divide(m, 1.0 - st.beta1**step, out=upd)
+        upd *= st.lr
+        upd /= tmp
+        w *= 1.0 - st.lr * st.weight_decay
+        w -= upd
+        # As for the gradient, only a non-finite sum of squares makes the scan.
+        with np.errstate(over="ignore"):
+            sq = np.dot(w, w)
+        if not math.isfinite(sq) and not np.all(np.isfinite(w)):
+            raise ValueError("weights contain non-finite entries")
+
+    def result(self) -> DenoiserParams:
+        """The current weights as a fresh immutable model."""
+        return DenoiserParams(self.params.arch, self._w.copy())
+
+    def state(self) -> OptimizerState:
+        """The current moments and step count as a fresh ``OptimizerState``."""
+        return replace(self.hyper, first_moment=self._m.copy(), second_moment=self._v.copy(),
+                       step_count=self.step_count)
+
+
 def optimizer_step(
     p: DenoiserParams,
     st: OptimizerState,
     grad: np.ndarray,
 ) -> tuple[DenoiserParams, OptimizerState]:
-    """One AdamW update with global-norm gradient clipping at 1.0.
-
-    The gradient is rescaled so its norm is at most 1, then the
-    bias-corrected moment update is applied together with decoupled
-    weight decay.
-    """
-    grad = np.asarray(grad, dtype=np.float64)
+    """One ``AdamW.step`` as a pure function: the inputs are copied."""
+    grad = np.array(grad, dtype=np.float64)
     if grad.shape != p.weights.shape:
         raise ValueError(f"gradient shape {grad.shape} != {p.weights.shape}")
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("gradient contains non-finite entries")
-
-    grad = clip_gradient(grad)
-
-    step = st.step_count + 1
-    m = st.first_moment * st.beta1
-    tmp = grad * (1.0 - st.beta1)
-    m += tmp
-    v = st.second_moment * st.beta2
-    np.square(grad, out=tmp)
-    tmp *= 1.0 - st.beta2
-    v += tmp
-    # tmp becomes sqrt(v_hat) + epsilon, upd lr * m_hat over it.
-    np.divide(v, 1.0 - st.beta2**step, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += st.epsilon
-    upd = m / (1.0 - st.beta1**step)
-    upd *= st.lr
-    upd /= tmp
-    w = p.weights * (1.0 - st.lr * st.weight_decay)
-    w -= upd
-    new_state = replace(st, first_moment=m, second_moment=v, step_count=step)
-    return DenoiserParams(p.arch, w), new_state
+    run = AdamW(p, st, n_grads=0)
+    run.step(grad)
+    return run.result(), run.state()

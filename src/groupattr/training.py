@@ -33,12 +33,12 @@ import numpy as np
 
 from .data import GroupedDataset
 from .denoiser import (
+    AdamW,
     Architecture,
     DenoiserParams,
     init_network,
     init_optimizer,
     noise_batch,
-    optimizer_step,
     regress,
 )
 from .diffusion import Schedule, _point_set, kernel_logits, softmax_inplace, softmax_numerators
@@ -94,7 +94,7 @@ def _train(
         raise ValueError(f"architecture cond_dim {arch.cond_dim} != dataset {d.cond_dim}")
     conditional = arch.cond_dim > 0
 
-    opt = init_optimizer(params, cfg.lr, cfg.weight_decay)
+    run = AdamW(params, init_optimizer(params, cfg.lr, cfg.weight_decay))
     exposure_rng = rng_for(seed, "exposure")
     steps = 0
     epoch_losses: list[float] = []
@@ -123,14 +123,15 @@ def _train(
             rows = slice(i, i + cfg.batch_size)
             if batch_hook is not None:
                 batch_hook(epoch, xs[rows], conds[b])
-            loss, grad = regress(params, xts[rows], ts[rows], s.num_steps, conds[b], eps[rows])
-            params, opt = optimizer_step(params, opt, grad)
+            loss, grad = regress(run.params, xts[rows], ts[rows], s.num_steps, conds[b],
+                                 eps[rows], out=run.grads[0])
+            run.step(grad)
             steps += 1
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)) if losses else math.nan)
         epoch_ms.append((time.perf_counter() - tic) * 1e3)
 
-    return TrainRun(params, steps, epoch_losses, time.perf_counter() - start, epoch_ms)
+    return TrainRun(run.result(), steps, epoch_losses, time.perf_counter() - start, epoch_ms)
 
 
 def train_full(

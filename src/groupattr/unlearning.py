@@ -23,7 +23,9 @@ Every objective takes its batch as one (x0, cond) block (see
 ``denoiser``): the public loss noises it, and one fit per objective
 (``_retrack_fit`` on its targets, ``_esd_fit``, ``_distill_fit`` for
 cond_anchor and preservation) fits the noised rows through the shared
-regression step ``regress``.
+regression step ``regress``.  In ``unlearn`` each fit writes its gradient
+into one of the run's two gradient buffers (``out``, see
+``denoiser.AdamW``).
 
 Step s of ``unlearn`` draws its retain and forget rows from (seed,
 "retain", s) and (seed, "forget", s), and its retain rows' condition
@@ -54,11 +56,11 @@ import numpy as np
 
 from .data import GroupedDataset
 from .denoiser import (
+    AdamW,
     DenoiserParams,
     forward_batch,
     init_optimizer,
     noise_batch,
-    optimizer_step,
     regress,
 )
 from .diffusion import NearestKernel, Schedule, kernel_logits, softmax_inplace
@@ -199,11 +201,11 @@ def retrack_forget_loss(
     return _retrack_fit(p, ts, xts, retrack_target(retain, xts, ts, cfg.K, s), cfg, s)
 
 
-def _retrack_fit(p, ts, xts, targets, cfg: UnlearnSpec, s: Schedule):
+def _retrack_fit(p, ts, xts, targets, cfg: UnlearnSpec, s: Schedule, out=None):
     """``retrack_forget_loss`` on noised forget rows (t, x_t) and their
     ``retrack_target`` targets."""
     null = np.zeros((len(ts), p.arch.cond_dim)) if p.arch.cond_dim > 0 else None
-    return regress(p, xts, ts, s.num_steps, null, targets, cap=cfg.kl_cap)
+    return regress(p, xts, ts, s.num_steps, null, targets, cap=cfg.kl_cap, out=out)
 
 
 def esd_forget_loss(
@@ -227,13 +229,13 @@ def esd_forget_loss(
     return _esd_fit(p, p_full_frozen, ts, xts, cond, cfg, s)
 
 
-def _esd_fit(p, p_full_frozen, ts, xts, cond, cfg: UnlearnSpec, s: Schedule):
+def _esd_fit(p, p_full_frozen, ts, xts, cond, cfg: UnlearnSpec, s: Schedule, out=None):
     """``esd_forget_loss`` on noised forget rows (t, x_t)."""
     null = np.zeros((len(ts), p.arch.cond_dim))
     eps_c = forward_batch(p_full_frozen, xts, ts, s.num_steps, cond)
     eps_u = forward_batch(p_full_frozen, xts, ts, s.num_steps, null)
     target = eps_u - cfg.guidance_weight * (eps_c - eps_u)
-    return regress(p, xts, ts, s.num_steps, cond, target)
+    return regress(p, xts, ts, s.num_steps, cond, target, out=out)
 
 
 def preservation_loss(
@@ -253,12 +255,12 @@ def preservation_loss(
     return _distill_fit(p, p_full_frozen, ts, xts, cond, cond, s)
 
 
-def _distill_fit(p, p_frozen, ts, xts, cond, ref_cond, s: Schedule):
+def _distill_fit(p, p_frozen, ts, xts, cond, ref_cond, s: Schedule, out=None):
     """|eps_p(x_t, t, cond) - eps_frozen(x_t, t, ref_cond)|^2 on noised rows:
     the preservation loss with ``ref_cond = cond``, the cond_anchor forget
     loss with anchor conditions."""
     ref = forward_batch(p_frozen, xts, ts, s.num_steps, ref_cond)
-    return regress(p, xts, ts, s.num_steps, cond, ref)
+    return regress(p, xts, ts, s.num_steps, cond, ref, out=out)
 
 
 @dataclass(frozen=True)
@@ -396,8 +398,9 @@ def unlearn(
         w_forget, w_preserve = 1.0, cfg.lambda_pres
     else:
         w_forget, w_preserve = cfg.lambda_forget, 1.0
-    params = p_full
-    opt = init_optimizer(params, cfg.lr, weight_decay=0.0)
+    # One gradient buffer for the forget term, one for the preservation term.
+    run = AdamW(p_full, init_optimizer(p_full, cfg.lr, weight_decay=0.0), n_grads=2)
+    params, g_forget, g_preserve = run.params, *run.grads
     forget_losses, preserve_losses = [], []
     for first in range(0, cfg.steps_or_epochs, _DRAW_BLOCK):
         block = range(first, min(first + _DRAW_BLOCK, cfg.steps_or_epochs))
@@ -425,20 +428,22 @@ def unlearn(
         for j, rcond in enumerate(retain_conds):
             f = slice(j * n_forget, (j + 1) * n_forget)
             if cfg.method == "retrack":
-                lf, gf = _retrack_fit(params, f_ts[f], f_xts[f], targets[f], cfg, s)
+                lf, gf = _retrack_fit(params, f_ts[f], f_xts[f], targets[f], cfg, s, g_forget)
             elif cfg.method == "esd":
-                lf, gf = _esd_fit(params, p_full, f_ts[f], f_xts[f], forget_cond, cfg, s)
+                lf, gf = _esd_fit(params, p_full, f_ts[f], f_xts[f], forget_cond, cfg, s,
+                                  g_forget)
             else:
                 lf, gf = _distill_fit(params, p_full, f_ts[f], f_xts[f], forget_cond,
-                                      anchors[f], s)
+                                      anchors[f], s, g_forget)
             r = slice(j * n_retain, (j + 1) * n_retain)
-            lp, gp = _distill_fit(params, p_full, p_ts[r], p_xts[r], rcond, rcond, s)
-            # w_forget * gf + w_preserve * gp, in place: both gradients are fresh.
+            lp, gp = _distill_fit(params, p_full, p_ts[r], p_xts[r], rcond, rcond, s,
+                                  g_preserve)
+            # w_forget * gf + w_preserve * gp, in place in the run's buffers.
             gf *= w_forget
             gf += np.multiply(gp, w_preserve, out=gp)
-            params, opt = optimizer_step(params, opt, gf)
+            run.step(gf)
             forget_losses.append(lf)
             preserve_losses.append(lp)
 
-    return UnlearnRun(params, cfg.steps_or_epochs, forget_losses, preserve_losses,
+    return UnlearnRun(run.result(), cfg.steps_or_epochs, forget_losses, preserve_losses,
                       time.perf_counter() - start)

@@ -15,6 +15,8 @@ fresh calls give, and its results never alias its buffers.  On point sets
 large enough for its k-d tree candidates, rows get the same reference
 result, also where rounding inverts the tree's order of the candidates,
 and only rows with ties past the candidates go through its full scan.
+``derive_seeds`` gives, for a whole vector of last labels, the seeds that
+``np.random.SeedSequence`` gives one at a time.
 """
 
 import math
@@ -33,7 +35,8 @@ from groupattr.data import DatasetSpec, generate_grouped_dataset
 from groupattr.denoiser import noise_batch
 from groupattr.diffusion import NearestKernel, build_schedule, forward_marginal, kernel_logits
 from groupattr.scoring import ElboSpec
-from groupattr.seeding import content_rng, normals
+from groupattr import seeding
+from groupattr.seeding import content_rng, derive_seed, derive_seeds, normals, query_seeds
 from groupattr.unlearning import AnchorSelector, anchor_select, retrack_target
 
 S = build_schedule(40)
@@ -612,3 +615,55 @@ def test_each_site_draws_once_per_block(site, monkeypatch):
     run(np.arange(14.0).reshape(7, 2), np.arange(7, dtype=np.int64) + 100)
     blocks_drawn = len(range(2, 41, 10)) * 2 if site == "elbo_block" else 1
     assert rows == [7] * blocks_drawn
+
+
+def seed_sequence_seed(root, *path):
+    """``derive_seed`` written against ``np.random.SeedSequence`` directly."""
+    entropy = [seeding._encode(part) for part in (root, *path)]
+    s0, s1 = np.random.SeedSequence(entropy).generate_state(2, dtype=np.uint32)
+    return int(s0) << 31 | int(s1) >> 1
+
+
+def entropy_words(root, *path):
+    """How many 32-bit words ``SeedSequence`` makes of (root, *path)."""
+    return sum(max(1, -(-seeding._encode(part).bit_length() // 32)) for part in (root, *path))
+
+
+seed_labels = st.one_of(st.sampled_from(["query", "elbo", ""]), st.integers(0, 2**32 - 1),
+                        st.integers(2**32, 2**64))
+last_labels = st.lists(st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+                       min_size=1, max_size=6)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(roots, st.integers(-2**70, -1), st.integers(2**63, 2**70)),
+       st.lists(seed_labels, max_size=4), last_labels)
+def test_derive_seeds_is_seed_sequence_per_last_label(root, path, last):
+    """Entropy shorter than, as long as and longer than the 4-word pool."""
+    got = derive_seeds(root, *path, last=np.array(last, dtype=np.uint32))
+    assert got == [seed_sequence_seed(root, *path, q) for q in last]
+    assert all(type(seed) is int for seed in got)
+
+
+@pytest.mark.parametrize("root", [0, 7, 2**32 - 1, 2**32, 2**63 - 1])
+@pytest.mark.parametrize("path", [("query",), ("elbo", 3), ("a", 2**40, "b")])
+def test_derive_seeds_named_roots_and_paths(root, path):
+    last = np.array([0, 1, 5, 255, 2**31, 2**32 - 1], dtype=np.uint32)
+    assert derive_seeds(root, *path, last=last) == \
+        [seed_sequence_seed(root, *path, int(q)) for q in last] == \
+        [derive_seed(root, *path, int(q)) for q in last]
+
+
+def test_derive_seeds_cover_every_entropy_length_around_the_pool():
+    cases = [(0, ()), (7, ("query",)), (2**32, ("query",)), (2**32, ("a", 1)),
+             (2**63 - 1, ("a", 2**40)), (5, ("a", 2**40, "b"))]
+    assert sorted({entropy_words(root, *path, 0) for root, path in cases}) == [2, 3, 4, 5, 6]
+    for root, path in cases:
+        last = np.arange(9, dtype=np.uint32)
+        assert derive_seeds(root, *path, last=last) == \
+            [seed_sequence_seed(root, *path, q) for q in range(9)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 257])
+def test_query_seeds_are_derive_seed_per_query(count):
+    assert query_seeds(123, count) == [derive_seed(123, "query", q) for q in range(count)]

@@ -16,7 +16,8 @@ from groupattr import (
     optimizer_step,
     predict_eps,
 )
-from groupattr.denoiser import clip_gradient, forward_batch, time_features
+from groupattr import denoiser
+from groupattr.denoiser import AdamW, clip_gradient, forward_batch, time_features
 
 SMALL = Architecture(input_dim=2, hidden_dims=(8,), time_embed_dim=4, cond_dim=0)
 
@@ -158,6 +159,51 @@ class TestTimeFeatures:
         assert len({tuple(np.round(row, 12)) for row in f}) == 10
 
 
+def formula_features(t, num_steps, embed_dim):
+    """The direct sinusoidal formula, written out."""
+    freqs = np.geomspace(1.0, max(num_steps / 2.0, 1.0), embed_dim // 2)
+    angles = 2.0 * math.pi * np.multiply.outer(np.asarray(t, dtype=np.float64), freqs) / num_steps
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
+
+
+class TestTimeFeatureTable:
+    @pytest.mark.parametrize("T", [3, 40, 100])
+    @pytest.mark.parametrize("E", [2, 8])
+    def test_every_integer_timestep_gives_the_formula_bits(self, T, E):
+        ts = np.arange(T + 1)
+        for t in ts:
+            for scalar in (int(t), t, np.int32(t), np.uint64(t)):
+                got = time_features(scalar, T, E)
+                assert got.shape == (E,)
+                assert got.tobytes() == formula_features(t, T, E).tobytes()
+        rng = np.random.default_rng(T * E)
+        for rows in (ts, ts[::-1], rng.integers(0, T + 1, size=129), ts[T:], ts[:1]):
+            got = time_features(rows, T, E)
+            assert got.shape == (len(rows), E)
+            assert got.tobytes() == formula_features(rows, T, E).tobytes()
+
+    @pytest.mark.parametrize("t", [-1, 4, 7, -3.0, 2.5, 1.0, np.array([0, 1, 4]),
+                                   np.array([-1, 2]), np.array([1.0, 2.0]), np.array([0.5])])
+    def test_float_negative_and_beyond_T_use_the_formula(self, t, monkeypatch):
+        """No row index wraps around: -1 is not row T, T + 1 is not an error."""
+        want = formula_features(t, 3, 8)
+
+        def no_table(*args):
+            raise AssertionError("the table was consulted")
+
+        monkeypatch.setattr(denoiser, "_feature_table", no_table)
+        assert time_features(t, 3, 8).tobytes() == want.tobytes()
+
+    def test_result_is_a_fresh_array(self):
+        """Writing into a result leaves the shared table and later results alone."""
+        first = time_features(np.array([1, 2]), 40, 8)
+        first[:] = 0.0
+        one = time_features(2, 40, 8)
+        one[:] = 0.0
+        assert time_features(np.array([1, 2]), 40, 8).tobytes() == \
+            formula_features(np.array([1, 2]), 40, 8).tobytes()
+
+
 class TestLossAndGrad:
     def setup_method(self):
         self.s = build_schedule(10, "squared_cosine")
@@ -260,6 +306,19 @@ class TestOptimizerStep:
         b, _ = optimizer_step(p, st, g / 10.0)
         np.testing.assert_array_equal(a.weights, b.weights)
 
+    def test_optimizer_step_keeps_its_inputs(self):
+        p = init_network(SMALL, seed=0)
+        st = init_optimizer(p, lr=1e-3)
+        grad = np.full(p.param_count, 3.0)  # norm above 1: clipped
+        before = [a.tobytes() for a in (p.weights, st.first_moment, st.second_moment, grad)]
+        new_p, new_st = optimizer_step(p, st, grad)
+        after = [a.tobytes() for a in (p.weights, st.first_moment, st.second_moment, grad)]
+        assert after == before and st.step_count == 0
+        assert not new_p.weights.flags.writeable
+        for new, old in [(new_p.weights, p.weights), (new_st.first_moment, st.first_moment),
+                         (new_st.second_moment, st.second_moment), (new_st.first_moment, grad)]:
+            assert not np.shares_memory(new, old)
+
     def test_nonfinite_grad_rejected(self):
         p = init_network(SMALL, seed=0)
         st = init_optimizer(p, lr=1e-3)
@@ -267,3 +326,137 @@ class TestOptimizerStep:
         bad[0] = np.nan
         with pytest.raises(FloatingPointError):
             optimizer_step(p, st, bad)
+
+
+def functional_optimizer_step(p, st, grad):
+    """The functional AdamW update the in-place one replaced, written out
+    in the same ufuncs and order: a reference for its bits."""
+    assert np.all(np.isfinite(grad))
+    norm = float(np.linalg.norm(grad))
+    if norm > 1.0:
+        grad = grad * (1.0 / norm)
+    step = st.step_count + 1
+    m = st.first_moment * st.beta1
+    tmp = grad * (1.0 - st.beta1)
+    m += tmp
+    v = st.second_moment * st.beta2
+    np.square(grad, out=tmp)
+    tmp *= 1.0 - st.beta2
+    v += tmp
+    np.divide(v, 1.0 - st.beta2**step, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += st.epsilon
+    upd = m / (1.0 - st.beta1**step)
+    upd *= st.lr
+    upd /= tmp
+    w = p.weights * (1.0 - st.lr * st.weight_decay)
+    w -= upd
+    return DenoiserParams(p.arch, w), OptimizerState(m, v, step, st.lr, st.weight_decay)
+
+
+def gradients(n, steps, seed):
+    """Gradients whose norms straddle the clip at 1 (both branches taken)."""
+    rng = np.random.default_rng(seed)
+    scales = [0.02, 0.5, 3.0, 40.0]
+    return [rng.standard_normal(n) * scales[i % 4] / math.sqrt(n) for i in range(steps)]
+
+
+def run_bytes(run):
+    return [run.params.weights.tobytes(), run._m.tobytes(), run._v.tobytes(), run.step_count]
+
+
+class TestInPlaceAdamW:
+    """``AdamW.step`` on a run's buffers against ``optimizer_step`` and the
+    functional update it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4, 0.05])
+    def test_sixty_steps_equal_the_pure_and_the_functional_update(self, weight_decay):
+        p = init_network(SMALL, seed=4)
+        st = init_optimizer(p, lr=3e-3, weight_decay=weight_decay)
+        run = AdamW(p, st)
+        ref_p, ref_st, old_p, old_st = p, st, p, st
+        grads = gradients(p.param_count, 60, seed=9)
+        assert {np.linalg.norm(g) > 1.0 for g in grads} == {True, False}
+        for g in grads:
+            buf = run.grads[0][0]
+            buf[:] = g
+            run.step(buf)
+            ref_p, ref_st = optimizer_step(ref_p, ref_st, g)
+            old_p, old_st = functional_optimizer_step(old_p, old_st, g)
+            assert run.params.weights.tobytes() == ref_p.weights.tobytes() == \
+                old_p.weights.tobytes()
+            for mine, pure, old in [(run._m, ref_st.first_moment, old_st.first_moment),
+                                    (run._v, ref_st.second_moment, old_st.second_moment)]:
+                assert mine.tobytes() == pure.tobytes() == old.tobytes()
+        assert run.step_count == ref_st.step_count == 60
+        state = run.state()
+        assert state.first_moment.tobytes() == ref_st.first_moment.tobytes()
+        assert (state.lr, state.weight_decay, state.step_count) == (3e-3, weight_decay, 60)
+
+    def test_layer_views_follow_the_updates(self):
+        p = init_network(SMALL, seed=1)
+        run = AdamW(p, init_optimizer(p, lr=1e-2))
+        layers = run.params.layers
+        for g in gradients(p.param_count, 5, seed=2):
+            run.step(g.copy())
+        assert run.params.layers is layers
+        fresh = DenoiserParams(SMALL, run.params.weights.copy()).layers
+        for (w, b), (fw, fb) in zip(layers, fresh):
+            assert w.tobytes() == fw.tobytes() and b.tobytes() == fb.tobytes()
+        assert not run.params.weights.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_gradient_raises_at_its_step_and_changes_nothing(self, bad):
+        p = init_network(SMALL, seed=0)
+        st = init_optimizer(p, lr=1e-3)
+        run = AdamW(p, st)
+        grads = gradients(p.param_count, 8, seed=5)
+        grads[6][3] = bad
+        ref_p, ref_st = p, st
+        for i, g in enumerate(grads):
+            if i == 6:
+                before = run_bytes(run)
+                with pytest.raises(FloatingPointError):
+                    run.step(g.copy())
+                assert run_bytes(run) == before
+                with pytest.raises(FloatingPointError):
+                    optimizer_step(ref_p, ref_st, g)
+                break
+            run.step(g.copy())
+            ref_p, ref_st = optimizer_step(ref_p, ref_st, g)
+        assert run.params.weights.tobytes() == ref_p.weights.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_gradient_whose_squared_norm_overflows(self):
+        """Entries of 1e200: every one is finite, the norm is inf, and the
+        clip scales the gradient by 1 / inf, to zero, as it always did."""
+        p = init_network(SMALL, seed=0)
+        st = init_optimizer(p, lr=1e-3, weight_decay=0.01)
+        p, st = optimizer_step(p, st, gradients(p.param_count, 1, seed=1)[0])
+        g = np.full(p.param_count, 1e200)
+        g[::2] = -1e200
+        assert math.isinf(np.linalg.norm(g))
+        new_p, new_st = optimizer_step(p, st, g)
+        old_p, old_st = functional_optimizer_step(p, st, g)
+        assert new_p.weights.tobytes() == old_p.weights.tobytes()
+        assert new_st.first_moment.tobytes() == old_st.first_moment.tobytes()
+        assert new_st.second_moment.tobytes() == old_st.second_moment.tobytes()
+        run = AdamW(p, st)
+        run.step(g.copy())
+        assert run.params.weights.tobytes() == old_p.weights.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nonfinite_weights_after_the_update_raise(self):
+        """Weights of 1e300 decayed by 1 - lr * wd = -1e304 overflow; weights
+        of 1e200 whose squares overflow are still accepted."""
+        p = DenoiserParams(SMALL, np.full(SMALL.param_count, 1e300))
+        run = AdamW(p, init_optimizer(p, lr=1e308))
+        with pytest.raises(ValueError, match="non-finite"):
+            run.step(np.full(p.param_count, 0.1))
+        with pytest.raises(ValueError, match="non-finite"):
+            optimizer_step(p, init_optimizer(p, lr=1e308), np.full(p.param_count, 0.1))
+        big = DenoiserParams(SMALL, np.full(SMALL.param_count, 1e200))
+        new_p, _ = optimizer_step(big, init_optimizer(big, lr=1e-3), np.full(p.param_count, 0.1))
+        old_p, _ = functional_optimizer_step(big, init_optimizer(big, lr=1e-3),
+                                         np.full(p.param_count, 0.1))
+        assert new_p.weights.tobytes() == old_p.weights.tobytes()

@@ -304,17 +304,24 @@ print(h.hexdigest())
 
         roots, used = [], []
         real_derive = seeding.derive_seed
+        real_derive_vector = seeding.derive_seeds
         real_matrix = attribution.attribution_matrix
 
         def counting_derive(root, *path):
             roots.append((root, *path))
             return real_derive(root, *path)
 
+        def counting_derive_vector(root, *path, last):
+            # One call derives the seeds of every query q in ``last``.
+            roots.append((root, *path, tuple(last.tolist())))
+            return real_derive_vector(root, *path, last=last)
+
         def recording_matrix(*args, **kwargs):
             used.append(list(args[6]))
             return real_matrix(*args, **kwargs)
 
         monkeypatch.setattr(seeding, "derive_seed", counting_derive)
+        monkeypatch.setattr(seeding, "derive_seeds", counting_derive_vector)
         monkeypatch.setattr(harness, "derive_seed", counting_derive)
         monkeypatch.setattr(harness, "attribution_matrix", recording_matrix)
         cfg = tiny_experiment_config()
@@ -322,7 +329,7 @@ print(h.hexdigest())
         elbo = real_derive(cfg.master_seed, "elbo")
         Q = cfg.queries.count
         assert roots.count((cfg.master_seed, "elbo")) == 1
-        assert [r for r in roots if r[0] == elbo] == [(elbo, "query", q) for q in range(Q)]
+        assert [r for r in roots if r[0] == elbo] == [(elbo, "query", tuple(range(Q)))]
         assert len(used) == 4  # logoa, retrack, esd and oracle
         assert all(u == seeding.query_seeds(elbo, Q) for u in used)
 

@@ -28,6 +28,7 @@ from groupattr import (
     retrack_forget_loss,
     unlearn,
 )
+from groupattr import denoiser, training, unlearning
 from groupattr.denoiser import init_optimizer, optimizer_step
 from groupattr.seeding import derive_seed, rng_for
 from groupattr.training import train_full, train_logo
@@ -164,3 +165,44 @@ def test_unlearning_matches_per_step_loop(method, conditional, steps, batch_size
     assert run.steps == steps
     assert run.forget_losses == forget_losses
     assert run.preserve_losses == preserve_losses
+
+
+@pytest.mark.parametrize("which", ["train_full", "train_logo", "retrack", "esd"])
+def test_returned_models_are_immutable_and_unaliased(which, monkeypatch):
+    """A run updates its own buffers in place and hands out a fresh read-only
+    copy: the model shares no memory with any run's buffers, and a second
+    identical run, which reuses none of them, gives the same bytes."""
+    runs = []
+
+    class RecordingAdamW(denoiser.AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self)
+
+    monkeypatch.setattr(training, "AdamW", RecordingAdamW)
+    monkeypatch.setattr(unlearning, "AdamW", RecordingAdamW)
+    d = dataset(True)
+    a = arch(d, True)
+    cfg = TrainSpec(epochs=2, batch_size=16, lr=1e-3)
+    p_full = init_network(a, 3)
+
+    def once():
+        if which == "train_full":
+            return train_full(d, a, cfg, S, 5).params
+        if which == "train_logo":
+            return train_logo(d, 1, a, cfg, S, 5).params
+        ucfg = UnlearnSpec(method=which, steps_or_epochs=_DRAW_BLOCK + 3, lr=1e-3, K=4,
+                           timestep_range=(3, 35), batch_size=8)
+        return unlearn(p_full, d, 2, ucfg, S, 17).params
+
+    first = once()
+    first_bytes = first.weights.tobytes()
+    second = once()
+    assert len(runs) == 2
+    for model in (first, second):
+        assert not model.weights.flags.writeable
+        buffers = [run._w for run in runs] + [flat for run in runs for flat, _ in run.grads]
+        assert not any(np.shares_memory(model.weights, b) for b in buffers)
+        assert not np.shares_memory(model.weights, p_full.weights)
+    assert second.weights.tobytes() == first.weights.tobytes() == first_bytes
+    assert not p_full.weights.flags.writeable
