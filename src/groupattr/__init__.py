@@ -13,11 +13,10 @@ from .attribution import AttributionMatrix, attribution_matrix, prototype_baseli
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetSpec, GroupedDataset, generate_grouped_dataset
 from .denoiser import (
+    AdamW,
     Architecture,
     DenoiserParams,
-    OptimizerState,
     init_network,
-    init_optimizer,
     loss_and_grad,
     optimizer_step,
     predict_eps,

@@ -76,11 +76,6 @@ class GroupedDataset:
     def cond_dim(self) -> int:
         return 0 if self.cond_vectors is None else self.cond_vectors.shape[1]
 
-    def null_condition(self) -> np.ndarray | None:
-        if self.cond_vectors is None:
-            return None
-        return np.zeros(self.cond_dim)
-
     def cond_of(self, k: int) -> np.ndarray | None:
         if self.cond_vectors is None:
             return None
@@ -102,10 +97,6 @@ class GroupedDataset:
         conds = self.cond_vectors[labels]
         conds[drop] = 0.0
         return conds
-
-    def all_samples(self, exclude: int | None = None) -> np.ndarray:
-        kept = [g for i, g in enumerate(self.groups) if i != exclude]
-        return np.concatenate(kept, axis=0)
 
     def labeled_samples(self, exclude: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Stacked samples and their group indices."""

@@ -30,18 +30,17 @@ Every ``DenoiserParams`` handed out is immutable: its weights are a
 read-only array that nothing writes.  During a training or unlearning
 run the weights live in the run's ``AdamW``, which owns the writable
 weight buffer, the AdamW moments and scratch, and the flat gradient
-buffers, and updates them in place on every step.  The run's model is a
-read-only view of that buffer, so its layer views stay valid; it is not
-handed out.  The run ends by handing out a fresh copy (``result``).
-``optimizer_step`` is the same update as a pure function: it copies its
-inputs into a one-step ``AdamW``.
+buffers.  The one update, ``optimizer_step(run, grad)``, mutates them in
+place and clips ``grad`` in place.  The run's model is a read-only view
+of that buffer, so its layer views stay valid; it is not handed out.
+The run ends by handing out a fresh copy (``result``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from .seeding import content_rng, normals
 ACTIVATIONS = ("silu", "relu")
 
 GRAD_CLIP_NORM = 1.0
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -126,33 +126,6 @@ class DenoiserParams:
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each layer's (weight, bias) views into ``weights``, unpacked once."""
         return _unpack(self.arch, self.weights)
-
-
-@dataclass(frozen=True)
-class OptimizerState:
-    """AdamW state: moment estimates and hyperparameters."""
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int
-    lr: float
-    weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if self.first_moment.shape != self.second_moment.shape:
-            raise ValueError("moment vectors must have identical shape")
-        if not self.lr > 0.0:
-            raise ValueError("lr must be positive")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be non-negative")
-
-
-def init_optimizer(p: DenoiserParams, lr: float, weight_decay: float = 1e-4) -> OptimizerState:
-    n = p.param_count
-    return OptimizerState(np.zeros(n), np.zeros(n), 0, lr, weight_decay)
 
 
 def time_features(t, num_steps: int, embed_dim: int) -> np.ndarray:
@@ -432,98 +405,82 @@ def loss_and_grad(
     return regress(p, xt, ts, s.num_steps, cond, eps)
 
 
-def clip_gradient(grad: np.ndarray, max_norm: float = GRAD_CLIP_NORM) -> np.ndarray:
-    """Rescale so the global norm is at most ``max_norm``."""
-    norm = float(np.linalg.norm(grad))
-    if norm > max_norm:
-        return grad * (max_norm / norm)
-    return grad
-
-
 class AdamW:
-    """A run's weights, AdamW moments and scratch, updated in place.
+    """A run's weights, AdamW moments and scratch, updated in place by
+    ``optimizer_step``.
 
-    Built from a starting model and ``OptimizerState``, both copied.
+    Built from a starting model, which is copied, with zero moments.
     ``params`` is a read-only view of the run's weight buffer: its layer
-    views follow every ``step``, and it is for the run's own forward and
+    views follow every step, and it is for the run's own forward and
     backward passes only.  ``grads`` holds ``n_grads`` gradient buffers
     for ``regress(out=...)``.  ``result`` hands out the weights as a fresh
     immutable ``DenoiserParams``.
     """
 
-    def __init__(self, p: DenoiserParams, st: OptimizerState, n_grads: int = 1):
-        self.hyper = st  # hyperparameters; its moments and step count are copied below
-        self.step_count = st.step_count
+    def __init__(self, p: DenoiserParams, lr: float, weight_decay: float = 1e-4,
+                 n_grads: int = 1):
+        if not lr > 0.0:
+            raise ValueError("lr must be positive")
+        if weight_decay < 0.0:
+            raise ValueError("weight_decay must be non-negative")
+        self.lr, self.weight_decay = lr, weight_decay
+        self.step_count = 0
         self._w = np.array(p.weights)
         # ``[:]`` is a view: DenoiserParams makes it read-only, not the buffer.
         self.params = DenoiserParams(p.arch, self._w[:])
-        self._m = np.array(st.first_moment, dtype=np.float64)
-        self._v = np.array(st.second_moment, dtype=np.float64)
+        self._m = np.zeros_like(self._w)
+        self._v = np.zeros_like(self._w)
         self._tmp = np.empty_like(self._w)
         self._upd = np.empty_like(self._w)
         self.grads = [gradient_buffer(p.arch) for _ in range(n_grads)]
-
-    def step(self, grad: np.ndarray) -> None:
-        """One AdamW update with global-norm gradient clipping at 1.0.
-
-        The gradient is rescaled in place so its norm is at most 1, then
-        the bias-corrected moment update is applied together with
-        decoupled weight decay.  A non-finite gradient raises
-        ``FloatingPointError`` and leaves the run unchanged; non-finite
-        weights after the update raise ``ValueError``.
-        """
-        # A non-finite entry makes the norm non-finite, so only then are the
-        # entries scanned.  A finite gradient whose squared norm overflows
-        # passes the scan and is scaled by 1 / inf, to zero.
-        norm = float(np.linalg.norm(grad))
-        if not math.isfinite(norm) and not np.all(np.isfinite(grad)):
-            raise FloatingPointError("gradient contains non-finite entries")
-        if norm > GRAD_CLIP_NORM:
-            grad *= GRAD_CLIP_NORM / norm
-        st, m, v, tmp, upd, w = self.hyper, self._m, self._v, self._tmp, self._upd, self._w
-        self.step_count += 1
-        step = self.step_count
-        m *= st.beta1
-        np.multiply(grad, 1.0 - st.beta1, out=tmp)
-        m += tmp
-        v *= st.beta2
-        np.square(grad, out=tmp)
-        tmp *= 1.0 - st.beta2
-        v += tmp
-        # tmp becomes sqrt(v_hat) + epsilon, upd lr * m_hat over it.
-        np.divide(v, 1.0 - st.beta2**step, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += st.epsilon
-        np.divide(m, 1.0 - st.beta1**step, out=upd)
-        upd *= st.lr
-        upd /= tmp
-        w *= 1.0 - st.lr * st.weight_decay
-        w -= upd
-        # As for the gradient, only a non-finite sum of squares makes the scan.
-        with np.errstate(over="ignore"):
-            sq = np.dot(w, w)
-        if not math.isfinite(sq) and not np.all(np.isfinite(w)):
-            raise ValueError("weights contain non-finite entries")
 
     def result(self) -> DenoiserParams:
         """The current weights as a fresh immutable model."""
         return DenoiserParams(self.params.arch, self._w.copy())
 
-    def state(self) -> OptimizerState:
-        """The current moments and step count as a fresh ``OptimizerState``."""
-        return replace(self.hyper, first_moment=self._m.copy(), second_moment=self._v.copy(),
-                       step_count=self.step_count)
 
+def optimizer_step(run: AdamW, grad: np.ndarray) -> None:
+    """One AdamW update of ``run`` with global-norm gradient clipping at 1.0.
 
-def optimizer_step(
-    p: DenoiserParams,
-    st: OptimizerState,
-    grad: np.ndarray,
-) -> tuple[DenoiserParams, OptimizerState]:
-    """One ``AdamW.step`` as a pure function: the inputs are copied."""
-    grad = np.array(grad, dtype=np.float64)
-    if grad.shape != p.weights.shape:
-        raise ValueError(f"gradient shape {grad.shape} != {p.weights.shape}")
-    run = AdamW(p, st, n_grads=0)
-    run.step(grad)
-    return run.result(), run.state()
+    The gradient is rescaled in place so its norm is at most 1, then
+    the bias-corrected moment update is applied together with
+    decoupled weight decay.  A gradient not shaped as the weights raises
+    ``ValueError``; a non-finite gradient raises ``FloatingPointError``
+    and leaves the run unchanged; non-finite weights after the update
+    raise ``ValueError``.
+    """
+    w, m, v, tmp, upd = run._w, run._m, run._v, run._tmp, run._upd
+    if np.shape(grad) != w.shape:
+        raise ValueError(f"gradient shape {np.shape(grad)} != {w.shape}")
+    # A non-finite entry makes the norm non-finite, so only then are the
+    # entries scanned.  A finite gradient whose squared norm overflows
+    # passes the scan and is scaled by 1 / inf, to zero.
+    norm = float(np.linalg.norm(grad))
+    if not math.isfinite(norm) and not np.all(np.isfinite(grad)):
+        raise FloatingPointError("gradient contains non-finite entries")
+    if norm > GRAD_CLIP_NORM:
+        grad *= GRAD_CLIP_NORM / norm
+    lr = run.lr
+    run.step_count += 1
+    step = run.step_count
+    m *= BETA1
+    np.multiply(grad, 1.0 - BETA1, out=tmp)
+    m += tmp
+    v *= BETA2
+    np.square(grad, out=tmp)
+    tmp *= 1.0 - BETA2
+    v += tmp
+    # tmp becomes sqrt(v_hat) + epsilon, upd lr * m_hat over it.
+    np.divide(v, 1.0 - BETA2**step, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += EPSILON
+    np.divide(m, 1.0 - BETA1**step, out=upd)
+    upd *= lr
+    upd /= tmp
+    w *= 1.0 - lr * run.weight_decay
+    w -= upd
+    # As for the gradient, only a non-finite sum of squares makes the scan.
+    with np.errstate(over="ignore"):
+        sq = np.dot(w, w)
+    if not math.isfinite(sq) and not np.all(np.isfinite(w)):
+        raise ValueError("weights contain non-finite entries")

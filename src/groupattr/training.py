@@ -37,8 +37,8 @@ from .denoiser import (
     Architecture,
     DenoiserParams,
     init_network,
-    init_optimizer,
     noise_batch,
+    optimizer_step,
     regress,
 )
 from .diffusion import Schedule, _point_set, kernel_logits, softmax_inplace, softmax_numerators
@@ -94,7 +94,7 @@ def _train(
         raise ValueError(f"architecture cond_dim {arch.cond_dim} != dataset {d.cond_dim}")
     conditional = arch.cond_dim > 0
 
-    run = AdamW(params, init_optimizer(params, cfg.lr, cfg.weight_decay))
+    run = AdamW(params, cfg.lr, cfg.weight_decay)
     exposure_rng = rng_for(seed, "exposure")
     steps = 0
     epoch_losses: list[float] = []
@@ -125,7 +125,7 @@ def _train(
                 batch_hook(epoch, xs[rows], conds[b])
             loss, grad = regress(run.params, xts[rows], ts[rows], s.num_steps, conds[b],
                                  eps[rows], out=run.grads[0])
-            run.step(grad)
+            optimizer_step(run, grad)
             steps += 1
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)) if losses else math.nan)

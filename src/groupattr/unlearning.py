@@ -59,8 +59,8 @@ from .denoiser import (
     AdamW,
     DenoiserParams,
     forward_batch,
-    init_optimizer,
     noise_batch,
+    optimizer_step,
     regress,
 )
 from .diffusion import NearestKernel, Schedule, kernel_logits, softmax_inplace
@@ -399,7 +399,7 @@ def unlearn(
     else:
         w_forget, w_preserve = cfg.lambda_forget, 1.0
     # One gradient buffer for the forget term, one for the preservation term.
-    run = AdamW(p_full, init_optimizer(p_full, cfg.lr, weight_decay=0.0), n_grads=2)
+    run = AdamW(p_full, cfg.lr, weight_decay=0.0, n_grads=2)
     params, g_forget, g_preserve = run.params, *run.grads
     forget_losses, preserve_losses = [], []
     for first in range(0, cfg.steps_or_epochs, _DRAW_BLOCK):
@@ -441,7 +441,7 @@ def unlearn(
             # w_forget * gf + w_preserve * gp, in place in the run's buffers.
             gf *= w_forget
             gf += np.multiply(gp, w_preserve, out=gp)
-            run.step(gf)
+            optimizer_step(run, gf)
             forget_losses.append(lf)
             preserve_losses.append(lp)
 

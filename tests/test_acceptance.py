@@ -86,8 +86,8 @@ def test_criterion_2_exact_nonparametric_attribution():
                        noise_std=0.3)
     d = generate_grouped_dataset(spec, seed=11)
     s = build_schedule(100, "squared_cosine")
-    full = KernelDenoiser(d.all_samples(), s)
-    cfs = [KernelDenoiser(d.all_samples(exclude=k), s) for k in range(5)]
+    full = KernelDenoiser(d.labeled_samples()[0], s)
+    cfs = [KernelDenoiser(d.labeled_samples(exclude=k)[0], s) for k in range(5)]
 
     queries, labels = [], []
     for q in range(256):
@@ -240,7 +240,7 @@ def test_criterion_7_gradient_checks():
                         cond_dim=d.cond_dim)
     ucfg = UnlearnSpec(method="retrack", lr=1e-3, steps_or_epochs=1,
                        timestep_range=(2, 28), K=5, kl_cap=1e9, batch_size=4)
-    retain = d.all_samples(exclude=0)
+    retain = d.labeled_samples(exclude=0)[0]
     frozen_c = init_network(cond, seed=100)
     sel = AnchorSelector.from_dataset(d)
 
@@ -336,7 +336,7 @@ def test_criterion_10_truncation_behavior():
                                noise_std=0.3)
             d = generate_grouped_dataset(spec, seed=trial)
             k = trial % 5
-            retain = d.all_samples(exclude=k)
+            retain = d.labeled_samples(exclude=k)[0]
             x0 = d.groups[k][int(rng.integers(40))]
             t = int(rng.integers(t_lo, t_hi + 1))
             xt = forward_marginal(s, x0, t, rng.standard_normal(2))

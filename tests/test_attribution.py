@@ -174,8 +174,8 @@ class TestAttributionMatrixOp:
         """Exact kernel denoisers attribute a group sample to its group."""
         spec = DatasetSpec(n_groups=2, samples_per_group=60, radius=5.0, noise_std=0.3)
         d = generate_grouped_dataset(spec, seed=17)
-        full = KernelDenoiser(d.all_samples(), S)
-        cfs = [KernelDenoiser(d.all_samples(exclude=k), S) for k in range(2)]
+        full = KernelDenoiser(d.labeled_samples()[0], S)
+        cfs = [KernelDenoiser(d.labeled_samples(exclude=k)[0], S) for k in range(2)]
         mat = attribution_matrix(d.groups[0][5:6], None, full, cfs, SPEC, S,
                                  query_seeds(SEED, 1),
                                  group_names=d.group_names)

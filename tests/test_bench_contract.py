@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from groupattr import unlearning
+from groupattr import training, unlearning
 from groupattr.data import DatasetSpec, generate_grouped_dataset
 from groupattr.denoiser import Architecture, init_network
 from groupattr.diffusion import build_schedule
@@ -163,3 +163,34 @@ def test_unlearn_calls_the_traced_functions_by_module_name(method, traced, monke
                                  batch_size=4)
     unlearning.unlearn(p, d, 0, cfg, build_schedule(40), 3)
     assert len(calls) == math.ceil(steps / unlearning._DRAW_BLOCK)
+
+
+@pytest.mark.parametrize("which", ["train_full", "train_logo", "retrack", "esd", "cond_anchor"])
+def test_steps_call_optimizer_step_by_module_name(which, monkeypatch):
+    """Every training and unlearning step calls ``training.optimizer_step``
+    or ``unlearning.optimizer_step``, the names the tracer replaces, so a
+    run of S steps makes S calls there: ``training.steps`` and
+    ``unlearning.steps`` count them."""
+    calls = []
+    for module in (training, unlearning):
+        def counting(run, grad, real=module.optimizer_step, name=module.__name__):
+            calls.append(name)
+            return real(run, grad)
+
+        monkeypatch.setattr(module, "optimizer_step", counting)
+    d = generate_grouped_dataset(DatasetSpec(n_groups=3, samples_per_group=12, conditional=True,
+                                             descriptor_dim=4), seed=6)
+    arch = Architecture(input_dim=2, hidden_dims=(6,), time_embed_dim=4, cond_dim=7)
+    s = build_schedule(40)
+    train = training.TrainSpec(epochs=2, batch_size=8)
+    if which == "train_full":
+        run, module = training.train_full(d, arch, train, s, 3), training
+    elif which == "train_logo":
+        run, module = training.train_logo(d, 1, arch, train, s, 3), training
+    else:
+        cfg = unlearning.UnlearnSpec(method=which, steps_or_epochs=unlearning._DRAW_BLOCK + 3,
+                                     lr=1e-3, K=4, batch_size=4)
+        run = unlearning.unlearn(init_network(arch, seed=1), d, 0, cfg, s, 3)
+        module = unlearning
+    assert run.steps > 0
+    assert calls == [module.__name__] * run.steps

@@ -81,8 +81,8 @@ class TestGroupedDataset:
         self.d = generate_grouped_dataset(spec, seed=7)
 
     def test_all_samples_exclusion(self):
-        assert self.d.all_samples().shape == (12, 2)
-        assert self.d.all_samples(exclude=1).shape == (8, 2)
+        assert self.d.labeled_samples()[0].shape == (12, 2)
+        assert self.d.labeled_samples(exclude=1)[0].shape == (8, 2)
 
     def test_labeled_samples(self):
         xs, labels = self.d.labeled_samples(exclude=0)
@@ -90,9 +90,16 @@ class TestGroupedDataset:
         assert set(labels.tolist()) == {1, 2}
 
     def test_null_condition(self):
-        null = self.d.null_condition()
-        np.testing.assert_array_equal(null, 0.0)
-        assert null.shape == (self.d.cond_dim,)
+        """A dropped row of a batch's condition block is the null condition,
+        zeros; every other row is its group's condition."""
+        labels = np.arange(3).repeat(100)
+        conds = self.d.dropout_conditions(labels, True, 5, "epoch")
+        assert conds.shape == (300, self.d.cond_dim)
+        dropped = ~np.any(conds, axis=1)
+        assert 0 < dropped.sum() < 300
+        np.testing.assert_array_equal(conds[dropped], np.zeros((dropped.sum(), self.d.cond_dim)))
+        np.testing.assert_array_equal(conds[~dropped], self.d.cond_vectors[labels[~dropped]])
+        assert self.d.dropout_conditions(labels, False, 5, "epoch") is None
 
     def test_save_load_roundtrip(self, tmp_path):
         path = tmp_path / "data.npz"

@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 
 from groupattr import (
+    AdamW,
     Architecture,
     DenoiserParams,
-    OptimizerState,
     build_schedule,
     init_network,
-    init_optimizer,
     loss_and_grad,
     optimizer_step,
     predict_eps,
 )
 from groupattr import denoiser
-from groupattr.denoiser import AdamW, clip_gradient, forward_batch, time_features
+from groupattr.denoiser import forward_batch, time_features
 
 SMALL = Architecture(input_dim=2, hidden_dims=(8,), time_embed_dim=4, cond_dim=0)
 
@@ -267,91 +266,36 @@ class TestLossAndGrad:
         assert max_rel_error(grad, num) <= 1e-3
 
 
-class TestOptimizerStep:
-    def test_zero_grad_fixed_point(self):
-        p = init_network(SMALL, seed=0)
-        st = init_optimizer(p, lr=1e-3, weight_decay=0.0)
-        new_p, new_st = optimizer_step(p, st, np.zeros(p.param_count))
-        np.testing.assert_array_equal(new_p.weights, p.weights)
-        assert new_st.step_count == 1
-
-    def test_hand_computed_single_coordinate(self):
-        """One update with hand-set moments, evaluated coordinate-wise."""
-        arch = Architecture(input_dim=1, hidden_dims=(1,), time_embed_dim=2)
-        w = np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
-        p = DenoiserParams(arch, w)
-        m0 = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
-        v0 = np.array([0.02, 0.0, 0.0, 0.0, 0.0, 0.0])
-        st = OptimizerState(m0, v0, step_count=3, lr=0.01, weight_decay=0.1)
-        grad = np.array([0.3, 0.0, 0.0, 0.0, 0.0, 0.0])
-        new_p, new_st = optimizer_step(p, st, grad)
-
-        m = 0.9 * 0.1 + 0.1 * 0.3
-        v = 0.999 * 0.02 + 0.001 * 0.3**2
-        m_hat = m / (1 - 0.9**4)
-        v_hat = v / (1 - 0.999**4)
-        expected = 0.5 * (1 - 0.01 * 0.1) - 0.01 * m_hat / (math.sqrt(v_hat) + 1e-8)
-        assert new_p.weights[0] == pytest.approx(expected, rel=1e-12)
-        assert new_p.weights[1] == 0.0
-        assert new_st.step_count == 4
-
-    def test_clipping_definition(self):
-        g = np.full(74, 10.0 / math.sqrt(74))  # norm 10
-        clipped = clip_gradient(g)
-        assert np.linalg.norm(clipped) == pytest.approx(1.0, rel=1e-12)
-        # A pre-normalized gradient produces the identical update.
-        p = init_network(SMALL, seed=0)
-        st = init_optimizer(p, lr=1e-3, weight_decay=0.0)
-        a, _ = optimizer_step(p, st, g)
-        b, _ = optimizer_step(p, st, g / 10.0)
-        np.testing.assert_array_equal(a.weights, b.weights)
-
-    def test_optimizer_step_keeps_its_inputs(self):
-        p = init_network(SMALL, seed=0)
-        st = init_optimizer(p, lr=1e-3)
-        grad = np.full(p.param_count, 3.0)  # norm above 1: clipped
-        before = [a.tobytes() for a in (p.weights, st.first_moment, st.second_moment, grad)]
-        new_p, new_st = optimizer_step(p, st, grad)
-        after = [a.tobytes() for a in (p.weights, st.first_moment, st.second_moment, grad)]
-        assert after == before and st.step_count == 0
-        assert not new_p.weights.flags.writeable
-        for new, old in [(new_p.weights, p.weights), (new_st.first_moment, st.first_moment),
-                         (new_st.second_moment, st.second_moment), (new_st.first_moment, grad)]:
-            assert not np.shares_memory(new, old)
-
-    def test_nonfinite_grad_rejected(self):
-        p = init_network(SMALL, seed=0)
-        st = init_optimizer(p, lr=1e-3)
-        bad = np.zeros(p.param_count)
-        bad[0] = np.nan
-        with pytest.raises(FloatingPointError):
-            optimizer_step(p, st, bad)
-
-
-def functional_optimizer_step(p, st, grad):
-    """The functional AdamW update the in-place one replaced, written out
-    in the same ufuncs and order: a reference for its bits."""
+def functional_optimizer_step(w, state, grad, lr, weight_decay):
+    """One AdamW update as a pure function of the weights, an (m, v, step)
+    state and the gradient, written out in the ufuncs and order of
+    ``optimizer_step``: an independent reference for its bits."""
+    m, v, step = state
     assert np.all(np.isfinite(grad))
     norm = float(np.linalg.norm(grad))
     if norm > 1.0:
         grad = grad * (1.0 / norm)
-    step = st.step_count + 1
-    m = st.first_moment * st.beta1
-    tmp = grad * (1.0 - st.beta1)
+    step += 1
+    m = m * 0.9
+    tmp = grad * (1.0 - 0.9)
     m += tmp
-    v = st.second_moment * st.beta2
+    v = v * 0.999
     np.square(grad, out=tmp)
-    tmp *= 1.0 - st.beta2
+    tmp *= 1.0 - 0.999
     v += tmp
-    np.divide(v, 1.0 - st.beta2**step, out=tmp)
+    np.divide(v, 1.0 - 0.999**step, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += st.epsilon
-    upd = m / (1.0 - st.beta1**step)
-    upd *= st.lr
+    tmp += 1e-8
+    upd = m / (1.0 - 0.9**step)
+    upd *= lr
     upd /= tmp
-    w = p.weights * (1.0 - st.lr * st.weight_decay)
+    w = w * (1.0 - lr * weight_decay)
     w -= upd
-    return DenoiserParams(p.arch, w), OptimizerState(m, v, step, st.lr, st.weight_decay)
+    return w, (m, v, step)
+
+
+def zero_state(n):
+    return np.zeros(n), np.zeros(n), 0
 
 
 def gradients(n, steps, seed):
@@ -365,40 +309,128 @@ def run_bytes(run):
     return [run.params.weights.tobytes(), run._m.tobytes(), run._v.tobytes(), run.step_count]
 
 
+def assert_run_is(run, w, state):
+    m, v, step = state
+    assert run.params.weights.tobytes() == w.tobytes()
+    assert run._m.tobytes() == m.tobytes() and run._v.tobytes() == v.tobytes()
+    assert run.step_count == step
+
+
+class TestOptimizerStep:
+    def test_zero_grad_fixed_point(self):
+        p = init_network(SMALL, seed=0)
+        run = AdamW(p, lr=1e-3, weight_decay=0.0)
+        optimizer_step(run, np.zeros(p.param_count))
+        np.testing.assert_array_equal(run.params.weights, p.weights)
+        assert run.step_count == 1
+
+    def test_hand_computed_single_coordinate(self):
+        """The fourth update, evaluated coordinate-wise from moments
+        accumulated by hand over three prior steps."""
+        arch = Architecture(input_dim=1, hidden_dims=(1,), time_embed_dim=2)
+        p = DenoiserParams(arch, np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        run = AdamW(p, lr=0.01, weight_decay=0.1)
+        g1, g2, g3, g4 = 0.2, -0.4, 0.1, 0.3
+        for g in (g1, g2, g3):
+            optimizer_step(run, np.array([g, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        m3 = 0.1 * (0.9**2 * g1 + 0.9 * g2 + g3)
+        v3 = 0.001 * (0.999**2 * g1**2 + 0.999 * g2**2 + g3**2)
+        assert run._m[0] == pytest.approx(m3, rel=1e-12)
+        assert run._v[0] == pytest.approx(v3, rel=1e-12)
+        w3 = float(run.params.weights[0])
+        optimizer_step(run, np.array([g4, 0.0, 0.0, 0.0, 0.0, 0.0]))
+
+        m = 0.9 * m3 + 0.1 * g4
+        v = 0.999 * v3 + 0.001 * g4**2
+        m_hat = m / (1 - 0.9**4)
+        v_hat = v / (1 - 0.999**4)
+        expected = w3 * (1 - 0.01 * 0.1) - 0.01 * m_hat / (math.sqrt(v_hat) + 1e-8)
+        assert run.params.weights[0] == pytest.approx(expected, rel=1e-12)
+        assert run.params.weights[1] == 0.0
+        assert run.step_count == 4
+
+    def test_clipping_definition(self):
+        g = np.full(74, 10.0 / math.sqrt(74))  # norm 10
+        p = init_network(SMALL, seed=0)
+        a = AdamW(p, lr=1e-3, weight_decay=0.0)
+        b = AdamW(p, lr=1e-3, weight_decay=0.0)
+        clipped = g.copy()
+        optimizer_step(a, clipped)
+        assert np.linalg.norm(clipped) == pytest.approx(1.0, rel=1e-12)
+        # A pre-normalized gradient produces the identical update.
+        optimizer_step(b, g / 10.0)
+        np.testing.assert_array_equal(a.params.weights, b.params.weights)
+
+    def test_run_copies_its_start_model_and_clips_grad_in_place(self):
+        p = init_network(SMALL, seed=0)
+        before = p.weights.tobytes()
+        run = AdamW(p, lr=1e-3)
+        grad = np.full(p.param_count, 3.0)  # norm above 1: clipped
+        norm = np.linalg.norm(grad)
+        optimizer_step(run, grad)
+        assert p.weights.tobytes() == before
+        assert run.params.weights.tobytes() != before
+        np.testing.assert_array_equal(grad, 3.0 * (1.0 / norm))
+        assert not np.shares_memory(run.params.weights, p.weights)
+        result = run.result()
+        assert not result.weights.flags.writeable
+        assert not np.shares_memory(result.weights, run.params.weights)
+
+    def test_nonfinite_grad_rejected(self):
+        p = init_network(SMALL, seed=0)
+        run = AdamW(p, lr=1e-3)
+        bad = np.zeros(p.param_count)
+        bad[0] = np.nan
+        with pytest.raises(FloatingPointError):
+            optimizer_step(run, bad)
+
+    def test_gradient_shape_checked(self):
+        """A scalar would broadcast over the weights; it is refused, as is a
+        gradient of the wrong length or rank, and the run is unchanged."""
+        p = init_network(SMALL, seed=0)
+        run = AdamW(p, lr=1e-3)
+        before = run_bytes(run)
+        for bad in [np.float64(0.1), 0.1, np.zeros(p.param_count - 1),
+                    np.zeros((p.param_count, 1))]:
+            with pytest.raises(ValueError, match="gradient shape"):
+                optimizer_step(run, bad)
+        assert run_bytes(run) == before
+
+    def test_hyperparameters_checked(self):
+        p = init_network(SMALL, seed=0)
+        for lr in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="lr"):
+                AdamW(p, lr=lr)
+        with pytest.raises(ValueError, match="weight_decay"):
+            AdamW(p, lr=1e-3, weight_decay=-1e-4)
+
+
 class TestInPlaceAdamW:
-    """``AdamW.step`` on a run's buffers against ``optimizer_step`` and the
-    functional update it replaced, bit for bit."""
+    """``optimizer_step`` on a run's buffers against the pure functional
+    update written out above, bit for bit."""
 
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-4, 0.05])
     def test_sixty_steps_equal_the_pure_and_the_functional_update(self, weight_decay):
         p = init_network(SMALL, seed=4)
-        st = init_optimizer(p, lr=3e-3, weight_decay=weight_decay)
-        run = AdamW(p, st)
-        ref_p, ref_st, old_p, old_st = p, st, p, st
+        run = AdamW(p, lr=3e-3, weight_decay=weight_decay)
+        ref_w, ref_state = p.weights, zero_state(p.param_count)
         grads = gradients(p.param_count, 60, seed=9)
         assert {np.linalg.norm(g) > 1.0 for g in grads} == {True, False}
         for g in grads:
             buf = run.grads[0][0]
             buf[:] = g
-            run.step(buf)
-            ref_p, ref_st = optimizer_step(ref_p, ref_st, g)
-            old_p, old_st = functional_optimizer_step(old_p, old_st, g)
-            assert run.params.weights.tobytes() == ref_p.weights.tobytes() == \
-                old_p.weights.tobytes()
-            for mine, pure, old in [(run._m, ref_st.first_moment, old_st.first_moment),
-                                    (run._v, ref_st.second_moment, old_st.second_moment)]:
-                assert mine.tobytes() == pure.tobytes() == old.tobytes()
-        assert run.step_count == ref_st.step_count == 60
-        state = run.state()
-        assert state.first_moment.tobytes() == ref_st.first_moment.tobytes()
-        assert (state.lr, state.weight_decay, state.step_count) == (3e-3, weight_decay, 60)
+            optimizer_step(run, buf)
+            ref_w, ref_state = functional_optimizer_step(ref_w, ref_state, g, 3e-3, weight_decay)
+            assert_run_is(run, ref_w, ref_state)
+        assert run.step_count == 60
+        assert run.result().weights.tobytes() == ref_w.tobytes()
 
     def test_layer_views_follow_the_updates(self):
         p = init_network(SMALL, seed=1)
-        run = AdamW(p, init_optimizer(p, lr=1e-2))
+        run = AdamW(p, lr=1e-2)
         layers = run.params.layers
         for g in gradients(p.param_count, 5, seed=2):
-            run.step(g.copy())
+            optimizer_step(run, g.copy())
         assert run.params.layers is layers
         fresh = DenoiserParams(SMALL, run.params.weights.copy()).layers
         for (w, b), (fw, fb) in zip(layers, fresh):
@@ -408,55 +440,49 @@ class TestInPlaceAdamW:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_gradient_raises_at_its_step_and_changes_nothing(self, bad):
         p = init_network(SMALL, seed=0)
-        st = init_optimizer(p, lr=1e-3)
-        run = AdamW(p, st)
+        run = AdamW(p, lr=1e-3)
         grads = gradients(p.param_count, 8, seed=5)
         grads[6][3] = bad
-        ref_p, ref_st = p, st
+        ref_w, ref_state = p.weights, zero_state(p.param_count)
         for i, g in enumerate(grads):
             if i == 6:
                 before = run_bytes(run)
                 with pytest.raises(FloatingPointError):
-                    run.step(g.copy())
+                    optimizer_step(run, g.copy())
                 assert run_bytes(run) == before
-                with pytest.raises(FloatingPointError):
-                    optimizer_step(ref_p, ref_st, g)
                 break
-            run.step(g.copy())
-            ref_p, ref_st = optimizer_step(ref_p, ref_st, g)
-        assert run.params.weights.tobytes() == ref_p.weights.tobytes()
+            optimizer_step(run, g.copy())
+            ref_w, ref_state = functional_optimizer_step(ref_w, ref_state, g, 1e-3, 1e-4)
+        assert_run_is(run, ref_w, ref_state)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_finite_gradient_whose_squared_norm_overflows(self):
         """Entries of 1e200: every one is finite, the norm is inf, and the
         clip scales the gradient by 1 / inf, to zero, as it always did."""
         p = init_network(SMALL, seed=0)
-        st = init_optimizer(p, lr=1e-3, weight_decay=0.01)
-        p, st = optimizer_step(p, st, gradients(p.param_count, 1, seed=1)[0])
+        run = AdamW(p, lr=1e-3, weight_decay=0.01)
+        g0 = gradients(p.param_count, 1, seed=1)[0]
+        optimizer_step(run, g0.copy())
+        ref_w, ref_state = functional_optimizer_step(p.weights, zero_state(p.param_count), g0,
+                                                     1e-3, 0.01)
         g = np.full(p.param_count, 1e200)
         g[::2] = -1e200
         assert math.isinf(np.linalg.norm(g))
-        new_p, new_st = optimizer_step(p, st, g)
-        old_p, old_st = functional_optimizer_step(p, st, g)
-        assert new_p.weights.tobytes() == old_p.weights.tobytes()
-        assert new_st.first_moment.tobytes() == old_st.first_moment.tobytes()
-        assert new_st.second_moment.tobytes() == old_st.second_moment.tobytes()
-        run = AdamW(p, st)
-        run.step(g.copy())
-        assert run.params.weights.tobytes() == old_p.weights.tobytes()
+        optimizer_step(run, g.copy())
+        ref_w, ref_state = functional_optimizer_step(ref_w, ref_state, g, 1e-3, 0.01)
+        assert_run_is(run, ref_w, ref_state)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nonfinite_weights_after_the_update_raise(self):
         """Weights of 1e300 decayed by 1 - lr * wd = -1e304 overflow; weights
         of 1e200 whose squares overflow are still accepted."""
         p = DenoiserParams(SMALL, np.full(SMALL.param_count, 1e300))
-        run = AdamW(p, init_optimizer(p, lr=1e308))
+        run = AdamW(p, lr=1e308)
         with pytest.raises(ValueError, match="non-finite"):
-            run.step(np.full(p.param_count, 0.1))
-        with pytest.raises(ValueError, match="non-finite"):
-            optimizer_step(p, init_optimizer(p, lr=1e308), np.full(p.param_count, 0.1))
+            optimizer_step(run, np.full(p.param_count, 0.1))
         big = DenoiserParams(SMALL, np.full(SMALL.param_count, 1e200))
-        new_p, _ = optimizer_step(big, init_optimizer(big, lr=1e-3), np.full(p.param_count, 0.1))
-        old_p, _ = functional_optimizer_step(big, init_optimizer(big, lr=1e-3),
-                                         np.full(p.param_count, 0.1))
-        assert new_p.weights.tobytes() == old_p.weights.tobytes()
+        run = AdamW(big, lr=1e-3)
+        optimizer_step(run, np.full(p.param_count, 0.1))
+        ref_w, ref_state = functional_optimizer_step(big.weights, zero_state(p.param_count),
+                                                     np.full(p.param_count, 0.1), 1e-3, 1e-4)
+        assert_run_is(run, ref_w, ref_state)

@@ -658,7 +658,7 @@ class TestSweep:
         assert [r["value"] for r in rows] == [1, 80]
         d = GroupedDataset.load(out / "K_80" / "dataset.npz")
         s = build_schedule(40, "squared_cosine")
-        retain = d.all_samples(exclude=0)
+        retain = d.labeled_samples(exclude=0)[0]
         rng = np.random.default_rng(0)
         for _ in range(20):
             xt = rng.normal(size=2) * 3

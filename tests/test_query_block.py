@@ -122,15 +122,15 @@ def networks():
 
 def kernels():
     d = dataset()
-    return (KernelDenoiser(d.all_samples(), S),
-            [KernelDenoiser(d.all_samples(exclude=k), S) for k in range(N_GROUPS)])
+    return (KernelDenoiser(d.labeled_samples()[0], S),
+            [KernelDenoiser(d.labeled_samples(exclude=k)[0], S) for k in range(N_GROUPS)])
 
 
 def query_block(n, cond_mode):
     d = dataset()
     x0 = np.random.default_rng(3).normal(size=(n, 2)) * 3.0
     if cond_mode == "null":
-        return x0, np.array([d.null_condition() for _ in range(n)])
+        return x0, np.zeros((n, d.cond_dim))
     if cond_mode == "group":
         return x0, np.array([d.cond_vectors[q % N_GROUPS] for q in range(n)])
     return x0, None
@@ -282,7 +282,7 @@ class TestSharedKernelBlock:
         want = empirical_denoiser(full.points, xt, t, S).tobytes()
         assert got[0].tobytes() == want
         for k, (cf, eps) in enumerate(zip(cfs, got[1:])):
-            points = d.all_samples(exclude=k)
+            points = d.labeled_samples(exclude=k)[0]
             assert cf.points.tobytes() == points.tobytes()
             assert eps.tobytes() == empirical_denoiser(points, xt, t, S).tobytes()
         self.assert_block_predictions(full, cfs, xt, t)

@@ -3,9 +3,9 @@
 ``train_full``, ``train_logo`` and ``unlearn`` noise many steps' rows in
 one keyed draw, each row under its own step's root.  The reference loops
 below are the per-step formulation: one public loss call (which draws
-its own noise) and one ``optimizer_step`` per step.  Because a row's
-draws depend only on (root, row content), the two must give the same
-weights, losses and batches to the last bit.
+its own noise) and one ``optimizer_step`` of their own ``AdamW`` per
+step.  Because a row's draws depend only on (root, row content), the two
+must give the same weights, losses and batches to the last bit.
 """
 
 import math
@@ -29,7 +29,7 @@ from groupattr import (
     unlearn,
 )
 from groupattr import denoiser, training, unlearning
-from groupattr.denoiser import init_optimizer, optimizer_step
+from groupattr.denoiser import AdamW, optimizer_step
 from groupattr.seeding import derive_seed, rng_for
 from groupattr.training import train_full, train_logo
 from groupattr.unlearning import _DRAW_BLOCK, AnchorSelector
@@ -50,8 +50,7 @@ def arch(d, conditional: bool) -> Architecture:
 
 def reference_train(d, a, cfg, seed, exclude, exposure, hook):
     """The training loop with one ``loss_and_grad`` call per batch."""
-    params = init_network(a, derive_seed(seed, "init"))
-    opt = init_optimizer(params, cfg.lr, cfg.weight_decay)
+    run = AdamW(init_network(a, derive_seed(seed, "init")), cfg.lr, cfg.weight_decay)
     exposure_rng = rng_for(seed, "exposure")
     steps, epoch_losses = 0, []
     for epoch in range(cfg.epochs):
@@ -65,13 +64,13 @@ def reference_train(d, a, cfg, seed, exclude, exposure, hook):
             rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
             conds = d.dropout_conditions(labels[rows], a.cond_dim > 0, seed, epoch, b)
             hook(epoch, xs[rows], conds)
-            loss, grad = loss_and_grad(params, xs[rows], conds, S,
+            loss, grad = loss_and_grad(run.params, xs[rows], conds, S,
                                        derive_seed(seed, "loss", epoch, b))
-            params, opt = optimizer_step(params, opt, grad)
+            optimizer_step(run, grad)
             steps += 1
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
-    return params, steps, epoch_losses
+    return run.result(), steps, epoch_losses
 
 
 def recorder():
@@ -115,8 +114,8 @@ def reference_unlearn(p_full, d, k, cfg, seed):
     forget_x = d.groups[k]
     conditional = p_full.arch.cond_dim > 0
     sel = AnchorSelector.from_dataset(d, cfg.tau, cfg.eta_mix)
-    params = p_full
-    opt = init_optimizer(params, cfg.lr, weight_decay=0.0)
+    run = AdamW(p_full, cfg.lr, weight_decay=0.0)
+    params = run.params
     forget_losses, preserve_losses = [], []
     for step in range(cfg.steps_or_epochs):
         rb = rng_for(seed, "retain", step).choice(
@@ -140,10 +139,10 @@ def reference_unlearn(p_full, d, k, cfg, seed):
             grad = gf + cfg.lambda_pres * gp
         else:
             grad = cfg.lambda_forget * gf + gp
-        params, opt = optimizer_step(params, opt, grad)
+        optimizer_step(run, grad)
         forget_losses.append(lf)
         preserve_losses.append(lp)
-    return params, forget_losses, preserve_losses
+    return run.result(), forget_losses, preserve_losses
 
 
 @pytest.mark.parametrize("method, conditional", [("retrack", True), ("retrack", False),

@@ -205,9 +205,9 @@ class TestPairedScoreDifference:
         strictly lowers its ELBO; removing the other group does not."""
         spec = DatasetSpec(n_groups=2, samples_per_group=50, radius=5.0, noise_std=0.3)
         d = generate_grouped_dataset(spec, seed=31)
-        full = KernelDenoiser(d.all_samples(), S)
-        without_0 = KernelDenoiser(d.all_samples(exclude=0), S)
-        without_1 = KernelDenoiser(d.all_samples(exclude=1), S)
+        full = KernelDenoiser(d.labeled_samples()[0], S)
+        without_0 = KernelDenoiser(d.labeled_samples(exclude=0)[0], S)
+        without_1 = KernelDenoiser(d.labeled_samples(exclude=1)[0], S)
         x0 = d.groups[0][3]
         own = paired_score_difference(full, without_0, x0, None, self.spec, S, self.seed)
         other = paired_score_difference(full, without_1, x0, None, self.spec, S, self.seed)

@@ -92,7 +92,7 @@ class TestTrainFull:
                         weight_decay=0.0)
         run = train_full(d, arch, cfg, schedule, 2)
 
-        all_x = d.all_samples()
+        all_x = d.labeled_samples()[0]
         net_loss, _ = loss_and_grad(run.params, all_x, None, schedule, rng_seed=123)
         floor = _kernel_loss(all_x, all_x, None, schedule, rng_seed=123)
         assert net_loss <= 1.10 * floor
@@ -208,7 +208,7 @@ class TestEmpiricalDenoiser:
         bounds any network's on identical batches."""
         cfg = TrainSpec(epochs=30, batch_size=32, lr=1e-3, exposure_matched=False)
         run = train_full(two_groups, ARCH, cfg, schedule, 1)
-        all_x = two_groups.all_samples()
+        all_x = two_groups.labeled_samples()[0]
         for seed in (11, 22, 33):
             x0 = all_x[::3]
             net_loss, _ = loss_and_grad(run.params, x0, None, schedule, rng_seed=seed)

@@ -199,7 +199,7 @@ class TestRetrackTarget:
 class TestRetrackForgetLoss:
     def test_zero_loss_when_output_equals_target(self, cond_dataset):
         """Bias-only network reproducing the target gives exactly 0."""
-        retain = cond_dataset.all_samples(exclude=0)
+        retain = cond_dataset.labeled_samples(exclude=0)[0]
         x0 = cond_dataset.groups[0][0]
         cfg = make_cfg(K=6)
         # Replicate the per-item draw to know (t, xt) in advance.
@@ -214,7 +214,7 @@ class TestRetrackForgetLoss:
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_gradient_matches_finite_differences(self, cond_dataset):
-        retain = cond_dataset.all_samples(exclude=1)
+        retain = cond_dataset.labeled_samples(exclude=1)[0]
         x0 = cond_dataset.groups[1][:3]
         p = init_network(UNCOND_ARCH, seed=5)
         cfg = make_cfg()
@@ -227,7 +227,7 @@ class TestRetrackForgetLoss:
         assert max_rel_error(grad, num) <= 1e-3
 
     def test_zero_cap_zeroes_loss_and_grad(self, cond_dataset):
-        retain = cond_dataset.all_samples(exclude=0)
+        retain = cond_dataset.labeled_samples(exclude=0)[0]
         x0 = cond_dataset.groups[0][:4]
         p = init_network(UNCOND_ARCH, seed=2)
         cfg = make_cfg(kl_cap=0.0)
@@ -236,7 +236,7 @@ class TestRetrackForgetLoss:
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_cap_bounds_per_sample_contribution(self, cond_dataset):
-        retain = cond_dataset.all_samples(exclude=0)
+        retain = cond_dataset.labeled_samples(exclude=0)[0]
         x0 = cond_dataset.groups[0][:4]
         p = init_network(UNCOND_ARCH, seed=2)
         capped, _ = retrack_forget_loss(p, x0, None, retain, make_cfg(kl_cap=0.5), S, rng_seed=4)
@@ -328,7 +328,7 @@ BATCH_LOSSES = {
     "preservation": lambda p, frozen, x0, cond, d: preservation_loss(
         p, frozen, x0, cond, S, seed=9),
     "retrack": lambda p, frozen, x0, cond, d: retrack_forget_loss(
-        p, x0, cond, d.all_samples(exclude=0), make_cfg(), S, rng_seed=9),
+        p, x0, cond, d.labeled_samples(exclude=0)[0], make_cfg(), S, rng_seed=9),
     "esd": lambda p, frozen, x0, cond, d: esd_forget_loss(
         p, frozen, x0, cond, make_cfg("esd"), S, rng_seed=9),
     "cond_anchor": lambda p, frozen, x0, cond, d: conditional_forget_loss(
@@ -507,9 +507,8 @@ class TestUnlearn:
         run = unlearn(p_full, d, 0, cfg, S, 3)
 
         rng = np.random.default_rng(500)
-        null = d.null_condition()
         idx = rng.integers(0, len(d.groups[0]), size=512)
-        x0, cond = d.groups[0][idx], np.tile(null, (len(idx), 1))
+        x0, cond = d.groups[0][idx], np.zeros((len(idx), d.cond_dim))
         seeds = rng.integers(0, 1 << 31, size=8)
         full_losses, ul_losses = [], []
         for sd in seeds:
