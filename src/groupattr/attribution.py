@@ -4,15 +4,12 @@
 (Q, cond_dim) or None, against every counterfactual model by the paired
 ELBO difference, on a ``scoring.ElboGrid`` that it forms or that a
 pipeline shares between matrices; ``prototype_baseline`` scores the rows
-of x0 by cosine similarity to per-group mean embeddings.  Matrices
+of x0 by cosine similarity to the per-group sample means.  Matrices
 serialize to CSV (one row per query) and JSON (method tag, names,
-scores), as data only; each matrix ``repr``s its scores once, and both
-files are built from those strings.
-
-``json_text`` is the package's one writer of JSON documents: it gives
-the text of ``json.dumps(doc, sort_keys=True, indent=1)`` byte for byte,
-for matrices, run records and reports alike, without the encoder's
-per-value recursion over flat lists and flat dicts.
+scores), as data only.  Both files write each score as its ``repr``
+(``csv.writer`` and ``json.dumps`` each do), which reads back to the
+same float; the JSON file is ``json.dumps(doc, sort_keys=True,
+indent=1)``, the layout of every JSON file the package writes.
 """
 
 from __future__ import annotations
@@ -20,10 +17,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from operator import add, itemgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,20 +54,14 @@ class AttributionMatrix:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["query_id", *self.group_names])
-            writer.writerows([qid, *row] for qid, row in zip(self.query_ids, self._score_texts))
+            writer.writerows([qid, *row] for qid, row in zip(self.query_ids, self.scores.tolist()))
 
     def to_json(self, path: str | Path) -> None:
-        """Write the text of ``json.dumps(doc, sort_keys=True, indent=1)`` of
-        the method, group names, query ids and scores."""
+        """Write ``json.dumps(doc, sort_keys=True, indent=1)`` of the method,
+        group names, query ids and scores."""
         doc = {"method": self.method, "group_names": self.group_names,
-               "query_ids": self.query_ids, "scores": self._score_texts}
-        Path(path).write_text(json_text(doc))
-
-    @cached_property
-    def _score_texts(self) -> list["EncodedList"]:
-        """Each row's scores as their ``repr``, the text both the CSV writer
-        and the JSON encoder give a finite float."""
-        return [EncodedList(map(repr, row)) for row in self.scores.tolist()]
+               "query_ids": self.query_ids, "scores": self.scores.tolist()}
+        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "AttributionMatrix":
@@ -81,95 +70,6 @@ class AttributionMatrix:
         qids = list(doc["query_ids"])
         scores = np.array(doc["scores"], dtype=np.float64).reshape(len(qids), len(names))
         return cls(doc["method"], scores, qids, names)
-
-
-class EncodedList(list):
-    """A JSON list whose items are JSON texts already: ``json_text`` lays it
-    out as a list and writes its items as they are."""
-
-
-def json_text(doc) -> str:
-    """The text of ``json.dumps(doc, sort_keys=True, indent=1)``.
-
-    An indented ``json.dumps`` runs the encoder's pure-Python path, one
-    generator per value.  Here the values of a list, or one key's values
-    across a list of dicts that share their string keys (a report's
-    ``per_query``), are written together, and each list or dict is laid
-    out with one join; only nested lists and dicts recurse.  Scalars are
-    written as the encoder writes them: strings ASCII-escaped, ``int`` and
-    ``float`` (subclasses too) through ``int.__repr__`` and
-    ``float.__repr__``, non-finite floats as ``NaN`` and ``Infinity``.
-    Dict items are sorted by key.  What ``json.dumps`` refuses raises
-    ``TypeError`` here too.
-    """
-    return _texts([doc], 0)[0]
-
-
-_ESCAPE = json.encoder.encode_basestring_ascii
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _scalar_text(v) -> str | None:
-    """The JSON text of a scalar, or None for a list, tuple or dict."""
-    if isinstance(v, str):
-        return _ESCAPE(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        text = float.__repr__(v)
-        return _NON_FINITE.get(text, text)
-    if isinstance(v, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-def _texts(values: list, depth: int) -> list[str]:
-    """The texts of ``values``, each nested ``depth`` levels deep."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        reprs = list(map(float.__repr__, values))
-        return list(map(_NON_FINITE.get, reprs, reprs))
-    if kinds == {str}:
-        return list(map(_ESCAPE, values))
-    if kinds == {dict} and len(set(map(tuple, values))) == 1 and all(
-            isinstance(k, str) for k in values[0]):
-        return _dict_texts(values, depth)
-    texts = list(map(_scalar_text, values))
-    if None in texts:
-        texts = [_container_text(v, depth) if t is None else t for t, v in zip(texts, values)]
-    return texts
-
-
-def _container_text(v, depth: int) -> str:
-    """The text of a list, tuple or dict nested ``depth`` levels deep."""
-    if isinstance(v, dict):
-        return _dict_texts([v], depth)[0]
-    items = v if isinstance(v, EncodedList) else _texts(v, depth + 1)
-    if not items:
-        return "[]"
-    pad = "\n" + " " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
-
-
-def _dict_texts(dicts: list[dict], depth: int) -> list[str]:
-    """The texts of dicts with the key order of the first, each nested
-    ``depth`` levels deep; each key's values are written together."""
-    keys = [k for k, _ in sorted(dicts[0].items())]
-    if not keys:
-        return ["{}"] * len(dicts)
-    pad = "\n" + " " * (depth + 1)
-    # A key that is not a string is quoted after it is written as a scalar.
-    heads = [f",{pad}{_ESCAPE(k if isinstance(k, str) else _scalar_text(k))}: " for k in keys]
-    heads[0] = "{" + heads[0][1:]
-    tail = "\n" + " " * depth + "}"
-    columns = [_texts(list(map(itemgetter(k), dicts)), depth + 1) for k in keys]
-    return ["".join(map(add, heads, row)) + tail for row in zip(*columns)]
 
 
 def attribution_matrix(
@@ -219,32 +119,22 @@ def attribution_matrix(
     return AttributionMatrix(method, scores.T, qids, names)
 
 
-def prototype_baseline(
-    x0: np.ndarray,
-    d: GroupedDataset,
-    embed: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> AttributionMatrix:
-    """Cosine similarity between embedded query rows and group prototypes.
+def prototype_baseline(x0: np.ndarray, d: GroupedDataset) -> AttributionMatrix:
+    """Cosine similarity between query rows and group prototypes.
 
     ``x0`` is the (Q, dim) query block.  The prototype of a group is the
-    mean of its embedded samples; the default embedding is the identity
-    on sample space.
+    mean of its samples, in sample space.
     """
-    if embed is None:
-        embed = lambda x: np.asarray(x, dtype=np.float64)
-    prototypes = np.stack([
-        np.mean([embed(x) for x in g], axis=0) for g in d.groups
-    ])
+    prototypes = d.group_means()
     proto_norms = np.linalg.norm(prototypes, axis=1)
     if np.any(proto_norms == 0.0):
-        raise FloatingPointError("zero-norm group prototype embedding")
+        raise FloatingPointError("zero-norm group prototype")
 
     scores = np.zeros((len(x0), d.n_groups))
     for q, x in enumerate(x0):
-        e = embed(x)
-        norm = np.linalg.norm(e)
+        norm = np.linalg.norm(x)
         if norm == 0.0:
-            raise FloatingPointError(f"zero-norm embedding for query {q}")
-        scores[q] = prototypes @ e / (proto_norms * norm)
+            raise FloatingPointError(f"zero-norm query {q}")
+        scores[q] = prototypes @ x / (proto_norms * norm)
     qids = [f"q{q}" for q in range(len(x0))]
     return AttributionMatrix("prototype", scores, qids, list(d.group_names))

@@ -22,8 +22,8 @@ hold of each score reads back to the same float.  A ``Pipeline`` keeps
 each artifact it served and serves it again while the key record still
 vouches for it, so a checkpoint is read once.  It computes each phase
 key, and the config hash, once: the config is frozen.  The key records
-themselves are read on every call.  Every JSON file goes through
-``attribution.json_text``.
+themselves are read on every call.  Every JSON file is the text of
+``json.dumps(doc, sort_keys=True, indent=1)``.
 
 Phases build their dependencies on demand, so a matrix trains or unlearns
 exactly the models it scores and the outputs do not depend on the order
@@ -61,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .attribution import AttributionMatrix, attribution_matrix, json_text, prototype_baseline
+from .attribution import AttributionMatrix, attribution_matrix, prototype_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetSpec, GroupedDataset, generate_grouped_dataset
 from .denoiser import Architecture, forward_batch
@@ -120,7 +120,7 @@ def _replacing(path: Path):
 
 def _write_json(path: Path, doc: dict) -> None:
     with _replacing(path) as tmp:
-        tmp.write_text(json_text(doc))
+        tmp.write_text(json.dumps(doc, sort_keys=True, indent=1))
 
 
 def _write_log(path: Path, header: str, *columns) -> None:

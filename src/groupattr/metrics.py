@@ -108,6 +108,13 @@ def rank_report(
     gold: AttributionMatrix,
     rbo_p: float = DEFAULT_RBO_P,
 ) -> RankReport:
+    """Agreement of ``pred`` with ``gold``, which must name the same groups
+    and queries in the same order: columns and rows are compared by
+    position."""
+    for what, a, b in (("group names", pred.group_names, gold.group_names),
+                       ("query ids", pred.query_ids, gold.query_ids)):
+        if list(a) != list(b):
+            raise ValueError(f"{what} differ between {pred.method} and {gold.method}")
     cols = _metric_columns(pred.scores, gold.scores, rbo_p)
     per_query = [
         {"query_id": qid, **{key: float(cols[key][i]) for key in _METRICS}}

@@ -22,7 +22,7 @@ score differences between models use identical noise (variance
 reduction).  A model makes one denoiser call per grid point, and its
 ELBO row does not depend on which models are scored with it, so a
 pipeline scores its full model once and subtracts each counterfactual
-row from that.  ``elbo_block`` is a grid formed and scored in one call.
+row from that.
 
 Kernel denoisers over one point set (the oracle's full and
 leave-one-group-out sets) are scored in row blocks of the x_t block,
@@ -212,19 +212,6 @@ class ElboGrid:
         return -_grid_sums(kls)
 
 
-def elbo_block(
-    models: Sequence,
-    x0: np.ndarray,
-    cond: np.ndarray | None,
-    noise_seeds: Sequence[int],
-    spec: ElboSpec,
-    s: Schedule,
-) -> np.ndarray:
-    """ELBO of every query under every model, as an (M models, Q queries)
-    array: ``ElboGrid(x0, cond, noise_seeds, spec, s).elbos(models)``."""
-    return ElboGrid(x0, cond, noise_seeds, spec, s).elbos(models)
-
-
 def _grid_sums(kls: np.ndarray) -> np.ndarray:
     """Per (model, query) of an (M, Q, G, J) KL block: ``math.fsum`` over
     the J samples of each grid point divided by J, then ``math.fsum`` over
@@ -253,11 +240,12 @@ def elbo_estimate(
     Higher is better; a model predicting the exact noise at every grid
     point attains 0.  The noise at (t, j) is keyed by
     ``(noise_seed, t, j)``, so identical (model, x0, spec, noise_seed)
-    always reproduce the same value.  This is ``elbo_block`` for one
-    model and one query.
+    always reproduce the same value.  This is the one-query, one-model
+    ``ElboGrid``.
     """
     cond = None if cond is None else np.atleast_2d(cond)
-    return float(elbo_block([model], np.atleast_2d(x0), cond, [noise_seed], spec, s)[0, 0])
+    grid = ElboGrid(np.atleast_2d(x0), cond, [noise_seed], spec, s)
+    return float(grid.elbos([model])[0, 0])
 
 
 def paired_score_difference(

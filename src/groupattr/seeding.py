@@ -4,7 +4,9 @@ Every stochastic phase of the pipeline derives its generator from a root
 seed plus a path of labels (phase name, group index, query index, ...).
 Two derivations with the same root and path always produce the same
 stream, regardless of how many other streams were consumed in between,
-so results do not depend on scheduling or evaluation order.
+so results do not depend on scheduling or evaluation order.  ``rng_for``
+and ``derive_seed`` hash (root, *path) with ``np.random.SeedSequence``;
+``query_seeds`` is one ``derive_seed`` per query.
 
 Per-row draws inside a block (training noise, ELBO noise, anchor styles,
 sampler noise) come from ``content_rng``, a keyed counter-based draw
@@ -46,65 +48,7 @@ def derive_seed(root: int, *path: int | str) -> int:
 
 def query_seeds(root: int, count: int) -> list[int]:
     """``derive_seed(root, "query", q)`` for each query q < ``count``."""
-    return derive_seeds(root, "query", last=np.arange(count, dtype=np.uint32))
-
-
-# ``np.random.SeedSequence``'s hash constants, and its 4-word pool.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-_M32 = 0xFFFFFFFF
-
-
-def derive_seeds(root: int, *path: int | str, last: np.ndarray) -> list[int]:
-    """``derive_seed(root, *path, q)`` for each q of the uint32 vector ``last``.
-
-    ``SeedSequence``'s pool hash, run on all the entropies at once in
-    uint32 array arithmetic (numpy's ``bit_generator.pyx``): every word
-    but the last is the same for each q, and the hash constants do not
-    depend on the data, so they stay Python ints.
-    """
-    entropy = [np.full(1, w, dtype=np.uint32) for part in (root, *path)
-               for w in _words(_encode(part))]
-    entropy.append(np.asarray(last, dtype=np.uint32))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _M32
-        value *= np.uint32(hash_const)
-        return value ^ value >> np.uint32(16)
-
-    def mix(x, y):
-        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return result ^ result >> np.uint32(16)
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(1, np.uint32))
-            for i in range(_POOL)]
-    for i_src in range(_POOL):
-        for i_dst in range(_POOL):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL:]:
-        for i_dst in range(_POOL):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-    # generate_state(2): the first two pool words under the second hash.
-    state, hash_const = [], _INIT_B
-    for word in pool[:2]:
-        word = word ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _M32
-        word *= np.uint32(hash_const)
-        state.append((word ^ word >> np.uint32(16)).astype(np.uint64))
-    return (state[0] << np.uint64(31) | state[1] >> np.uint64(1)).tolist()
-
-
-def _words(n: int) -> list[int]:
-    """The little-endian 32-bit words ``SeedSequence`` makes of an int >= 0 (0 is [0])."""
-    words = [n & _M32]
-    while n := n >> 32:
-        words.append(n & _M32)
-    return words
+    return [derive_seed(root, "query", q) for q in range(count)]
 
 
 def _mix(z: np.ndarray) -> np.ndarray:

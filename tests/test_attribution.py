@@ -19,9 +19,9 @@ from groupattr import (
     init_network,
     prototype_baseline,
 )
-from groupattr.attribution import json_text
 from groupattr.data import GroupedDataset
 from groupattr.denoiser import Architecture
+from groupattr.harness import _write_json
 from groupattr.seeding import query_seeds
 from groupattr.training import KernelDenoiser
 
@@ -107,6 +107,12 @@ def reference_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
+def written_json(doc, path) -> str:
+    """The text the run directory's JSON writer leaves at ``path`` for ``doc``."""
+    _write_json(path, doc)
+    return path.read_text()
+
+
 TEXT = st.text(st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
     ['"', "\\", "\x00\x1f\n\t", "\u00e9\u4e2d\U0001f600", ""])
 SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | TEXT
@@ -120,10 +126,18 @@ JSON_DOCS = st.recursive(
     max_leaves=30)
 
 
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("json")
+
+
 @settings(max_examples=400, deadline=None)
-@given(JSON_DOCS)
-def test_json_text_is_the_indented_json_dumps(doc):
-    assert json_text(doc) == reference_json(doc)
+@given(doc=JSON_DOCS)
+def test_json_text_is_the_indented_json_dumps(doc, json_dir):
+    """Every JSON file of a run directory is the text of ``json.dumps(doc,
+    sort_keys=True, indent=1)``: no trailing newline, ASCII escapes,
+    ``NaN`` and ``Infinity`` kept."""
+    assert written_json(doc, json_dir / "doc.json") == reference_json(doc)
 
 
 REPORT_ROWS = [{"query_id": f"q{q}", **{m: float(v) for m, v in zip(
@@ -151,16 +165,23 @@ JSON_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(JSON_CASES))
-def test_json_text_matches_json_dumps_on_named_cases(case):
-    assert json_text(JSON_CASES[case]) == reference_json(JSON_CASES[case])
+def test_json_text_matches_json_dumps_on_named_cases(case, tmp_path):
+    assert written_json(JSON_CASES[case], tmp_path / "doc.json") == \
+        reference_json(JSON_CASES[case])
 
 
-def test_json_text_refuses_what_json_dumps_refuses():
+def test_json_text_refuses_what_json_dumps_refuses(tmp_path):
+    """What ``json.dumps`` refuses raises ``TypeError`` and leaves the file
+    as it was, with no temp file beside it."""
+    path = tmp_path / "doc.json"
+    _write_json(path, {"kept": 1})
     for doc in ({"a": object()}, [np.int64(1)], {(1, 2): 3}):
         with pytest.raises(TypeError):
             reference_json(doc)
         with pytest.raises(TypeError):
-            json_text(doc)
+            _write_json(path, doc)
+        assert path.read_text() == reference_json({"kept": 1})
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 class TestAttributionMatrixOp:
@@ -225,10 +246,3 @@ class TestPrototypeBaseline:
         d = self.make_dataset([[[1.0, 0.0]], [[0.0, 1.0]]])
         with pytest.raises(FloatingPointError):
             prototype_baseline(np.zeros((1, 2)), d)
-
-    def test_custom_embedding(self):
-        d = self.make_dataset([[[2.0, 0.0]], [[0.0, 3.0]]])
-        mat = prototype_baseline(
-            np.array([[5.0, 0.0]]), d, embed=lambda x: x / np.linalg.norm(x)
-        )
-        assert mat.scores[0, 0] == pytest.approx(1.0, rel=1e-12)

@@ -3,7 +3,7 @@
 ``content_rng`` draws a whole block's uniforms in one pass, keyed by each
 row's root, labels and float64 words.  Its rows must depend on nothing
 else: row i of a block is the one-row call, permuted or duplicated rows
-draw the same, and -0.0 keys as 0.0.  ``noise_batch``, ``elbo_block``,
+draw the same, and -0.0 keys as 0.0.  ``noise_batch``, an ``ElboGrid``,
 ``anchor_select`` and ``sample`` each make one draw per block, and the
 values drawn have the laws they stand for.  ``forward_marginal``,
 ``retrack_target`` and ``anchor_select`` work on whole blocks and must
@@ -15,8 +15,9 @@ fresh calls give, and its results never alias its buffers.  On point sets
 large enough for its k-d tree candidates, rows get the same reference
 result, also where rounding inverts the tree's order of the candidates,
 and only rows with ties past the candidates go through its full scan.
-``derive_seeds`` gives, for a whole vector of last labels, the seeds that
-``np.random.SeedSequence`` gives one at a time.
+``derive_seed`` gives, for every last label, the seed that
+``np.random.SeedSequence`` gives, and ``query_seeds`` is one
+``derive_seed`` per query.
 """
 
 import math
@@ -36,7 +37,7 @@ from groupattr.denoiser import noise_batch
 from groupattr.diffusion import NearestKernel, build_schedule, forward_marginal, kernel_logits
 from groupattr.scoring import ElboSpec
 from groupattr import seeding
-from groupattr.seeding import content_rng, derive_seed, derive_seeds, normals, query_seeds
+from groupattr.seeding import content_rng, derive_seed, normals, query_seeds
 from groupattr.unlearning import AnchorSelector, anchor_select, retrack_target
 
 S = build_schedule(40)
@@ -588,8 +589,8 @@ def _zero_denoiser(x, t, cond):
 SITES = {
     "noise_batch": (denoiser, lambda x0, seeds: noise_batch(x0, None, S, 5, 1, 40,
                                                             anchor_seeds=True)),
-    "elbo_block": (scoring, lambda x0, seeds: scoring.elbo_block(
-        [_zero_denoiser], x0, None, seeds, ElboSpec(stride=10, samples_per_t=2), S)),
+    "elbo_block": (scoring, lambda x0, seeds: scoring.ElboGrid(
+        x0, None, seeds, ElboSpec(stride=10, samples_per_t=2), S).elbos([_zero_denoiser])),
     "anchor_select": (unlearning, lambda x0, seeds: anchor_select(
         AnchorSelector.from_dataset(generate_grouped_dataset(
             DatasetSpec(n_groups=3, samples_per_group=4, conditional=True), seed=1)), 0, seeds)),
@@ -624,11 +625,6 @@ def seed_sequence_seed(root, *path):
     return int(s0) << 31 | int(s1) >> 1
 
 
-def entropy_words(root, *path):
-    """How many 32-bit words ``SeedSequence`` makes of (root, *path)."""
-    return sum(max(1, -(-seeding._encode(part).bit_length() // 32)) for part in (root, *path))
-
-
 seed_labels = st.one_of(st.sampled_from(["query", "elbo", ""]), st.integers(0, 2**32 - 1),
                         st.integers(2**32, 2**64))
 last_labels = st.lists(st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1)),
@@ -639,8 +635,9 @@ last_labels = st.lists(st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers
 @given(st.one_of(roots, st.integers(-2**70, -1), st.integers(2**63, 2**70)),
        st.lists(seed_labels, max_size=4), last_labels)
 def test_derive_seeds_is_seed_sequence_per_last_label(root, path, last):
-    """Entropy shorter than, as long as and longer than the 4-word pool."""
-    got = derive_seeds(root, *path, last=np.array(last, dtype=np.uint32))
+    """Entropy shorter than, as long as and longer than ``SeedSequence``'s
+    4-word pool."""
+    got = [derive_seed(root, *path, q) for q in last]
     assert got == [seed_sequence_seed(root, *path, q) for q in last]
     assert all(type(seed) is int for seed in got)
 
@@ -648,20 +645,9 @@ def test_derive_seeds_is_seed_sequence_per_last_label(root, path, last):
 @pytest.mark.parametrize("root", [0, 7, 2**32 - 1, 2**32, 2**63 - 1])
 @pytest.mark.parametrize("path", [("query",), ("elbo", 3), ("a", 2**40, "b")])
 def test_derive_seeds_named_roots_and_paths(root, path):
-    last = np.array([0, 1, 5, 255, 2**31, 2**32 - 1], dtype=np.uint32)
-    assert derive_seeds(root, *path, last=last) == \
-        [seed_sequence_seed(root, *path, int(q)) for q in last] == \
-        [derive_seed(root, *path, int(q)) for q in last]
-
-
-def test_derive_seeds_cover_every_entropy_length_around_the_pool():
-    cases = [(0, ()), (7, ("query",)), (2**32, ("query",)), (2**32, ("a", 1)),
-             (2**63 - 1, ("a", 2**40)), (5, ("a", 2**40, "b"))]
-    assert sorted({entropy_words(root, *path, 0) for root, path in cases}) == [2, 3, 4, 5, 6]
-    for root, path in cases:
-        last = np.arange(9, dtype=np.uint32)
-        assert derive_seeds(root, *path, last=last) == \
-            [seed_sequence_seed(root, *path, q) for q in range(9)]
+    last = [0, 1, 5, 255, 2**31, 2**32 - 1]
+    assert [derive_seed(root, *path, q) for q in last] == \
+        [seed_sequence_seed(root, *path, q) for q in last]
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 257])

@@ -69,6 +69,19 @@ class TestArtifacts:
             assert (out / "reports" / f"rank_{m}_vs_logoa.json").exists()
         assert (out / "reports" / "timing.json").exists()
 
+    def test_every_json_file_is_indented_json_dumps(self, tiny_run):
+        """Key records, matrices, rank reports, timing, summary and config:
+        each JSON file the run writes is ``json.dumps(doc, sort_keys=True,
+        indent=1)`` of the document it holds."""
+        _, out, _ = tiny_run
+        files = sorted(out.rglob("*.json"))
+        assert {f.relative_to(out).parts[0] for f in files} == {
+            "keys", "matrices", "reports", "summary.json", "config.json"}
+        assert out / "reports" / "timing.json" in files
+        for f in files:
+            text = f.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=1), f
+
     def test_unlearn_sidecar_records_config_and_seconds(self, tiny_run):
         _, out, _ = tiny_run
         doc = json.loads((out / "keys" / "unlearn_retrack_0.json").read_text())
@@ -253,7 +266,7 @@ from conftest import tiny_experiment_config
 from groupattr.denoiser import Architecture, backward_batch, forward_batch, init_network
 from groupattr import KernelDenoiser, build_schedule, generate_grouped_dataset
 from groupattr.harness import default_experiment_config, run_experiment
-from groupattr.scoring import ElboSpec, elbo_block
+from groupattr.scoring import ElboGrid, ElboSpec
 from groupattr.seeding import query_seeds
 
 run_experiment(tiny_experiment_config(), sys.argv[1])
@@ -274,8 +287,8 @@ points, labels = d.labeled_samples()
 full = KernelDenoiser(points, build_schedule(100, "squared_cosine"))
 cfs = [full.restrict(np.flatnonzero(labels != k)) for k in range(d.n_groups)]
 x0 = rng.normal(size=(256, 2)) * 4.0
-h.update(elbo_block([full, *cfs], x0, None, query_seeds(3, 256), ElboSpec(), full.schedule)
-         .tobytes())
+h.update(ElboGrid(x0, None, query_seeds(3, 256), ElboSpec(), full.schedule)
+         .elbos([full, *cfs]).tobytes())
 print(h.hexdigest())
 """
         paths = [str(Path(harness.__file__).parents[1]), str(Path(__file__).parent)]
@@ -304,24 +317,18 @@ print(h.hexdigest())
 
         roots, used = [], []
         real_derive = seeding.derive_seed
-        real_derive_vector = seeding.derive_seeds
         real_matrix = attribution.attribution_matrix
 
         def counting_derive(root, *path):
             roots.append((root, *path))
             return real_derive(root, *path)
 
-        def counting_derive_vector(root, *path, last):
-            # One call derives the seeds of every query q in ``last``.
-            roots.append((root, *path, tuple(last.tolist())))
-            return real_derive_vector(root, *path, last=last)
-
         def recording_matrix(*args, **kwargs):
             used.append(list(args[6]))
             return real_matrix(*args, **kwargs)
 
+        # ``query_seeds`` calls ``seeding.derive_seed`` once per query.
         monkeypatch.setattr(seeding, "derive_seed", counting_derive)
-        monkeypatch.setattr(seeding, "derive_seeds", counting_derive_vector)
         monkeypatch.setattr(harness, "derive_seed", counting_derive)
         monkeypatch.setattr(harness, "attribution_matrix", recording_matrix)
         cfg = tiny_experiment_config()
@@ -329,7 +336,7 @@ print(h.hexdigest())
         elbo = real_derive(cfg.master_seed, "elbo")
         Q = cfg.queries.count
         assert roots.count((cfg.master_seed, "elbo")) == 1
-        assert [r for r in roots if r[0] == elbo] == [(elbo, "query", tuple(range(Q)))]
+        assert [r for r in roots if r[0] == elbo] == [(elbo, "query", q) for q in range(Q)]
         assert len(used) == 4  # logoa, retrack, esd and oracle
         assert all(u == seeding.query_seeds(elbo, Q) for u in used)
 

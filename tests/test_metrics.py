@@ -246,6 +246,28 @@ class TestInvariances:
         with pytest.raises(ValueError):
             rank_report(matrix(np.zeros((2, 3))), matrix(np.zeros((2, 4))))
 
+    def test_gold_with_other_columns_or_rows_rejected(self, tmp_path):
+        """A same-shape gold whose group names are permuted, or whose query
+        ids differ, is not scored by position; one read back from its JSON
+        file neither."""
+        scores = np.random.default_rng(9).normal(size=(3, 4))
+        pred = matrix(scores)
+        names, qids = pred.group_names, pred.query_ids
+        for gold in (
+            AttributionMatrix("gold", scores[:, ::-1], qids, names[::-1]),
+            AttributionMatrix("gold", scores, qids, [*names[:3], "group9"]),
+            AttributionMatrix("gold", scores, ["q0", "q2", "q1"], names),
+            AttributionMatrix("gold", scores, ["a", "b", "c"], names),
+        ):
+            gold.to_json(tmp_path / "gold.json")
+            for g in (gold, AttributionMatrix.from_json(tmp_path / "gold.json")):
+                with pytest.raises(ValueError):
+                    rank_report(pred, g)
+                with pytest.raises(ValueError):
+                    rank_report(g, pred)
+        AttributionMatrix("gold", scores, list(qids), list(names)).to_json(tmp_path / "g.json")
+        assert rank_report(pred, AttributionMatrix.from_json(tmp_path / "g.json")).top1 == 1.0
+
 
 class TestRankReport:
     def test_round_trip(self):

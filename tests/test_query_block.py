@@ -1,6 +1,6 @@
 """Block query path against per-query references built from one-point primitives.
 
-``sample`` runs all seeds as one (Q, dim) block and ``elbo_block`` scores
+``sample`` runs all seeds as one (Q, dim) block and an ``ElboGrid`` scores
 all queries under all models at once.  The references below take one
 query at a time through the public single-point functions; the block
 path may differ from them only by BLAS rounding (a one-row product
@@ -35,7 +35,7 @@ from groupattr import (
     true_posterior,
 )
 from groupattr.denoiser import forward_batch
-from groupattr.scoring import elbo_block
+from groupattr.scoring import ElboGrid
 from groupattr.seeding import content_rng, derive_seed, normals, query_seeds
 
 S = build_schedule(50, "squared_cosine")
@@ -159,7 +159,7 @@ class TestBlockScoring:
         full, _ = networks()
         (x0,), (cond,) = query_block(1, "group")
         spec = ElboSpec(stride=6)
-        block = elbo_block([full], x0[None, :], cond[None, :], [91], spec, S)
+        block = ElboGrid(x0[None, :], cond[None, :], [91], spec, S).elbos([full])
         assert block.shape == (1, 1)
         assert block[0, 0] == elbo_estimate(full, x0, cond, spec, S, 91)
         assert abs(block[0, 0] - reference_elbo(full, x0, cond, 91, spec)) <= (
@@ -377,7 +377,7 @@ def full_block():
     x0 = np.random.default_rng(8).normal(size=(Q, 2)) * 2.0
     conds = np.array([dataset().cond_vectors[q % N_GROUPS] for q in range(Q)])
     seeds = [derive_seed(99, "query", q) for q in range(Q)]
-    scores = elbo_block([full, *cfs], x0, conds, seeds, PROP_SPEC, S)
+    scores = ElboGrid(x0, conds, seeds, PROP_SPEC, S).elbos([full, *cfs])
     samples = sample(S_LIN, _net_fn(), seeds, cond=conds, steps=20, dim=2)
     return x0, conds, seeds, scores, samples
 
@@ -402,7 +402,7 @@ def test_block_rows_follow_their_queries(rows):
     x0, conds, seeds, scores, samples = full_block()
     rows = list(rows)
     sub_seeds = [seeds[r] for r in rows]
-    got = elbo_block([full, *cfs], x0[rows], conds[rows], sub_seeds, PROP_SPEC, S)
+    got = ElboGrid(x0[rows], conds[rows], sub_seeds, PROP_SPEC, S).elbos([full, *cfs])
     assert np.max(np.abs(got - scores[:, rows])) <= 1e-12
     got_samples = sample(S_LIN, _net_fn(), sub_seeds, cond=conds[rows], steps=20, dim=2)
     assert np.max(np.abs(got_samples - samples[rows])) <= 1e-12

@@ -17,7 +17,7 @@ from groupattr import (
     init_network,
     paired_score_difference,
 )
-from groupattr.scoring import elbo_block
+from groupattr.scoring import ElboGrid
 from groupattr.training import KernelDenoiser, train_full
 
 S = build_schedule(60, "squared_cosine")
@@ -69,7 +69,7 @@ class TestElboConfig:
             seen.append(t)
             return np.zeros_like(xt)
 
-        elbo_block([zero], np.zeros((1, 2)), None, [0], ElboSpec(stride=10), S)
+        ElboGrid(np.zeros((1, 2)), None, [0], ElboSpec(stride=10), S).elbos([zero])
         assert seen == [2, 12, 22, 32, 42, 52]
 
     @pytest.mark.parametrize("stride", [1, 2, 7, 14])
@@ -89,7 +89,7 @@ class TestElboConfig:
             grid.append(t)
             return np.zeros_like(xt)
 
-        elbo_block([record], x0, None, [5], spec, s)
+        ElboGrid(x0, None, [5], spec, s).elbos([record])
 
         def off_at(t_off):
             def eps(xt, t, cond=None):
@@ -97,7 +97,7 @@ class TestElboConfig:
                 return exact + (t == t_off) * np.array([1.0, 0.0])
             return eps
 
-        weights = -elbo_block([off_at(t) for t in grid], x0, None, [5], spec, s)[:, 0]
+        weights = -ElboGrid(x0, None, [5], spec, s).elbos([off_at(t) for t in grid])[:, 0]
         assert np.all(weights > 0.0)
         for g, w in enumerate(weights):
             assert w <= 100.0 * np.delete(weights, g).mean(), (grid[g], w)
@@ -108,8 +108,8 @@ class TestElboConfig:
         with pytest.raises(ValueError):
             ElboSpec(samples_per_t=0)
         with pytest.raises(ValueError, match="T = 1"):
-            elbo_block([ExactNoiseDenoiser(0)], np.zeros((1, 2)), None, [0], ElboSpec(),
-                       build_schedule(1, "squared_cosine"))
+            ElboGrid(np.zeros((1, 2)), None, [0], ElboSpec(),
+                     build_schedule(1, "squared_cosine")).elbos([ExactNoiseDenoiser(0)])
 
 
 class ExactNoiseDenoiser:
