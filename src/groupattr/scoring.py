@@ -29,7 +29,9 @@ leave-one-group-out sets) are scored in row blocks of the x_t block,
 each of about ``_KERNEL_BLOCK_BYTES`` per (rows, n) array so that the
 distance and exp blocks stay in cache.  In a row block they share one
 ``KernelBlock``: one distance block and one exp(logits - row maximum)
-over all n points.  A subset reuses those exps wherever the row maximum
+over all n points.  A subset copies its columns of those exps as the
+slices of its runs of consecutive point indices (one or two runs for a
+leave-one-group-out set), and reuses them wherever the row maximum
 over all points lies in the subset.  There the maximum over the subset is
 the same float, so the exps are the very bits its own softmax would
 compute.  Only the other rows are exponentiated again.  Each set's row

@@ -186,11 +186,14 @@ class KernelDenoiser:
     Ignores the condition argument; the empirical predictor is defined
     on the raw sample space.  ``restrict(cols)`` gives the denoiser over
     ``points[cols]`` whose ``base`` is this one; a denoiser is its own
-    base.  Every denoiser over one base predicts from the base's one
-    ``kernel_block`` at (x_t, t) through ``from_block``: scoring runs an
-    x_t block in cache-sized row blocks, and the oracle's full and N
-    leave-one-group-out denoisers share one distance block and one
-    ``exp`` per row block (``scoring._predict_all``).
+    base.  A restriction keeps ``cols`` as its maximal runs of
+    consecutive indices: the point set is ordered by group, so a
+    leave-one-group-out set is one or two runs.  Every denoiser over one
+    base predicts from the base's one ``kernel_block`` at (x_t, t)
+    through ``from_block``: scoring runs an x_t block in cache-sized row
+    blocks, and the oracle's full and N leave-one-group-out denoisers
+    share one distance block and one ``exp`` per row block
+    (``scoring._predict_all``).
     """
 
     def __init__(self, points: np.ndarray, schedule: Schedule):
@@ -198,6 +201,7 @@ class KernelDenoiser:
         self.schedule = schedule
         self.base = self
         self.cols: np.ndarray | None = None
+        self._runs: list[slice] = []
         self._member: np.ndarray | None = None
 
     @property
@@ -205,11 +209,21 @@ class KernelDenoiser:
         return self.points.shape[1]
 
     def restrict(self, cols) -> "KernelDenoiser":
-        """The denoiser over ``points[cols]``, with this one as its base."""
+        """The denoiser over ``points[cols]``, with this one as its base.
+
+        ``cols`` is a 1-D array of indices in [0, n), in any order and
+        with repeats allowed."""
         cols = np.asarray(cols, dtype=np.intp)
+        n = len(self.points)
+        if cols.ndim != 1:
+            raise ValueError(f"cols must be 1-D, got shape {cols.shape}")
+        if len(cols) and not (0 <= cols.min() and cols.max() < n):
+            raise ValueError(f"cols must lie in [0, {n})")
         sub = KernelDenoiser(self.points[cols], self.schedule)
         sub.base, sub.cols = self, cols
-        sub._member = np.zeros(len(self.points), dtype=bool)
+        cuts = [0, *(np.flatnonzero(np.diff(cols) != 1) + 1).tolist(), len(cols)]
+        sub._runs = [slice(int(cols[a]), int(cols[b - 1]) + 1) for a, b in zip(cuts, cuts[1:])]
+        sub._member = np.zeros(n, dtype=bool)
         sub._member[cols] = True
         return sub
 
@@ -226,11 +240,12 @@ class KernelDenoiser:
         The result is bit for bit ``empirical_denoiser(points, xt, t)``.
         That softmax subtracts each row's maximum over ``points`` and
         exponentiates.  A restricted denoiser copies its columns of
-        ``block.exps`` with ``np.take``; a row whose nearest base point
-        is one of its points has the base's row maximum, so the copied
-        exps are the bits it would compute.  Only the other rows (about
-        B / N for N equal leave-one-group-out sets) are exponentiated
-        again from their logits over ``cols``.  The C-contiguous copy
+        ``block.exps`` by concatenating the slices of its runs; a row
+        whose nearest base point is one of its points has the base's row
+        maximum, so the copied exps are the bits it would compute.  Only
+        the other rows (about B / N for N equal leave-one-group-out sets)
+        are exponentiated again from their logits over the runs.  The
+        centres are copied the same way.  The fresh C-contiguous copy
         then sums and contracts exactly as ``empirical_denoiser`` does.
         The base's own denoiser normalises ``block.exps`` in place, so it
         must be the block's last user.
@@ -238,10 +253,11 @@ class KernelDenoiser:
         if self.cols is None:
             w, centers = block.exps, block.centers
         else:
-            w = np.take(block.exps, self.cols, axis=-1)
-            centers = np.take(block.centers, self.cols, axis=-2)
+            w = np.concatenate([block.exps[..., r] for r in self._runs], axis=-1)
+            centers = np.concatenate([block.centers[..., r, :] for r in self._runs], axis=-2)
             rows = np.flatnonzero(~self._member[block.nearest])
-            w[rows] = softmax_numerators(np.take(block.logits[rows], self.cols, axis=-1))
+            w[rows] = softmax_numerators(
+                np.concatenate([block.logits[rows, r] for r in self._runs], axis=-1))
         w /= w.sum(axis=-1, keepdims=True)
         return (xt - w @ centers) / self.schedule.sigma(t)
 

@@ -318,13 +318,56 @@ class TestSharedKernelBlock:
 
     @pytest.mark.parametrize("t", [2, 31])
     def test_any_column_subset(self, t):
-        """A restriction to every third point, which is no group's complement."""
+        """Restrictions that are no group's complement, copied run by run:
+        every third point (one run per point), the whole set and the first
+        or last group left out (one run each), a single point, and columns
+        out of order with a repeat."""
         _, full, _ = desk_oracle()
-        third = full.restrict(np.arange(0, len(full.points), 3))
+        n = len(full.points)
+        third = full.restrict(np.arange(0, n, 3))
+        subsets = [third, full.restrict(np.arange(n)), full.restrict([417]),
+                   full.restrict(np.arange(200, n)), full.restrict(np.arange(n - 200)),
+                   full.restrict([5, 6, 7, 2, 3, 3])]
+        assert [len(sub._runs) for sub in subsets] == [len(third.cols), 1, 1, 1, 1, 3]
         xt = np.random.default_rng(t).normal(size=(64, 2)) * 4.0
         nearest = full.kernel_block(xt, t).nearest
         assert 0 < np.count_nonzero(nearest % 3) < len(xt)
-        self.assert_block_predictions(full, [third], xt, t)
+        self.assert_block_predictions(full, subsets, xt, t)
+
+    def test_restrict_rejects_columns_outside_the_point_set(self):
+        """A negative or too-large index, or columns that are not 1-D, are
+        refused rather than wrapped or sliced into other points."""
+        _, full, _ = desk_oracle()
+        n = len(full.points)
+        for cols in ([-1, 0, 1], [0, n], [n - 1, n], np.arange(6).reshape(2, 3), 3):
+            with pytest.raises(ValueError):
+                full.restrict(cols)
+        assert full.restrict([0, n - 1]).points.tobytes() == full.points[[0, n - 1]].tobytes()
+
+    @pytest.mark.parametrize("t", [2, 12, 31])
+    def test_unequal_group_sizes(self, t, tmp_path):
+        """Groups of 3, 9 and 5 points: each leave-one-group-out set, built
+        by the harness, predicts the bits of ``empirical_denoiser`` over
+        the dataset's samples without that group."""
+        from groupattr import GroupedDataset, Pipeline, default_experiment_config
+        from groupattr.scoring import _predict_all
+
+        rng = np.random.default_rng(11)
+        groups = [rng.normal(size=(m, 2)) * 2.0 + 3.0 * k for k, m in enumerate((3, 9, 5))]
+        d = GroupedDataset(groups, 2, None, ["a", "b", "c"])
+        p = Pipeline(default_experiment_config(0), tmp_path)
+        full, cfs = p._models_for("oracle", d)
+        s = p.schedule()
+        xt = np.concatenate([math.sqrt(s.alpha_bar(t)) * full.points,
+                             rng.normal(size=(47, 2)) * 4.0])
+        assert [len(cf._runs) for cf in cfs] == [1, 2, 1]
+        assert set(d.labeled_samples()[1][full.kernel_block(xt, t).nearest]) == {0, 1, 2}
+        got = _predict_all([full, *cfs], xt, t, None, s)
+        assert got[0].tobytes() == empirical_denoiser(full.points, xt, t, s).tobytes()
+        for k, (cf, eps) in enumerate(zip(cfs, got[1:])):
+            points = d.labeled_samples(exclude=k)[0]
+            assert cf.points.tobytes() == points.tobytes()
+            assert eps.tobytes() == empirical_denoiser(points, xt, t, s).tobytes()
 
     @pytest.mark.parametrize("rows", [1, 31, 33, 257])
     def test_row_blocks_give_the_whole_block_bits(self, rows, monkeypatch):
