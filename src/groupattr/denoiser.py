@@ -7,16 +7,17 @@ finite-difference checks all share one representation.  Forward and
 backward passes are written directly in numpy; reverse-mode gradients
 are exact up to floating point.
 
-A batch is one (x0, cond) block, (B, dim) and (B, cond_dim) or None;
-every training and unlearning objective noises it with ``noise_batch``
-and ends in ``regress``, the shared forward, residual and backward step.
-``noise_batch`` takes each row's t and eps from one keyed draw over the
-block (``seeding.content_rng``), keyed by the row's root and content, so
-a row's noise does not depend on its batch or its position in it.  The
-root is one seed for the block or one seed per row: ``loss_and_grad``
-draws its own block under one seed, while the training and unlearning
-loops noise a whole epoch or block of steps in one call, each row under
-its step's seed, and so draw the same bits.
+A batch is one (x0, cond) block, (B, dim) and (B, cond_dim) or None.
+``noise_batch`` noises a block through the forward marginal, and every
+training and unlearning objective ends in ``loss_and_grad``, the one
+forward, residual and backward step on noised rows.  ``noise_batch``
+takes each row's t and eps from one keyed draw over the block
+(``seeding.content_rng``), keyed by the row's root and content, so a
+row's noise does not depend on its batch or its position in it.  The
+root is one seed for the block or one seed per row: the training and
+unlearning loops noise a whole epoch or block of steps in one call, each
+row under its step's seed, and so draw the bits that a call for that
+step's rows alone would draw.
 
 A forward pass that a backward pass follows (``want_cache``) keeps each
 layer's input and pre-activation and, under SiLU, its sigmoid; the
@@ -358,7 +359,7 @@ def noise_batch(
     return ts, forward_marginal(s, x0, ts, eps), eps, seeds
 
 
-def regress(
+def loss_and_grad(
     p: DenoiserParams,
     xt: np.ndarray,
     ts: np.ndarray,
@@ -368,13 +369,16 @@ def regress(
     cap: float | None = None,
     out=None,
 ) -> tuple[float, np.ndarray]:
-    """Batch mean of |eps_p(xt, t, cond) - target|^2 over rows, with gradient.
+    """Batch mean of |eps_p(xt, t, cond) - target|^2 over noised rows, with gradient.
 
-    With ``cap`` each row's squared residual norm is clipped at ``cap``
-    (trust-region clipping): a clipped row contributes the cap value and
-    no gradient.  The gradient is written into ``out`` (a
-    ``gradient_buffer``) if given.
+    ``xt`` is a non-empty (B, dim) block of noised rows and ``ts`` their
+    timesteps; an empty block raises ``ValueError``.  With ``cap`` each
+    row's squared residual norm is clipped at ``cap`` (trust-region
+    clipping): a clipped row contributes the cap value and no gradient.
+    The gradient is written into ``out`` (a ``gradient_buffer``) if given.
     """
+    if len(xt) == 0:
+        raise ValueError("batch must be a non-empty (B, dim) block")
     resid, cache = forward_batch(p, xt, ts, num_steps, cond, want_cache=True)
     resid -= target
     raw = np.sum(resid**2, axis=1)
@@ -387,24 +391,6 @@ def regress(
     return loss, backward_batch(p, cache, resid, out)
 
 
-def loss_and_grad(
-    p: DenoiserParams,
-    x0: np.ndarray,
-    cond: np.ndarray | None,
-    s: Schedule,
-    rng_seed: int,
-) -> tuple[float, np.ndarray]:
-    """Mean squared eps-prediction error over an (x0, cond) block, with gradient.
-
-    Each row draws a uniform timestep and a Gaussian noise vector
-    deterministically from (rng_seed, row content), is noised through
-    the forward marginal, and the loss is the batch mean of the squared
-    prediction residual norm.
-    """
-    ts, xt, eps, _ = noise_batch(x0, cond, s, rng_seed, 1, s.num_steps)
-    return regress(p, xt, ts, s.num_steps, cond, eps)
-
-
 class AdamW:
     """A run's weights, AdamW moments and scratch, updated in place by
     ``optimizer_step``.
@@ -413,7 +399,7 @@ class AdamW:
     ``params`` is a read-only view of the run's weight buffer: its layer
     views follow every step, and it is for the run's own forward and
     backward passes only.  ``grads`` holds ``n_grads`` gradient buffers
-    for ``regress(out=...)``.  ``result`` hands out the weights as a fresh
+    for ``loss_and_grad(out=...)``.  ``result`` hands out the weights as a fresh
     immutable ``DenoiserParams``.
     """
 

@@ -203,11 +203,8 @@ class NearestKernel:
     scaled back, must exceed that point's distance by a slack that covers
     the rounding of both distance formulas.  Rows that fail this check,
     and every row of a call with K + ``_SPARE_CANDIDATES`` >= n, go
-    through the full scan over all n points, whose (B, n) distance,
-    difference, partition and mask buffers exist only once the scan has
-    run and are allocated again only when its row count changes.  Either
-    way a row's result is bit for bit the scan's.  The returned arrays are
-    fresh and never alias the buffers.
+    through the full scan: a stable argsort of their distances to all n
+    points.  Either way a row's result is bit for bit the scan's.
     """
 
     def __init__(self, points: np.ndarray):
@@ -215,7 +212,6 @@ class NearestKernel:
         self._columns = np.ascontiguousarray(self.points.T)
         self._reach = np.abs(self.points).max(axis=0)
         self._tree = cKDTree(self.points)
-        self._buffers: tuple[np.ndarray, ...] = ()
 
     def __call__(self, xt: np.ndarray, t, s: Schedule, K: int) -> tuple[np.ndarray, np.ndarray]:
         n = len(self.points)
@@ -262,28 +258,11 @@ class NearestKernel:
         return keep, dist2
 
     def _scan(self, rows: np.ndarray, scale, K: int) -> tuple[np.ndarray, np.ndarray]:
-        """(kept indices, their squared distances), both (B, K), from the
-        distances of each row to all n points."""
-        n = len(self.points)
-        B = len(rows)
-        if not self._buffers or len(self._buffers[0]) != B:
-            self._buffers = (np.empty((B, n)), np.empty((B, n)), np.empty((B, n)),
-                             np.empty((B, n), dtype=bool))
-        dist2, diff, part, within = self._buffers
-        _squared_distances(self._columns, rows, scale, dist2, diff)
-        # A row keeps every point within its K-th smallest distance.  Only
-        # rows with more than K such points (exact ties at the K-th
-        # distance) fall back to the stable argsort prefix.
-        np.copyto(part, dist2)
-        part.partition(K - 1, axis=1)
-        np.less_equal(dist2, part[:, K - 1 : K], out=within)
-        tied = within.sum(axis=1) > K
-        within[tied] = False
-        keep = np.empty((B, K), dtype=np.intp)
-        keep[~tied] = (np.flatnonzero(within) % n).reshape(-1, K)
-        keep[tied] = np.argsort(dist2[tied], axis=1, kind="stable")[:, :K]
-        order = np.argsort(np.take_along_axis(dist2, keep, axis=1), axis=1, kind="stable")
-        keep = np.take_along_axis(keep, order, axis=1)
+        """(kept indices, their squared distances), both (B, K): the first K
+        of a stable argsort of each row's distances to all n points."""
+        dist2 = np.empty((len(rows), len(self.points)))
+        _squared_distances(self._columns, rows, scale, dist2, np.empty_like(dist2))
+        keep = np.argsort(dist2, axis=1, kind="stable")[:, :K]
         return keep, np.take_along_axis(dist2, keep, axis=1)
 
 

@@ -682,7 +682,10 @@ def timing_report(run_dir: str | Path) -> TimingReport:
     phases (``train_logo_k`` for ``logoa``, ``unlearn_<method>_k`` else);
     prototype and oracle have none.  ``t_query_seconds`` is the matrix
     record's wall time over that record's own query count.  Speedups and
-    step ratios are relative to LOGO.  Only the phases the run's
+    step ratios are relative to LOGO.  When no LOGO model was trained
+    (oracle gold), every ``logo_step_ratio`` reads 0.0.  It stays so
+    because ``perfbench/checks.py::check_step_ratio`` expects 0.0 on
+    ``many-groups``, where LOGO never runs.  Only the phases the run's
     ``config.json`` defines are reported (``dataset``, ``train_full``,
     ``train_logo_k`` and ``unlearn_<method>_k`` for its groups and
     unlearning methods, ``queries`` and the matrices of its methods), so

@@ -14,7 +14,10 @@ A step's draws come from streams of the run's seed: epoch e is shuffled
 by (seed, "shuffle", e), batch b's condition dropout by (seed, "dropout",
 e, b), and the whole epoch is noised by one ``noise_batch`` call in which
 batch b's rows are keyed by ``derive_seed(seed, "loss", e, b)``.  So every
-batch gets the noise that ``loss_and_grad`` would draw for it alone.
+batch gets the noise that ``noise_batch`` would draw for it alone under
+that seed.  Each step then calls ``loss_and_grad`` on its batch's noised
+rows, with their noise as the target, and ``optimizer_step`` on the
+gradient.
 
 ``empirical_denoiser`` is the closed-form optimal eps-predictor for an
 empirical data distribution; it serves as an exact oracle both for
@@ -27,7 +30,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,9 +39,9 @@ from .denoiser import (
     Architecture,
     DenoiserParams,
     init_network,
+    loss_and_grad,
     noise_batch,
     optimizer_step,
-    regress,
 )
 from .diffusion import Schedule, _point_set, kernel_logits, softmax_inplace, softmax_numerators
 from .seeding import derive_seed, rng_for
@@ -76,9 +78,6 @@ class TrainRun:
     epoch_ms: list[float]
 
 
-BatchHook = Callable[[int, np.ndarray, np.ndarray | None], None]
-
-
 def _train(
     d: GroupedDataset,
     arch: Architecture,
@@ -87,7 +86,6 @@ def _train(
     seed: int,
     fixed_exclude: int | None,
     exposure: bool,
-    batch_hook: BatchHook | None = None,
 ) -> TrainRun:
     params = init_network(arch, derive_seed(seed, "init"))
     if arch.cond_dim not in (0, d.cond_dim):
@@ -121,10 +119,8 @@ def _train(
         losses = []
         for b, i in enumerate(starts):
             rows = slice(i, i + cfg.batch_size)
-            if batch_hook is not None:
-                batch_hook(epoch, xs[rows], conds[b])
-            loss, grad = regress(run.params, xts[rows], ts[rows], s.num_steps, conds[b],
-                                 eps[rows], out=run.grads[0])
+            loss, grad = loss_and_grad(run.params, xts[rows], ts[rows], s.num_steps,
+                                       conds[b], eps[rows], out=run.grads[0])
             optimizer_step(run, grad)
             steps += 1
             losses.append(loss)
@@ -140,14 +136,12 @@ def train_full(
     cfg: TrainSpec,
     s: Schedule,
     seed: int,
-    batch_hook: BatchHook | None = None,
 ) -> TrainRun:
     """Train on all groups (one random group left out per epoch when
     exposure matching is on); the run carries per-epoch logs."""
     if cfg.exposure_matched and d.n_groups < 2:
         raise ValueError("exposure matching needs at least 2 groups")
-    return _train(d, arch, cfg, s, seed, fixed_exclude=None, exposure=cfg.exposure_matched,
-                  batch_hook=batch_hook)
+    return _train(d, arch, cfg, s, seed, fixed_exclude=None, exposure=cfg.exposure_matched)
 
 
 def train_logo(
@@ -157,14 +151,12 @@ def train_logo(
     cfg: TrainSpec,
     s: Schedule,
     seed: int,
-    batch_hook: BatchHook | None = None,
 ) -> TrainRun:
     """Train with group k excluded throughout, same step budget as
     ``train_full`` under equal group sizes; the run carries per-epoch logs."""
     if not 0 <= k < d.n_groups:
         raise ValueError(f"group index {k} outside [0, {d.n_groups})")
-    return _train(d, arch, cfg, s, seed, fixed_exclude=k, exposure=False,
-                  batch_hook=batch_hook)
+    return _train(d, arch, cfg, s, seed, fixed_exclude=k, exposure=False)
 
 
 def empirical_denoiser(subset: np.ndarray, xt: np.ndarray, t: int, s: Schedule) -> np.ndarray:

@@ -19,23 +19,24 @@ Loss weighting follows two conventions, selected by method:
 ``lambda_forget * L_forget + L_preserve`` for retrack/esd and
 ``L_forget + lambda_pres * L_preserve`` for cond_anchor.
 
-Every objective takes its batch as one (x0, cond) block (see
-``denoiser``): the public loss noises it, and one fit per objective
-(``_retrack_fit`` on its targets, ``_esd_fit``, ``_distill_fit`` for
-cond_anchor and preservation) fits the noised rows through the shared
-regression step ``regress``.  In ``unlearn`` each fit writes its gradient
-into one of the run's two gradient buffers (``out``, see
+Every objective is one public function on noised rows (x_t, t) and
+ends in ``denoiser.loss_and_grad``: ``retrack_forget_loss`` on the rows'
+``retrack_target`` targets, ``esd_forget_loss``, ``preservation_loss``
+and ``conditional_forget_loss`` on the rows' anchor conditions.  Each
+writes its gradient into ``out`` if given; in ``unlearn`` the forget loss
+and the preservation loss write into the run's two gradient buffers (see
 ``denoiser.AdamW``).
 
 Step s of ``unlearn`` draws its retain and forget rows from (seed,
 "retain", s) and (seed, "forget", s), and its retain rows' condition
 dropout from (seed, "dropout", s).  Its noise comes from two
 ``noise_batch`` calls per block of ``_DRAW_BLOCK`` steps, one over the
-block's forget rows and one over its retain rows, with step s's rows
-keyed by ``derive_seed(seed, "floss", s)`` and ``derive_seed(seed,
-"ploss", s)``: the bits the public losses draw for that step alone.
-cond_anchor's anchors are drawn once per block too, keyed per row by the
-forget rows' anchor seeds.
+block's forget rows (over the spec's timestep range) and one over its
+retain rows (over all timesteps), with step s's rows keyed by
+``derive_seed(seed, "floss", s)`` and ``derive_seed(seed, "ploss", s)``:
+the bits that a ``noise_batch`` call for that step's rows alone would
+draw.  cond_anchor's anchors are drawn once per block too, keyed per row
+by the forget rows' anchor seeds.
 
 Retrack's targets depend on the draws only, not on the weights, so
 ``unlearn`` calls ``retrack_target`` once per draw block, on all of the
@@ -59,9 +60,9 @@ from .denoiser import (
     AdamW,
     DenoiserParams,
     forward_batch,
+    loss_and_grad,
     noise_batch,
     optimizer_step,
-    regress,
 )
 from .diffusion import NearestKernel, Schedule, kernel_logits, softmax_inplace
 from .seeding import content_rng, derive_seed, rng_for
@@ -156,12 +157,11 @@ def retrack_target(retain: np.ndarray | NearestKernel, xt: np.ndarray, t, K: int
     by (K, dim) per row; a block's row i is bit for bit the one-row
     target of (xt[i], t[i]).  ``retain`` is the (n, dim) retain set, for
     which a fresh ``NearestKernel`` is built, or a prepared
-    ``NearestKernel`` over it, whose k-d tree and scan buffers are
-    reused; ``K`` is passed to the kernel's call.  The kernel takes each
-    row's K nearest points from the tree's candidates, rechecked with the
-    scan's exact arithmetic, and scans all n points, in (B, n) buffers,
-    only for rows whose candidates it cannot prove complete and for K
-    close to n.  The target never aliases the buffers.
+    ``NearestKernel`` over it, whose k-d tree is reused; ``K`` is passed
+    to the kernel's call.  The kernel takes each row's K nearest points
+    from the tree's candidates, rechecked with the scan's exact
+    arithmetic, and scans all n points only for rows whose candidates it
+    cannot prove complete and for K close to n.
     """
     kernel = retain if isinstance(retain, NearestKernel) else NearestKernel(retain)
     w, centers = kernel(xt, t, s, K)
@@ -172,52 +172,38 @@ def retrack_target(retain: np.ndarray | NearestKernel, xt: np.ndarray, t, K: int
     return np.matmul(w[:, None, :], xt[:, None, :] - centers)[:, 0] / sigmas
 
 
-def _noise_batch(x0, cond, cfg: UnlearnSpec, s: Schedule, rng_seed: int, *,
-                 anchor_seeds: bool = False):
-    """``noise_batch`` over the configured timestep range (the default if unset)."""
-    lo, hi = cfg.timestep_range or default_timestep_range(s.num_steps)
-    if hi > s.num_steps:
-        raise ValueError(f"timestep range {(lo, hi)} exceeds T={s.num_steps}")
-    return noise_batch(x0, cond, s, rng_seed, lo, hi, anchor_seeds=anchor_seeds)
-
-
 def retrack_forget_loss(
     p: DenoiserParams,
-    x0: np.ndarray,
-    cond: np.ndarray | None,
-    retain: np.ndarray,
+    xt: np.ndarray,
+    ts: np.ndarray,
+    targets: np.ndarray,
     cfg: UnlearnSpec,
     s: Schedule,
-    rng_seed: int,
+    out=None,
 ) -> tuple[float, np.ndarray]:
-    """Redirection loss toward truncated importance-weighted targets.
+    """Redirection loss of noised forget rows toward their ``retrack_target``
+    targets.
 
-    ``cond`` keys the forget rows' draws only: the trained model is
-    evaluated under the null condition.  Per-row squared deviations are
-    capped at ``kl_cap`` (trust-region clipping): a row whose raw loss
-    exceeds the cap contributes the cap value and no gradient.
+    The trained model is evaluated under the null condition.  Per-row
+    squared deviations are capped at ``kl_cap`` (trust-region clipping): a
+    row whose raw loss exceeds the cap contributes the cap value and no
+    gradient.
     """
-    ts, xts, _, _ = _noise_batch(x0, cond, cfg, s, rng_seed)
-    return _retrack_fit(p, ts, xts, retrack_target(retain, xts, ts, cfg.K, s), cfg, s)
-
-
-def _retrack_fit(p, ts, xts, targets, cfg: UnlearnSpec, s: Schedule, out=None):
-    """``retrack_forget_loss`` on noised forget rows (t, x_t) and their
-    ``retrack_target`` targets."""
-    null = np.zeros((len(ts), p.arch.cond_dim)) if p.arch.cond_dim > 0 else None
-    return regress(p, xts, ts, s.num_steps, null, targets, cap=cfg.kl_cap, out=out)
+    null = np.zeros((len(xt), p.arch.cond_dim)) if p.arch.cond_dim > 0 else None
+    return loss_and_grad(p, xt, ts, s.num_steps, null, targets, cap=cfg.kl_cap, out=out)
 
 
 def esd_forget_loss(
     p: DenoiserParams,
     p_full_frozen: DenoiserParams,
-    x0: np.ndarray,
+    xt: np.ndarray,
+    ts: np.ndarray,
     cond: np.ndarray,
     cfg: UnlearnSpec,
     s: Schedule,
-    rng_seed: int,
+    out=None,
 ) -> tuple[float, np.ndarray]:
-    """Negative-guidance loss toward eps_u - w (eps_c - eps_u).
+    """Negative-guidance loss of noised forget rows toward eps_u - w (eps_c - eps_u).
 
     Both guidance branches come from the frozen reference model: the
     group-conditioned prediction and the null-condition prediction.
@@ -225,42 +211,27 @@ def esd_forget_loss(
     """
     if p.arch.cond_dim == 0 or p_full_frozen.arch.cond_dim == 0:
         raise ValueError("esd requires conditional models (cond_dim > 0)")
-    ts, xts, _, _ = _noise_batch(x0, cond, cfg, s, rng_seed)
-    return _esd_fit(p, p_full_frozen, ts, xts, cond, cfg, s)
-
-
-def _esd_fit(p, p_full_frozen, ts, xts, cond, cfg: UnlearnSpec, s: Schedule, out=None):
-    """``esd_forget_loss`` on noised forget rows (t, x_t)."""
-    null = np.zeros((len(ts), p.arch.cond_dim))
-    eps_c = forward_batch(p_full_frozen, xts, ts, s.num_steps, cond)
-    eps_u = forward_batch(p_full_frozen, xts, ts, s.num_steps, null)
+    null = np.zeros((len(xt), p.arch.cond_dim))
+    eps_c = forward_batch(p_full_frozen, xt, ts, s.num_steps, cond)
+    eps_u = forward_batch(p_full_frozen, xt, ts, s.num_steps, null)
     target = eps_u - cfg.guidance_weight * (eps_c - eps_u)
-    return regress(p, xts, ts, s.num_steps, cond, target, out=out)
+    return loss_and_grad(p, xt, ts, s.num_steps, cond, target, out=out)
 
 
 def preservation_loss(
     p: DenoiserParams,
     p_full_frozen: DenoiserParams,
-    x0: np.ndarray,
+    xt: np.ndarray,
+    ts: np.ndarray,
     cond: np.ndarray | None,
     s: Schedule,
-    seed: int,
+    out=None,
 ) -> tuple[float, np.ndarray]:
-    """Score-matching distillation toward the frozen full model.
-
-    Shared (t, eps) draws over the full timestep range; the loss is the
-    batch mean of |eps_p - eps_full|^2 on a block of retain rows.
+    """Score-matching distillation toward the frozen full model: the batch
+    mean of |eps_p - eps_full|^2 on noised retain rows, both under ``cond``.
     """
-    ts, xts, _, _ = noise_batch(x0, cond, s, seed, 1, s.num_steps)
-    return _distill_fit(p, p_full_frozen, ts, xts, cond, cond, s)
-
-
-def _distill_fit(p, p_frozen, ts, xts, cond, ref_cond, s: Schedule, out=None):
-    """|eps_p(x_t, t, cond) - eps_frozen(x_t, t, ref_cond)|^2 on noised rows:
-    the preservation loss with ``ref_cond = cond``, the cond_anchor forget
-    loss with anchor conditions."""
-    ref = forward_batch(p_frozen, xts, ts, s.num_steps, ref_cond)
-    return regress(p, xts, ts, s.num_steps, cond, ref, out=out)
+    ref = forward_batch(p_full_frozen, xt, ts, s.num_steps, cond)
+    return loss_and_grad(p, xt, ts, s.num_steps, cond, ref, out=out)
 
 
 @dataclass(frozen=True)
@@ -332,25 +303,25 @@ def anchor_select(sel: AnchorSelector, forget_group: int, seed) -> tuple:
 def conditional_forget_loss(
     p: DenoiserParams,
     p_full_frozen: DenoiserParams,
-    x0: np.ndarray,
+    xt: np.ndarray,
+    ts: np.ndarray,
     cond: np.ndarray,
-    forget_group: int,
-    sel: AnchorSelector,
-    cfg: UnlearnSpec,
+    anchors: np.ndarray,
     s: Schedule,
-    rng_seed: int,
+    out=None,
 ) -> tuple[float, np.ndarray]:
-    """Anchor-redirection loss |eps_p(xt, t, c_f) - eps_full(xt, t, c_a)|^2.
+    """Anchor-redirection loss |eps_p(xt, t, c_f) - eps_full(xt, t, c_a)|^2
+    on noised forget rows.
 
     The anchor latent equals the forget latent; only the conditioning
-    signal changes, with c_a drawn per row from the weighted style
-    selection distribution.
+    signal changes: ``cond`` holds each row's forget condition c_f and
+    ``anchors`` its anchor condition c_a, drawn per row from the weighted
+    style selection distribution (``anchor_select``).
     """
     if p.arch.cond_dim == 0:
         raise ValueError("cond_anchor requires a conditional model")
-    ts, xts, _, seeds = _noise_batch(x0, cond, cfg, s, rng_seed, anchor_seeds=True)
-    return _distill_fit(p, p_full_frozen, ts, xts, cond,
-                        anchor_select(sel, forget_group, seeds)[1], s)
+    ref = forward_batch(p_full_frozen, xt, ts, s.num_steps, anchors)
+    return loss_and_grad(p, xt, ts, s.num_steps, cond, ref, out=out)
 
 
 @dataclass
@@ -384,6 +355,9 @@ def unlearn(
     start = time.perf_counter()
     if cfg.steps_or_epochs == 0:
         return UnlearnRun(p_full, 0, [], [], time.perf_counter() - start)
+    lo, hi = cfg.timestep_range or default_timestep_range(s.num_steps)
+    if hi > s.num_steps:
+        raise ValueError(f"timestep range {(lo, hi)} exceeds T={s.num_steps}")
 
     retain_x, retain_lab = d.labeled_samples(exclude=k)
     forget_x = d.groups[k]
@@ -412,11 +386,11 @@ def unlearn(
                         for rb, step in zip(rbs, block)]
         # One keyed draw each for the block's forget and retain rows, each row
         # under its step's root.
-        f_ts, f_xts, _, f_seeds = _noise_batch(
+        f_ts, f_xts, _, f_seeds = noise_batch(
             forget_x[np.concatenate(fbs)],
-            np.tile(forget_cond, (len(block), 1)) if conditional else None, cfg, s,
+            np.tile(forget_cond, (len(block), 1)) if conditional else None, s,
             np.repeat([derive_seed(seed, "floss", step) for step in block], n_forget),
-            anchor_seeds=sel is not None)
+            lo, hi, anchor_seeds=sel is not None)
         anchors = anchor_select(sel, k, f_seeds)[1] if sel is not None else None
         targets = retrack_target(nearest, f_xts, f_ts, cfg.K, s) if nearest is not None else None
         p_ts, p_xts, _, _ = noise_batch(
@@ -428,16 +402,16 @@ def unlearn(
         for j, rcond in enumerate(retain_conds):
             f = slice(j * n_forget, (j + 1) * n_forget)
             if cfg.method == "retrack":
-                lf, gf = _retrack_fit(params, f_ts[f], f_xts[f], targets[f], cfg, s, g_forget)
+                lf, gf = retrack_forget_loss(params, f_xts[f], f_ts[f], targets[f], cfg, s,
+                                             g_forget)
             elif cfg.method == "esd":
-                lf, gf = _esd_fit(params, p_full, f_ts[f], f_xts[f], forget_cond, cfg, s,
-                                  g_forget)
+                lf, gf = esd_forget_loss(params, p_full, f_xts[f], f_ts[f], forget_cond, cfg,
+                                         s, g_forget)
             else:
-                lf, gf = _distill_fit(params, p_full, f_ts[f], f_xts[f], forget_cond,
-                                      anchors[f], s, g_forget)
+                lf, gf = conditional_forget_loss(params, p_full, f_xts[f], f_ts[f],
+                                                 forget_cond, anchors[f], s, g_forget)
             r = slice(j * n_retain, (j + 1) * n_retain)
-            lp, gp = _distill_fit(params, p_full, p_ts[r], p_xts[r], rcond, rcond, s,
-                                  g_preserve)
+            lp, gp = preservation_loss(params, p_full, p_xts[r], p_ts[r], rcond, s, g_preserve)
             # w_forget * gf + w_preserve * gp, in place in the run's buffers.
             gf *= w_forget
             gf += np.multiply(gp, w_preserve, out=gp)

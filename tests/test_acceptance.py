@@ -25,7 +25,7 @@ from groupattr import (
     paired_score_difference,
     rank,
 )
-from groupattr.denoiser import DenoiserParams
+from groupattr.denoiser import DenoiserParams, noise_batch
 from groupattr.diffusion import forward_marginal
 from groupattr.harness import default_experiment_config, run_experiment, timing_report
 from groupattr.seeding import query_seeds
@@ -33,6 +33,7 @@ from groupattr.training import empirical_denoiser
 from groupattr.unlearning import (
     AnchorSelector,
     UnlearnSpec,
+    anchor_select,
     conditional_forget_loss,
     esd_forget_loss,
     preservation_loss,
@@ -245,36 +246,39 @@ def test_criterion_7_gradient_checks():
     sel = AnchorSelector.from_dataset(d)
 
     errors = {}
+    lo, hi = ucfg.timestep_range
+    T = s.num_steps
 
+    def max_error(p, loss):
+        """Analytic against central-difference gradient of ``loss(p)``."""
+        return max_rel_error(loss(p)[1], numeric_grad(lambda w: loss(p.with_weights(w))[0],
+                                                      p.weights.copy()))
+
+    # Each objective on rows noised once, as the loops noise them.
     p = init_network(uncond, seed=1)
-    batch_u = (d.groups[0][:3], None)
-    _, g = loss_and_grad(p, *batch_u, s, rng_seed=7)
-    errors["training_mse"] = max_rel_error(
-        g, numeric_grad(lambda w: loss_and_grad(p.with_weights(w), *batch_u, s, 7)[0],
-                        p.weights.copy()))
+    x0, c = d.groups[0][:3], None
+    ts, xt, eps, _ = noise_batch(x0, c, s, 7, 1, T)
+    errors["training_mse"] = max_error(p, lambda q: loss_and_grad(q, xt, ts, T, c, eps))
 
-    _, g = retrack_forget_loss(p, *batch_u, retain, ucfg, s, rng_seed=8)
-    errors["retrack_forget"] = max_rel_error(
-        g, numeric_grad(lambda w: retrack_forget_loss(
-            p.with_weights(w), *batch_u, retain, ucfg, s, 8)[0], p.weights.copy()))
+    ts, xt, _, _ = noise_batch(x0, c, s, 8, lo, hi)
+    targets = retrack_target(retain, xt, ts, ucfg.K, s)
+    errors["retrack_forget"] = max_error(
+        p, lambda q: retrack_forget_loss(q, xt, ts, targets, ucfg, s))
 
     pc = init_network(cond, seed=2)
-    batch_c = (d.groups[0][:3], np.tile(d.cond_vectors[0], (3, 1)))
-    _, g = esd_forget_loss(pc, frozen_c, *batch_c, ucfg, s, rng_seed=9)
-    errors["esd_forget"] = max_rel_error(
-        g, numeric_grad(lambda w: esd_forget_loss(
-            pc.with_weights(w), frozen_c, *batch_c, ucfg, s, 9)[0], pc.weights.copy()))
+    c = np.tile(d.cond_vectors[0], (3, 1))
+    ts, xt, _, _ = noise_batch(x0, c, s, 9, lo, hi)
+    errors["esd_forget"] = max_error(
+        pc, lambda q: esd_forget_loss(q, frozen_c, xt, ts, c, ucfg, s))
 
-    _, g = preservation_loss(pc, frozen_c, *batch_c, s, seed=10)
-    errors["preservation"] = max_rel_error(
-        g, numeric_grad(lambda w: preservation_loss(
-            pc.with_weights(w), frozen_c, *batch_c, s, 10)[0], pc.weights.copy()))
+    ts, xt, _, _ = noise_batch(x0, c, s, 10, 1, T)
+    errors["preservation"] = max_error(
+        pc, lambda q: preservation_loss(q, frozen_c, xt, ts, c, s))
 
-    _, g = conditional_forget_loss(pc, frozen_c, *batch_c, 0, sel, ucfg, s, rng_seed=11)
-    errors["conditional_forget"] = max_rel_error(
-        g, numeric_grad(lambda w: conditional_forget_loss(
-            pc.with_weights(w), frozen_c, *batch_c, 0, sel, ucfg, s, 11)[0],
-            pc.weights.copy()))
+    ts, xt, _, seeds = noise_batch(x0, c, s, 11, lo, hi, anchor_seeds=True)
+    anchors = anchor_select(sel, 0, seeds)[1]
+    errors["conditional_forget"] = max_error(
+        pc, lambda q: conditional_forget_loss(q, frozen_c, xt, ts, c, anchors, s))
 
     elapsed = time.perf_counter() - tic
     assert all(e <= 1e-3 for e in errors.values()), errors

@@ -1,9 +1,13 @@
-"""Every training and unlearning objective on (x0, cond) blocks.
+"""Every training and unlearning objective on noised (x0, cond) blocks.
 
-Each row of a block draws its timestep and noise from a stream keyed by
-its own content, so a B-row block must score as the mean of its B
-one-row blocks, and the order of the rows must not matter.  A block row
-may differ from its one-row block only by BLAS rounding.
+Each objective is drawn as the loops draw it: ``noise_batch`` noises the
+block (with ``retrack_target`` or ``anchor_select`` where the objective
+needs them), and the objective scores the noised rows.  Each row draws
+its timestep and noise from a stream keyed by its own content, so a
+B-row block must score as the mean of its B one-row blocks, and the
+order of the rows must not matter.  A block row may differ from its
+one-row block only by BLAS rounding.  An empty block of noised rows is
+refused by every objective.
 """
 
 from functools import cache
@@ -14,11 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupattr import DatasetSpec, generate_grouped_dataset, init_network, loss_and_grad
+from groupattr.denoiser import noise_batch
 
-from test_unlearning import BATCH_LOSSES, COND_ARCH, S
+from test_unlearning import BATCH_LOSSES, COND_ARCH, S, batch_loss
+
+
+def _training_rows(x0, cond, d):
+    ts, xts, eps, _ = noise_batch(x0, cond, S, 9, 1, S.num_steps)
+    return xts, ts, cond, eps
+
 
 OBJECTIVES = {
-    "training": lambda p, frozen, x0, cond, d: loss_and_grad(p, x0, cond, S, rng_seed=9),
+    "training": (_training_rows, lambda p, frozen, xts, ts, cond, eps: loss_and_grad(
+        p, xts, ts, S.num_steps, cond, eps)),
     **BATCH_LOSSES,
 }
 
@@ -46,7 +58,7 @@ def random_block(seed, b):
 
 def run(name, x0, cond):
     p, frozen = models()
-    return OBJECTIVES[name](p, frozen, x0, cond, dataset())
+    return batch_loss(OBJECTIVES, name, p, frozen, x0, cond, dataset())
 
 
 def rel_err(got, want):
@@ -70,5 +82,9 @@ def test_block_is_mean_of_rows_and_order_free(name, seed, b, data):
 
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
 def test_empty_block_rejected(name):
+    """No noised rows: each row argument of a one-row draw, cut to zero rows."""
+    rows, loss = OBJECTIVES[name]
+    empty = [a[:0] for a in rows(*random_block(0, 1), dataset())]
+    p, frozen = models()
     with pytest.raises(ValueError, match="non-empty"):
-        run(name, np.zeros((0, 2)), np.zeros((0, COND_ARCH.cond_dim)))
+        loss(p, frozen, *empty)

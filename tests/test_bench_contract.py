@@ -11,6 +11,7 @@ The tracer counts a function's calls only where the package calls it
 through the module-level name it replaces.
 """
 
+import collections
 import dataclasses
 import importlib
 import importlib.util
@@ -194,3 +195,48 @@ def test_steps_call_optimizer_step_by_module_name(which, monkeypatch):
         module = unlearning
     assert run.steps > 0
     assert calls == [module.__name__] * run.steps
+
+
+# The objective each unlearning method's forget term calls.
+FORGET_LOSSES = {"retrack": "retrack_forget_loss", "esd": "esd_forget_loss",
+                 "cond_anchor": "conditional_forget_loss"}
+
+
+@pytest.mark.parametrize("which", ["train_full", "train_logo", "retrack", "esd", "cond_anchor"])
+def test_steps_call_their_objectives_by_module_name(which, monkeypatch):
+    """Every training step calls ``training.loss_and_grad``, and every
+    unlearning step calls its forget loss and ``unlearning.preservation_loss``,
+    each of which calls ``unlearning.loss_and_grad``: the names the tracer
+    replaces, so their per-layer seconds are charged to them."""
+    calls = []
+    names = {training: ["loss_and_grad"],
+             unlearning: ["loss_and_grad", "preservation_loss", *FORGET_LOSSES.values()]}
+    for module, fns in names.items():
+        for fn in fns:
+            def counting(*args, real=getattr(module, fn), name=f"{module.__name__}.{fn}",
+                         **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, fn, counting)
+    d = generate_grouped_dataset(DatasetSpec(n_groups=3, samples_per_group=12, conditional=True,
+                                             descriptor_dim=4), seed=6)
+    arch = Architecture(input_dim=2, hidden_dims=(6,), time_embed_dim=4, cond_dim=7)
+    s = build_schedule(40)
+    train = training.TrainSpec(epochs=2, batch_size=8)
+    if which == "train_full":
+        run = training.train_full(d, arch, train, s, 3)
+    elif which == "train_logo":
+        run = training.train_logo(d, 1, arch, train, s, 3)
+    else:
+        cfg = unlearning.UnlearnSpec(method=which, steps_or_epochs=unlearning._DRAW_BLOCK + 3,
+                                     lr=1e-3, K=4, batch_size=4)
+        run = unlearning.unlearn(init_network(arch, seed=1), d, 0, cfg, s, 3)
+    assert run.steps > 0
+    if which.startswith("train"):
+        want = {"groupattr.training.loss_and_grad": run.steps}
+    else:
+        want = {f"groupattr.unlearning.{FORGET_LOSSES[which]}": run.steps,
+                "groupattr.unlearning.preservation_loss": run.steps,
+                "groupattr.unlearning.loss_and_grad": 2 * run.steps}
+    assert collections.Counter(calls) == want

@@ -16,7 +16,7 @@ from groupattr import (
     predict_eps,
 )
 from groupattr import denoiser
-from groupattr.denoiser import forward_batch, time_features
+from groupattr.denoiser import forward_batch, noise_batch, time_features
 
 SMALL = Architecture(input_dim=2, hidden_dims=(8,), time_embed_dim=4, cond_dim=0)
 
@@ -34,6 +34,13 @@ def numeric_grad(f, w, h=1e-4):
 
 def max_rel_error(analytic, numeric, floor=1e-8):
     return float(np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), floor)))
+
+
+def training_loss(p, x0, cond, s, seed):
+    """The training objective on an (x0, cond) block noised under one seed:
+    ``noise_batch`` over all timesteps, then ``loss_and_grad`` against the noise."""
+    ts, xt, eps, _ = noise_batch(x0, cond, s, seed, 1, s.num_steps)
+    return loss_and_grad(p, xt, ts, s.num_steps, cond, eps)
 
 
 class TestArchitecture:
@@ -211,10 +218,11 @@ class TestLossAndGrad:
         p = init_network(SMALL, seed=12)
         rng = np.random.default_rng(0)
         x0 = rng.normal(size=(3, 2))
-        loss, grad = loss_and_grad(p, x0, None, self.s, rng_seed=77)
+        ts, xt, eps, _ = noise_batch(x0, None, self.s, 77, 1, self.s.num_steps)
+        loss, grad = loss_and_grad(p, xt, ts, self.s.num_steps, None, eps)
 
         def f(w):
-            return loss_and_grad(p.with_weights(w), x0, None, self.s, rng_seed=77)[0]
+            return loss_and_grad(p.with_weights(w), xt, ts, self.s.num_steps, None, eps)[0]
 
         num = numeric_grad(f, p.weights.copy())
         assert max_rel_error(grad, num) <= 1e-3
@@ -222,34 +230,31 @@ class TestLossAndGrad:
     def test_duplicated_items_leave_loss_unchanged(self):
         p = init_network(SMALL, seed=4)
         x = np.array([0.5, -0.2])
-        single, _ = loss_and_grad(p, x[None], None, self.s, rng_seed=5)
-        doubled, _ = loss_and_grad(p, np.stack([x, x]), None, self.s, rng_seed=5)
+        single, _ = training_loss(p, x[None], None, self.s, 5)
+        doubled, _ = training_loss(p, np.stack([x, x]), None, self.s, 5)
         assert doubled == pytest.approx(single, rel=1e-12)
 
     def test_perfect_denoiser_zero_loss(self):
         """A network that outputs the drawn noise exactly has loss 0."""
-        from groupattr.denoiser import noise_batch
-
         x0 = np.array([0.7, -0.4])
-        eps = noise_batch(x0[None], None, self.s, 99, 1, self.s.num_steps)[2][0]
+        ts, xt, eps, _ = noise_batch(x0[None], None, self.s, 99, 1, self.s.num_steps)
         # All weights zero except the output bias, which is set to the
         # exact noise draw for this (rng_seed, item) pair.
         w = np.zeros(SMALL.param_count)
-        w[72:74] = eps
+        w[72:74] = eps[0]
         p = DenoiserParams(SMALL, w)
-        loss, grad = loss_and_grad(p, x0[None], None, self.s, rng_seed=99)
+        loss, grad = loss_and_grad(p, xt, ts, self.s.num_steps, None, eps)
         assert loss == pytest.approx(0.0, abs=1e-30)
         # The zero network's loss equals the noise norm for the same draw.
-        zero, _ = loss_and_grad(
-            DenoiserParams(SMALL, np.zeros(SMALL.param_count)),
-            x0[None], None, self.s, rng_seed=99,
-        )
+        zero, _ = loss_and_grad(DenoiserParams(SMALL, np.zeros(SMALL.param_count)),
+                                xt, ts, self.s.num_steps, None, eps)
         assert zero == pytest.approx(float(np.sum(eps**2)), rel=1e-12)
 
     def test_empty_batch_rejected(self):
         p = init_network(SMALL, seed=0)
-        with pytest.raises(ValueError):
-            loss_and_grad(p, np.zeros((0, 2)), None, self.s, rng_seed=0)
+        with pytest.raises(ValueError, match="non-empty"):
+            loss_and_grad(p, np.zeros((0, 2)), np.zeros(0, dtype=np.int64), self.s.num_steps,
+                          None, np.zeros((0, 2)))
 
     def test_conditional_gradient_matches_finite_differences(self):
         arch = Architecture(input_dim=2, hidden_dims=(6,), time_embed_dim=4, cond_dim=2)
@@ -257,10 +262,11 @@ class TestLossAndGrad:
         rng = np.random.default_rng(1)
         pairs = rng.normal(size=(2, 2, 2))  # row i: (x0_i, cond_i)
         x0, cond = pairs[:, 0], pairs[:, 1]
-        loss, grad = loss_and_grad(p, x0, cond, self.s, rng_seed=13)
+        ts, xt, eps, _ = noise_batch(x0, cond, self.s, 13, 1, self.s.num_steps)
+        loss, grad = loss_and_grad(p, xt, ts, self.s.num_steps, cond, eps)
 
         def f(w):
-            return loss_and_grad(p.with_weights(w), x0, cond, self.s, rng_seed=13)[0]
+            return loss_and_grad(p.with_weights(w), xt, ts, self.s.num_steps, cond, eps)[0]
 
         num = numeric_grad(f, p.weights.copy())
         assert max_rel_error(grad, num) <= 1e-3

@@ -1,11 +1,14 @@
 """Training and unlearning against per-step reference loops, bit for bit.
 
 ``train_full``, ``train_logo`` and ``unlearn`` noise many steps' rows in
-one keyed draw, each row under its own step's root.  The reference loops
-below are the per-step formulation: one public loss call (which draws
-its own noise) and one ``optimizer_step`` of their own ``AdamW`` per
-step.  Because a row's draws depend only on (root, row content), the two
-must give the same weights, losses and batches to the last bit.
+one keyed draw, each row under its own step's root, and build retrack's
+targets and cond_anchor's anchors once per draw block.  The reference
+loops below are the per-step formulation: each step noises its own rows
+with ``noise_batch`` under its step's seed (and builds its own targets
+or anchors), then makes one call of each objective and one
+``optimizer_step`` of its own ``AdamW``.  Because a row's draws depend
+only on (root, row content), the two must give the same weights, losses
+and noised batches to the last bit.
 """
 
 import math
@@ -18,6 +21,7 @@ from groupattr import (
     DatasetSpec,
     TrainSpec,
     UnlearnSpec,
+    anchor_select,
     build_schedule,
     conditional_forget_loss,
     esd_forget_loss,
@@ -26,10 +30,11 @@ from groupattr import (
     loss_and_grad,
     preservation_loss,
     retrack_forget_loss,
+    retrack_target,
     unlearn,
 )
 from groupattr import denoiser, training, unlearning
-from groupattr.denoiser import AdamW, optimizer_step
+from groupattr.denoiser import AdamW, noise_batch, optimizer_step
 from groupattr.seeding import derive_seed, rng_for
 from groupattr.training import train_full, train_logo
 from groupattr.unlearning import _DRAW_BLOCK, AnchorSelector
@@ -48,8 +53,8 @@ def arch(d, conditional: bool) -> Architecture:
                         cond_dim=d.cond_dim if conditional else 0)
 
 
-def reference_train(d, a, cfg, seed, exclude, exposure, hook):
-    """The training loop with one ``loss_and_grad`` call per batch."""
+def reference_train(d, a, cfg, seed, exclude, exposure, loss_fn):
+    """The training loop with one ``noise_batch`` and one ``loss_fn`` call per batch."""
     run = AdamW(init_network(a, derive_seed(seed, "init")), cfg.lr, cfg.weight_decay)
     exposure_rng = rng_for(seed, "exposure")
     steps, epoch_losses = 0, []
@@ -63,9 +68,9 @@ def reference_train(d, a, cfg, seed, exclude, exposure, hook):
         for b in range(math.ceil(len(xs) / cfg.batch_size)):
             rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
             conds = d.dropout_conditions(labels[rows], a.cond_dim > 0, seed, epoch, b)
-            hook(epoch, xs[rows], conds)
-            loss, grad = loss_and_grad(run.params, xs[rows], conds, S,
-                                       derive_seed(seed, "loss", epoch, b))
+            ts, xts, eps, _ = noise_batch(xs[rows], conds, S, derive_seed(seed, "loss", epoch, b),
+                                          1, S.num_steps)
+            loss, grad = loss_fn(run.params, xts, ts, S.num_steps, conds, eps)
             optimizer_step(run, grad)
             steps += 1
             losses.append(loss)
@@ -74,40 +79,44 @@ def reference_train(d, a, cfg, seed, exclude, exposure, hook):
 
 
 def recorder():
+    """A ``loss_and_grad`` that records the noised batch of every call."""
     seen = []
 
-    def hook(epoch, xs, conds):
-        seen.append((epoch, xs.tobytes(), None if conds is None else conds.tobytes()))
-    return seen, hook
+    def recording(p, xt, ts, num_steps, cond, target, **kwargs):
+        seen.append((xt.tobytes(), ts.tobytes(), None if cond is None else cond.tobytes(),
+                     target.tobytes()))
+        return loss_and_grad(p, xt, ts, num_steps, cond, target, **kwargs)
+    return seen, recording
 
 
 @pytest.mark.parametrize("phase", ["full", "logo"])
 @pytest.mark.parametrize("data_cond, model_cond", [(True, True), (True, False),
                                                    (False, False)])
-def test_training_matches_per_batch_loop(phase, data_cond, model_cond):
+def test_training_matches_per_batch_loop(phase, data_cond, model_cond, monkeypatch):
     d = dataset(data_cond)
     a = arch(d, model_cond)
     # 60 rows per epoch in batches of 16: the last batch has 12 rows.
     cfg = TrainSpec(epochs=3, batch_size=16, lr=3e-3, exposure_matched=True)
-    seen, hook = recorder()
-    want_seen, want_hook = recorder()
+    seen, recording = recorder()
+    want_seen, want_recording = recorder()
+    monkeypatch.setattr(training, "loss_and_grad", recording)
     if phase == "full":
-        run = train_full(d, a, cfg, S, 5, batch_hook=hook)
-        want = reference_train(d, a, cfg, 5, None, True, want_hook)
+        run = train_full(d, a, cfg, S, 5)
+        want = reference_train(d, a, cfg, 5, None, True, want_recording)
     else:
-        run = train_logo(d, 1, a, cfg, S, 5, batch_hook=hook)
-        want = reference_train(d, a, cfg, 5, 1, False, want_hook)
+        run = train_logo(d, 1, a, cfg, S, 5)
+        want = reference_train(d, a, cfg, 5, 1, False, want_recording)
     params, steps, epoch_losses = want
     assert run.params.weights.tobytes() == params.weights.tobytes()
     assert run.steps == steps == 3 * 4
     assert run.epoch_losses == epoch_losses
     assert seen == want_seen
-    assert [len(np.frombuffer(x)) // 2 for _, x, _ in seen[:4]] == [16, 16, 16, 12]
+    assert [len(np.frombuffer(x)) // 2 for x, _, _, _ in seen[:4]] == [16, 16, 16, 12]
 
 
 def reference_unlearn(p_full, d, k, cfg, seed):
-    """The unlearning loop with one public forget and one preservation
-    loss call per step."""
+    """The unlearning loop with one forget and one preservation loss call
+    per step, each on rows the step noises itself."""
     if cfg.steps_or_epochs == 0:
         return p_full, [], []
     retain_x, retain_lab = d.labeled_samples(exclude=k)
@@ -124,17 +133,20 @@ def reference_unlearn(p_full, d, k, cfg, seed):
             len(forget_x), size=min(cfg.batch_size, len(forget_x)), replace=False)
         retain_cond = d.dropout_conditions(retain_lab[rb], conditional, seed, step)
         forget_cond = np.tile(d.cond_of(k), (len(fb), 1)) if conditional else None
-        fseed = derive_seed(seed, "floss", step)
+        ts, xts, _, anchor_seeds = noise_batch(
+            forget_x[fb], forget_cond, S, derive_seed(seed, "floss", step),
+            *cfg.timestep_range, anchor_seeds=cfg.method == "cond_anchor")
         if cfg.method == "retrack":
-            lf, gf = retrack_forget_loss(params, forget_x[fb], forget_cond, retain_x, cfg, S,
-                                         fseed)
+            lf, gf = retrack_forget_loss(params, xts, ts,
+                                         retrack_target(retain_x, xts, ts, cfg.K, S), cfg, S)
         elif cfg.method == "esd":
-            lf, gf = esd_forget_loss(params, p_full, forget_x[fb], forget_cond, cfg, S, fseed)
+            lf, gf = esd_forget_loss(params, p_full, xts, ts, forget_cond, cfg, S)
         else:
-            lf, gf = conditional_forget_loss(params, p_full, forget_x[fb], forget_cond, k, sel,
-                                             cfg, S, fseed)
-        lp, gp = preservation_loss(params, p_full, retain_x[rb], retain_cond, S,
-                                   derive_seed(seed, "ploss", step))
+            lf, gf = conditional_forget_loss(params, p_full, xts, ts, forget_cond,
+                                             anchor_select(sel, k, anchor_seeds)[1], S)
+        ts, xts, _, _ = noise_batch(retain_x[rb], retain_cond, S,
+                                    derive_seed(seed, "ploss", step), 1, S.num_steps)
+        lp, gp = preservation_loss(params, p_full, xts, ts, retain_cond, S)
         if cfg.method == "cond_anchor":
             grad = gf + cfg.lambda_pres * gp
         else:

@@ -15,12 +15,14 @@ from groupattr import (
     empirical_denoiser,
     generate_grouped_dataset,
     init_network,
-    loss_and_grad,
 )
+from groupattr import training
 from groupattr.denoiser import noise_batch
 from groupattr.harness import _write_log
 from groupattr.seeding import derive_seed
 from groupattr.training import KernelDenoiser, train_full, train_logo
+
+from test_denoiser import training_loss
 
 ARCH = Architecture(input_dim=2, hidden_dims=(32, 32), time_embed_dim=8, cond_dim=0)
 
@@ -44,23 +46,18 @@ class TestTrainFull:
         np.testing.assert_array_equal(run.params.weights, init.weights)
         assert run.steps == 0
 
-    def test_exposure_matching_per_epoch_counts(self, schedule):
+    def test_exposure_matching_per_epoch_counts(self, schedule, monkeypatch):
         """Every exposure-matched epoch sees exactly (N-1)/N of the data,
         and the excluded group varies across epochs."""
         spec = DatasetSpec(n_groups=4, samples_per_group=8)
         d = generate_grouped_dataset(spec, seed=1)
-        seen_per_epoch, excluded = {}, {}
-
-        def hook(epoch, xs, conds):
-            seen_per_epoch[epoch] = seen_per_epoch.get(epoch, 0) + len(xs)
-            for row in xs:
-                g = _owner(d, row)
-                excluded.setdefault(epoch, set()).add(g)
-
+        epochs = epoch_blocks(monkeypatch)
         cfg = TrainSpec(epochs=12, batch_size=8, lr=1e-3, exposure_matched=True)
-        train_full(d, ARCH, cfg, schedule, 9, batch_hook=hook)
-        assert all(count == 24 for count in seen_per_epoch.values())
-        missing = [tuple(sorted({0, 1, 2, 3} - groups)) for groups in excluded.values()]
+        train_full(d, ARCH, cfg, schedule, 9)
+        assert len(epochs) == cfg.epochs
+        assert all(len(xs) == 24 for xs, _ in epochs)
+        missing = [tuple(sorted({0, 1, 2, 3} - {_owner(d, row) for row in xs}))
+                   for xs, _ in epochs]
         assert all(len(m) == 1 for m in missing)
         assert len(set(missing)) > 1  # the excluded group is not constant
 
@@ -93,9 +90,22 @@ class TestTrainFull:
         run = train_full(d, arch, cfg, schedule, 2)
 
         all_x = d.labeled_samples()[0]
-        net_loss, _ = loss_and_grad(run.params, all_x, None, schedule, rng_seed=123)
+        net_loss, _ = training_loss(run.params, all_x, None, schedule, 123)
         floor = _kernel_loss(all_x, all_x, None, schedule, rng_seed=123)
         assert net_loss <= 1.10 * floor
+
+
+def epoch_blocks(monkeypatch) -> list:
+    """Record each epoch's (x0, cond) block as ``training.noise_batch``
+    receives it: the loop noises one whole epoch per call."""
+    blocks = []
+
+    def recording(x0, cond, *args, **kwargs):
+        blocks.append((np.array(x0), None if cond is None else np.array(cond)))
+        return noise_batch(x0, cond, *args, **kwargs)
+
+    monkeypatch.setattr(training, "noise_batch", recording)
+    return blocks
 
 
 def _owner(d, row):
@@ -107,7 +117,7 @@ def _owner(d, row):
 
 def _kernel_loss(points, x0, cond, s, rng_seed):
     """Mean squared eps error of the exact kernel denoiser, using the
-    identical per-row draws as loss_and_grad."""
+    identical per-row draws as ``training_loss``."""
     ts, xts, epss, _ = noise_batch(x0, cond, s, rng_seed, 1, s.num_steps)
     total = 0.0
     for xt, t, eps in zip(xts, ts, epss):
@@ -117,17 +127,17 @@ def _kernel_loss(points, x0, cond, s, rng_seed):
 
 
 class TestTrainLogo:
-    def test_excluded_group_never_trains(self, schedule):
+    def test_excluded_group_never_trains(self, schedule, monkeypatch):
         spec = DatasetSpec(n_groups=3, samples_per_group=6)
         d = generate_grouped_dataset(spec, seed=2)
         forget = d.groups[1]
-
-        def hook(epoch, xs, conds):
+        epochs = epoch_blocks(monkeypatch)
+        cfg = TrainSpec(epochs=4, batch_size=4, lr=1e-3, exposure_matched=False)
+        train_logo(d, 1, ARCH, cfg, schedule, 6)
+        assert len(epochs) == cfg.epochs
+        for xs, _ in epochs:
             for row in xs:
                 assert not np.any(np.all(forget == row, axis=1))
-
-        cfg = TrainSpec(epochs=4, batch_size=4, lr=1e-3, exposure_matched=False)
-        train_logo(d, 1, ARCH, cfg, schedule, 6, batch_hook=hook)
 
     def test_invalid_group_rejected(self, two_groups, schedule):
         cfg = TrainSpec(epochs=1, batch_size=8, lr=1e-3, exposure_matched=False)
@@ -211,7 +221,7 @@ class TestEmpiricalDenoiser:
         all_x = two_groups.labeled_samples()[0]
         for seed in (11, 22, 33):
             x0 = all_x[::3]
-            net_loss, _ = loss_and_grad(run.params, x0, None, schedule, rng_seed=seed)
+            net_loss, _ = training_loss(run.params, x0, None, schedule, seed)
             kernel = _kernel_loss(all_x, x0, None, schedule, rng_seed=seed)
             assert kernel <= net_loss
 

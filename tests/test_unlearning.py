@@ -17,7 +17,6 @@ from groupattr import (
     esd_forget_loss,
     generate_grouped_dataset,
     init_network,
-    loss_and_grad,
     preservation_loss,
     retain_mixture_logpdf,
     retrack_forget_loss,
@@ -30,7 +29,7 @@ from groupattr.diffusion import forward_marginal, kernel_logits, softmax_inplace
 from groupattr.training import empirical_denoiser, train_full
 from groupattr.unlearning import AnchorSelector, default_timestep_range
 
-from test_denoiser import max_rel_error, numeric_grad
+from test_denoiser import max_rel_error, numeric_grad, training_loss
 
 S = build_schedule(40, "squared_cosine")
 
@@ -48,6 +47,23 @@ def make_cfg(method="retrack", **kw):
 def block(d, k, n):
     """The first n rows of group k with the group's condition on every row."""
     return d.groups[k][:n], np.tile(d.cond_vectors[k], (n, 1))
+
+
+def forget_rows(x0, cond, cfg, seed, anchor_seeds=False):
+    """An (x0, cond) block noised as ``unlearn`` noises forget rows, over
+    the spec's timestep range: (t, x_t, eps, anchor seeds)."""
+    return noise_batch(x0, cond, S, seed, *cfg.timestep_range, anchor_seeds=anchor_seeds)
+
+
+def retain_rows(x0, cond, seed):
+    """An (x0, cond) block noised as ``unlearn`` noises retain rows, over all timesteps."""
+    return noise_batch(x0, cond, S, seed, 1, S.num_steps)
+
+
+def anchored_rows(x0, cond, forget_group, sel, cfg, seed):
+    """Noised forget rows and their anchor conditions: (x_t, t, cond, anchors)."""
+    ts, xts, _, seeds = forget_rows(x0, cond, cfg, seed, anchor_seeds=True)
+    return xts, ts, cond, anchor_select(sel, forget_group, seeds)[1]
 
 
 @pytest.fixture(scope="module")
@@ -202,14 +218,12 @@ class TestRetrackForgetLoss:
         retain = cond_dataset.labeled_samples(exclude=0)[0]
         x0 = cond_dataset.groups[0][0]
         cfg = make_cfg(K=6)
-        # Replicate the per-item draw to know (t, xt) in advance.
-        ts, xts, _, _ = noise_batch(x0[None], None, S, 777, *cfg.timestep_range)
-        t, xt = int(ts[0]), xts[0]
-        target = retrack_target(retain, xt, t, 6, S)
+        ts, xts, _, _ = forget_rows(x0[None], None, cfg, 777)
+        targets = retrack_target(retain, xts, ts, 6, S)
         w = np.zeros(UNCOND_ARCH.param_count)
-        w[-2:] = target
+        w[-2:] = targets[0]
         p = DenoiserParams(UNCOND_ARCH, w)
-        loss, grad = retrack_forget_loss(p, x0[None], None, retain, cfg, S, rng_seed=777)
+        loss, grad = retrack_forget_loss(p, xts, ts, targets, cfg, S)
         assert loss == pytest.approx(0.0, abs=1e-28)
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -218,10 +232,12 @@ class TestRetrackForgetLoss:
         x0 = cond_dataset.groups[1][:3]
         p = init_network(UNCOND_ARCH, seed=5)
         cfg = make_cfg()
-        loss, grad = retrack_forget_loss(p, x0, None, retain, cfg, S, rng_seed=11)
+        ts, xts, _, _ = forget_rows(x0, None, cfg, 11)
+        targets = retrack_target(retain, xts, ts, cfg.K, S)
+        loss, grad = retrack_forget_loss(p, xts, ts, targets, cfg, S)
 
         def f(w):
-            return retrack_forget_loss(p.with_weights(w), x0, None, retain, cfg, S, rng_seed=11)[0]
+            return retrack_forget_loss(p.with_weights(w), xts, ts, targets, cfg, S)[0]
 
         num = numeric_grad(f, p.weights.copy())
         assert max_rel_error(grad, num) <= 1e-3
@@ -231,7 +247,9 @@ class TestRetrackForgetLoss:
         x0 = cond_dataset.groups[0][:4]
         p = init_network(UNCOND_ARCH, seed=2)
         cfg = make_cfg(kl_cap=0.0)
-        loss, grad = retrack_forget_loss(p, x0, None, retain, cfg, S, rng_seed=4)
+        ts, xts, _, _ = forget_rows(x0, None, cfg, 4)
+        loss, grad = retrack_forget_loss(p, xts, ts, retrack_target(retain, xts, ts, cfg.K, S),
+                                         cfg, S)
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -239,8 +257,10 @@ class TestRetrackForgetLoss:
         retain = cond_dataset.labeled_samples(exclude=0)[0]
         x0 = cond_dataset.groups[0][:4]
         p = init_network(UNCOND_ARCH, seed=2)
-        capped, _ = retrack_forget_loss(p, x0, None, retain, make_cfg(kl_cap=0.5), S, rng_seed=4)
-        raw, _ = retrack_forget_loss(p, x0, None, retain, make_cfg(kl_cap=1e9), S, rng_seed=4)
+        ts, xts, _, _ = forget_rows(x0, None, make_cfg(), 4)
+        targets = retrack_target(retain, xts, ts, make_cfg().K, S)
+        capped, _ = retrack_forget_loss(p, xts, ts, targets, make_cfg(kl_cap=0.5), S)
+        raw, _ = retrack_forget_loss(p, xts, ts, targets, make_cfg(kl_cap=1e9), S)
         assert capped <= 0.5 + 1e-12
         assert capped <= raw
 
@@ -254,13 +274,18 @@ class TestEsdForgetLoss:
         w = np.array([0.0, 0.0, 0.0, 1.0, 0.0, out_gain, bias])
         return DenoiserParams(arch, w)
 
+    def _esd(self, trainee, frozen, guidance_weight):
+        """esd on one noised row x0 = 0.3 under the condition 1."""
+        x0, cond = np.array([[0.3]]), np.array([[1.0]])
+        cfg = make_cfg("esd", guidance_weight=guidance_weight)
+        ts, xts, _, _ = forget_rows(x0, cond, cfg, 9)
+        return esd_forget_loss(trainee, frozen, xts, ts, cond, cfg, S)
+
     def test_scalar_hand_case_target_minus_five(self):
         """Frozen net outputs its condition: eps_c=1, eps_u=0, w=5 -> -5."""
         frozen = self._linear_cond_net()
         trainee = self._linear_cond_net(out_gain=0.0, bias=0.0)  # outputs 0
-        x0, cond = np.array([[0.3]]), np.array([[1.0]])
-        cfg = make_cfg("esd", guidance_weight=5.0)
-        loss, _ = esd_forget_loss(trainee, frozen, x0, cond, cfg, S, rng_seed=9)
+        loss, _ = self._esd(trainee, frozen, 5.0)
         # Trainee outputs 0 against target -5: squared error 25.
         assert loss == pytest.approx(25.0, rel=1e-12)
 
@@ -268,18 +293,14 @@ class TestEsdForgetLoss:
         frozen = self._linear_cond_net()
         # Constant output -5 matches the guided target exactly.
         trainee = self._linear_cond_net(out_gain=0.0, bias=-5.0)
-        x0, cond = np.array([[0.3]]), np.array([[1.0]])
-        cfg = make_cfg("esd", guidance_weight=5.0)
-        loss, grad = esd_forget_loss(trainee, frozen, x0, cond, cfg, S, rng_seed=9)
+        loss, grad = self._esd(trainee, frozen, 5.0)
         assert loss == pytest.approx(0.0, abs=1e-24)
 
     def test_zero_guidance_targets_unconditional(self):
         frozen = self._linear_cond_net()
         # eps_u = 0, so a zero-output trainee has zero loss at w=0.
         trainee = self._linear_cond_net(out_gain=0.0, bias=0.0)
-        x0, cond = np.array([[0.3]]), np.array([[1.0]])
-        cfg = make_cfg("esd", guidance_weight=0.0)
-        loss, _ = esd_forget_loss(trainee, frozen, x0, cond, cfg, S, rng_seed=9)
+        loss, _ = self._esd(trainee, frozen, 0.0)
         assert loss == pytest.approx(0.0, abs=1e-24)
 
     def test_gradient_matches_finite_differences(self, cond_dataset):
@@ -287,10 +308,11 @@ class TestEsdForgetLoss:
         p = init_network(COND_ARCH, seed=2)
         x0, cond = block(cond_dataset, 0, 3)
         cfg = make_cfg("esd")
-        loss, grad = esd_forget_loss(p, frozen, x0, cond, cfg, S, rng_seed=3)
+        ts, xts, _, _ = forget_rows(x0, cond, cfg, 3)
+        loss, grad = esd_forget_loss(p, frozen, xts, ts, cond, cfg, S)
 
         def f(w):
-            return esd_forget_loss(p.with_weights(w), frozen, x0, cond, cfg, S, rng_seed=3)[0]
+            return esd_forget_loss(p.with_weights(w), frozen, xts, ts, cond, cfg, S)[0]
 
         num = numeric_grad(f, p.weights.copy())
         assert max_rel_error(grad, num) <= 1e-3
@@ -298,14 +320,15 @@ class TestEsdForgetLoss:
     def test_unconditional_model_rejected(self):
         p = init_network(UNCOND_ARCH, seed=0)
         with pytest.raises(ValueError):
-            esd_forget_loss(p, p, np.zeros((1, 2)), None, make_cfg("esd"), S, 0)
+            esd_forget_loss(p, p, np.zeros((1, 2)), np.array([2]), None, make_cfg("esd"), S)
 
 
 class TestPreservationLoss:
     def test_self_distillation_fixed_point(self, cond_dataset):
         p = init_network(COND_ARCH, seed=4)
         x0, cond = block(cond_dataset, 1, 4)
-        loss, grad = preservation_loss(p, p, x0, cond, S, seed=5)
+        ts, xts, _, _ = retain_rows(x0, cond, 5)
+        loss, grad = preservation_loss(p, p, xts, ts, cond, S)
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -313,28 +336,55 @@ class TestPreservationLoss:
         frozen = init_network(COND_ARCH, seed=6)
         p = init_network(COND_ARCH, seed=7)
         x0, cond = block(cond_dataset, 2, 3)
-        loss, grad = preservation_loss(p, frozen, x0, cond, S, seed=8)
+        ts, xts, _, _ = retain_rows(x0, cond, 8)
+        loss, grad = preservation_loss(p, frozen, xts, ts, cond, S)
 
         def f(w):
-            return preservation_loss(p.with_weights(w), frozen, x0, cond, S, seed=8)[0]
+            return preservation_loss(p.with_weights(w), frozen, xts, ts, cond, S)[0]
 
         num = numeric_grad(f, p.weights.copy())
         assert max_rel_error(grad, num) <= 1e-3
 
 
-# Batch-mean losses over (x0, cond) blocks of group-0 rows, each row with
-# its noising keyed by (seed 9, row content).
+# Each objective on (x0, cond) blocks of group-0 rows, as (rows, loss):
+# ``rows(x0, cond, d)`` noises the block, each row keyed by (seed 9, row
+# content), into the loss's row arguments, and ``loss(p, frozen, *rows)``
+# scores them.
+def _preservation_rows(x0, cond, d):
+    ts, xts, _, _ = retain_rows(x0, cond, 9)
+    return xts, ts, cond
+
+
+def _retrack_rows(x0, cond, d):
+    ts, xts, _, _ = forget_rows(x0, cond, make_cfg(), 9)
+    return xts, ts, retrack_target(d.labeled_samples(exclude=0)[0], xts, ts, make_cfg().K, S)
+
+
+def _esd_rows(x0, cond, d):
+    ts, xts, _, _ = forget_rows(x0, cond, make_cfg("esd"), 9)
+    return xts, ts, cond
+
+
+def _anchor_rows(x0, cond, d):
+    return anchored_rows(x0, cond, 0, AnchorSelector.from_dataset(d), make_cfg("cond_anchor"), 9)
+
+
 BATCH_LOSSES = {
-    "preservation": lambda p, frozen, x0, cond, d: preservation_loss(
-        p, frozen, x0, cond, S, seed=9),
-    "retrack": lambda p, frozen, x0, cond, d: retrack_forget_loss(
-        p, x0, cond, d.labeled_samples(exclude=0)[0], make_cfg(), S, rng_seed=9),
-    "esd": lambda p, frozen, x0, cond, d: esd_forget_loss(
-        p, frozen, x0, cond, make_cfg("esd"), S, rng_seed=9),
-    "cond_anchor": lambda p, frozen, x0, cond, d: conditional_forget_loss(
-        p, frozen, x0, cond, 0, AnchorSelector.from_dataset(d), make_cfg("cond_anchor"), S,
-        rng_seed=9),
+    "preservation": (_preservation_rows, lambda p, frozen, xts, ts, cond: preservation_loss(
+        p, frozen, xts, ts, cond, S)),
+    "retrack": (_retrack_rows, lambda p, frozen, xts, ts, targets: retrack_forget_loss(
+        p, xts, ts, targets, make_cfg(), S)),
+    "esd": (_esd_rows, lambda p, frozen, xts, ts, cond: esd_forget_loss(
+        p, frozen, xts, ts, cond, make_cfg("esd"), S)),
+    "cond_anchor": (_anchor_rows, lambda p, frozen, xts, ts, cond, anchors:
+                    conditional_forget_loss(p, frozen, xts, ts, cond, anchors, S)),
 }
+
+
+def batch_loss(objectives, name, p, frozen, x0, cond, d):
+    """Objective ``name`` of ``objectives`` on an (x0, cond) block."""
+    rows, loss = objectives[name]
+    return loss(p, frozen, *rows(x0, cond, d))
 
 
 @pytest.mark.parametrize("loss", sorted(BATCH_LOSSES))
@@ -343,9 +393,9 @@ def test_duplication_invariance(loss, cond_dataset):
     frozen = init_network(COND_ARCH, seed=6)
     p = init_network(COND_ARCH, seed=7)
     x0, cond = block(cond_dataset, 0, 1)
-    single, _ = BATCH_LOSSES[loss](p, frozen, x0, cond, cond_dataset)
-    doubled, _ = BATCH_LOSSES[loss](p, frozen, np.repeat(x0, 2, axis=0),
-                                    np.repeat(cond, 2, axis=0), cond_dataset)
+    single, _ = batch_loss(BATCH_LOSSES, loss, p, frozen, x0, cond, cond_dataset)
+    doubled, _ = batch_loss(BATCH_LOSSES, loss, p, frozen, np.repeat(x0, 2, axis=0),
+                            np.repeat(cond, 2, axis=0), cond_dataset)
     assert doubled == pytest.approx(single, rel=1e-12)
 
 
@@ -412,8 +462,8 @@ class TestConditionalForgetLoss:
         sel = AnchorSelector.from_dataset(d)
         p = init_network(COND_ARCH, seed=1)
         x0, cond = block(d, 0, 4)
-        cfg = make_cfg("cond_anchor")
-        loss, grad = conditional_forget_loss(p, p, x0, cond, 0, sel, cfg, S, rng_seed=2)
+        rows = anchored_rows(x0, cond, 0, sel, make_cfg("cond_anchor"), 2)
+        loss, grad = conditional_forget_loss(p, p, *rows, S)
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -422,13 +472,11 @@ class TestConditionalForgetLoss:
         frozen = init_network(COND_ARCH, seed=3)
         p = init_network(COND_ARCH, seed=4)
         x0, cond = block(cond_dataset, 1, 3)
-        cfg = make_cfg("cond_anchor")
-        loss, grad = conditional_forget_loss(p, frozen, x0, cond, 1, sel, cfg, S, rng_seed=5)
+        rows = anchored_rows(x0, cond, 1, sel, make_cfg("cond_anchor"), 5)
+        loss, grad = conditional_forget_loss(p, frozen, *rows, S)
 
         def f(w):
-            return conditional_forget_loss(
-                p.with_weights(w), frozen, x0, cond, 1, sel, cfg, S, rng_seed=5
-            )[0]
+            return conditional_forget_loss(p.with_weights(w), frozen, *rows, S)[0]
 
         num = numeric_grad(f, p.weights.copy())
         assert max_rel_error(grad, num) <= 1e-3
@@ -454,9 +502,10 @@ class TestConditionalForgetLoss:
                 total += float(np.sum((out - ref) ** 2))
             return total / len(x0s)
 
+        rows = anchored_rows(x0s, conds, 0, sel, cfg, 7)
         for seed in (8, 9):
             p = init_network(COND_ARCH, seed=seed)
-            loss, _ = conditional_forget_loss(p, frozen, x0s, conds, 0, sel, cfg, S, rng_seed=7)
+            loss, _ = conditional_forget_loss(p, frozen, *rows, S)
             assert loss == pytest.approx(manual_loss(p), rel=1e-12)
 
     def test_unconditional_model_rejected(self):
@@ -464,8 +513,8 @@ class TestConditionalForgetLoss:
         sel = AnchorSelector.from_dataset(d)
         p = init_network(UNCOND_ARCH, seed=0)
         with pytest.raises(ValueError):
-            conditional_forget_loss(p, p, np.zeros((1, 2)), None, 0, sel, make_cfg("cond_anchor"),
-                                    S, 0)
+            conditional_forget_loss(p, p, np.zeros((1, 2)), np.array([2]), None,
+                                    sel.anchor_condition(0, 1)[None], S)
 
 
 @pytest.fixture(scope="module")
@@ -512,8 +561,8 @@ class TestUnlearn:
         seeds = rng.integers(0, 1 << 31, size=8)
         full_losses, ul_losses = [], []
         for sd in seeds:
-            full_losses.append(loss_and_grad(p_full, x0, cond, S, rng_seed=int(sd))[0])
-            ul_losses.append(loss_and_grad(run.params, x0, cond, S, rng_seed=int(sd))[0])
+            full_losses.append(training_loss(p_full, x0, cond, S, int(sd))[0])
+            ul_losses.append(training_loss(run.params, x0, cond, S, int(sd))[0])
         assert np.mean(ul_losses) > np.mean(full_losses)
 
     def test_unset_timestep_range_is_the_default(self, trained_two_groups):
