@@ -37,7 +37,6 @@ from .harness import (
     default_experiment_config,
     run_experiment,
     sweep,
-    timing_report,
 )
 from .metrics import RankReport, rank, rank_report
 from .scoring import ElboSpec, elbo_estimate, gaussian_kl_isotropic, paired_score_difference

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ FORMAT_VERSION = 1
 
 
 def save_checkpoint(path: str | Path, params: DenoiserParams) -> None:
-    arch_json = json.dumps(params.arch.to_dict(), sort_keys=True, separators=(",", ":"))
+    arch_json = json.dumps(asdict(params.arch), sort_keys=True, separators=(",", ":"))
     arch_bytes = arch_json.encode("utf-8")
     payload = params.weights.astype("<f4").tobytes()
     with open(path, "wb") as f:
@@ -51,7 +52,7 @@ def load_checkpoint(path: str | Path) -> DenoiserParams:
     arch_end = 12 + arch_len
     if len(raw) < arch_end + 8:
         raise ValueError(f"{path}: truncated header")
-    arch = Architecture.from_dict(json.loads(raw[12:arch_end].decode("utf-8")))
+    arch = Architecture(**json.loads(raw[12:arch_end].decode("utf-8")))
     (count,) = struct.unpack_from("<Q", raw, arch_end)
     if count != arch.param_count:
         raise ValueError(

@@ -22,8 +22,9 @@ from .harness import (
     default_experiment_config,
     sweep,
 )
+from .unlearning import UNLEARN_METHODS
 
-_CLI_METHOD = {"retrack": "retrack", "esd": "esd", "cond-anchor": "cond_anchor"}
+_CLI_METHOD = {m.replace("_", "-"): m for m in UNLEARN_METHODS}
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,13 +89,6 @@ class Architecture:
     def param_count(self) -> int:
         dims = self.layer_dims
         return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Architecture":
-        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ is the phase's only metadata: artifacts carry data only.
 The key rule: a key record is deleted before its phase builds, written
 only once every file of the phase is complete, and vouches only while
 every one of those files exists, so a key never vouches for a missing
-or torn artifact; an interrupted build is redone.
+or torn artifact; an interrupted build is redone.  A record counts, for
+serving and for the timing, only while it holds its phase's current key,
+so records left by another config in the same directory are ignored.
 
 Every artifact is written to a temp file beside it and swapped in with
 ``os.replace``, so an interrupted write leaves the previous artifact
@@ -235,8 +237,9 @@ def _hash_obj(obj) -> str:
 
 
 def _memoized(key_method):
-    """Compute a ``Pipeline``'s phase key once per argument tuple: its
-    config is frozen, so a key never changes."""
+    """Compute a ``Pipeline``'s phase key (or a counterfactual's phase name
+    and key) once per argument tuple: its config is frozen, so a key never
+    changes."""
 
     @functools.wraps(key_method)
     def memoized(self, *args):
@@ -293,8 +296,8 @@ class Pipeline:
         self._full_elbos: tuple | None = None
         # phase name -> (phase key, served artifact), valid while the key record matches
         self._loaded: dict[str, tuple[str, object]] = {}
-        # (key method, its arguments) -> phase key or config hash
-        self._keys: dict[tuple, str] = {}
+        # (key method, its arguments) -> phase key, (phase name, phase key) or config hash
+        self._keys: dict[tuple, str | tuple[str, str]] = {}
 
     # -- provenance ---------------------------------------------------
 
@@ -309,10 +312,11 @@ class Pipeline:
     def _key_path(self, name: str) -> Path:
         return self.out / "keys" / f"{name}.json"
 
-    def _fresh(self, name: str, phase_key: str, files: tuple[Path, ...]) -> bool:
+    def _record(self, name: str, phase_key: str) -> dict | None:
+        """Key record ``name``, or None unless it holds ``phase_key``."""
         path = self._key_path(name)
-        return (path.exists() and json.loads(path.read_text()).get("phase_key") == phase_key
-                and all(f.exists() for f in files))
+        rec = json.loads(path.read_text()) if path.exists() else {}
+        return rec if rec.get("phase_key") == phase_key else None
 
     def _write_key(self, name: str, phase_key: str, **extra) -> None:
         _write_json(self._key_path(name), {"phase_key": phase_key, **self.provenance(), **extra})
@@ -335,13 +339,22 @@ class Pipeline:
                           dataclasses.asdict(self.cfg.train)])
 
     @_memoized
-    def _k_logo(self, k: int) -> str:
-        return _hash_obj(["train_logo", k, self._k_full()])
-
-    @_memoized
-    def _k_unlearn(self, method: str, k: int) -> str:
+    def _cf_phase(self, method: str, k: int) -> tuple[str, str]:
+        """The phase name and phase key of group ``k``'s counterfactual model
+        under ``method``: ``train_logo_k`` for LOGO, ``unlearn_<method>_k``
+        for an unlearning method."""
+        if method == "logoa":
+            return f"train_logo_{k}", _hash_obj(["train_logo", k, self._k_full()])
         spec = self._unlearn_spec(method)
-        return _hash_obj(["unlearn", method, k, self._k_full(), spec.read_settings()])
+        return f"unlearn_{method}_{k}", _hash_obj(["unlearn", method, k, self._k_full(),
+                                                   spec.read_settings()])
+
+    def _cf_phases(self, method: str) -> list[tuple[str, str]]:
+        """``_cf_phase`` of every group; none for the prototype and the
+        oracle, which build no model."""
+        if method in ("prototype", "oracle"):
+            return []
+        return [self._cf_phase(method, k) for k in range(self.cfg.dataset.n_groups)]
 
     @_memoized
     def _k_queries(self) -> str:
@@ -349,14 +362,10 @@ class Pipeline:
 
     @_memoized
     def _k_matrix(self, method: str) -> str:
-        deps: list = ["matrix", method, self._k_queries(), dataclasses.asdict(self.cfg.elbo)]
-        if method == "logoa":
-            deps += [self._k_logo(k) for k in range(self.cfg.dataset.n_groups)]
-        elif method in ("prototype", "oracle"):
-            deps.append(self._k_dataset())
-        else:
-            deps += [self._k_unlearn(method, k) for k in range(self.cfg.dataset.n_groups)]
-        return _hash_obj(deps)
+        # a method that builds no model depends on the dataset directly
+        deps = [key for _, key in self._cf_phases(method)] or [self._k_dataset()]
+        return _hash_obj(["matrix", method, self._k_queries(),
+                          dataclasses.asdict(self.cfg.elbo), *deps])
 
     # -- shared objects -------------------------------------------------
 
@@ -409,7 +418,7 @@ class Pipeline:
         """
         with _tagged(tag):
             built = None
-            if self._fresh(name, key, files):
+            if self._record(name, key) is not None and all(f.exists() for f in files):
                 loaded_key, value = self._loaded.get(name, (None, None))
                 if loaded_key == key:
                     return value
@@ -421,9 +430,11 @@ class Pipeline:
             self._loaded[name] = (key, value)
             return value
 
-    def _run_files(self, name: str, ckpt: str) -> tuple[Path, Path]:
-        """The checkpoint and log of a training or unlearning phase."""
-        return self.out / "checkpoints" / f"{ckpt}.ckpt", self.out / "logs" / f"{name}.csv"
+    def _run_files(self, name: str) -> tuple[Path, Path]:
+        """The checkpoint and log of training or unlearning phase ``name``
+        (``train_logo_k`` writes ``logo_k.ckpt``)."""
+        return (self.out / "checkpoints" / f"{name.removeprefix('train_')}.ckpt",
+                self.out / "logs" / f"{name}.csv")
 
     def _save_run(self, files: tuple[Path, Path], run, log: tuple, **fields) -> tuple[dict, None]:
         """Write a training or unlearning run's log (``log`` is its header and
@@ -452,7 +463,7 @@ class Pipeline:
 
     def ensure_train_full(self):
         d = self.ensure_dataset()
-        files = self._run_files("train_full", "full")
+        files = self._run_files("train_full")
 
         def build():
             run = train_full(d, self.cfg.arch.architecture(d.dim, d.cond_dim), self.cfg.train,
@@ -465,7 +476,8 @@ class Pipeline:
 
     def ensure_train_logo(self, k: int):
         d = self.ensure_dataset()
-        files = self._run_files(f"train_logo_{k}", f"logo_{k}")
+        name, key = self._cf_phase("logoa", k)
+        files = self._run_files(name)
 
         def build():
             run = train_logo(d, k, self.cfg.arch.architecture(d.dim, d.cond_dim),
@@ -474,13 +486,13 @@ class Pipeline:
             log = ("epoch,loss,wall_ms", run.epoch_losses, run.epoch_ms)
             return self._save_run(files, run, log, group=k)
 
-        return self._phase(f"train_logo_{k}", self._k_logo(k), files, "train_logo", build,
-                           load_checkpoint)
+        return self._phase(name, key, files, "train_logo", build, load_checkpoint)
 
     def ensure_unlearn(self, method: str, k: int):
         d = self.ensure_dataset()
         spec = self._unlearn_spec(method)
-        files = self._run_files(f"unlearn_{method}_{k}", f"unlearn_{method}_{k}")
+        name, key = self._cf_phase(method, k)
+        files = self._run_files(name)
 
         def build():
             full = self.ensure_train_full()
@@ -490,8 +502,7 @@ class Pipeline:
             return self._save_run(files, run, log, group=k, seed=seed,
                                   unlearn_config=dataclasses.asdict(spec))
 
-        return self._phase(f"unlearn_{method}_{k}", self._k_unlearn(method, k), files,
-                           "unlearn", build, load_checkpoint)
+        return self._phase(name, key, files, "unlearn", build, load_checkpoint)
 
     def ensure_queries(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
         """Generated query samples, their conditions, diagnostic labels."""
@@ -528,6 +539,9 @@ class Pipeline:
         return np.zeros((count, d.cond_dim))
 
     def ensure_matrix(self, method: str) -> AttributionMatrix:
+        if method not in self.method_names():
+            raise PhaseError("attribute", f"method {method!r} not configured; the config's "
+                                          f"methods are {', '.join(self.method_names())}")
         d = self.ensure_dataset()
         csv_path = self.out / "matrices" / f"{method}.csv"
         json_path = self.out / "matrices" / f"{method}.json"
@@ -613,8 +627,58 @@ class Pipeline:
             return reports
 
     def ensure_timing(self) -> "TimingReport":
+        """Cost accounting from the key records of this config's phases.
+
+        A phase counts only while its record holds the phase's current key,
+        so records of another config in the same directory are ignored.  A
+        network method's preprocessing is ``train_full`` plus the phases of
+        its per-group counterfactual models; prototype and oracle have none.
+        ``t_query_seconds`` is the matrix record's wall time over that
+        record's own query count.  Speedups and step ratios are relative to
+        LOGO.  When no LOGO model was trained (oracle gold), every
+        ``logo_step_ratio`` reads 0.0.  It stays so because
+        ``perfbench/checks.py::check_step_ratio`` expects 0.0 on
+        ``many-groups``, where LOGO never runs.
+        """
         with _tagged("report"):
-            rep = timing_report(self.out)
+            methods = self.method_names()
+            cf = {m: self._cf_phases(m) for m in methods}
+            phases = [("dataset", self._k_dataset()), ("train_full", self._k_full()),
+                      ("queries", self._k_queries()),
+                      *((f"matrix_{m}", self._k_matrix(m)) for m in methods),
+                      *(phase for m in methods for phase in cf[m])]
+            records = {name: rec for name, key in phases
+                       if (rec := self._record(name, key)) is not None}
+            if not records:
+                raise ValueError(f"{self.out} has no timing records of this config")
+            seconds = {name: float(rec.get("wall_seconds", 0.0)) for name, rec in records.items()}
+            steps = {name: int(rec["steps"]) for name, rec in records.items() if "steps" in rec}
+            logo_steps = sum(steps.get(name, 0) for name, _ in cf["logoa"])
+            entries: dict[str, dict] = {}
+            for method in methods:
+                if (rec := records.get(f"matrix_{method}")) is None:
+                    continue
+                cf_steps = sum(steps.get(name, 0) for name, _ in cf[method])
+                cf_seconds = sum(seconds.get(name, 0.0) for name, _ in cf[method])
+                preproc = seconds.get("train_full", 0.0) + cf_seconds if cf[method] else 0.0
+                query_seconds = seconds[f"matrix_{method}"]
+                entries[method] = {
+                    "preproc_seconds": preproc,
+                    "query_seconds": query_seconds,
+                    "t_query_seconds": query_seconds / rec["queries"] if rec["queries"] else 0.0,
+                    "total_seconds": preproc + query_seconds,
+                    "counterfactual_steps": cf_steps,
+                }
+                if method != "logoa" and cf_steps > 0:
+                    entries[method]["logo_step_ratio"] = logo_steps / cf_steps
+
+            if "logoa" in entries:
+                logoa_total = entries["logoa"]["total_seconds"]
+                for entry in entries.values():
+                    if entry["total_seconds"] > 0:
+                        entry["speedup_vs_logo"] = logoa_total / entry["total_seconds"]
+
+            rep = TimingReport(seconds, steps, entries, self.cfg.queries.count)
             _write_json(self.out / "reports" / "timing.json",
                         {**rep.to_dict(), "provenance": self.provenance()})
             return rep
@@ -672,73 +736,6 @@ class TimingReport:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def timing_report(run_dir: str | Path) -> TimingReport:
-    """Cost accounting from the key records of a run directory, each method
-    from the records of its own phases.
-
-    A network method's preprocessing is ``train_full`` plus its per-group
-    phases (``train_logo_k`` for ``logoa``, ``unlearn_<method>_k`` else);
-    prototype and oracle have none.  ``t_query_seconds`` is the matrix
-    record's wall time over that record's own query count.  Speedups and
-    step ratios are relative to LOGO.  When no LOGO model was trained
-    (oracle gold), every ``logo_step_ratio`` reads 0.0.  It stays so
-    because ``perfbench/checks.py::check_step_ratio`` expects 0.0 on
-    ``many-groups``, where LOGO never runs.  Only the phases the run's
-    ``config.json`` defines are reported (``dataset``, ``train_full``,
-    ``train_logo_k`` and ``unlearn_<method>_k`` for its groups and
-    unlearning methods, ``queries`` and the matrices of its methods), so
-    stale records are ignored.
-    """
-    run_dir = Path(run_dir)
-    records = {p.stem: json.loads(p.read_text()) for p in sorted((run_dir / "keys").glob("*.json"))}
-    if not records:
-        raise ValueError(f"{run_dir} has no timing records")
-    cfg = ExperimentConfig.from_json(run_dir / "config.json")
-    unlearn_methods = [u.method for u in cfg.unlearn_methods]
-    phases = {"dataset", "train_full", "queries",
-              *(f"matrix_{m}" for m in ["logoa", *unlearn_methods, "prototype", "oracle"])}
-    for k in range(cfg.dataset.n_groups):
-        phases |= {f"train_logo_{k}", *(f"unlearn_{m}_{k}" for m in unlearn_methods)}
-    records = {name: rec for name, rec in records.items() if name in phases}
-    seconds = {name: float(rec.get("wall_seconds", 0.0)) for name, rec in records.items()}
-    steps = {name: int(rec["steps"]) for name, rec in records.items() if "steps" in rec}
-
-    def per_group(prefix: str) -> tuple[float, int]:
-        names = [n for k in range(cfg.dataset.n_groups) if (n := f"{prefix}_{k}") in records]
-        return sum(seconds[nm] for nm in names), sum(steps.get(nm, 0) for nm in names)
-
-    _, logo_steps = per_group("train_logo")
-    methods: dict[str, dict] = {}
-    for name, rec in records.items():
-        method = name.removeprefix("matrix_")
-        if method == name:
-            continue
-        if method in ("prototype", "oracle"):
-            preproc, cf_steps = 0.0, 0
-        else:
-            cf_seconds, cf_steps = per_group("train_logo" if method == "logoa"
-                                             else f"unlearn_{method}")
-            preproc = seconds.get("train_full", 0.0) + cf_seconds
-        query_seconds = seconds[name]
-        methods[method] = {
-            "preproc_seconds": preproc,
-            "query_seconds": query_seconds,
-            "t_query_seconds": query_seconds / rec["queries"] if rec["queries"] else 0.0,
-            "total_seconds": preproc + query_seconds,
-            "counterfactual_steps": cf_steps,
-        }
-        if method in unlearn_methods and cf_steps > 0:
-            methods[method]["logo_step_ratio"] = logo_steps / cf_steps
-
-    if "logoa" in methods:
-        logoa_total = methods["logoa"]["total_seconds"]
-        for entry in methods.values():
-            if entry["total_seconds"] > 0:
-                entry["speedup_vs_logo"] = logoa_total / entry["total_seconds"]
-
-    return TimingReport(seconds, steps, methods, cfg.queries.count)
 
 
 def sweep(

@@ -27,7 +27,7 @@ from groupattr import (
 )
 from groupattr.denoiser import DenoiserParams, noise_batch
 from groupattr.diffusion import forward_marginal
-from groupattr.harness import default_experiment_config, run_experiment, timing_report
+from groupattr.harness import Pipeline, default_experiment_config, run_experiment
 from groupattr.seeding import query_seeds
 from groupattr.training import empirical_denoiser
 from groupattr.unlearning import (
@@ -313,7 +313,7 @@ def test_criterion_8_variance_reduction():
 def test_criterion_9_cost_accounting(tiny_run):
     """Step-count ratio exact; totals decompose as preproc + Q * t_query."""
     cfg, out, _ = tiny_run
-    rep = timing_report(out)
+    rep = Pipeline(cfg, out).ensure_timing()
     # Configured: 6 epochs x ceil(80/16) = 30 steps per leave-one-out
     # model, 10 unlearning steps per group, 3 groups each.
     assert rep.phase_steps["train_logo_0"] == 30

@@ -57,6 +57,12 @@ class TestSubcommands:
         assert rc == 0
         assert (tmp_path / "run" / "checkpoints" / "unlearn_cond_anchor_0.ckpt").exists()
 
+    def test_unlearn_method_choices(self, config_path, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["unlearn", "--group", "0", "--method", "cond_anchor",
+                  "--config", str(config_path), "--out", str(tmp_path)])
+        assert "(choose from 'cond-anchor', 'esd', 'retrack')" in capsys.readouterr().err
+
     def test_seed_override_changes_outputs(self, config_path, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["gen-data", "--config", str(config_path), "--out", a]) == 0
@@ -96,7 +102,7 @@ class TestFailures:
                    "--config", str(config_path), "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("[")
+        assert err.startswith("[attribute]")
         assert "cond_anchor" in err
 
     def test_bad_group_index_fails(self, config_path, tmp_path, capsys):

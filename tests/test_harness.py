@@ -16,6 +16,7 @@ import pytest
 
 from groupattr import AttributionMatrix, attribution_matrix
 from groupattr import harness
+from groupattr.cli import main
 from groupattr.harness import (
     ExperimentConfig,
     PhaseError,
@@ -24,7 +25,6 @@ from groupattr.harness import (
     UnlearnSpec,
     run_experiment,
     sweep,
-    timing_report,
 )
 
 from conftest import tiny_experiment_config
@@ -523,8 +523,8 @@ class TestZeroStepUnlearn:
 
 class TestTiming:
     def test_accounting_identity(self, tiny_run):
-        _, out, _ = tiny_run
-        rep = timing_report(out)
+        cfg, out, _ = tiny_run
+        rep = Pipeline(cfg, out).ensure_timing()
         assert rep.queries == 6
         for m, entry in rep.methods.items():
             assert entry["total_seconds"] == entry["preproc_seconds"] + entry["query_seconds"]
@@ -532,7 +532,7 @@ class TestTiming:
 
     def test_step_ratio_exact(self, tiny_run):
         cfg, out, _ = tiny_run
-        rep = timing_report(out)
+        rep = Pipeline(cfg, out).ensure_timing()
         # LOGO: 6 epochs x ceil(80/16)=5 batches = 30 steps per group.
         logo_steps = 3 * 30
         assert rep.phase_steps["train_logo_0"] == 30
@@ -541,8 +541,8 @@ class TestTiming:
             assert rep.methods[m]["logo_step_ratio"] == logo_steps / 30
 
     def test_speedup_reported(self, tiny_run):
-        _, out, _ = tiny_run
-        rep = timing_report(out)
+        cfg, out, _ = tiny_run
+        rep = Pipeline(cfg, out).ensure_timing()
         assert rep.methods["retrack"]["speedup_vs_logo"] > 1.0
         assert rep.methods["logoa"]["speedup_vs_logo"] == 1.0
 
@@ -552,15 +552,15 @@ class TestTiming:
         Pipeline(cfg, out).ensure_queries()
         p = Pipeline(cfg, out)
         p.ensure_matrix("logoa")
-        rep = timing_report(out)
+        rep = p.ensure_timing()
         entry = rep.methods["logoa"]
         assert entry["query_seconds"] >= 0.0
         assert entry["t_query_seconds"] == 0.0
         assert entry["total_seconds"] == entry["preproc_seconds"] + entry["query_seconds"]
 
     def test_missing_records_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            timing_report(tmp_path / "nothing")
+        with pytest.raises(PhaseError, match=r"\[report\]"):
+            Pipeline(tiny_experiment_config(), tmp_path / "nothing").ensure_timing()
 
     def test_query_count_comes_from_the_config(self, tiny_run, tmp_path):
         """A stale matrix record of an earlier config does not set Q: each
@@ -600,6 +600,37 @@ class TestTiming:
         assert "esd" not in summary["methods"]
         timing = json.loads((rerun / "reports" / "timing.json").read_text())
         assert sorted(timing["methods"]) == sorted(summary["methods"])
+
+    def test_records_of_another_config_are_not_counted(self, tiny_run, tmp_path, capsys):
+        """Timing counts a record only while it holds its phase's current
+        key: with esd's steps doubled and nothing rebuilt, no esd record
+        counts, through the API or through the CLI's ``report``."""
+        cfg, out, _ = tiny_run
+        esd = cfg.unlearn_methods[1]
+        changed = replace(cfg, unlearn_methods=(
+            cfg.unlearn_methods[0], replace(esd, steps_or_epochs=2 * esd.steps_or_epochs)))
+        stale = tmp_path / "stale"
+        shutil.copytree(out, stale)
+        rep = Pipeline(changed, stale).ensure_timing()
+        assert "esd" not in rep.methods
+        assert sorted(rep.methods) == ["logoa", "oracle", "prototype", "retrack"]
+        assert not [name for name in rep.phase_seconds if name.startswith("unlearn_esd_")]
+
+        config_path = tmp_path / "changed.json"
+        changed.to_json(config_path)
+        assert main(["report", "--config", str(config_path), "--out", str(stale)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        fresh = tmp_path / "fresh"
+        run_experiment(changed, fresh)
+
+        def phase_key(run, name):
+            path = run / "keys" / f"{name}.json"
+            return json.loads(path.read_text())["phase_key"] if path.exists() else None
+
+        current = {path.stem for path in (fresh / "keys").glob("*.json")
+                   if phase_key(stale, path.stem) == phase_key(fresh, path.stem)}
+        assert set(printed["phase_seconds"]) == current
+        assert sorted(printed["methods"]) == sorted(rep.methods)
 
 
 class TestErrors:
