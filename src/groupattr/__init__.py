@@ -36,7 +36,7 @@ from .harness import (
     TimingReport,
     default_experiment_config,
     run_experiment,
-    sweep,
+    study,
 )
 from .metrics import RankReport, rank, rank_report
 from .scoring import ElboSpec, elbo_estimate, gaussian_kl_isotropic, paired_score_difference

@@ -3,7 +3,9 @@
 Subcommands mirror the pipeline phases; each one materializes its
 prerequisites on demand and reuses cached artifacts when the
 configuration matches.  Exit code 0 on success, 1 with a phase-tagged
-message on failure.
+message on failure.  ``study`` runs every cell of the product of its axes:
+
+    groupattr study --out runs --axis unlearn.esd.steps_or_epochs 100 200 --axis master_seed 0 1 2
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import (
-    SWEEP_AXES,
-    ExperimentConfig,
-    PhaseError,
-    Pipeline,
-    default_experiment_config,
-    sweep,
-)
+from .harness import ExperimentConfig, PhaseError, Pipeline, default_experiment_config, study
 from .unlearning import UNLEARN_METHODS
 
 _CLI_METHOD = {m.replace("_", "-"): m for m in UNLEARN_METHODS}
@@ -82,10 +77,16 @@ def cmd_evaluate(args) -> None:
               f"rbo={rep.rbo:.3f} spearman={rep.spearman:.3f}")
 
 
-def cmd_sweep(args) -> None:
-    cfg = _load_config(args)
-    values = [v for v in args.values.split(",") if v]
-    rows = sweep(cfg, args.axis, values, args.out, gold=args.gold)
+def _json_or_text(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def cmd_study(args) -> None:
+    axes = {path: [_json_or_text(v) for v in values] for path, *values in args.axis}
+    rows = study(_load_config(args), axes, args.out, gold=args.gold)
     print(json.dumps(rows, indent=1, sort_keys=True))
 
 
@@ -127,9 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", required=True)
     sp = add("evaluate", cmd_evaluate, help="rank reports against the gold matrix")
     sp.add_argument("--gold", default="logoa")
-    sp = add("sweep", cmd_sweep, help="run the pipeline over one unlearning axis")
-    sp.add_argument("--axis", choices=SWEEP_AXES, required=True)
-    sp.add_argument("--values", required=True, help="comma-separated values")
+    sp = add("study", cmd_study, help="run the pipeline on the product of config axes")
+    sp.add_argument("--axis", nargs="+", action="append", required=True, metavar=("PATH", "VALUE"),
+                    help="a dotted config path and its values, each JSON or else text")
     sp.add_argument("--gold", default="logoa")
     sp = add("report", cmd_report, help="print the timing decomposition")
     sp = add("run", cmd_run, help="run the full pipeline")

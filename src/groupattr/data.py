@@ -41,6 +41,8 @@ class DatasetSpec:
             raise ValueError("need at least 2 groups")
         if self.samples_per_group < 1 or self.dim < 1:
             raise ValueError("samples_per_group and dim must be positive")
+        if self.noise_std < 0.0 or self.descriptor_dim < 0:
+            raise ValueError("noise_std and descriptor_dim must be non-negative")
         if not 0.0 <= self.descriptor_overlap < 1.0:
             raise ValueError("descriptor_overlap must be in [0, 1)")
 

@@ -52,6 +52,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -68,22 +69,13 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetSpec, GroupedDataset, generate_grouped_dataset
 from .denoiser import Architecture, forward_batch
 from .diffusion import SAMPLERS, Schedule, build_schedule, sample
-from .metrics import RankReport, rank_report
+from .metrics import _METRICS, RankReport, rank_report
 from .scoring import ElboGrid, ElboSpec
 from .seeding import derive_seed, query_seeds
 from .training import KernelDenoiser, TrainSpec, train_full, train_logo
 from .unlearning import UnlearnSpec, unlearn
 
 ARTIFACT_VERSION = 1
-
-SWEEP_AXES = ("epochs", "lambda", "K", "lr")
-
-_AXIS_FIELD = {
-    "epochs": "steps_or_epochs",
-    "lambda": "lambda_forget",
-    "K": "K",
-    "lr": "lr",
-}
 
 
 class PhaseError(RuntimeError):
@@ -738,47 +730,52 @@ class TimingReport:
         return dataclasses.asdict(self)
 
 
-def sweep(
-    cfg: ExperimentConfig,
-    axis: str,
-    values: list,
-    out_dir: str | Path,
-    gold: str = "logoa",
-) -> list[dict]:
-    """Run the pipeline once per value, varying one unlearning axis.
+def _cell_config(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
+    """``cfg`` with each dotted path of ``cell`` set to its value by nested ``replace``."""
+    def put(spec, names: list[str], value):
+        name, *rest = names
+        if name not in getattr(spec, "__dataclass_fields__", ()):
+            raise ValueError(f"unknown config path {path!r}")
+        return replace(spec, **{name: put(getattr(spec, name), rest, value) if rest else value})
+    for path, value in cell.items():
+        head, *rest = path.split(".")
+        if head == "unlearn" and rest:  # unlearn.<field> (every method) or unlearn.<method>.<field>
+            methods = [u.method for u in cfg.unlearn_methods]
+            chosen = methods if len(rest) == 1 else [rest.pop(0)]
+            if not chosen or not set(chosen) <= set(methods):
+                raise ValueError(f"unknown config path {path!r}; the methods are {methods}")
+            value = [put(u, rest, value) if u.method in chosen else u for u in cfg.unlearn_methods]
+            head, rest = "unlearn_methods", []
+        cfg = put(cfg, [head, *rest], value)
+    return cfg
 
-    ``axis`` is one of epochs / lambda / K / lr, applied to every
-    configured unlearning method.  A value's run directory that does not
-    exist starts as a copy of the previous value's, so only the phases
-    the value changes are rebuilt.  Returns one row per value with the
-    aggregate agreement metrics of each method versus the gold matrix,
-    and writes the comparison table as CSV.
+
+def study(cfg: ExperimentConfig, axes: dict[str, list], out_dir: str | Path,
+          gold: str = "logoa") -> list[dict]:
+    """Run the pipeline on every cell of the product of the ``axes`` values.
+
+    ``axes`` maps dotted config paths to lists of values: ``unlearn.K`` sets
+    K on every unlearning method, ``unlearn.esd.K`` on esd only.  Every
+    cell's config is built, and so checked, before any cell runs.  A cell's
+    directory ``<path>=<value>,...`` starts, unless it exists, as a copy of
+    the last cell run on the same dataset and master seed.  Returns, and
+    writes as ``study.csv``, one row per cell and method.
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    if not values:
-        raise ValueError("sweep values must be non-empty")
-    field_name = _AXIS_FIELD[axis]
-    out_dir = Path(out_dir)
-    rows = []
-    previous = None
-    for value in values:
-        cast = int(value) if field_name in ("steps_or_epochs", "K") else float(value)
-        specs = tuple(replace(u, **{field_name: cast}) for u in cfg.unlearn_methods)
-        sub_cfg = replace(cfg, unlearn_methods=specs)
-        run_dir = out_dir / f"{axis}_{value}"
-        if previous is not None and not run_dir.exists():
-            shutil.copytree(previous, run_dir)
-        previous = run_dir
-        summary = run_experiment(sub_cfg, run_dir, gold=gold)
-        row = {"axis": axis, "value": value}
-        for method, rep in summary["reports"].items():
-            for metric, metric_value in rep.items():
-                row[f"{method}.{metric}"] = metric_value
-        rows.append(row)
-
-    with _replacing(out_dir / f"sweep_{axis}.csv") as tmp, open(tmp, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+    if not axes or not all(axes.values()):
+        raise ValueError("a study needs at least one axis, each with at least one value")
+    cells = [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
+    configs = [_cell_config(cfg, cell) for cell in cells]
+    rows, last = [], {}  # last: (dataset, master_seed) -> the last cell directory run on them
+    for cell, cell_cfg in zip(cells, configs):
+        run_dir = Path(out_dir, ",".join(f"{path}={value}" for path, value in cell.items()))
+        lineage = (cell_cfg.dataset, cell_cfg.master_seed)
+        if lineage in last and not run_dir.exists():
+            shutil.copytree(last[lineage], run_dir)
+        last[lineage] = run_dir
+        summary = run_experiment(cell_cfg, run_dir, gold=gold)
+        rows += [{**cell, "method": method, **rep} for method, rep in summary["reports"].items()]
+    with _replacing(Path(out_dir, "study.csv")) as tmp, open(tmp, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=[*axes, "method", *_METRICS])
         writer.writeheader()
         writer.writerows(rows)
     return rows

@@ -131,6 +131,8 @@ class TestFailures:
         ("queries", "clip_x0", -1.0),
         ("unlearn_methods", "batch_size", 0),
         ("train", "weight_decay", -1.0),
+        ("dataset", "noise_std", -1.0),
+        ("dataset", "descriptor_dim", -1),
     ])
     def test_bad_config_fails_before_any_phase(self, tmp_path, capsys, section, key, value):
         """Every stage's settings are checked when the config is built, so a
@@ -157,17 +159,24 @@ class TestFailures:
         with pytest.raises(TypeError, match=key):
             ExperimentConfig.from_json(cfg_path)
 
-    def test_sweep_requires_known_axis(self, config_path, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--axis", "bogus", "--values", "1",
-                  "--config", str(config_path), "--out", str(tmp_path)])
+    def test_study_requires_known_axis(self, config_path, tmp_path, capsys):
+        out = tmp_path / "st"
+        rc = main(["study", "--axis", "bogus", "1", "--config", str(config_path),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("[harness] unknown config path 'bogus'")
+        assert not out.exists()
 
 
-class TestSweepCommand:
-    def test_sweep_lambda(self, config_path, tmp_path, capsys):
-        rc = main(["sweep", "--axis", "lambda", "--values", "0.03",
-                   "--config", str(config_path), "--out", str(tmp_path / "sw")])
+class TestStudyCommand:
+    def test_study_lambda(self, config_path, tmp_path, capsys):
+        """Values are JSON (0.03 is a float), or else text (ddpm)."""
+        rc = main(["study", "--axis", "unlearn.lambda_forget", "0.03",
+                   "--axis", "queries.method", "ddpm",
+                   "--config", str(config_path), "--out", str(tmp_path / "st")])
         assert rc == 0
         rows = json.loads(capsys.readouterr().out)
-        assert rows[0]["value"] == "0.03"
-        assert (tmp_path / "sw" / "sweep_lambda.csv").exists()
+        cells = {(r["unlearn.lambda_forget"], r["queries.method"]) for r in rows}
+        assert cells == {(0.03, "ddpm")}
+        assert (tmp_path / "st" / "study.csv").exists()
+        assert (tmp_path / "st" / "unlearn.lambda_forget=0.03,queries.method=ddpm").is_dir()

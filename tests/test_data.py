@@ -73,6 +73,10 @@ class TestGenerate:
             DatasetSpec(n_groups=1)
         with pytest.raises(ValueError):
             DatasetSpec(descriptor_overlap=1.0)
+        with pytest.raises(ValueError):
+            DatasetSpec(noise_std=-1.0)
+        with pytest.raises(ValueError):
+            DatasetSpec(conditional=True, descriptor_dim=-1)
 
 
 class TestGroupedDataset:

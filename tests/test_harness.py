@@ -1,5 +1,6 @@
-"""Pipeline orchestration: caching, determinism, timing, and sweeps."""
+"""Pipeline orchestration: caching, determinism, timing, and studies."""
 
+import csv
 import filecmp
 import json
 import math
@@ -24,7 +25,7 @@ from groupattr.harness import (
     QuerySpec,
     UnlearnSpec,
     run_experiment,
-    sweep,
+    study,
 )
 
 from conftest import tiny_experiment_config
@@ -662,23 +663,69 @@ class TestErrors:
         assert (out / "checkpoints" / "full.ckpt").exists()
 
 
+def _counted(monkeypatch, name: str, calls: dict, key=lambda *args: None) -> None:
+    """Count the calls of ``harness.<name>`` in ``calls[name]``, or in
+    ``calls[key(*args)]`` when ``key`` gives one."""
+    real = getattr(harness, name)
+
+    def call(*args, **kwargs):
+        calls[key(*args) or name] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(harness, name, call)
+
+
+def _same_run_files(cell: Path, fresh: Path) -> None:
+    """``cell`` holds exactly ``fresh``'s files, with equal bytes apart from
+    wall times: the ``wall_ms`` column of training logs, and the seconds
+    and speedups of ``timing.json`` and ``summary.json``.  A key record is
+    compared by its phase key: the rest of it describes the build, which is
+    an earlier cell's when the cell reused the phase."""
+    def drop_times(doc):
+        if isinstance(doc, dict):
+            return {k: drop_times(v) for k, v in doc.items()
+                    if "seconds" not in k and k != "speedup_vs_logo"}
+        return doc
+
+    files = sorted(f.relative_to(fresh) for f in fresh.rglob("*") if f.is_file())
+    assert sorted(f.relative_to(cell) for f in cell.rglob("*") if f.is_file()) == files
+    for f in files:
+        docs = [json.loads((d / f).read_text()) if f.suffix == ".json" else None
+                for d in (cell, fresh)]
+        if f.parts[0] == "keys":
+            assert docs[0]["phase_key"] == docs[1]["phase_key"], f
+        elif f in (Path("reports/timing.json"), Path("summary.json")):
+            assert drop_times(docs[0]) == drop_times(docs[1]), f
+        elif f.name.startswith("train_"):
+            a, b = ([line.rsplit(",", 1)[0] for line in (d / f).read_text().splitlines()]
+                    for d in (cell, fresh))
+            assert a == b, f
+        else:
+            assert filecmp.cmp(cell / f, fresh / f, shallow=False), f
+
+
 class TestSweep:
+    """``study`` over dotted config paths, one run directory per cell."""
+
     def test_single_value_sweep_matches_run(self, tmp_path):
         cfg = tiny_experiment_config()
-        rows = sweep(cfg, "epochs", [10], tmp_path / "sw")
-        assert len(rows) == 1
+        rows = study(cfg, {"unlearn.steps_or_epochs": [10]}, tmp_path / "sw")
         direct = run_experiment(cfg, tmp_path / "direct")
-        assert rows[0]["retrack.top1"] == direct["reports"]["retrack"]["top1"]
-        assert (tmp_path / "sw" / "sweep_epochs.csv").exists()
+        assert [row.pop("method") for row in rows] == direct["methods"]
+        for row, rep in zip(rows, direct["reports"].values()):
+            assert row == {"unlearn.steps_or_epochs": 10, **rep}
+        with open(tmp_path / "sw" / "study.csv", newline="") as f:
+            table = list(csv.DictReader(f))
+        assert list(table[0]) == ["unlearn.steps_or_epochs", "method", *rep]
+        assert [r["method"] for r in table] == direct["methods"]
 
     def test_epochs_zero_row_all_zero_scores(self, tmp_path):
         cfg = tiny_experiment_config(unlearn_methods=(
             UnlearnSpec(method="retrack", steps_or_epochs=10, lr=1e-4,
                         timestep_range=(1, 40)),
         ))
-        sweep(cfg, "epochs", [0], tmp_path / "sw0")
+        study(cfg, {"unlearn.steps_or_epochs": [0]}, tmp_path / "sw0")
         mat = AttributionMatrix.from_json(
-            tmp_path / "sw0" / "epochs_0" / "matrices" / "retrack.json"
+            tmp_path / "sw0" / "unlearn.steps_or_epochs=0" / "matrices" / "retrack.json"
         )
         np.testing.assert_array_equal(mat.scores, 0.0)
 
@@ -692,9 +739,9 @@ class TestSweep:
 
         cfg = tiny_experiment_config()
         out = tmp_path / "swk"
-        rows = sweep(cfg, "K", [1, 80], out)
-        assert [r["value"] for r in rows] == [1, 80]
-        d = GroupedDataset.load(out / "K_80" / "dataset.npz")
+        rows = study(cfg, {"unlearn.K": [1, 80]}, out)
+        assert [r["unlearn.K"] for r in rows if r["method"] == "retrack"] == [1, 80]
+        d = GroupedDataset.load(out / "unlearn.K=80" / "dataset.npz")
         s = build_schedule(40, "squared_cosine")
         retain = d.labeled_samples(exclude=0)[0]
         rng = np.random.default_rng(0)
@@ -709,25 +756,16 @@ class TestSweep:
 
     def test_second_value_reuses_the_first_and_matches_a_fresh_run(self, tmp_path,
                                                                   monkeypatch):
-        """A sweep value starts from the previous value's directory: the full
-        and LOGO models are trained once for the whole sweep, and the second
-        value's outputs are byte-identical to a fresh run of it."""
+        """A cell starts from the last cell of its dataset and seed: the full
+        and LOGO models are trained once for the whole study, and the second
+        cell's outputs are byte-identical to a fresh run of it."""
         calls = {"train_full": 0, "train_logo": 0}
-
-        def counted(name):
-            real = getattr(harness, name)
-
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return call
-
         for name in calls:
-            monkeypatch.setattr(harness, name, counted(name))
+            _counted(monkeypatch, name, calls)
         cfg = tiny_experiment_config()
-        sweep(cfg, "K", [5, 10], tmp_path / "sw")
+        study(cfg, {"unlearn.K": [5, 10]}, tmp_path / "sw")
         assert calls == {"train_full": 1, "train_logo": cfg.dataset.n_groups}
-        second = tmp_path / "sw" / "K_10"
+        second = tmp_path / "sw" / "unlearn.K=10"
         fresh = tmp_path / "fresh"
         specs = tuple(replace(u, K=10) for u in cfg.unlearn_methods)
         run_experiment(replace(cfg, unlearn_methods=specs), fresh)
@@ -741,25 +779,19 @@ class TestSweep:
             assert filecmp.cmp(second / f, fresh / f, shallow=False), f
 
     def test_k_sweep_unlearns_esd_once_per_group(self, tmp_path, monkeypatch):
-        """esd reads no ``K``: a two-value ``K`` sweep unlearns it once per
-        group and scores it once, and the second value's outputs are still
+        """esd reads no ``K``: a two-value ``K`` study unlearns it once per
+        group and scores it once, and the second cell's outputs are still
         byte-identical to a fresh run of it."""
         calls = {"retrack": 0, "esd": 0}
-        real = harness.unlearn
-
-        def counted(p_full, d, k, cfg, s, seed):
-            calls[cfg.method] += 1
-            return real(p_full, d, k, cfg, s, seed)
-
-        monkeypatch.setattr(harness, "unlearn", counted)
+        _counted(monkeypatch, "unlearn", calls, key=lambda full, d, k, spec, *rest: spec.method)
         cfg = tiny_experiment_config()
-        sweep(cfg, "K", [5, 10], tmp_path / "sw")
+        study(cfg, {"unlearn.K": [5, 10]}, tmp_path / "sw")
         n = cfg.dataset.n_groups
         assert calls == {"retrack": 2 * n, "esd": n}
-        first, second = tmp_path / "sw" / "K_5", tmp_path / "sw" / "K_10"
+        first, second = tmp_path / "sw" / "unlearn.K=5", tmp_path / "sw" / "unlearn.K=10"
         for name in ("keys/matrix_esd.json", "keys/unlearn_esd_0.json"):
             assert filecmp.cmp(first / name, second / name, shallow=False), name
-        monkeypatch.setattr(harness, "unlearn", real)
+        monkeypatch.undo()
         fresh = tmp_path / "fresh"
         run_experiment(replace(cfg, unlearn_methods=tuple(
             replace(u, K=10) for u in cfg.unlearn_methods)), fresh)
@@ -771,9 +803,34 @@ class TestSweep:
         for f in files:
             assert filecmp.cmp(second / f, fresh / f, shallow=False), f
 
-    def test_invalid_axis_and_empty_values(self, tmp_path):
+    def test_seed_cells_stay_isolated(self, tmp_path, monkeypatch):
+        """``master_seed`` is one more axis, and a cell starts only from a
+        cell of its own seed: the full model is trained once per seed, and
+        each cell holds exactly the files of a fresh run of its config."""
+        calls = {"train_full": 0}
+        _counted(monkeypatch, "train_full", calls)
         cfg = tiny_experiment_config()
-        with pytest.raises(ValueError):
-            sweep(cfg, "gamma", [1], tmp_path / "x")
-        with pytest.raises(ValueError):
-            sweep(cfg, "lr", [], tmp_path / "y")
+        rows = study(cfg, {"master_seed": [7, 8], "unlearn.K": [5, 10]}, tmp_path / "st")
+        assert calls == {"train_full": 2}
+        assert len(rows) == 4 * 5  # logoa, retrack, esd, prototype and oracle per cell
+        monkeypatch.undo()
+        for seed, K in ((7, 5), (7, 10), (8, 5), (8, 10)):
+            fresh = tmp_path / f"fresh_{seed}_{K}"
+            run_experiment(replace(cfg, master_seed=seed, unlearn_methods=tuple(
+                replace(u, K=K) for u in cfg.unlearn_methods)), fresh)
+            _same_run_files(tmp_path / "st" / f"master_seed={seed},unlearn.K={K}", fresh)
+
+    def test_invalid_axis_and_empty_values(self, tmp_path, monkeypatch):
+        """Every cell's config is built before any cell runs, so a bad path
+        or a refused value makes no directory and trains no model."""
+        calls = {"train_full": 0}
+        _counted(monkeypatch, "train_full", calls)
+        cfg = tiny_experiment_config()
+        for axes in ({"gamma": [1]}, {"unlearn.cond_anchor.K": [5]},
+                     {"unlearn_methods.K": [5]}, {"dataset.dim.x": [1]},
+                     {"schedule.num_steps": [40, 1]}, {"unlearn.K": [5, 0]},
+                     {}, {"unlearn.lr": []}):
+            with pytest.raises(ValueError):
+                study(cfg, axes, tmp_path / "x")
+            assert not (tmp_path / "x").exists(), axes
+        assert calls == {"train_full": 0}
