@@ -36,7 +36,7 @@ _BETA_MAX = 0.999
 # candidate check allows (dim + 16) * _ROUNDING_SLACK of a row's magnitude
 # for the rounding of each of the two distance formulas: 2^-44 is 512 units
 # of float64 rounding, far more than the few units per coordinate that the
-# scan's arithmetic or the tree's bookkeeping can lose.
+# exact recompute or the tree's bookkeeping can lose.
 _SPARE_CANDIDATES = 4
 _ROUNDING_SLACK = 2.0 ** -44
 
@@ -161,27 +161,26 @@ def forward_marginal(s: Schedule, x0: np.ndarray, t, eps: np.ndarray) -> np.ndar
     return np.sqrt(s.alpha_bars[idx]) * x0 + s.sigmas[idx] * eps
 
 
-def kernel_logits(points: np.ndarray, xt: np.ndarray, t,
+def kernel_logits(points: np.ndarray, xt: np.ndarray, t: int,
                   s: Schedule) -> tuple[np.ndarray, np.ndarray]:
     """Forward-kernel log-weights of a point set given x_t, and the kernel centres.
 
     Returns (-|xt - sqrt(abar_t) x_i|^2 / (2 sigma_t^2), sqrt(abar_t) x_i)
-    over all the points x_i.  ``xt`` is one row (dim,), giving logits of
-    shape (n,) and centres (n, dim), or a block (B, dim), giving (B, n)
-    logits.  ``t`` is one timestep, or for a block a (B,) vector of
-    per-row timesteps, whose centres are (B, n, dim).  The squared
-    distance is summed coordinate by coordinate into two (B, n) buffers,
-    so a block needs no (B, n, dim) temporary.  Every row gets the
-    arithmetic of a one-row call.  ``NearestKernel`` keeps only the K
-    nearest points of each row.
+    over all the points x_i at one timestep t.  ``xt`` is one row (dim,),
+    giving logits of shape (n,), or a block (B, dim), giving (B, n)
+    logits; the centres are (n, dim) either way.  The squared distance is
+    summed coordinate by coordinate into two (B, n) buffers, so a block
+    needs no (B, n, dim) temporary.  Every row gets the arithmetic of a
+    one-row call.  ``NearestKernel`` keeps only the K nearest points of
+    each row.
     """
     points = _point_set(points)
     xt = np.asarray(xt, dtype=np.float64)
-    scale, denom = _kernel_scales(s, t, xt)
+    scale = math.sqrt(s.alpha_bar(s._check_t(t)))
     dist2 = np.empty(xt.shape[:-1] + (len(points),))
     _squared_distances(points.T, xt, scale, dist2, np.empty_like(dist2))
-    dist2 /= denom
-    return dist2, points * scale[..., None] if np.ndim(scale) else scale * points
+    dist2 /= -2.0 * s.sigma(t) ** 2
+    return dist2, scale * points
 
 
 class NearestKernel:
@@ -195,16 +194,17 @@ class NearestKernel:
     [1, n].
 
     A k-d tree over the points (``scipy.spatial.cKDTree``, built once)
-    gives each row K + ``_SPARE_CANDIDATES`` candidates, the points nearest
-    to x_t / sqrt(abar_t).  Their squared distances are recomputed with the
-    arithmetic of the full scan and ordered by (distance, index).  A row
-    keeps them only when every point outside the candidates is provably
-    farther than its K-th kept point: the tree's last candidate distance,
-    scaled back, must exceed that point's distance by a slack that covers
-    the rounding of both distance formulas.  Rows that fail this check,
-    and every row of a call with K + ``_SPARE_CANDIDATES`` >= n, go
-    through the full scan: a stable argsort of their distances to all n
-    points.  Either way a row's result is bit for bit the scan's.
+    gives each row its k = min(K + ``_SPARE_CANDIDATES``, n) candidates,
+    the points nearest to x_t / sqrt(abar_t).  Their squared distances are
+    recomputed with ``kernel_logits``' arithmetic and ordered by (distance,
+    index).  A row keeps them only when every point outside the candidates
+    is provably farther than its K-th kept point: the tree's last candidate
+    distance, scaled back, must exceed that point's distance by a slack
+    that covers the rounding of both distance formulas.  Rows that fail
+    this check, and every row of a call with K + ``_SPARE_CANDIDATES`` >= n,
+    are answered by a tree query for all n points, which needs no check.
+    Either way a row's result is bit for bit the first K of a stable
+    argsort of its distances to all n points.
     """
 
     def __init__(self, points: np.ndarray):
@@ -218,12 +218,14 @@ class NearestKernel:
         if not 1 <= K <= n:
             raise ValueError(f"K must be in [1, {n}], got {K}")
         xt = np.asarray(xt, dtype=np.float64)
-        scale, denom = _kernel_scales(s, t, xt)
-        rows = np.atleast_2d(xt)
-        if K + _SPARE_CANDIDATES >= n:
-            keep, logits = self._scan(rows, scale, K)
+        if np.ndim(t):  # a (B,) vector of per-row timesteps: (B, 1) columns
+            idx = s._index(t)
+            if xt.ndim != 2 or len(idx) != len(xt):
+                raise ValueError(f"{len(idx)} timesteps for an x_t block of shape {xt.shape}")
+            scale, denom = np.sqrt(s.alpha_bars[idx])[:, None], (-2.0 * s.sigmas[idx] ** 2)[:, None]
         else:
-            keep, logits = self._candidates(rows, scale, K)
+            scale, denom = math.sqrt(s.alpha_bar(s._check_t(t))), -2.0 * s.sigma(t) ** 2
+        keep, logits = self._nearest(np.atleast_2d(xt), scale, K, min(K + _SPARE_CANDIDATES, n))
         logits /= denom
         if np.ndim(scale):
             centers = self.points[keep] * scale[..., None]
@@ -231,10 +233,12 @@ class NearestKernel:
             centers = scale * self.points[keep]
         return (logits, centers) if xt.ndim == 2 else (logits[0], centers[0])
 
-    def _candidates(self, rows: np.ndarray, scale, K: int) -> tuple[np.ndarray, np.ndarray]:
-        """(kept indices, their squared distances), both (B, K), from the
-        tree's candidates; rows the check refuses come from ``_scan``."""
-        tree_dist, cand = self._tree.query(rows / scale, K + _SPARE_CANDIDATES)
+    def _nearest(self, rows: np.ndarray, scale, K: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(kept indices, their squared distances), both (B, K), from each
+        row's k nearest tree candidates; rows the check refuses are asked
+        again for all n points."""
+        tree_dist, cand = self._tree.query(rows / scale, k)
+        tree_dist, cand = tree_dist.reshape(len(rows), k), cand.reshape(len(rows), k)
         dist2 = np.empty(cand.shape)
         _squared_distances(self._columns[:, cand], rows, scale, dist2, np.empty_like(dist2))
         # A row whose recomputed distances strictly increase in the tree's
@@ -246,6 +250,8 @@ class NearestKernel:
             cand[unsorted] = np.take_along_axis(cand[unsorted], order, axis=1)
             dist2[unsorted] = np.take_along_axis(dist2[unsorted], order, axis=1)
         keep, dist2 = np.ascontiguousarray(cand[:, :K]), np.ascontiguousarray(dist2[:, :K])
+        if k == len(self.points):  # every point is a candidate
+            return keep, dist2
         # Every term of either formula is bounded by the row's magnitude
         # sum_j (|x_t,j| + sqrt(abar_t) max_i |x_i,j|)^2.
         size = np.square(np.abs(rows) + scale * self._reach).sum(axis=1)
@@ -253,17 +259,9 @@ class NearestKernel:
         outside = np.square(scale * tree_dist[:, -1:])[:, 0]
         refused = ~(dist2[:, -1] + slack < outside - slack)
         if refused.any():
-            keep[refused], dist2[refused] = self._scan(
-                rows[refused], scale[refused] if np.ndim(scale) else scale, K)
+            keep[refused], dist2[refused] = self._nearest(
+                rows[refused], scale[refused] if np.ndim(scale) else scale, K, len(self.points))
         return keep, dist2
-
-    def _scan(self, rows: np.ndarray, scale, K: int) -> tuple[np.ndarray, np.ndarray]:
-        """(kept indices, their squared distances), both (B, K): the first K
-        of a stable argsort of each row's distances to all n points."""
-        dist2 = np.empty((len(rows), len(self.points)))
-        _squared_distances(self._columns, rows, scale, dist2, np.empty_like(dist2))
-        keep = np.argsort(dist2, axis=1, kind="stable")[:, :K]
-        return keep, np.take_along_axis(dist2, keep, axis=1)
 
 
 def _point_set(points: np.ndarray) -> np.ndarray:
@@ -272,17 +270,6 @@ def _point_set(points: np.ndarray) -> np.ndarray:
     if points.shape[0] == 0:
         raise ValueError("point set must be non-empty")
     return points
-
-
-def _kernel_scales(s: Schedule, t, xt: np.ndarray):
-    """(sqrt(abar_t), -2 sigma_t^2): floats for one timestep, (B, 1)
-    columns for a (B,) vector of timesteps of an x_t block."""
-    idx = s._index(t)
-    if not idx.ndim:
-        return math.sqrt(s.alpha_bar(t)), -2.0 * s.sigma(t) ** 2
-    if xt.ndim != 2 or len(idx) != len(xt):
-        raise ValueError(f"{len(idx)} timesteps for an x_t block of shape {xt.shape}")
-    return np.sqrt(s.alpha_bars[idx])[:, None], (-2.0 * s.sigmas[idx] ** 2)[:, None]
 
 
 def _squared_distances(columns, xt: np.ndarray, scale, dist2: np.ndarray,

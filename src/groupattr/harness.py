@@ -279,7 +279,7 @@ class Pipeline:
         self.out.mkdir(parents=True, exist_ok=True)
         for sub in ("checkpoints", "logs", "matrices", "reports", "keys"):
             (self.out / sub).mkdir(exist_ok=True)
-        cfg.to_json(self.out / "config.json")
+        self._config_written = False  # config.json, by the first build in ``_phase``
         self._schedule: Schedule | None = None
         self._elbo_seeds: list[int] | None = None
         # (query set, its ElboGrid, seconds) and (full model, its ELBO row on
@@ -405,7 +405,9 @@ class Pipeline:
         key behind, and the previous artifact intact.  A served artifact is
         kept and served again while the key record still vouches for it; a
         rebuild replaces it.  ``key`` comes from the ``Pipeline``'s memo,
-        but the record is read on every call.  Any failure is re-raised as
+        but the record is read on every call.  The first build writes the
+        config as ``config.json``, so a ``Pipeline`` that builds nothing
+        leaves the file as it is.  Any failure is re-raised as
         ``PhaseError(tag)``.
         """
         with _tagged(tag):
@@ -415,6 +417,9 @@ class Pipeline:
                 if loaded_key == key:
                     return value
             else:
+                if not self._config_written:
+                    self.cfg.to_json(self.out / "config.json")
+                    self._config_written = True
                 self._key_path(name).unlink(missing_ok=True)
                 record, built = build()
                 self._write_key(name, key, **record)
@@ -731,23 +736,29 @@ class TimingReport:
 
 
 def _cell_config(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
-    """``cfg`` with each dotted path of ``cell`` set to its value by nested ``replace``."""
+    """``cfg`` with each dotted path of ``cell`` set to its value by nested
+    ``replace``; the top-level fields go in one last ``replace``, so the
+    cross-spec checks see the whole cell, in any order of its paths."""
     def put(spec, names: list[str], value):
         name, *rest = names
         if name not in getattr(spec, "__dataclass_fields__", ()):
             raise ValueError(f"unknown config path {path!r}")
         return replace(spec, **{name: put(getattr(spec, name), rest, value) if rest else value})
+    fields = {}
     for path, value in cell.items():
         head, *rest = path.split(".")
         if head == "unlearn" and rest:  # unlearn.<field> (every method) or unlearn.<method>.<field>
-            methods = [u.method for u in cfg.unlearn_methods]
+            specs = fields.get("unlearn_methods", cfg.unlearn_methods)
+            methods = [u.method for u in specs]
             chosen = methods if len(rest) == 1 else [rest.pop(0)]
             if not chosen or not set(chosen) <= set(methods):
                 raise ValueError(f"unknown config path {path!r}; the methods are {methods}")
-            value = [put(u, rest, value) if u.method in chosen else u for u in cfg.unlearn_methods]
+            value = tuple(put(u, rest, value) if u.method in chosen else u for u in specs)
             head, rest = "unlearn_methods", []
-        cfg = put(cfg, [head, *rest], value)
-    return cfg
+        if head not in cfg.__dataclass_fields__:
+            raise ValueError(f"unknown config path {path!r}")
+        fields[head] = put(fields.get(head, getattr(cfg, head)), rest, value) if rest else value
+    return replace(cfg, **fields)
 
 
 def study(cfg: ExperimentConfig, axes: dict[str, list], out_dir: str | Path,

@@ -159,9 +159,9 @@ def retrack_target(retain: np.ndarray | NearestKernel, xt: np.ndarray, t, K: int
     which a fresh ``NearestKernel`` is built, or a prepared
     ``NearestKernel`` over it, whose k-d tree is reused; ``K`` is passed
     to the kernel's call.  The kernel takes each row's K nearest points
-    from the tree's candidates, rechecked with the scan's exact
-    arithmetic, and scans all n points only for rows whose candidates it
-    cannot prove complete and for K close to n.
+    from the tree's candidates, rechecked with exact arithmetic; rows
+    whose candidates it cannot prove complete, and calls with K close to
+    n, are answered by a tree query for all n points.
     """
     kernel = retain if isinstance(retain, NearestKernel) else NearestKernel(retain)
     w, centers = kernel(xt, t, s, K)

@@ -13,8 +13,9 @@ stable-argsort prefix with a softmax.  One ``NearestKernel`` reused over
 blocks of changing size and over a different K on each call gives what
 fresh calls give, and its results never alias its buffers.  On point sets
 large enough for its k-d tree candidates, rows get the same reference
-result, also where rounding inverts the tree's order of the candidates,
-and only rows with ties past the candidates go through its full scan.
+result, also where rounding inverts the tree's order of the candidates;
+only rows with ties past the candidates, and every row of a call with K
+close to n, are asked for all n points.
 ``derive_seed`` gives, for every last label, the seed that
 ``np.random.SeedSequence`` gives, and ``query_seeds`` is one
 ``derive_seed`` per query.
@@ -450,15 +451,16 @@ def test_prepared_kernel_serves_another_K_on_each_call():
 
 
 def recorded_scans(monkeypatch) -> list:
-    """The row blocks that ``NearestKernel`` sends through its full scan."""
+    """The row blocks that ``NearestKernel`` asks its tree for all n points."""
     scanned = []
-    scan = NearestKernel._scan
+    nearest = NearestKernel._nearest
 
-    def recording(self, rows, scale, K):
-        scanned.append(rows.copy())
-        return scan(self, rows, scale, K)
+    def recording(self, rows, scale, K, k):
+        if k == len(self.points):
+            scanned.append(rows.copy())
+        return nearest(self, rows, scale, K, k)
 
-    monkeypatch.setattr(NearestKernel, "_scan", recording)
+    monkeypatch.setattr(NearestKernel, "_nearest", recording)
     return scanned
 
 
@@ -477,17 +479,18 @@ def assert_stable_argsort_prefix(retain, xt, ts, K, kernel):
         assert targets[i].tobytes() == reference_target(retain, xt[i], t, K).tobytes()
 
 
-# 400 points, so that K + diffusion._SPARE_CANDIDATES < n and the k-d tree
-# proposes the candidates.
+# 400 points, so that K + diffusion._SPARE_CANDIDATES < n for K up to 395 and
+# the k-d tree proposes the candidates.
 SPREAD = np.random.default_rng(21).normal(size=(400, 2)) * 2.0
 
 
-@pytest.mark.parametrize("K", [1, 10, 40])
+@pytest.mark.parametrize("K", [1, 10, 40, len(SPREAD) - diffusion._SPARE_CANDIDATES])
 def test_tree_candidates_give_the_stable_argsort_prefix(K, monkeypatch):
     """Blocks of noised points at one t (t = 1, 9, 23 and T) and at per-row
     t (T among them) get the reference result from the tree's candidates
     alone.  At t = T, sqrt(abar_T) is about 1e-3, which puts x_t / sqrt(abar_T)
-    far from the points."""
+    far from the points.  With K + c >= n (c the spare candidates), every
+    row is answered by one query for all n points instead."""
     scanned = recorded_scans(monkeypatch)
     rng = np.random.default_rng(K)
     kernel = NearestKernel(SPREAD)
@@ -495,10 +498,15 @@ def test_tree_candidates_give_the_stable_argsort_prefix(K, monkeypatch):
     x0 = SPREAD[rng.integers(0, len(SPREAD), 40)]
     xt = forward_marginal(S, x0, ts, rng.normal(size=x0.shape))
     assert_stable_argsort_prefix(SPREAD, xt, ts, K, kernel)
+    blocks = [xt]
     for t in (1, 9, 23, S.num_steps):
         xt = forward_marginal(S, x0, t, rng.normal(size=x0.shape))
         assert_stable_argsort_prefix(SPREAD, xt, t, K, kernel)
-    assert scanned == []
+        blocks.append(xt)
+    # Once for the kernel call, once for the target's.
+    whole = [rows.tobytes() for rows in blocks for _ in range(2)]
+    assert [rows.tobytes() for rows in scanned] == (
+        whole if K + diffusion._SPARE_CANDIDATES >= len(SPREAD) else [])
 
 
 def test_candidates_whose_distances_invert_the_tree_order(monkeypatch):
@@ -527,13 +535,13 @@ def test_candidates_whose_distances_invert_the_tree_order(monkeypatch):
 @pytest.mark.parametrize("per_row", [False, True], ids=["one t", "per-row t"])
 def test_ties_past_the_candidates_fall_back_to_the_scan(per_row, monkeypatch):
     """A row with more than K + c points at its K-th distance (c the spare
-    candidates) goes through the scan and keeps their lowest indices.  Here
-    that is a row on a point with K + c + 3 copies, and the row x_t = 0,
-    around which a ring of 8 symmetric points repeats to K + c + 3 points.
-    The other rows are decided from the tree's candidates, among them a row
-    on a point with only K + c - 2 copies.  With a K past the ring, the
-    ring's ties sit inside the candidates, which must order them by index
-    and need no scan."""
+    candidates) is asked again for all n points and keeps their lowest
+    indices.  Here that is a row on a point with K + c + 3 copies, and the
+    row x_t = 0, around which a ring of 8 symmetric points repeats to
+    K + c + 3 points.  The other rows are decided from the tree's
+    candidates, among them a row on a point with only K + c - 2 copies.
+    With a K past the ring, the ring's ties sit inside the candidates,
+    which must order them by index and need no query for all n points."""
     K = 10
     copies = K + diffusion._SPARE_CANDIDATES + 3
     rng = np.random.default_rng(8)

@@ -605,14 +605,17 @@ class TestTiming:
     def test_records_of_another_config_are_not_counted(self, tiny_run, tmp_path, capsys):
         """Timing counts a record only while it holds its phase's current
         key: with esd's steps doubled and nothing rebuilt, no esd record
-        counts, through the API or through the CLI's ``report``."""
+        counts, through the API or through the CLI's ``report``.  Building
+        nothing, neither rewrites ``config.json``."""
         cfg, out, _ = tiny_run
         esd = cfg.unlearn_methods[1]
         changed = replace(cfg, unlearn_methods=(
             cfg.unlearn_methods[0], replace(esd, steps_or_epochs=2 * esd.steps_or_epochs)))
         stale = tmp_path / "stale"
         shutil.copytree(out, stale)
+        original = (out / "config.json").read_bytes()
         rep = Pipeline(changed, stale).ensure_timing()
+        assert (stale / "config.json").read_bytes() == original
         assert "esd" not in rep.methods
         assert sorted(rep.methods) == ["logoa", "oracle", "prototype", "retrack"]
         assert not [name for name in rep.phase_seconds if name.startswith("unlearn_esd_")]
@@ -621,6 +624,7 @@ class TestTiming:
         changed.to_json(config_path)
         assert main(["report", "--config", str(config_path), "--out", str(stale)]) == 0
         printed = json.loads(capsys.readouterr().out)
+        assert (stale / "config.json").read_bytes() == original
         fresh = tmp_path / "fresh"
         run_experiment(changed, fresh)
 
@@ -819,6 +823,18 @@ class TestSweep:
             run_experiment(replace(cfg, master_seed=seed, unlearn_methods=tuple(
                 replace(u, K=K) for u in cfg.unlearn_methods)), fresh)
             _same_run_files(tmp_path / "st" / f"master_seed={seed},unlearn.K={K}", fresh)
+
+    def test_cell_builds_in_either_order_of_its_paths(self):
+        """A cell valid only with all of its values, a timestep range past
+        the base T with the T that holds it, builds in both orders of its
+        paths, to one config."""
+        cfg = tiny_experiment_config()
+        cell = {"unlearn.timestep_range": [1, 80], "schedule.num_steps": 80}
+        forward = harness._cell_config(cfg, cell)
+        assert forward == harness._cell_config(cfg, dict(reversed(cell.items())))
+        assert forward == replace(cfg, schedule=replace(cfg.schedule, num_steps=80),
+                                  unlearn_methods=tuple(replace(u, timestep_range=(1, 80))
+                                                        for u in cfg.unlearn_methods))
 
     def test_invalid_axis_and_empty_values(self, tmp_path, monkeypatch):
         """Every cell's config is built before any cell runs, so a bad path
