@@ -331,24 +331,6 @@ class Pipeline:
                           dataclasses.asdict(self.cfg.train)])
 
     @_memoized
-    def _cf_phase(self, method: str, k: int) -> tuple[str, str]:
-        """The phase name and phase key of group ``k``'s counterfactual model
-        under ``method``: ``train_logo_k`` for LOGO, ``unlearn_<method>_k``
-        for an unlearning method."""
-        if method == "logoa":
-            return f"train_logo_{k}", _hash_obj(["train_logo", k, self._k_full()])
-        spec = self._unlearn_spec(method)
-        return f"unlearn_{method}_{k}", _hash_obj(["unlearn", method, k, self._k_full(),
-                                                   spec.read_settings()])
-
-    def _cf_phases(self, method: str) -> list[tuple[str, str]]:
-        """``_cf_phase`` of every group; none for the prototype and the
-        oracle, which build no model."""
-        if method in ("prototype", "oracle"):
-            return []
-        return [self._cf_phase(method, k) for k in range(self.cfg.dataset.n_groups)]
-
-    @_memoized
     def _k_queries(self) -> str:
         return _hash_obj(["queries", self._k_full(), dataclasses.asdict(self.cfg.queries)])
 
@@ -378,15 +360,6 @@ class Pipeline:
             if spec.method == method:
                 return spec
         raise PhaseError("unlearn", f"method {method!r} not configured")
-
-    def method_names(self, gold: str = "logoa") -> list[str]:
-        """Attribution methods of a study scored against ``gold``.
-
-        LOGO retraining is listed only when it is the gold, so a study
-        with another gold never trains a leave-one-group-out model.
-        """
-        logo = ["logoa"] if gold == "logoa" else []
-        return [*logo, *[u.method for u in self.cfg.unlearn_methods], "prototype", "oracle"]
 
     # -- phases -----------------------------------------------------------
 
@@ -427,21 +400,23 @@ class Pipeline:
             self._loaded[name] = (key, value)
             return value
 
-    def _run_files(self, name: str) -> tuple[Path, Path]:
-        """The checkpoint and log of training or unlearning phase ``name``
-        (``train_logo_k`` writes ``logo_k.ckpt``)."""
-        return (self.out / "checkpoints" / f"{name.removeprefix('train_')}.ckpt",
-                self.out / "logs" / f"{name}.csv")
+    def _model_phase(self, name: str, key: str, tag: str, fit):
+        """A training or unlearning phase: ``fit()`` returns the run, its log
+        (header and columns) and the extra fields of its key record.  The
+        phase writes ``logs/<name>.csv``, then ``checkpoints/<name without
+        train_>.ckpt`` (``train_logo_k`` writes ``logo_k.ckpt``), and serves
+        the checkpoint as read back."""
+        files = (self.out / "checkpoints" / f"{name.removeprefix('train_')}.ckpt",
+                 self.out / "logs" / f"{name}.csv")
 
-    def _save_run(self, files: tuple[Path, Path], run, log: tuple, **fields) -> tuple[dict, None]:
-        """Write a training or unlearning run's log (``log`` is its header and
-        columns) and checkpoint; returns its key record fields, and None
-        for the checkpoint, which is read back."""
-        path, log_path = files
-        _write_log(log_path, *log)
-        with _replacing(path) as tmp:
-            save_checkpoint(tmp, run.params)
-        return {"wall_seconds": run.wall_seconds, "steps": run.steps, **fields}, None
+        def build():
+            run, log, fields = fit()
+            _write_log(files[1], *log)
+            with _replacing(files[0]) as tmp:
+                save_checkpoint(tmp, run.params)
+            return {"wall_seconds": run.wall_seconds, "steps": run.steps, **fields}, None
+
+        return self._phase(name, key, files, tag, build, load_checkpoint)
 
     def ensure_dataset(self) -> GroupedDataset:
         path = self.out / "dataset.npz"
@@ -460,46 +435,21 @@ class Pipeline:
 
     def ensure_train_full(self):
         d = self.ensure_dataset()
-        files = self._run_files("train_full")
 
-        def build():
+        def fit():
             run = train_full(d, self.cfg.arch.architecture(d.dim, d.cond_dim), self.cfg.train,
                              self.schedule(), derive_seed(self.cfg.master_seed, "train_full"))
             log = ("epoch,loss,wall_ms", run.epoch_losses, run.epoch_ms)
-            return self._save_run(files, run, log, final_loss=(run.epoch_losses or [None])[-1])
+            return run, log, {"final_loss": (run.epoch_losses or [None])[-1]}
 
-        return self._phase("train_full", self._k_full(), files, "train_full", build,
-                           load_checkpoint)
+        return self._model_phase("train_full", self._k_full(), "train_full", fit)
 
     def ensure_train_logo(self, k: int):
-        d = self.ensure_dataset()
-        name, key = self._cf_phase("logoa", k)
-        files = self._run_files(name)
-
-        def build():
-            run = train_logo(d, k, self.cfg.arch.architecture(d.dim, d.cond_dim),
-                             self.cfg.train, self.schedule(),
-                             derive_seed(self.cfg.master_seed, "train_logo"))
-            log = ("epoch,loss,wall_ms", run.epoch_losses, run.epoch_ms)
-            return self._save_run(files, run, log, group=k)
-
-        return self._phase(name, key, files, "train_logo", build, load_checkpoint)
+        return self._counterfactual("logoa", k)
 
     def ensure_unlearn(self, method: str, k: int):
-        d = self.ensure_dataset()
-        spec = self._unlearn_spec(method)
-        name, key = self._cf_phase(method, k)
-        files = self._run_files(name)
-
-        def build():
-            full = self.ensure_train_full()
-            seed = derive_seed(self.cfg.master_seed, "unlearn", method, k)
-            run = unlearn(full, d, k, spec, self.schedule(), seed)
-            log = ("step,forget_loss,preserve_loss", run.forget_losses, run.preserve_losses)
-            return self._save_run(files, run, log, group=k, seed=seed,
-                                  unlearn_config=dataclasses.asdict(spec))
-
-        return self._phase(name, key, files, "unlearn", build, load_checkpoint)
+        self._unlearn_spec(method)  # refuses LOGO and an unconfigured method
+        return self._counterfactual(method, k)
 
     def ensure_queries(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
         """Generated query samples, their conditions, diagnostic labels."""
@@ -545,15 +495,7 @@ class Pipeline:
 
         def build():
             queries = self.ensure_queries()
-            # Models are built (or loaded) before the clock starts: the
-            # recorded time is the query cost alone.
-            if method == "prototype":
-                tic = time.perf_counter()
-                mat = prototype_baseline(queries[0], d)
-                wall = time.perf_counter() - tic
-            else:
-                mat, wall = self._elbo_matrix(method, queries, *self._models_for(method, d),
-                                              d.group_names)
+            mat, wall = self._score(method, queries, d)
             with _replacing(csv_path) as tmp:
                 mat.to_csv(tmp)
             with _replacing(json_path) as tmp:
@@ -562,51 +504,6 @@ class Pipeline:
 
         return self._phase(f"matrix_{method}", self._k_matrix(method), (json_path, csv_path),
                            "attribute", build, AttributionMatrix.from_json)
-
-    def _elbo_matrix(self, method: str, queries: tuple, full, cfs: list,
-                     names: list[str]) -> tuple[AttributionMatrix, float]:
-        """The ELBO-difference matrix of ``method`` on a loaded query set,
-        and the seconds it costs.
-
-        The set's ``ElboGrid`` is formed once, and a network method's full
-        model is scored on it once; every matrix of the set shares them.
-        Each matrix is charged their seconds besides its own, so its
-        recorded time does not depend on the order matrices are built in.
-        """
-        x0, cond, _ = queries
-        seeds = self._elbo_noise_seeds()
-        if self._grid is None or self._grid[0] is not queries:
-            tic = time.perf_counter()
-            grid = ElboGrid(x0, cond, seeds, self.cfg.elbo, self.schedule())
-            self._grid = (queries, grid, time.perf_counter() - tic)
-            self._full_elbos = None
-        _, grid, shared = self._grid
-        full_elbos = None
-        if method != "oracle":  # the oracle's full kernel shares its blocks with its subsets
-            if self._full_elbos is None or self._full_elbos[0] is not full:
-                tic = time.perf_counter()
-                self._full_elbos = (full, grid.elbos([full])[0], time.perf_counter() - tic)
-            _, full_elbos, full_seconds = self._full_elbos
-            shared += full_seconds
-        tic = time.perf_counter()
-        mat = attribution_matrix(x0, cond, full, cfs, self.cfg.elbo, self.schedule(), seeds,
-                                 method=method, group_names=names, grid=grid,
-                                 full_elbos=full_elbos)
-        return mat, shared + time.perf_counter() - tic
-
-    def _models_for(self, method: str, d: GroupedDataset):
-        s = self.schedule()
-        n = d.n_groups
-        if method == "oracle":
-            points, labels = d.labeled_samples()
-            full = KernelDenoiser(points, s)
-            return full, [full.restrict(np.flatnonzero(labels != k)) for k in range(n)]
-        full = self.ensure_train_full()
-        if method == "logoa":
-            cfs = [self.ensure_train_logo(k) for k in range(n)]
-        else:
-            cfs = [self.ensure_unlearn(method, k) for k in range(n)]
-        return full, cfs
 
     def ensure_reports(self, gold: str = "logoa") -> dict[str, RankReport]:
         with _tagged("evaluate"):
@@ -703,6 +600,104 @@ class Pipeline:
         _write_json(self.out / "summary.json", summary)
         return summary
 
+    # -- methods: all that differs by attribution method --------------------
+
+    def method_names(self, gold: str = "logoa") -> list[str]:
+        """Attribution methods of a study scored against ``gold``.
+
+        LOGO retraining is listed only when it is the gold, so a study
+        with another gold never trains a leave-one-group-out model.
+        """
+        logo = ["logoa"] if gold == "logoa" else []
+        return [*logo, *[u.method for u in self.cfg.unlearn_methods], "prototype", "oracle"]
+
+    @_memoized
+    def _cf_phase(self, method: str, k: int) -> tuple[str, str]:
+        """The phase name and phase key of group ``k``'s counterfactual model
+        under ``method``: ``train_logo_k`` for LOGO, ``unlearn_<method>_k``
+        for an unlearning method."""
+        if method == "logoa":
+            return f"train_logo_{k}", _hash_obj(["train_logo", k, self._k_full()])
+        spec = self._unlearn_spec(method)
+        return f"unlearn_{method}_{k}", _hash_obj(["unlearn", method, k, self._k_full(),
+                                                   spec.read_settings()])
+
+    def _cf_phases(self, method: str) -> list[tuple[str, str]]:
+        """``_cf_phase`` of every group; none for the prototype and the
+        oracle, which build no model."""
+        if method in ("prototype", "oracle"):
+            return []
+        return [self._cf_phase(method, k) for k in range(self.cfg.dataset.n_groups)]
+
+    def _counterfactual(self, method: str, k: int):
+        """Group ``k``'s counterfactual model under ``method``: LOGO retrains
+        from scratch without the group, an unlearning method unlearns it from
+        the full model."""
+        d = self.ensure_dataset()
+        name, key = self._cf_phase(method, k)
+
+        def fit():
+            if method == "logoa":
+                run = train_logo(d, k, self.cfg.arch.architecture(d.dim, d.cond_dim),
+                                 self.cfg.train, self.schedule(),
+                                 derive_seed(self.cfg.master_seed, "train_logo"))
+                return run, ("epoch,loss,wall_ms", run.epoch_losses, run.epoch_ms), {"group": k}
+            spec = self._unlearn_spec(method)
+            seed = derive_seed(self.cfg.master_seed, "unlearn", method, k)
+            run = unlearn(self.ensure_train_full(), d, k, spec, self.schedule(), seed)
+            log = ("step,forget_loss,preserve_loss", run.forget_losses, run.preserve_losses)
+            return run, log, {"group": k, "seed": seed, "unlearn_config": dataclasses.asdict(spec)}
+
+        return self._model_phase(name, key, "train_logo" if method == "logoa" else "unlearn", fit)
+
+    def _models_for(self, method: str, d: GroupedDataset):
+        """The full model and the per-group counterfactuals that ``method``
+        scores: the oracle's kernel denoisers, or checkpoints served by
+        ``ensure_train_logo`` or ``ensure_unlearn``."""
+        if method == "oracle":
+            points, labels = d.labeled_samples()
+            full = KernelDenoiser(points, self.schedule())
+            return full, [full.restrict(np.flatnonzero(labels != k)) for k in range(d.n_groups)]
+        fetch = (self.ensure_train_logo if method == "logoa"
+                 else functools.partial(self.ensure_unlearn, method))
+        return self.ensure_train_full(), [fetch(k) for k in range(d.n_groups)]
+
+    def _score(self, method: str, queries: tuple, d: GroupedDataset
+               ) -> tuple[AttributionMatrix, float]:
+        """``method``'s matrix on a loaded query set, and the seconds it costs.
+
+        Models are built (or loaded) before the clock starts: the recorded
+        time is the query cost alone.  The prototype scores without models.
+        The set's ``ElboGrid`` is formed once, and a network method's full
+        model is scored on it once; every matrix of the set shares them.
+        Each matrix is charged their seconds besides its own, so its
+        recorded time does not depend on the order matrices are built in.
+        """
+        x0, cond, _ = queries
+        if method == "prototype":
+            tic = time.perf_counter()
+            return prototype_baseline(x0, d), time.perf_counter() - tic
+        full, cfs = self._models_for(method, d)
+        seeds = self._elbo_noise_seeds()
+        if self._grid is None or self._grid[0] is not queries:
+            tic = time.perf_counter()
+            grid = ElboGrid(x0, cond, seeds, self.cfg.elbo, self.schedule())
+            self._grid = (queries, grid, time.perf_counter() - tic)
+            self._full_elbos = None
+        _, grid, shared = self._grid
+        full_elbos = None
+        if method != "oracle":  # the oracle's full kernel shares its blocks with its subsets
+            if self._full_elbos is None or self._full_elbos[0] is not full:
+                tic = time.perf_counter()
+                self._full_elbos = (full, grid.elbos([full])[0], time.perf_counter() - tic)
+            _, full_elbos, full_seconds = self._full_elbos
+            shared += full_seconds
+        tic = time.perf_counter()
+        mat = attribution_matrix(x0, cond, full, cfs, self.cfg.elbo, self.schedule(), seeds,
+                                 method=method, group_names=d.group_names, grid=grid,
+                                 full_elbos=full_elbos)
+        return mat, shared + time.perf_counter() - tic
+
 
 def _load_queries(path: Path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     with np.load(path, allow_pickle=False) as z:
@@ -767,8 +762,9 @@ def study(cfg: ExperimentConfig, axes: dict[str, list], out_dir: str | Path,
 
     ``axes`` maps dotted config paths to lists of values: ``unlearn.K`` sets
     K on every unlearning method, ``unlearn.esd.K`` on esd only.  Every
-    cell's config is built, and so checked, before any cell runs.  A cell's
-    directory ``<path>=<value>,...`` starts, unless it exists, as a copy of
+    cell's config is built, and so checked, before any cell runs, and so is
+    its directory name ``<path>=<value>,...``, which must be a single path
+    component.  A cell's directory starts, unless it exists, as a copy of
     the last cell run on the same dataset and master seed.  Returns, and
     writes as ``study.csv``, one row per cell and method.
     """
@@ -776,9 +772,12 @@ def study(cfg: ExperimentConfig, axes: dict[str, list], out_dir: str | Path,
         raise ValueError("a study needs at least one axis, each with at least one value")
     cells = [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
     configs = [_cell_config(cfg, cell) for cell in cells]
+    names = [",".join(f"{path}={value}" for path, value in cell.items()) for cell in cells]
+    if bad := [name for name in names if Path(name).name != name]:
+        raise ValueError(f"study cell directories must be single path components: {bad}")
     rows, last = [], {}  # last: (dataset, master_seed) -> the last cell directory run on them
-    for cell, cell_cfg in zip(cells, configs):
-        run_dir = Path(out_dir, ",".join(f"{path}={value}" for path, value in cell.items()))
+    for cell, cell_cfg, name in zip(cells, configs, names):
+        run_dir = Path(out_dir, name)
         lineage = (cell_cfg.dataset, cell_cfg.master_seed)
         if lineage in last and not run_dir.exists():
             shutil.copytree(last[lineage], run_dir)

@@ -103,11 +103,7 @@ class RankReport:
         return cls(**{key: d[key] for key in _METRICS}, per_query=list(d.get("per_query", [])))
 
 
-def rank_report(
-    pred: AttributionMatrix,
-    gold: AttributionMatrix,
-    rbo_p: float = DEFAULT_RBO_P,
-) -> RankReport:
+def rank_report(pred: AttributionMatrix, gold: AttributionMatrix) -> RankReport:
     """Agreement of ``pred`` with ``gold``, which must name the same groups
     and queries in the same order: columns and rows are compared by
     position."""
@@ -115,7 +111,7 @@ def rank_report(
                        ("query ids", pred.query_ids, gold.query_ids)):
         if list(a) != list(b):
             raise ValueError(f"{what} differ between {pred.method} and {gold.method}")
-    cols = _metric_columns(pred.scores, gold.scores, rbo_p)
+    cols = _metric_columns(pred.scores, gold.scores, DEFAULT_RBO_P)
     per_query = [
         {"query_id": qid, **{key: float(cols[key][i]) for key in _METRICS}}
         for i, qid in enumerate(pred.query_ids)

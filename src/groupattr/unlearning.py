@@ -268,10 +268,7 @@ class AnchorSelector:
             raise ValueError("need at least 2 groups")
         retain_idx = np.array([i for i in range(n) if i != forget_group])
         sims = self.prototypes[retain_idx] @ self.prototypes[forget_group]
-        logits = self.tau * sims
-        logits -= logits.max()
-        soft = np.exp(logits)
-        soft /= soft.sum()
+        soft = softmax_inplace(self.tau * sims)
         probs = (1.0 - self.eta_mix) * soft + self.eta_mix / len(retain_idx)
         return retain_idx, probs
 

@@ -195,7 +195,7 @@ def test_criterion_5_metric_suite_exactness():
     for _ in range(1000):
         n = int(rng.integers(2, 9))
         ps, gs = rng.normal(size=n), rng.normal(size=n)
-        rep = metric_report(ps, gs, 0.9)
+        rep = metric_report(ps, gs)
         for name, ref in checks:
             worst = max(worst, abs(getattr(rep, name) - ref(ps, gs)))
     assert worst <= 1e-9
@@ -204,10 +204,10 @@ def test_criterion_5_metric_suite_exactness():
     pred3 = np.array([2.0, 3.0, 1.0])
     assert metric_report(pred3, gold3).ndcg3 == pytest.approx(0.8428, abs=1e-3)
     ident10 = np.arange(10, 0, -1, dtype=float)
-    assert metric_report(ident10, ident10, 0.9).rbo == pytest.approx(0.6513, abs=1e-4)
-    assert metric_report(ident10, ident10, 0.9).rbo == pytest.approx(1 - 0.9**10, abs=1e-9)
+    assert metric_report(ident10, ident10).rbo == pytest.approx(0.6513, abs=1e-4)
+    assert metric_report(ident10, ident10).rbo == pytest.approx(1 - 0.9**10, abs=1e-9)
     ident2 = np.array([2.0, 1.0])
-    assert metric_report(ident2, ident2, 0.9).rbo == pytest.approx(0.19, abs=1e-12)
+    assert metric_report(ident2, ident2).rbo == pytest.approx(0.19, abs=1e-12)
     elapsed = time.perf_counter() - tic
     assert elapsed < 10.0
     report(5, f"metric suite max deviation {worst:.1e} <= 1e-9, worked values exact ({elapsed:.1f}s)")

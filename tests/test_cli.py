@@ -133,6 +133,19 @@ class TestFailures:
         ("train", "weight_decay", -1.0),
         ("dataset", "noise_std", -1.0),
         ("dataset", "descriptor_dim", -1),
+        ("queries", "count", -1),
+        ("queries", "cond_mode", "style"),
+        ("unlearn_methods", "lr", 0.0),
+        ("unlearn_methods", "steps_or_epochs", -1),
+        ("unlearn_methods", "lambda_forget", -0.1),
+        ("unlearn_methods", "kl_cap", -1.0),
+        ("unlearn_methods", "eta_mix", 1.5),
+        ("unlearn_methods", "tau", 0.0),
+        ("unlearn_methods", "timestep_range", [5, 2]),
+        ("train", "batch_size", 0),
+        ("train", "lr", 0.0),
+        ("dataset", "samples_per_group", 0),
+        ("dataset", "dim", 0),
     ])
     def test_bad_config_fails_before_any_phase(self, tmp_path, capsys, section, key, value):
         """Every stage's settings are checked when the config is built, so a

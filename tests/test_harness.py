@@ -122,6 +122,21 @@ class TestArtifacts:
             assert z["labels"].shape == (6,)
             assert z["conds"].shape[0] == 6
 
+    def test_group_conditioned_queries(self, tmp_path):
+        """With ``cond_mode="group"`` query q is sampled under group q mod N's
+        condition vector, and every matrix builds on those queries."""
+        cfg = tiny_experiment_config(queries=QuerySpec(count=7, cond_mode="group", clip_x0=8.0))
+        p = Pipeline(cfg, tmp_path)
+        d = p.ensure_dataset()
+        for method in p.method_names():
+            scores = p.ensure_matrix(method).scores
+            assert scores.shape == (7, d.n_groups) and np.all(np.isfinite(scores)), method
+        with np.load(tmp_path / "queries.npz") as z:
+            conds = z["conds"]
+        assert len(np.unique(conds, axis=0)) == d.n_groups
+        for q in range(7):
+            assert conds[q].tobytes() == d.cond_vectors[q % d.n_groups].tobytes()
+
 
 class TestDeterminismAndCaching:
     def test_fresh_rerun_byte_identical_matrices(self, tiny_run, tmp_path):
@@ -642,8 +657,9 @@ class TestErrors:
     def test_unconfigured_method_is_phase_tagged(self, tiny_run):
         cfg, out, _ = tiny_run
         p = Pipeline(cfg, out)
-        with pytest.raises(PhaseError, match=r"\[unlearn\]"):
-            p.ensure_unlearn("cond_anchor", 0)
+        for method in ("cond_anchor", "logoa"):  # LOGO retrains; it is not unlearning
+            with pytest.raises(PhaseError, match=r"\[unlearn\]"):
+                p.ensure_unlearn(method, 0)
 
     def test_evaluate_without_queries_rejected(self, tmp_path):
         cfg = tiny_experiment_config(queries=QuerySpec(count=0))
@@ -837,16 +853,17 @@ class TestSweep:
                                                         for u in cfg.unlearn_methods))
 
     def test_invalid_axis_and_empty_values(self, tmp_path, monkeypatch):
-        """Every cell's config is built before any cell runs, so a bad path
-        or a refused value makes no directory and trains no model."""
+        """Every cell's config and directory name are formed before any cell
+        runs, so a bad path, a refused value or a name that would leave the
+        study directory makes no directory and trains no model."""
         calls = {"train_full": 0}
         _counted(monkeypatch, "train_full", calls)
         cfg = tiny_experiment_config()
         for axes in ({"gamma": [1]}, {"unlearn.cond_anchor.K": [5]},
                      {"unlearn_methods.K": [5]}, {"dataset.dim.x": [1]},
                      {"schedule.num_steps": [40, 1]}, {"unlearn.K": [5, 0]},
-                     {}, {"unlearn.lr": []}):
+                     {}, {"unlearn.lr": []}, {"dataset.radius": ["/../../escaped"]}):
             with pytest.raises(ValueError):
                 study(cfg, axes, tmp_path / "x")
-            assert not (tmp_path / "x").exists(), axes
+            assert not any(tmp_path.iterdir()), axes
         assert calls == {"train_full": 0}

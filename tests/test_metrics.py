@@ -94,9 +94,9 @@ def matrix(scores, method="m"):
     return AttributionMatrix(method, scores, qids, names)
 
 
-def report(ps, gs, p=0.9):
+def report(ps, gs):
     """Rank report of a pred/gold pair; a 1-D pair is one query row."""
-    return rank_report(matrix(np.atleast_2d(ps)), matrix(np.atleast_2d(gs)), p)
+    return rank_report(matrix(np.atleast_2d(ps)), matrix(np.atleast_2d(gs)))
 
 
 class TestRank:
@@ -128,19 +128,19 @@ class TestWorkedExamples:
 
     def test_rbo_identical_n10(self):
         scores = np.arange(10, 0, -1, dtype=float)[None, :]
-        val = report(scores, scores, p=0.9).rbo
+        val = report(scores, scores).rbo
         assert val == pytest.approx(1 - 0.9**10, abs=1e-6)
         assert val == pytest.approx(0.6513, abs=1e-4)
 
     def test_rbo_identical_n2(self):
         scores = np.array([[2.0, 1.0]])
-        assert report(scores, scores, p=0.9).rbo == pytest.approx(0.19, abs=1e-12)
+        assert report(scores, scores).rbo == pytest.approx(0.19, abs=1e-12)
 
     def test_rbo_disjoint_until_last_depth(self):
         # Reversed rankings of N=2 share nothing at depth 1.
         pred = np.array([[2.0, 1.0]])
         gold = np.array([[1.0, 2.0]])
-        assert report(pred, gold, p=0.9).rbo == pytest.approx(0.1 * 0.9, rel=1e-12)
+        assert report(pred, gold).rbo == pytest.approx(0.1 * 0.9, rel=1e-12)
 
     def test_mrr_reciprocal_positions(self):
         gold = np.array([[4.0, 3.0, 2.0, 1.0]])
@@ -185,7 +185,7 @@ class TestBruteForceEquivalence:
             n = int(rng.integers(2, 9))
             ps = rng.normal(size=n)
             gs = rng.normal(size=n)
-            rep = report(ps, gs, 0.9)
+            rep = report(ps, gs)
             assert rep.top1 == ref_top1(ps, gs)
             assert rep.mrr == pytest.approx(ref_mrr(ps, gs), abs=1e-12)
             assert rep.ndcg3 == pytest.approx(ref_ndcg3(ps, gs), abs=1e-9)
@@ -199,7 +199,7 @@ class TestBruteForceEquivalence:
             n = int(rng.integers(2, 9))
             ps = rng.integers(0, 3, size=n).astype(float)
             gs = rng.integers(0, 3, size=n).astype(float)
-            rep = report(ps, gs, 0.9)
+            rep = report(ps, gs)
             assert rep.top1 == ref_top1(ps, gs)
             assert rep.mrr == pytest.approx(ref_mrr(ps, gs), abs=1e-12)
             assert rep.ndcg3 == pytest.approx(ref_ndcg3(ps, gs), abs=1e-9)
@@ -297,8 +297,8 @@ class TestRankReport:
 @st.composite
 def report_pairs(draw):
     """(Q, N) pred/gold pairs with N from 2 (below NDCG's and Top-3's depth of
-    3) to 12, integer ties, constant rows, an RBO p in (0, 1), and a
-    permutation of the query rows."""
+    3) to 12, integer ties, constant rows, and a permutation of the query
+    rows."""
     q = draw(st.integers(1, 8))
     n = draw(st.integers(2, 12))
     cells = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e6, 1e6))
@@ -308,23 +308,22 @@ def report_pairs(draw):
         for i in draw(st.lists(st.integers(0, q - 1), max_size=q)):
             scores[i] = scores[i, 0]
         pair.append(scores)
-    p = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    return pair[0], pair[1], p, draw(st.permutations(range(q)))
+    return pair[0], pair[1], draw(st.permutations(range(q)))
 
 
 class TestBlockAgainstRows:
     @settings(max_examples=150, deadline=None)
     @given(case=report_pairs())
     def test_block_report_matches_one_row_reports(self, case):
-        pred, gold, p, perm = case
-        block = rank_report(matrix(pred), matrix(gold), p)
+        pred, gold, perm = case
+        block = rank_report(matrix(pred), matrix(gold))
         for i, entry in enumerate(block.per_query):
-            row = rank_report(matrix(pred[i : i + 1]), matrix(gold[i : i + 1]), p)
+            row = rank_report(matrix(pred[i : i + 1]), matrix(gold[i : i + 1]))
             assert entry == {**row.per_query[0], "query_id": f"q{i}"}
         for name in FIELDS:
             assert getattr(block, name) == float(np.mean([e[name] for e in block.per_query]))
         qids = [f"q{i}" for i in perm]
         names = [f"group{j}" for j in range(pred.shape[1])]
         permuted = rank_report(AttributionMatrix("m", pred[perm], qids, names),
-                               AttributionMatrix("m", gold[perm], qids, names), p)
+                               AttributionMatrix("m", gold[perm], qids, names))
         assert permuted.per_query == [block.per_query[i] for i in perm]
